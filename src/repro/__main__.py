@@ -63,11 +63,6 @@ Subcommands
     the cache without recomputing anything that is already stored.
 ``repro cache [--clear]``
     Show (or empty) the on-disk result cache.
-``repro bench-perf``
-    Measure simulator throughput (simulated cycles/second) on the
-    core-throughput scenarios plus the Fig. 7 quick sweep wall time,
-    write ``BENCH_core.json``, and optionally compare against a
-    committed baseline (``--compare``) with a relative tolerance.
 
 Examples::
 
@@ -87,27 +82,10 @@ from typing import Any, Dict, List, Optional
 
 from .harness import presets as preset_registry
 from .harness.cache import ResultCache, resolve_cache
-from .harness.executor import (EXECUTORS, ProcessPoolExecutor,
-                               SerialExecutor, SweepResult,
-                               default_workers, make_executor)
+from .harness.executor import (SerialExecutor, SweepResult,
+                               default_workers, run_sweep)
 from .harness.runner import TrialError
 from .harness.spec import Sweep, Trial
-
-
-def _executor(workers=None, executor=None):
-    """CLI worker-count handling → an Executor (satellite of the
-    Executor-protocol redesign: the CLI drives executors directly).
-
-    An explicit ``--executor`` name (or ``$REPRO_EXECUTOR``) wins; the
-    historical workers-based pick stays the default.
-    """
-    workers = default_workers() if workers is None else max(1, workers)
-    name = executor or os.environ.get("REPRO_EXECUTOR") or None
-    if name:
-        return make_executor(name, workers=workers)
-    if workers == 1:
-        return SerialExecutor()
-    return ProcessPoolExecutor(workers=workers)
 
 
 def _parse_value(text: str) -> Any:
@@ -153,9 +131,8 @@ def _cmd_sweep(args) -> int:
     sweep = preset.build(quick=args.quick)
     progress = None if args.json else (lambda line: print(line,
                                                           file=sys.stderr))
-    result = _executor(args.workers, executor=args.executor).execute(
-        sweep, cache=_cache_arg(args), force=args.force,
-        progress=progress)
+    result = run_sweep(sweep, workers=args.workers, cache=_cache_arg(args),
+                       force=args.force, progress=progress)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(result.to_json())
@@ -572,12 +549,8 @@ def _cmd_campaign_worker(args) -> int:
 
     policy = RetryPolicy(attempts=args.net_retries,
                          timeout=args.net_timeout)
-    runner = None
-    if args.executor == "fleet":
-        from .batch.executor import fleet_trial_runner
-        runner = fleet_trial_runner
     return run_worker(
-        args.url, host=args.host, runner=runner, policy=policy,
+        args.url, host=args.host, policy=policy,
         poll=args.poll, max_trials=args.max_trials,
         announce=lambda line: print(line, file=sys.stderr))
 
@@ -585,55 +558,6 @@ def _cmd_campaign_worker(args) -> int:
 def _cmd_campaign_help(args) -> int:
     args.campaign_parser.print_help()
     return 2
-
-
-def _cmd_bench_perf(args) -> int:
-    from .harness import perfbench
-
-    payload = perfbench.run_benchmark(repeats=args.repeats)
-    if not args.no_sweep:
-        payload["fig7_quick_sweep"] = perfbench.measure_fig7_quick(
-            workers=args.sweep_workers)
-    if args.cores_sweep:
-        payload["cores"] = perfbench.measure_cores_scaling()
-    baseline = None
-    if args.compare:
-        baseline = perfbench.load_payload(args.compare)
-        # Carry the optimization history forward so BENCH_core.json keeps
-        # documenting the before/after trajectory.
-        if "history" in baseline:
-            payload["history"] = baseline["history"]
-    elif args.out and os.path.exists(args.out):
-        previous = perfbench.load_payload(args.out)
-        if "history" in previous:
-            payload["history"] = previous["history"]
-    perfbench.append_history(payload)
-    if args.out:
-        perfbench.dump_payload(payload, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    print(perfbench.render(payload))
-    if "fig7_quick_sweep" in payload:
-        sweep = payload["fig7_quick_sweep"]
-        print(f"fig7 --quick sweep: {sweep['wall_seconds']:.3f}s "
-              f"({sweep['trials']} trials, {sweep['workers']} worker(s))")
-    if "cores" in payload:
-        print()
-        print(perfbench.render_cores(payload["cores"]))
-    if baseline is None:
-        return 0
-    print(f"\ndelta vs {args.compare}:")
-    print(perfbench.render_delta(payload, baseline))
-    problems = perfbench.compare(payload, baseline,
-                                 tolerance=args.tolerance)
-    if problems:
-        print(f"perf regression vs {args.compare} "
-              f"(tolerance ±{args.tolerance:.0%}):", file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    print(f"within ±{args.tolerance:.0%} of {args.compare}",
-          file=sys.stderr)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,11 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"worker processes "
                               f"(default: $REPRO_WORKERS or "
                               f"{default_workers()})")
-    p_sweep.add_argument("--executor", choices=sorted(EXECUTORS),
-                         default=None,
-                         help="execution strategy (default: "
-                              "$REPRO_EXECUTOR, else serial/pool by "
-                              "--workers); all are byte-identical")
     p_sweep.add_argument("--out", help="write canonical result JSON here")
     p_sweep.add_argument("--json", action="store_true",
                          help="print canonical JSON instead of the report")
@@ -931,11 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cworker.add_argument("--net-retries", type=int, default=5,
                            help="attempts per network call before "
                                 "giving up (default 5)")
-    p_cworker.add_argument("--executor", choices=("serial", "fleet"),
-                           default="serial",
-                           help="per-trial compute strategy: fleet "
-                                "batches a trial's core runs through "
-                                "the fleet kernel (byte-identical)")
     p_cworker.set_defaults(func=_cmd_campaign_worker)
 
     p_report = sub.add_parser(
@@ -951,30 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delete every cached record")
     p_cache.add_argument("--cache-dir", help="cache root directory")
     p_cache.set_defaults(func=_cmd_cache)
-
-    p_bench = sub.add_parser(
-        "bench-perf", help="measure simulator throughput (BENCH_core.json)")
-    p_bench.add_argument("--out", default="BENCH_core.json",
-                         help="write the measurement JSON here "
-                              "('' disables; default BENCH_core.json)")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="wall-clock repeats per scenario (best-of)")
-    p_bench.add_argument("--compare", metavar="BASELINE.json",
-                         help="compare against a baseline payload; "
-                              "non-zero exit on regression")
-    p_bench.add_argument("--tolerance", type=float, default=0.2,
-                         help="allowed relative throughput drop vs the "
-                              "baseline (default 0.2)")
-    p_bench.add_argument("--no-sweep", action="store_true",
-                         help="skip the fig7 --quick sweep wall-time probe")
-    p_bench.add_argument("--sweep-workers", type=int, default=1,
-                         help="worker processes for the sweep probe")
-    p_bench.add_argument("--cores-sweep",
-                         action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="measure the fleet-width scaling axis "
-                              "(fig7 --quick lanes at widths 2..16)")
-    p_bench.set_defaults(func=_cmd_bench_perf)
     return parser
 
 

@@ -10,15 +10,11 @@ measurement.  (A trial's ``seed`` is part of its spec and cache key,
 reserved for future stochastic workloads; current runners don't
 consume it.)
 
-Four executors ship today:
+Three executors ship today:
 
 * :class:`SerialExecutor` — everything inline, no processes;
 * :class:`ProcessPoolExecutor` — the classic ``multiprocessing`` pool
   fan-out (byte-identical to the serial path by construction);
-* :class:`repro.batch.FleetExecutor` — the batched struct-of-arrays
-  fleet kernel (``executor="fleet"``): all of a sweep's bare core-runs
-  advance as lanes of one :class:`repro.batch.FleetCore`, deduplicating
-  identical run specs within the batch;
 * :class:`repro.campaign.CampaignExecutor` — journaled, resumable,
   work-stealing execution for large campaigns (crash resume, retries,
   per-trial timeouts, live status).  Campaigns can also shard across
@@ -27,8 +23,9 @@ Four executors ship today:
   over HTTP, and ``http://`` cache URIs point any executor at a
   remote result store.
 
-``run_sweep`` remains the convenience entry point: it picks a serial or
-pool executor from the ``workers`` argument exactly as it always has.
+``run_sweep`` remains the convenience entry point (and what
+``repro sweep`` calls): it picks a serial or pool executor from the
+``workers`` argument exactly as it always has.
 
 All cache I/O happens in the parent process: workers only compute.
 """
@@ -51,19 +48,6 @@ from .spec import Sweep, Trial
 
 #: Environment variable providing the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable naming the default executor (see EXECUTORS).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Executor names resolvable by :func:`make_executor` (and the CLI's
-#: ``--executor`` flag / ``$REPRO_EXECUTOR``).  ``tools/check_docs.py``
-#: validates every ``executor=<name>`` mentioned in the docs against
-#: this table.
-EXECUTORS = {
-    "serial": "everything inline in the calling process",
-    "pool": "multiprocessing fan-out across worker processes",
-    "fleet": "batched struct-of-arrays fleet kernel (repro.batch)",
-}
 
 _warned_bad_workers = False
 
@@ -181,9 +165,6 @@ def make_record(trial: Trial, result: Dict[str, Any]) -> Dict[str, Any]:
     return {"kind": trial.kind, "label": trial.label,
             "params": trial.params, "seed": trial.seed,
             "spec_hash": trial.spec_hash(), "result": result}
-
-
-_make_record = make_record
 
 
 @dataclass
@@ -305,9 +286,6 @@ def _pool_worker(payload: Tuple[int, Dict[str, Any]]) \
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
-_worker = _pool_worker
-
-
 class ProcessPoolExecutor(Executor):
     """Fan cache-missing trials out across a ``multiprocessing`` pool.
 
@@ -347,31 +325,13 @@ class ProcessPoolExecutor(Executor):
         return _seal(plan, workers=self.workers, started=started)
 
 
-def make_executor(name: str, workers: Optional[int] = None) -> Executor:
-    """Resolve an executor name (see :data:`EXECUTORS`) to an instance.
-
-    ``fleet`` resolves lazily to :class:`repro.batch.FleetExecutor` so
-    the harness package has no import-time dependency on the batch
-    kernel.
-    """
-    if name == "serial":
-        return SerialExecutor()
-    if name == "pool":
-        return ProcessPoolExecutor(workers=workers)
-    if name == "fleet":
-        from ..batch.executor import FleetExecutor
-        return FleetExecutor()
-    raise ValueError(f"unknown executor {name!r} "
-                     f"(known: {', '.join(sorted(EXECUTORS))})")
-
-
 def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
               force: bool = False,
-              progress: Optional[Callable[[str], None]] = None,
-              executor: Optional[str] = None) -> SweepResult:
+              progress: Optional[Callable[[str], None]] = None) \
+        -> SweepResult:
     """Execute every trial of ``sweep``; results come back in trial
     order.  Thin wrapper that picks an :class:`Executor` from
-    ``executor``/``workers`` — the stable entry point since PR 1.
+    ``workers``: serial at 1, a process pool above.
 
     Parameters
     ----------
@@ -387,19 +347,9 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
         still written back).
     progress:
         Optional callable receiving one line per trial state change.
-    executor:
-        Executor name (see :data:`EXECUTORS`); ``None`` reads
-        ``$REPRO_EXECUTOR`` and otherwise keeps the historical
-        workers-based pick (serial at 1, pool above).  All executors
-        produce byte-identical results, so this only chooses *how* the
-        same answer is computed.
     """
-    name = executor or os.environ.get(EXECUTOR_ENV) or None
     workers = default_workers() if workers is None else max(1, workers)
-    if name:
-        chosen = make_executor(name, workers=workers)
-    else:
-        chosen = SerialExecutor() if workers == 1 \
-            else ProcessPoolExecutor(workers=workers)
+    chosen = SerialExecutor() if workers == 1 \
+        else ProcessPoolExecutor(workers=workers)
     return chosen.execute(sweep, cache=cache, force=force,
                           progress=progress)

@@ -141,12 +141,7 @@ def _run_extract(trial: Trial) -> Dict[str, Any]:
 
 
 def ipc_record(workload, baseline, contender, base, cont) -> Dict[str, Any]:
-    """The deterministic ``ipc`` payload from two finished cores.
-
-    Shared by the serial runner and the fleet executor
-    (:mod:`repro.batch`): both assemble records through this one
-    function, so batched execution is bit-identical by construction.
-    """
+    """The deterministic ``ipc`` payload from two finished cores."""
     speedup = (cont.stats.ipc / base.stats.ipc) if base.stats.ipc else 0.0
     return {
         "workload": workload.name,
@@ -164,8 +159,7 @@ def ipc_record(workload, baseline, contender, base, cont) -> Dict[str, Any]:
 
 
 def workload_record(workload, controller, core) -> Dict[str, Any]:
-    """The deterministic ``run`` payload from one finished core (shared
-    with the fleet executor, like :func:`ipc_record`)."""
+    """The deterministic ``run`` payload from one finished core."""
     return {
         "workload": workload.name,
         "runahead": controller.name,

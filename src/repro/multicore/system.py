@@ -72,8 +72,7 @@ class MultiCoreSystem:
         self.slots.append(slot)
         return slot
 
-    def run(self, max_cycles: int = 5_000_000, primary: int = 0,
-            backend: str = "lockstep") -> Core:
+    def run(self, max_cycles: int = 5_000_000, primary: int = 0) -> Core:
         """Run all cores in lockstep until the primary halts.
 
         Returns the primary core (statistics inside).  Secondary cores
@@ -81,11 +80,6 @@ class MultiCoreSystem:
         ``restart`` slots); a fully quiescent system — nothing can ever
         happen again — also ends the run, leaving the primary's
         ``halted`` flag False for the caller to inspect.
-
-        ``backend`` selects the driver: ``"lockstep"`` (this method's
-        object-walking loop) or ``"fleet"`` (the column-hoisted driver
-        in :mod:`repro.batch.lockstep` — bit-identical, same step
-        order, less per-cycle attribute traffic).
         """
         slots = self.slots
         if not slots:
@@ -93,13 +87,6 @@ class MultiCoreSystem:
         primary_slot = slots[primary]
         if primary_slot.restart:
             raise ValueError("the primary core cannot be a restart slot")
-        if backend == "fleet":
-            from ..batch.lockstep import run_lockstep_fleet
-            return run_lockstep_fleet(self, max_cycles=max_cycles,
-                                      primary=primary)
-        if backend != "lockstep":
-            raise ValueError(f"unknown backend {backend!r} "
-                             f"(known: lockstep, fleet)")
         shared = self.shared
         now = self.cycle
         while now < max_cycles:

@@ -91,6 +91,17 @@ class TestFailures:
         with pytest.raises(TrialError, match="does-not-exist"):
             run_sweep(sweep, workers=3, cache=None)
 
+    @pytest.mark.parametrize("executor", [
+        SerialExecutor(), ProcessPoolExecutor(workers=2)],
+        ids=["serial", "pool"])
+    def test_cycle_ceiling_raises_did_not_halt(self, executor):
+        sweep = Sweep("ceiling")
+        sweep.add("taint")
+        sweep.add("run", workload="reference", runahead="none",
+                  config_base="small", max_cycles=2)
+        with pytest.raises(TrialError, match="did not halt"):
+            executor.execute(sweep, cache=None)
+
     def test_run_trial_rejects_unknown_kind(self):
         trial = Trial("attack", {"variant": "pht"})
         trial.kind = "bogus"   # bypass validation to hit the runner guard

@@ -39,9 +39,8 @@ def test_checker_covers_every_doc_file():
     ("pass `receiver=quantum-probe`", "unknown receiver"),
     ("pass `runahead=vectr`", "unknown controller"),
     ("pass `contender=secrue`", "unknown controller"),
-    ("pass `--executor warp` — sorry, `executor=warp`",
-     "unknown executor"),
-    ('set `executor="hyperspace"` in Python', "unknown executor"),
+    ("pass `--executor fleet`", "unknown CLI flag"),
+    ("run `python -m repro bench-perf`", "unknown command"),
     ("run `python -m repro campaign pause`", "unknown subcommand"),
     ("run `python -m repro trace replay`", "unknown subcommand"),
 ])
@@ -58,9 +57,8 @@ def test_checker_accepts_resolvable_references(tmp_path):
     good.write_text(
         "# Doc\n\nUse `repro.harness.run_sweep` via "
         "`python -m repro sweep fig9 --workers 2` or "
-        "`python -m repro run ipc workload=trace-mcf` with "
-        "`--executor fleet` (or `executor=fleet`), files via "
-        "`corunner=trace:saved.trace`, then "
+        "`python -m repro run ipc workload=trace-mcf`, files via "
+        "`corunner=trace:saved.trace`, `from repro import Core`, then "
         "`python -m repro campaign status campaigns/fig7`.\n",
         encoding="utf-8")
     assert check_docs.check_file(good) == []

@@ -10,6 +10,8 @@ source tree:
 * ``--flag`` tokens inside code spans must be an option of some
   ``python -m repro`` subcommand (or an explicitly allowlisted
   external flag);
+* ``repro <command>`` examples must name a top-level command the
+  argument parser actually defines;
 * ``repro sweep <name>`` examples must name a real preset, and
   ``repro run <kind>`` a real trial kind;
 * ``repro campaign <sub>`` / ``repro trace <sub>`` examples must name
@@ -37,7 +39,7 @@ import importlib
 import pathlib
 import re
 import sys
-from typing import Iterable, List, Set
+from typing import Iterable, List, Optional, Set
 
 #: Flags that legitimately appear in docs but belong to external tools.
 EXTERNAL_FLAGS = {
@@ -51,6 +53,9 @@ _CODE_BLOCK = re.compile(r"```.*?```", re.DOTALL)
 _INLINE_CODE = re.compile(r"`[^`\n]+`")
 _SYMBOL = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _FLAG = re.compile(r"(?<![\w\-/.])--[a-z][a-z0-9\-]*")
+#: ``repro <command>`` / ``python -m repro <command>`` — the top level
+#: (``from repro import ...`` is Python, not a command).
+_COMMAND = re.compile(r"(?<![\w\-/.])(?<!from )repro ([a-z][a-z0-9\-]*)")
 _SWEEP_NAME = re.compile(r"repro sweep ([a-z0-9_]+)")
 _RUN_KIND = re.compile(r"repro run ([a-z0-9_]+)")
 #: ``repro verify <target>`` — leading dash (flags) and ``<...>``
@@ -64,9 +69,6 @@ _KEYED_NAME = re.compile(
     r"\b(workload|receiver|corunner|runahead|contender|baseline|defense"
     r"|target)"
     r"=([A-Za-z0-9_.:\-]+)")
-#: ``executor=fleet`` (CLI) and ``executor="fleet"`` (Python) forms
-#: both resolve against the harness executor registry.
-_EXECUTOR_NAME = re.compile(r"\bexecutor=\"?([a-z][a-z0-9\-]*)\"?")
 
 
 def _code_spans(text: str) -> str:
@@ -96,21 +98,25 @@ def _known_flags() -> Set[str]:
     return flags
 
 
-def _known_subcommands(group: str) -> Set[str]:
-    """Subcommand names of one ``python -m repro`` command group."""
+def _subparsers(parser) -> dict:
+    """Name → subparser of ``parser``'s subcommands (empty if none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _known_subcommands(group: Optional[str] = None) -> Set[str]:
+    """Top-level ``python -m repro`` command names, or the subcommand
+    names of one command group."""
     from repro.__main__ import build_parser
 
-    for action in build_parser()._actions:
-        if not isinstance(action, argparse._SubParsersAction):
-            continue
-        parser = action.choices.get(group)
+    parser = build_parser()
+    if group is not None:
+        parser = _subparsers(parser).get(group)
         if parser is None:
             return set()
-        return {name
-                for sub_action in parser._actions
-                if isinstance(sub_action, argparse._SubParsersAction)
-                for name in sub_action.choices}
-    return set()
+    return set(_subparsers(parser))
 
 
 def _resolve_symbol(symbol: str) -> bool:
@@ -144,7 +150,6 @@ def _verify_target_ok(name: str) -> bool:
 
 def check_file(path: pathlib.Path) -> List[str]:
     from repro.harness import presets
-    from repro.harness.executor import EXECUTORS
     from repro.harness.registry import CONTROLLERS, get_workload
     from repro.harness.spec import TRIAL_KINDS
     from repro.channel.receiver import RECEIVERS
@@ -174,10 +179,11 @@ def check_file(path: pathlib.Path) -> List[str]:
         if not _verify_target_ok(name):
             problems.append(f"{path.name}: unknown verify target "
                             f"`repro verify {name}`")
-    for name in sorted(set(_EXECUTOR_NAME.findall(code))):
-        if name not in EXECUTORS:
-            problems.append(f"{path.name}: unknown executor "
-                            f"`executor={name}`")
+    commands = _known_subcommands()
+    for name in sorted(set(_COMMAND.findall(code))):
+        if name not in commands:
+            problems.append(f"{path.name}: unknown command "
+                            f"`repro {name}`")
     for group, sub in sorted(set(_GROUP_SUB.findall(code))):
         if sub not in _known_subcommands(group):
             problems.append(f"{path.name}: unknown subcommand "
