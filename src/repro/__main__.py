@@ -45,7 +45,7 @@ Subcommands
     Journaled, resumable campaigns (:mod:`repro.campaign`):
     ``run <preset...>`` lays down a self-contained campaign directory
     (manifest + write-ahead journal + its own result store) and
-    executes every trial on a work-stealing worker pool with bounded
+    leases every trial to local worker processes with bounded
     retries and optional per-trial ``--timeout``; ``resume <dir>``
     completes an interrupted campaign — skipping everything already
     cached — with final results byte-identical to an uninterrupted
@@ -53,11 +53,10 @@ Subcommands
     retried, cache hit rate, trials/s, ETA, hosts/leases) from the
     journal only; ``serve <dir>`` exposes the same read-only view
     over HTTP.  ``coordinate <dir>`` shards the campaign across
-    hosts: it owns the directory and hands trials out over HTTP
-    under journaled, heartbeat-renewed leases (expired leases are
-    re-enqueued with the usual bounded retries); ``worker <url>``
-    pulls and computes trials from a coordinator on any number of
-    hosts.
+    hosts: it serves the same leases over HTTP (heartbeat-renewed;
+    expired leases are re-enqueued with the usual bounded retries);
+    ``worker <url>`` pulls and computes trials from a coordinator on
+    any number of hosts.
 ``repro report <file.json | preset>``
     Render a previously saved sweep result, or re-render a preset from
     the cache without recomputing anything that is already stored.
@@ -487,7 +486,7 @@ def _cmd_campaign_run(args) -> int:
         timeout=args.timeout, max_retries=args.retries)
     progress = lambda line: print(line, file=sys.stderr)   # noqa: E731
     results = campaign.run(workers=args.workers, progress=progress,
-                           force=args.force, serial=args.serial)
+                           force=args.force)
     if args.json:
         for result in results:
             print(result.to_json())
@@ -502,8 +501,7 @@ def _cmd_campaign_resume(args) -> int:
 
     campaign = Campaign.open(args.dir)
     progress = lambda line: print(line, file=sys.stderr)   # noqa: E731
-    results = campaign.run(workers=args.workers, progress=progress,
-                           serial=args.serial)
+    results = campaign.run(workers=args.workers, progress=progress)
     if args.json:
         for result in results:
             print(result.to_json())
@@ -543,7 +541,7 @@ def _cmd_campaign_coordinate(args) -> int:
         dashboard=args.dashboard)
 
 
-def _cmd_campaign_worker(args) -> int:
+def _cmd_worker(args) -> int:
     from .campaign import run_worker
     from .campaign.netretry import RetryPolicy
 
@@ -766,8 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--retries", type=int, default=2,
                         help="max retries per trial for transient "
                              "worker failures (default 2)")
-    p_crun.add_argument("--serial", action="store_true",
-                        help="force in-process serial execution")
     p_crun.add_argument("--force", action="store_true",
                         help="recompute even on cache hits")
     p_crun.add_argument("--json", action="store_true",
@@ -780,8 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cresume.add_argument("dir", help="campaign directory")
     p_cresume.add_argument("--workers", type=int, default=None,
                            help="worker processes (default: manifest)")
-    p_cresume.add_argument("--serial", action="store_true",
-                           help="force in-process serial execution")
     p_cresume.add_argument("--json", action="store_true",
                            help="print canonical result JSON instead "
                                 "of reports")
@@ -850,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cworker.add_argument("--net-retries", type=int, default=5,
                            help="attempts per network call before "
                                 "giving up (default 5)")
-    p_cworker.set_defaults(func=_cmd_campaign_worker)
+    p_cworker.set_defaults(func=_cmd_worker)
 
     p_report = sub.add_parser(
         "report", help="render a saved sweep result or cached preset")

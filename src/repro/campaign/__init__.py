@@ -1,11 +1,12 @@
 """Resumable, fault-tolerant campaign engine over the harness.
 
 A campaign runs one or more sweeps as a journaled job in a
-self-contained directory: a work-stealing process pool computes
-trials (bounded retries, per-trial timeouts, serial degradation), a
-write-ahead journal plus the campaign's content-addressed cache make
-it resumable after any crash, and read-only ``status``/``serve``
-views report live progress without touching the simulator.
+self-contained directory: one lease state machine schedules trials
+(bounded retries, per-trial timeouts) onto local worker processes or
+worker hosts, a write-ahead journal plus the campaign's
+content-addressed cache make it resumable after any crash, and
+read-only ``status``/``serve`` views report live progress without
+touching the simulator.
 
 Typical use::
 
@@ -20,10 +21,10 @@ Typical use::
     # result.to_json() is byte-identical either way.
 
 A campaign can also be *sharded across hosts*: ``repro campaign
-coordinate <dir>`` runs the read-write coordinator that owns the
-directory and hands trials out under journaled leases, and ``repro
-campaign worker <url>`` pulls trials on any number of hosts
-(:mod:`~repro.campaign.coordinator` / :mod:`~repro.campaign.worker`).
+coordinate <dir>`` serves the same state machine over HTTP, and
+``repro campaign worker <url>`` runs the same worker loop on any
+number of hosts (:mod:`~repro.campaign.coordinator` /
+:mod:`~repro.campaign.worker`).
 ``http://host:port`` cache URIs let plain sweeps share a remote
 result store the same way (:mod:`~repro.campaign.httpcache`).
 
@@ -31,10 +32,9 @@ The CLI surface is ``repro campaign
 run|resume|status|serve|coordinate|worker``.
 """
 
-from .coordinator import (DEFAULT_LEASE_SECONDS, coordinate,
-                          make_coordinator)
-from .engine import (DEFAULT_BACKOFF, DEFAULT_RETRIES, Campaign,
-                     CampaignExecutor)
+from .coordinator import (DEFAULT_BACKOFF, DEFAULT_LEASE_SECONDS,
+                          DEFAULT_RETRIES, coordinate, make_coordinator)
+from .engine import Campaign, CampaignExecutor
 from .httpcache import HttpCacheBackend, make_cache_server
 from .journal import CampaignDir, CampaignError
 from .netretry import RetryPolicy, Unreachable, backoff_delay

@@ -1,20 +1,22 @@
-"""Read-write campaign coordinator: one campaign, many worker hosts.
+"""The campaign scheduler: one lease state machine, any transport.
 
-``repro campaign coordinate <dir>`` promotes the read-only status
-server into the process that *owns* a campaign directory.  Worker
-hosts (:mod:`repro.campaign.worker`) pull trials over HTTP; the
-coordinator is the only process that ever writes the campaign
-directory or its result store, which is what keeps multi-host
-execution exactly as safe as PR 6's single-host pool:
+:class:`CoordinatorState` owns a running campaign.  It plans against
+the cache, queues the missing trials, hands them out under leases,
+retries transient failures with capped jitter, aborts on
+deterministic ones and seals each sweep.  Every campaign run goes
+through it: ``Campaign.run`` drives it from local worker processes
+over pipes (or in-process), and ``repro campaign coordinate <dir>``
+serves it over HTTP to worker hosts (:mod:`repro.campaign.worker`).
+Either way this is the only code that writes the campaign directory
+or its result store:
 
 * **Leases, not assignments.**  ``POST /claim`` hands a worker the
   next pending trial under a *lease* (host id, trial index, expiry)
   journaled to ``journal.jsonl``.  Workers heartbeat ``POST /renew``;
   the reconciliation loop expires leases whose host died, hung past
   the per-trial timeout, or vanished behind a partition, and
-  re-enqueues the trial with the engine's bounded capped-jitter retry
-  semantics — a dead host is indistinguishable from a dead pool
-  worker.
+  re-enqueues the trial with bounded capped-jitter retries — a dead
+  host is indistinguishable from a dead local worker.
 * **Cache before journal.**  ``POST /complete`` writes the result to
   the campaign's real ``dir:``/``sqlite:`` store *before* appending
   the journal completion, preserving the ordering every resume proof
@@ -24,45 +26,53 @@ execution exactly as safe as PR 6's single-host pool:
 * **Failure taxonomy unchanged.**  ``POST /fail`` with a
   deterministic ``trial-error`` aborts the campaign (journaled);
   transient ``worker-error``\\ s re-enqueue with bounded retries.
-  Exhausting the budget fails the campaign exactly like the pool.
+  Exhausting the budget fails the campaign.
 * **Kill-safe.**  SIGKILL the coordinator at any instant and the
   directory is resumable by the existing paths — restart the
   coordinator, or finish locally with ``repro campaign resume``.
   In-memory leases die with the process; orphaned completions are
   accepted by spec-hash, never trusted blindly.
 
-Read endpoints (``/``, ``/status``, ``/manifest``, ``/healthz``,
-``/metrics``, ``/result/<sweep>``, and with ``--dashboard`` the
-``/dashboard`` + ``/timeline`` pair) are the status server's,
-unchanged; ``/cache``
-mounts the store for :class:`~repro.campaign.httpcache.HttpCacheBackend`
-clients; ``/coordinator`` reports live queue/lease state.
+Over HTTP the read endpoints (``/``, ``/status``, ``/manifest``,
+``/healthz``, ``/metrics``, ``/result/<sweep>``, and with
+``--dashboard`` the ``/dashboard`` + ``/timeline`` pair) come from the
+status server's handler, which :class:`CoordinatorHandler` extends;
+``/cache`` mounts the store for
+:class:`~repro.campaign.httpcache.HttpCacheBackend` clients;
+``/coordinator`` reports live queue/lease state.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import threading
 import time
 import uuid
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..harness.executor import SweepResult, plan_sweep
 from ..harness.spec import Trial
 from ..obs.metrics import get_registry
-from .engine import Campaign
 from .httpcache import CacheRoutes, read_json_body
 from .netretry import backoff_delay
-from .server import _routes as read_routes
-from .server import install_sigterm_handler
+from .server import StatusHandler, read_routes, serve_until_stopped
 
+#: Default bound on per-trial re-executions after transient failures.
+DEFAULT_RETRIES = 2
+#: Default first-retry backoff base; the actual delay is drawn with
+#: full jitter from [0, min(cap, base * 2**(attempt-1))] — see
+#: :func:`repro.campaign.netretry.backoff_delay`.
+DEFAULT_BACKOFF = 0.25
 #: Default lease lifetime; workers renew at a third of this.
 DEFAULT_LEASE_SECONDS = 30.0
 #: How often the background reconciliation loop wakes up.
 _RECONCILE_INTERVAL = 0.25
+
+
+#: Wire fields the state uses as keys, with the type each must have.
+_FIELD_TYPES = (("lease", str), ("sweep", str), ("index", int))
 
 
 class _Lease:
@@ -83,24 +93,29 @@ class _Lease:
 class CoordinatorState:
     """All mutable campaign state, serialized under one lock.
 
-    Mirrors ``Campaign.run``'s prologue (plan against the cache,
-    journal ``start`` + ``cached`` events) and its completion path
-    (``plan.finish`` → cache put → journal ``trial`` event → seal the
-    sweep), but the pool is the network: trials leave via leases and
-    come back via uploads.
+    Construction plans against the cache and journals ``start`` +
+    ``cached`` events; trials then leave via leases and come back via
+    completions (``plan.finish`` → cache put → journal ``trial`` event
+    → seal the sweep).  ``workers`` is the local worker count for the
+    ``start`` event (``None`` under the HTTP coordinator).  A settled
+    state either ``finished`` or holds an ``error`` whose
+    ``error_kind`` is ``"trial-error"`` (deterministic) or
+    ``"retries-exhausted"``.
     """
 
-    def __init__(self, campaign: Campaign,
+    def __init__(self, campaign,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 progress: Optional[Callable[[str], None]] = None):
-        self.campaign = campaign
+                 progress: Optional[Callable[[str], None]] = None,
+                 force: bool = False, workers: Optional[int] = None):
         self.cdir = campaign.cdir
         self.lease_seconds = max(0.1, lease_seconds)
         self.lock = threading.RLock()
         self.store = campaign.backend()
         self.timeout = campaign.manifest.get("timeout")
-        self.max_retries = campaign.manifest.get("max_retries", 2)
-        self.backoff = campaign.manifest.get("backoff", 0.25)
+        self.max_retries = campaign.manifest.get("max_retries",
+                                                 DEFAULT_RETRIES)
+        self.backoff = campaign.manifest.get("backoff", DEFAULT_BACKOFF)
+        self.workers = workers
 
         self.run_id = 1 + sum(1 for e in self.cdir.events()
                               if e.get("event") == "start")
@@ -116,7 +131,9 @@ class CoordinatorState:
         self.retries: Dict[Tuple[str, int], int] = {}
         self.hosts: set = set()
         self.error: Optional[str] = None
+        self.error_kind: Optional[str] = None
         self.finished = False
+        self.results: Dict[str, SweepResult] = {}   # sealed sweeps
 
         registry = get_registry()
         self._m_claims = registry.counter(
@@ -157,7 +174,8 @@ class CoordinatorState:
             "Trial retries scheduled by the campaign engine")
 
         for sweep in campaign.sweeps():
-            plan = plan_sweep(sweep, cache=self.store, progress=progress)
+            plan = plan_sweep(sweep, cache=self.store, force=force,
+                              progress=progress)
             self.plans[sweep.name] = plan
             for index, trial in plan.pending:
                 key = (sweep.name, index)
@@ -165,8 +183,8 @@ class CoordinatorState:
                 self.unfinished.add(key)
                 self.queue.append(key)
         self.cdir.append_event({
-            "event": "start", "run": self.run_id, "workers": None,
-            "mode": "coordinator",
+            "event": "start", "run": self.run_id, "workers": workers,
+            "mode": "coordinator" if workers is None else "local",
             "pending": sum(len(p.pending) for p in self.plans.values()),
             "cached": sum(sum(p.cached_flags)
                           for p in self.plans.values())})
@@ -194,7 +212,31 @@ class CoordinatorState:
         self._g_unfinished.set(len(self.unfinished))
         self._g_hosts.set(len(self.hosts))
 
+    @property
+    def settled(self) -> bool:
+        return self.finished or self.error is not None
+
     # -------------------------------------------------- write routes
+
+    def handle(self, endpoint: str,
+               body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        """One worker request from any transport; a field of the wrong
+        type is a 400, never an exception inside the state."""
+        for field, kind in _FIELD_TYPES:
+            value = body.get(field)
+            if value is not None and (not isinstance(value, kind)
+                                      or isinstance(value, bool)):
+                return 400, {"error": f"`{field}` must be a "
+                                      f"{kind.__name__}"}
+        if endpoint == "claim":
+            return self.claim(str(body.get("host", "unknown-host")))
+        if endpoint == "renew":
+            return self.renew(body.get("lease"))
+        if endpoint == "complete":
+            return self.complete(body)
+        if endpoint == "fail":
+            return self.fail(body)
+        return 404, {"error": f"no worker route {endpoint!r}"}
 
     def claim(self, host: str) -> Tuple[int, Dict[str, Any]]:
         with self.lock:
@@ -322,8 +364,8 @@ class CoordinatorState:
             self._m_failures.inc()
             if kind == "trial-error":
                 # Deterministic failure: rerunning can only fail the
-                # same way — abort the campaign, exactly like the pool.
-                self._abort(key[0], reason)
+                # same way — abort the campaign.
+                self._abort(key[0], reason, kind)
                 return 200, {"ok": True, "state": "failed"}
             self._schedule_retry(key, reason)
             return 200, {"ok": True}
@@ -372,7 +414,7 @@ class CoordinatorState:
             self._abort(key[0],
                         f"trial {label!r} failed "
                         f"{self.max_retries + 1} times; last failure: "
-                        f"{reason}")
+                        f"{reason}", "retries-exhausted")
             return
         self.retries[key] = attempt
         self._m_retries.inc()
@@ -383,8 +425,9 @@ class CoordinatorState:
                               key=("coordinator",) + key)
         heapq.heappush(self.delayed, (time.monotonic() + delay, key))
 
-    def _abort(self, sweep: str, message: str) -> None:
+    def _abort(self, sweep: str, message: str, kind: str) -> None:
         self.error = message
+        self.error_kind = kind
         self.cdir.append_event({
             "event": "error", "run": self.run_id, "sweep": sweep,
             "message": message})
@@ -401,11 +444,12 @@ class CoordinatorState:
             name=sweep_name,
             records=[r for r in plan.records],
             cached=plan.cached_flags,
-            workers=max(1, len(self.hosts)),
+            workers=self.workers or max(1, len(self.hosts)),
             elapsed=time.monotonic() - self.started,
-            cache_hits=self.store.hits,
+            cache_hits=sum(plan.cached_flags),
             cache_misses=len(plan.pending))
         self.cdir.write_result(sweep_name, result.to_json())
+        self.results[sweep_name] = result
         self.cdir.append_event({
             "event": "sweep-done", "run": self.run_id,
             "sweep": sweep_name, "trials": len(plan.sweep.trials),
@@ -471,68 +515,29 @@ class CoordinatorState:
             }
 
 
-class CoordinatorRequestHandler(BaseHTTPRequestHandler):
+class CoordinatorHandler(StatusHandler):
     """The status server's GET surface plus the write protocol."""
 
     server_version = "repro-coordinator/1"
+    endpoints = StatusHandler.endpoints + [
+        "/coordinator", "/cache/<key>", "/claim", "/renew", "/complete",
+        "/fail"]
     #: Set by make_coordinator().
     state: CoordinatorState = None
-    routes = None
     cache_routes: CacheRoutes = None
-
-    def log_message(self, fmt, *args):   # keep CLI output clean
-        pass
-
-    def _respond(self, code: int, payload) -> None:
-        body = ("" if payload is None else
-                payload if isinstance(payload, str)
-                else json.dumps(payload, sort_keys=True, indent=2))
-        data = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type",
-                         getattr(payload, "content_type",
-                                 "application/json"))
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        if data and self.command != "HEAD":
-            try:
-                self.wfile.write(data)
-            except OSError:
-                pass                     # client vanished mid-response
-
-    def _path(self) -> str:
-        return self.path.split("?", 1)[0].rstrip("/") or "/"
-
-    def do_HEAD(self):                   # noqa: N802 (stdlib naming)
-        self.do_GET()
 
     def do_GET(self):                    # noqa: N802 (stdlib naming)
         path = self._path()
         if path == "/coordinator":
             self._respond(200, self.state.snapshot())
         elif path == "/cache" or path.startswith("/cache/"):
-            self._cache("GET", path)
-        elif path.startswith("/result/"):
-            code, payload = self.routes["result"](path[len("/result/"):])
-            self._respond(code, payload)
-        elif path in self.routes:
-            code, payload = self.routes[path]()
-            self._respond(code, payload)
+            self._respond(*self.cache_routes.serve(self, "GET", path))
         else:
-            self._respond(404, {
-                "error": f"unknown path {path!r}",
-                "endpoints": ["/", "/status", "/manifest", "/healthz",
-                              "/metrics", "/coordinator",
-                              "/result/<sweep>",
-                              "/cache/<key>", "/claim", "/renew",
-                              "/complete", "/fail"]})
+            super().do_GET()
 
     def do_POST(self):                   # noqa: N802 (stdlib naming)
         path = self._path()
-        handlers = {"/claim": self._claim, "/renew": self._renew,
-                    "/complete": self._complete, "/fail": self._fail}
-        handler = handlers.get(path)
-        if handler is None:
+        if path not in ("/claim", "/renew", "/complete", "/fail"):
             self._respond(404, {"error": f"no POST route {path!r}"})
             return
         body = read_json_body(self)
@@ -541,63 +546,42 @@ class CoordinatorRequestHandler(BaseHTTPRequestHandler):
             # worker's retry layer re-sends the whole request.
             self._respond(400, {"error": "malformed JSON body"})
             return
-        code, payload = handler(body)
-        self._respond(code, payload)
+        self._respond(*self.state.handle(path[1:], body))
 
     def do_PUT(self):                    # noqa: N802 (stdlib naming)
         path = self._path()
         if path.startswith("/cache/"):
-            self._cache("PUT", path)
+            self._respond(*self.cache_routes.serve(self, "PUT", path))
         else:
             self._respond(404, {"error": f"no PUT route {path!r}"})
 
     def do_DELETE(self):                 # noqa: N802 (stdlib naming)
         path = self._path()
         if path == "/cache" or path.startswith("/cache/"):
-            self._cache("DELETE", path)
+            self._respond(*self.cache_routes.serve(self, "DELETE", path))
         else:
             self._respond(404, {"error": f"no DELETE route {path!r}"})
-
-    # ------------------------------------------------------ adapters
-
-    def _claim(self, body):
-        return self.state.claim(str(body.get("host", "unknown-host")))
-
-    def _renew(self, body):
-        return self.state.renew(body.get("lease"))
-
-    def _complete(self, body):
-        return self.state.complete(body)
-
-    def _fail(self, body):
-        return self.state.fail(body)
-
-    def _cache(self, method: str, path: str) -> None:
-        key = path[len("/cache/"):] if path.startswith("/cache/") else ""
-        body = read_json_body(self) if method == "PUT" else None
-        if method == "PUT" and body is None:
-            self._respond(400, {"error": "malformed JSON body"})
-            return
-        code, payload = self.cache_routes.handle(method, key, body)
-        self._respond(code, payload)
 
 
 class _ReconcileLoop(threading.Thread):
     """Expires leases and releases retries even when no worker calls —
-    the loop that turns a vanished host into re-enqueued work."""
+    the loop that turns a vanished host into re-enqueued work.  Calls
+    ``on_settled`` (if set) once the campaign finishes or fails."""
 
     def __init__(self, state: CoordinatorState,
                  interval: float = _RECONCILE_INTERVAL):
         super().__init__(daemon=True, name="campaign-reconcile")
         self.state = state
         self.interval = interval
+        self.on_settled: Optional[Callable[[], None]] = None
         self._stop = threading.Event()
 
     def run(self) -> None:
         while not self._stop.wait(self.interval):
             self.state.reconcile()
-            with self.state.lock:
-                self.state._maybe_finish()
+            if self.on_settled is not None and self.state.settled:
+                self.on_settled()
+                return
 
     def stop(self) -> None:
         self._stop.set()
@@ -612,10 +596,11 @@ def make_coordinator(directory, host: str = "127.0.0.1", port: int = 0,
     plus its reconciliation loop; ``port=0`` picks a free port.
     ``dashboard=True`` adds the ``/dashboard`` + ``/timeline`` pair on
     top of the status server's routes (``/metrics`` is always on)."""
+    from .engine import Campaign     # engine builds on this module
     campaign = Campaign.open(directory)
     state = CoordinatorState(campaign, lease_seconds=lease_seconds,
                              progress=progress)
-    handler = type("BoundCoordinatorHandler", (CoordinatorRequestHandler,),
+    handler = type("BoundCoordinatorHandler", (CoordinatorHandler,),
                    {"state": state,
                     "routes": read_routes(directory,
                                           dashboard=dashboard),
@@ -638,35 +623,18 @@ def coordinate(directory, host: str = "127.0.0.1", port: int = 8008,
     server, state, loop = make_coordinator(
         directory, host=host, port=port, lease_seconds=lease_seconds,
         progress=progress, dashboard=dashboard)
-    install_sigterm_handler()
     bound_host, bound_port = server.server_address[:2]
-    # Everything after handler installation sits inside the try: a
-    # TERM landing before serve_forever() still takes the clean path.
+    if until_done:
+        loop.on_settled = server.shutdown
     try:
-        if announce:
-            announce(f"coordinating campaign {directory} on "
-                     f"http://{bound_host}:{bound_port} "
-                     f"(workers: `repro campaign worker "
-                     f"http://{bound_host}:{bound_port}`)")
-        if until_done:
-            def _watch():
-                while True:
-                    with state.lock:
-                        settled = state.finished or \
-                            state.error is not None
-                    if settled:
-                        server.shutdown()
-                        return
-                    time.sleep(_RECONCILE_INTERVAL)
-            threading.Thread(target=_watch, daemon=True,
-                             name="campaign-until-done").start()
-        loop.start()
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        serve_until_stopped(
+            server, f"coordinating campaign {directory} on "
+                    f"http://{bound_host}:{bound_port} "
+                    f"(workers: `repro campaign worker "
+                    f"http://{bound_host}:{bound_port}`)",
+            announce=announce, helper=loop)
     finally:
         loop.stop()
-        server.server_close()
     with state.lock:
         if state.error is not None:
             if announce:

@@ -2,26 +2,34 @@
 
 A *campaign* is one or more :class:`~repro.harness.spec.Sweep`\\ s run
 as a journaled job in a self-contained directory (see
-:mod:`repro.campaign.journal`).  The engine guarantees:
+:mod:`repro.campaign.journal`).  :meth:`Campaign.run` schedules it
+with the same lease state machine the multi-host coordinator serves
+(:class:`~repro.campaign.coordinator.CoordinatorState`), and computes
+it with the same worker loop (:func:`repro.campaign.worker.work`):
 
-* **Work stealing** — pending trials sit in one shared queue; worker
-  processes pull the next trial the moment they finish the last one,
-  so stragglers never idle a shard the way pre-split chunks would.
-* **Fault tolerance** — a worker that dies (SIGKILL, OOM), hangs past
-  the per-trial timeout, or raises a non-deterministic infrastructure
-  error gets its trial re-queued with bounded exponential-backoff
-  retries and a replacement worker spawned.  Deterministic
-  :class:`~repro.harness.runner.TrialError`\\ s are *not* retried —
-  rerunning a deterministic failure can only fail the same way — they
-  abort the campaign (journaled, so ``status`` shows what broke).
+* **Local workers** — with ``workers >= 2`` the engine forks that many
+  processes, each running the worker loop over a pipe to the parent.
+  The parent is the only caller of the state machine: it answers
+  claims, renewals, completions and failures, so workers pull the next
+  trial the moment they finish the last one.  Journaled ``lease``
+  events carry ``local-<n>`` host ids.
+* **Fault tolerance** — a worker that dies (SIGKILL, OOM) or hangs
+  past the per-trial timeout is killed and its trial failed as a
+  transient ``worker-error``; the state re-queues it with bounded
+  capped-jitter retries and a replacement worker is spawned.
+  Deterministic :class:`~repro.harness.runner.TrialError`\\ s are
+  *not* retried — rerunning a deterministic failure can only fail the
+  same way — they abort the campaign (journaled, so ``status`` shows
+  what broke).
 * **Resumability** — results live in the campaign's content-addressed
   :class:`~repro.harness.cache.CacheBackend` and completions are
   journaled write-ahead; a campaign killed at any instant resumes by
   skipping everything cached and finishes **byte-identical** to an
   uninterrupted run at any worker count.
-* **Graceful degradation** — if process spawning is unavailable the
-  engine falls back to serial in-process execution with the same
-  retry semantics (minus timeouts, which need a killable worker).
+* **Graceful degradation** — one worker, a single pending trial, or a
+  failed process spawn run the loop in-process with direct calls into
+  the state: the same retry semantics, minus timeouts (a hung trial
+  cannot be killed without a separate process).
 
 :class:`CampaignExecutor` adapts all of this to the
 :class:`~repro.harness.executor.Executor` protocol, so a campaign can
@@ -30,294 +38,183 @@ run anywhere a plain executor does.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
+import threading
 import time
-from queue import Empty
-from typing import Any, Callable, Dict, List, Optional
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..harness.cache import CacheBackend, resolve_cache
-from ..harness.executor import (Executor, SweepResult, default_workers,
-                                plan_sweep)
-from ..harness.runner import TrialError, run_trial
-from ..harness.spec import Sweep, Trial
-from ..obs.metrics import get_registry
+from ..harness.executor import Executor, SweepResult, default_workers
+from ..harness.runner import TrialError
+from ..harness.spec import Sweep
+from .coordinator import DEFAULT_BACKOFF, DEFAULT_RETRIES, CoordinatorState
 from .journal import CampaignDir, CampaignError
-from .netretry import backoff_delay
-
-#: Default bound on per-trial re-executions after transient failures.
-DEFAULT_RETRIES = 2
-#: Default first-retry backoff base; the actual delay is drawn with
-#: full jitter from [0, min(cap, base * 2**(attempt-1))] — see
-#: :func:`repro.campaign.netretry.backoff_delay`.
-DEFAULT_BACKOFF = 0.25
-#: How long the pool tolerates total silence with idle workers before
-#: re-queueing unclaimed work (covers a worker killed between pulling
-#: a task and acknowledging it).
-_STALL_GRACE = 2.0
-
-TrialRunner = Callable[[Trial], Dict[str, Any]]
+from .netretry import Unreachable
+from .worker import TrialRunner, work
 
 
-def _campaign_worker(worker_id: int, tasks, results,
-                     runner: TrialRunner) -> None:
-    """Worker loop: pull (index, trial) items until the None sentinel.
+def _pipe_worker(conn, host: str, runner: Optional[TrialRunner]) -> None:
+    """Body of a forked local worker: the worker loop over its end of
+    a pipe.  The heartbeat thread shares the pipe, so the lock keeps
+    each request paired with its reply."""
+    lock = threading.Lock()
 
-    Every pulled task is acknowledged with a ``claim`` message before
-    execution so the parent can re-queue it if this process dies
-    mid-trial.  Deterministic failures (:class:`TrialError`) and
-    infrastructure failures travel back on separate message types —
-    only the latter are retried.
+    def call(endpoint: str, payload: Dict[str, Any]) -> Tuple[int, Any]:
+        with lock:
+            try:
+                conn.send((endpoint, payload))
+                return conn.recv()
+            except (EOFError, OSError) as exc:
+                raise Unreachable(f"campaign parent gone: {exc}") from exc
+    work(call, host, runner=runner)
+
+
+class _LocalWorkers:
+    """Parent side of the forked local workers.
+
+    Blocks on the workers' pipes and process sentinels, forwards each
+    request to the state and sends the reply back.  A claim that finds
+    nothing ready is parked — answered as soon as a retry is released
+    — instead of sending the worker off to sleep.  Dead workers fail
+    their lease as ``worker died (exit code N)``; a worker whose lease
+    outlives the manifest timeout is killed and failed as ``timeout
+    after Ns``.
     """
-    while True:
-        item = tasks.get()
-        if item is None:
-            break
-        index, trial_dict = item
-        results.put(("claim", worker_id, index, None))
-        try:
-            payload = runner(Trial.from_dict(trial_dict))
-        except TrialError as exc:
-            results.put(("trial-error", worker_id, index, str(exc)))
-        except BaseException as exc:   # pickling, MemoryError, ...
-            results.put(("worker-error", worker_id, index,
-                         f"{type(exc).__name__}: {exc}"))
-        else:
-            results.put(("done", worker_id, index, payload))
 
-
-class _WorkStealingPool:
-    """Parent-side driver of the shared-queue worker pool."""
-
-    def __init__(self, trials: Dict[int, Trial], workers: int,
-                 timeout: Optional[float], max_retries: int,
-                 backoff: float, runner: TrialRunner,
-                 on_done: Callable[[int, Dict[str, Any], int, float], None],
-                 on_retry: Callable[[int, int, str], None]):
-        self.trials = trials
+    def __init__(self, state: CoordinatorState, workers: int,
+                 runner: Optional[TrialRunner]):
+        self.state = state
         self.workers = workers
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.runner = runner
-        self.on_done = on_done
-        self.on_retry = on_retry
-
         self.ctx = multiprocessing.get_context()
-        self.tasks = self.ctx.Queue()
-        self.results = self.ctx.Queue()
-        self.procs: Dict[int, Any] = {}
-        self.next_worker_id = 0
-        self.in_flight: Dict[int, int] = {}          # worker -> index
-        self.started_at: Dict[int, float] = {}       # index -> monotonic
-        self.waiting: set = set()                    # queued, unclaimed
-        self.remaining = set(trials)
-        self.retries: Dict[int, int] = {}
-        self.delayed: List = []                      # (ready_time, index)
-        self.last_activity = time.monotonic()
+        self.procs: Dict[Any, Any] = {}        # conn -> Process
+        self.leases: Dict[Any, Tuple[str, float]] = {}  # conn -> held
+        self.parked: Dict[Any, str] = {}       # conn -> host
+        self.spawned = 0
 
-    # ------------------------------------------------------ plumbing
+    def run(self) -> Optional[str]:
+        """Drive the state until it settles.  Returns why no worker
+        process could be started, or ``None``."""
+        state = self.state
+        try:
+            while not state.settled:
+                state.reconcile()
+                self._serve_parked()
+                failure = self._top_up()
+                if failure is not None:
+                    return failure
+                ready = wait(list(self.procs) +
+                             [proc.sentinel for proc in self.procs.values()],
+                             self._wake_in())
+                for conn, proc in list(self.procs.items()):
+                    if conn in ready and self._handle(conn):
+                        continue
+                    if conn in ready or proc.sentinel in ready:
+                        self._drop(conn)
+                self._enforce_timeout()
+            return None
+        finally:
+            for conn, proc in self.procs.items():
+                proc.kill()          # idle, or abandoned by an abort
+                proc.join()
+                conn.close()
 
     def _spawn(self) -> None:
-        worker_id = self.next_worker_id
-        self.next_worker_id += 1
+        conn, child = self.ctx.Pipe()
         proc = self.ctx.Process(
-            target=_campaign_worker,
-            args=(worker_id, self.tasks, self.results, self.runner),
+            target=_pipe_worker,
+            args=(child, f"local-{self.spawned}", self.runner),
             daemon=True)
-        proc.start()
-        self.procs[worker_id] = proc
-
-    def _enqueue(self, index: int) -> None:
-        self.tasks.put((index, self.trials[index].to_dict()))
-        self.waiting.add(index)
-
-    def _schedule_retry(self, index: int, reason: str) -> None:
-        self.started_at.pop(index, None)
-        if index not in self.remaining:
-            return                      # a duplicate already finished it
-        attempt = self.retries.get(index, 0) + 1
-        if attempt > self.max_retries:
-            raise CampaignError(
-                f"trial {self.trials[index].label!r} failed "
-                f"{self.max_retries + 1} times; last failure: {reason}")
-        self.retries[index] = attempt
-        self.on_retry(index, attempt, reason)
-        # Capped full-jitter backoff, seeded per trial: simultaneous
-        # failures spread out instead of retrying in lockstep, and no
-        # attempt ever waits past the cap.
-        delay = backoff_delay(self.backoff, attempt, key=("pool", index))
-        heapq.heappush(self.delayed, (time.monotonic() + delay, index))
-
-    def _kill_worker(self, worker_id: int) -> None:
-        proc = self.procs.pop(worker_id, None)
-        self.in_flight.pop(worker_id, None)
-        if proc is not None and proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5)
-
-    # ------------------------------------------------------ the loop
-
-    def run(self) -> None:
-        for index in sorted(self.trials):
-            self._enqueue(index)
         try:
-            for _ in range(min(self.workers, len(self.trials))):
-                self._spawn()
-        except (OSError, MemoryError) as exc:
-            raise _PoolUnavailable(str(exc)) from exc
-        try:
-            while self.remaining:
-                self._release_delayed()
-                self._drain_results()
-                self._reap_dead_workers()
-                self._enforce_timeouts()
-                self._reconcile_stall()
+            proc.start()
+        except BaseException:
+            conn.close()
+            raise
         finally:
-            self._shutdown()
+            child.close()
+        self.spawned += 1
+        self.procs[conn] = proc
 
-    def _release_delayed(self) -> None:
-        now = time.monotonic()
-        while self.delayed and self.delayed[0][0] <= now:
-            _, index = heapq.heappop(self.delayed)
-            if index in self.remaining:
-                self._enqueue(index)
-
-    def _drain_results(self) -> None:
-        block = True
-        while True:
-            try:
-                message = self.results.get(timeout=0.05 if block else 0)
-            except Empty:
-                return
-            block = False
-            self.last_activity = time.monotonic()
-            kind, worker_id, index, payload = message
-            if kind == "claim":
-                self.waiting.discard(index)
-                if worker_id in self.procs:
-                    self.in_flight[worker_id] = index
-                    self.started_at[index] = time.monotonic()
-                else:                    # claimed by a worker we killed
-                    self._schedule_retry(index, "worker died after claim")
-            elif kind == "done":
-                self.in_flight.pop(worker_id, None)
-                if index in self.remaining:
-                    self.remaining.discard(index)
-                    elapsed = time.monotonic() - self.started_at.pop(
-                        index, self.last_activity)
-                    self.on_done(index, payload,
-                                 self.retries.get(index, 0), elapsed)
-            elif kind == "trial-error":
-                self.in_flight.pop(worker_id, None)
-                if index in self.remaining:
-                    raise TrialError(payload)
-            elif kind == "worker-error":
-                self.in_flight.pop(worker_id, None)
-                self._schedule_retry(index, payload)
-
-    def _reap_dead_workers(self) -> None:
-        for worker_id, proc in list(self.procs.items()):
-            if proc.is_alive():
-                continue
-            del self.procs[worker_id]
-            index = self.in_flight.pop(worker_id, None)
-            if index is not None:
-                self._schedule_retry(
-                    index, f"worker died (exit code {proc.exitcode})")
-            self.last_activity = time.monotonic()
-        while self.remaining and \
-                len(self.procs) < min(self.workers, len(self.remaining)):
+    def _top_up(self) -> Optional[str]:
+        while len(self.procs) < min(self.workers,
+                                    len(self.state.unfinished)):
             try:
                 self._spawn()
             except (OSError, MemoryError) as exc:
-                if self.procs:
-                    break       # keep going with the workers we have
-                raise _PoolUnavailable(str(exc)) from exc
+                if not self.procs:
+                    return str(exc)
+                break               # keep going with the workers we have
+        return None
 
-    def _enforce_timeouts(self) -> None:
-        if not self.timeout:
+    def _handle(self, conn) -> bool:
+        """Answer one request; False when the pipe is closed."""
+        try:
+            endpoint, payload = conn.recv()
+        except (EOFError, OSError):
+            return False
+        if endpoint == "claim":
+            self._claim(conn, payload["host"])
+            return True
+        if endpoint != "renew":
+            self.leases.pop(conn, None)
+        self._send(conn, self.state.handle(endpoint, payload))
+        return True
+
+    def _claim(self, conn, host: str) -> bool:
+        """Answer a claim; park it (False) while nothing is ready."""
+        code, body = self.state.claim(host)
+        if "retry_after" in body:
+            self.parked[conn] = host
+            return False
+        self.parked.pop(conn, None)
+        if "lease" in body:
+            self.leases[conn] = (body["lease"], time.monotonic())
+        self._send(conn, (code, body))
+        return True
+
+    def _serve_parked(self) -> None:
+        for conn, host in list(self.parked.items()):
+            if not self.state.queue or not self._claim(conn, host):
+                return
+
+    def _send(self, conn, reply) -> None:
+        try:
+            conn.send(reply)
+        except OSError:
+            pass                    # died meanwhile; reaped next round
+
+    def _wake_in(self) -> Optional[float]:
+        """Seconds until a delayed retry is due or a lease times out;
+        ``None`` blocks until a worker speaks or dies."""
+        due = [ready for ready, _ in self.state.delayed[:1]]
+        if self.state.timeout:
+            due += [claimed + self.state.timeout
+                    for _, claimed in self.leases.values()]
+        return max(0.0, min(due) - time.monotonic()) if due else None
+
+    def _enforce_timeout(self) -> None:
+        timeout = self.state.timeout
+        if not timeout:
             return
         now = time.monotonic()
-        for worker_id, index in list(self.in_flight.items()):
-            started = self.started_at.get(index)
-            if started is not None and now - started > self.timeout:
-                self._kill_worker(worker_id)
-                self._schedule_retry(
-                    index, f"timeout after {self.timeout:g}s")
+        for conn, (_, claimed) in list(self.leases.items()):
+            if now - claimed >= timeout:
+                self._drop(conn, f"timeout after {timeout:g}s")
 
-    def _reconcile_stall(self) -> None:
-        """Re-queue tasks lost in the get→claim window of a dead worker.
-
-        If workers are idle (nothing in flight), nothing is scheduled
-        for retry, yet unclaimed work exists and the pool has been
-        silent past the grace period, those queue items are gone —
-        re-enqueueing is safe because duplicate completions are
-        idempotent in :meth:`_drain_results`.
-        """
-        if self.in_flight or self.delayed or not self.remaining:
-            return
-        stalled = self.waiting & self.remaining
-        if not stalled:
-            return
-        if time.monotonic() - self.last_activity < _STALL_GRACE:
-            return
-        for index in sorted(stalled):
-            self.tasks.put((index, self.trials[index].to_dict()))
-        self.last_activity = time.monotonic()
-
-    def _shutdown(self) -> None:
-        for _ in self.procs:
-            try:
-                self.tasks.put(None)
-            except (OSError, ValueError):
-                break
-        deadline = time.monotonic() + 1.0
-        for proc in self.procs.values():
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5)
-        self.procs.clear()
-        for q in (self.tasks, self.results):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):
-                pass
-
-
-class _PoolUnavailable(RuntimeError):
-    """Worker processes could not be spawned; degrade to serial."""
-
-
-def _run_serial(trials: Dict[int, Trial], max_retries: int,
-                backoff: float, runner: TrialRunner,
-                on_done, on_retry) -> None:
-    """In-process fallback with the same retry semantics (no timeout —
-    a hung trial cannot be killed without a separate process)."""
-    for index in sorted(trials):
-        attempt = 0
-        while True:
-            started = time.monotonic()
-            try:
-                payload = runner(trials[index])
-            except TrialError:
-                raise
-            except Exception as exc:
-                attempt += 1
-                if attempt > max_retries:
-                    raise CampaignError(
-                        f"trial {trials[index].label!r} failed "
-                        f"{max_retries + 1} times; last failure: "
-                        f"{type(exc).__name__}: {exc}") from exc
-                on_retry(index, attempt, f"{type(exc).__name__}: {exc}")
-                time.sleep(backoff_delay(backoff, attempt,
-                                         key=("serial", index)))
-            else:
-                on_done(index, payload, attempt,
-                        time.monotonic() - started)
-                break
+    def _drop(self, conn, reason: Optional[str] = None) -> None:
+        """Kill and reap one worker; fail the lease it held."""
+        proc = self.procs.pop(conn)
+        proc.kill()
+        proc.join()
+        conn.close()
+        self.parked.pop(conn, None)
+        held = self.leases.pop(conn, None)
+        if held is not None:
+            self.state.fail({
+                "lease": held[0], "kind": "worker-error",
+                "reason": reason or f"worker died (exit code "
+                                    f"{proc.exitcode})"})
 
 
 def _resolve_campaign_cache(spec: Any, base: CampaignDir) -> CacheBackend:
@@ -449,8 +346,8 @@ class Campaign:
 
     def run(self, workers: Optional[int] = None,
             progress: Optional[Callable[[str], None]] = None,
-            force: bool = False, runner: Optional[TrialRunner] = None,
-            serial: bool = False) -> List[SweepResult]:
+            force: bool = False, runner: Optional[TrialRunner] = None) \
+            -> List[SweepResult]:
         """Execute (or resume) every sweep; returns ordered results.
 
         Already-cached trials are skipped — running this on a killed
@@ -461,123 +358,21 @@ class Campaign:
         workers = self.manifest.get("workers") if workers is None \
             else workers
         workers = default_workers() if workers is None else max(1, workers)
-        timeout = self.manifest.get("timeout")
-        max_retries = self.manifest.get("max_retries", DEFAULT_RETRIES)
-        backoff = self.manifest.get("backoff", DEFAULT_BACKOFF)
-        runner = runner or run_trial
-        run_id = 1 + sum(1 for e in self.cdir.events()
-                         if e.get("event") == "start")
-
-        store = self.backend()
-        started = time.monotonic()
-        plans = [plan_sweep(sweep, cache=store, force=force,
-                            progress=progress)
-                 for sweep in self.sweeps()]
-        self.cdir.append_event({
-            "event": "start", "run": run_id, "workers": workers,
-            "pending": sum(len(p.pending) for p in plans),
-            "cached": sum(sum(p.cached_flags) for p in plans)})
-        for plan in plans:
-            for index, flag in enumerate(plan.cached_flags):
-                if flag:
-                    self.cdir.append_event({
-                        "event": "trial", "run": run_id,
-                        "sweep": plan.sweep.name, "index": index,
-                        "spec_hash": plan.sweep.trials[index].spec_hash(),
-                        "status": "cached", "retries": 0})
-
-        results: List[SweepResult] = []
-        for plan in plans:
-            sweep_started = time.monotonic()
-            self._run_plan(plan, run_id, workers, timeout, max_retries,
-                           backoff, runner, serial)
-            result = SweepResult(
-                name=plan.sweep.name,
-                records=[r for r in plan.records if r is not None],
-                cached=plan.cached_flags,
-                workers=workers,
-                elapsed=time.monotonic() - sweep_started,
-                cache_hits=store.hits,
-                cache_misses=len(plan.pending))
-            self.cdir.write_result(plan.sweep.name, result.to_json())
-            self.cdir.append_event({
-                "event": "sweep-done", "run": run_id,
-                "sweep": plan.sweep.name,
-                "trials": len(plan.sweep.trials),
-                "computed": len(plan.pending)})
-            results.append(result)
-        self.cdir.append_event({
-            "event": "finish", "run": run_id,
-            "elapsed": time.monotonic() - started,
-            "cache": store.stats()})
-        return results
-
-    def _run_plan(self, plan, run_id: int, workers: int,
-                  timeout: Optional[float], max_retries: int,
-                  backoff: float, runner: TrialRunner,
-                  serial: bool) -> None:
-        if not plan.pending:
-            return
-        trials = {index: trial for index, trial in plan.pending}
-        sweep_name = plan.sweep.name
-        registry = get_registry()
-        queue_gauge = registry.gauge(
-            "repro_campaign_queue_depth",
-            "Pending (not yet completed) trials of the running sweep")
-        trial_timer = registry.histogram(
-            "repro_campaign_trial_seconds",
-            "Per-trial compute wall time inside the campaign engine")
-        retry_counter = registry.counter(
-            "repro_campaign_retries_total",
-            "Trial retries scheduled by the campaign engine")
-        remaining = [len(trials)]
-        queue_gauge.set(remaining[0])
-
-        def on_done(index: int, payload: Dict[str, Any],
-                    retries: int, elapsed: float) -> None:
-            plan.finish(index, trials[index], payload)
-            remaining[0] -= 1
-            queue_gauge.set(remaining[0])
-            trial_timer.observe(elapsed)
-            self.cdir.append_event({
-                "event": "trial", "run": run_id, "sweep": sweep_name,
-                "index": index, "spec_hash": trials[index].spec_hash(),
-                "status": "done", "retries": retries,
-                "elapsed": round(elapsed, 6)})
-
-        def on_retry(index: int, attempt: int, reason: str) -> None:
-            retry_counter.inc()
-            self.cdir.append_event({
-                "event": "retry", "run": run_id, "sweep": sweep_name,
-                "index": index, "attempt": attempt, "reason": reason})
-
-        try:
-            if serial or workers == 1 or len(trials) == 1:
-                _run_serial(trials, max_retries, backoff, runner,
-                            on_done, on_retry)
-            else:
-                try:
-                    _WorkStealingPool(
-                        trials, workers, timeout, max_retries, backoff,
-                        runner, on_done, on_retry).run()
-                except _PoolUnavailable as exc:
-                    self.cdir.append_event({
-                        "event": "degraded", "run": run_id,
-                        "reason": f"worker pool unavailable ({exc}); "
-                                  f"running serially"})
-                    _run_serial({i: t for i, t in trials.items()
-                                 if i in _unfinished(plan)},
-                                max_retries, backoff, runner,
-                                on_done, on_retry)
-        except (TrialError, CampaignError) as exc:
-            self.cdir.append_event({
-                "event": "error", "run": run_id, "sweep": sweep_name,
-                "message": str(exc)})
-            raise
-
-
-def _unfinished(plan) -> set:
-    return {i for i, r in enumerate(plan.records) if r is None}
+        state = CoordinatorState(self, progress=progress, force=force,
+                                 workers=workers)
+        if workers > 1 and len(state.unfinished) > 1:
+            failure = _LocalWorkers(state, workers, runner).run()
+            if failure is not None:
+                self.cdir.append_event({
+                    "event": "degraded", "run": state.run_id,
+                    "reason": f"worker processes unavailable "
+                              f"({failure}); running in-process"})
+        if not state.settled:        # in-process: direct calls
+            work(state.handle, "local-0", runner=runner)
+        if state.error is not None:
+            raise (TrialError if state.error_kind == "trial-error"
+                   else CampaignError)(state.error)
+        return [state.results[name] for name in state.plans]
 
 
 class CampaignExecutor(Executor):
@@ -594,15 +389,13 @@ class CampaignExecutor(Executor):
                  timeout: Optional[float] = None,
                  max_retries: int = DEFAULT_RETRIES,
                  backoff: float = DEFAULT_BACKOFF,
-                 runner: Optional[TrialRunner] = None,
-                 serial: bool = False):
+                 runner: Optional[TrialRunner] = None):
         self.directory = directory
         self.workers = workers
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.runner = runner
-        self.serial = serial
 
     def execute(self, sweep: Sweep, cache="auto", force: bool = False,
                 progress: Optional[Callable[[str], None]] = None) \
@@ -613,6 +406,5 @@ class CampaignExecutor(Executor):
             workers=self.workers, timeout=self.timeout,
             max_retries=self.max_retries, backoff=self.backoff)
         results = campaign.run(workers=self.workers, progress=progress,
-                               force=force, runner=self.runner,
-                               serial=self.serial)
+                               force=force, runner=self.runner)
         return results[0]

@@ -38,6 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..harness.cache import CacheBackend
 from .netretry import DEFAULT_POLICY, RetryPolicy, Unreachable, request_json
+from .server import StatusHandler
 
 _KEY_CHARS = set("0123456789abcdef")
 
@@ -122,6 +123,15 @@ class CacheRoutes:
         self.backend = backend
         self.lock = lock or threading.Lock()
 
+    def serve(self, handler: BaseHTTPRequestHandler, method: str,
+              path: str) -> Tuple[int, Any]:
+        """Answer one ``/cache[/<key>]`` request of an HTTP handler."""
+        key = path[len("/cache/"):] if path.startswith("/cache/") else ""
+        body = read_json_body(handler) if method == "PUT" else None
+        if method == "PUT" and body is None:
+            return 400, {"error": "malformed JSON body"}
+        return self.handle(method, key, body)
+
     def handle(self, method: str, key: str,
                body: Optional[Dict[str, Any]]) -> Tuple[int, Any]:
         if key and not _valid_key(key):
@@ -173,44 +183,24 @@ def read_json_body(handler: BaseHTTPRequestHandler) \
     return decoded if isinstance(decoded, dict) else None
 
 
-class _CacheOnlyHandler(BaseHTTPRequestHandler):
+class _CacheOnlyHandler(StatusHandler):
     """Standalone remote-cache server handler (no campaign attached)."""
 
     server_version = "repro-cache/1"
+    endpoints = ["/cache", "/cache/<key>", "/healthz"]
     routes: CacheRoutes = None
 
-    def log_message(self, fmt, *args):
-        pass
-
-    def _respond(self, code: int, payload) -> None:
-        data = b"" if payload is None else json.dumps(
-            payload, sort_keys=True).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        if data and self.command != "HEAD":
-            self.wfile.write(data)
-
     def _dispatch(self, method: str) -> None:
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path = self._path()
         if path == "/healthz":
             self._respond(200, {"status": "ok",
                                 "records": self.routes.backend.count()})
             return
         if path == "/cache" or path.startswith("/cache/"):
-            key = path[len("/cache/"):] if path.startswith("/cache/") \
-                else ""
-            body = read_json_body(self) if method == "PUT" else None
-            if method == "PUT" and body is None:
-                self._respond(400, {"error": "malformed JSON body"})
-                return
-            code, payload = self.routes.handle(method, key, body)
-            self._respond(code, payload)
+            self._respond(*self.routes.serve(self, method, path))
             return
         self._respond(404, {"error": f"unknown path {path!r}",
-                            "endpoints": ["/cache", "/cache/<key>",
-                                          "/healthz"]})
+                            "endpoints": self.endpoints})
 
     def do_GET(self):              # noqa: N802 (stdlib naming)
         self._dispatch("GET")

@@ -6,10 +6,10 @@ A campaign directory is fully self-describing::
                            cache URI, engine settings, signatures
     <dir>/journal.jsonl    append-only event log, one JSON object per
                            line (trial completions, retries, run
-                           start/finish markers; under a multi-host
-                           coordinator also ``lease`` / ``renew`` /
-                           ``lease-expired`` records carrying host
-                           identities)
+                           start/finish markers, and the ``lease`` /
+                           ``renew`` / ``lease-expired`` records of
+                           the scheduler carrying host identities —
+                           ``local-<n>`` for a local run's workers)
     <dir>/cache/ or        the campaign's result store (any
     <dir>/results.sqlite   CacheBackend URI; defaults to a directory
                            backend inside the campaign dir)

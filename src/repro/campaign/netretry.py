@@ -1,4 +1,4 @@
-"""Capped, jittered retries — for the pool and for the network.
+"""Capped, jittered retries — for trials and for the network.
 
 Two layers share one backoff law:
 
@@ -19,9 +19,9 @@ Two layers share one backoff law:
   exhausted, :class:`Unreachable` is raised — callers degrade
   gracefully instead of corrupting anything.
 
-Everything in this module is stdlib-only and import-light; both the
-campaign engine (:mod:`repro.campaign.engine`) and the network stack
-(coordinator / worker / ``http:`` cache backend) build on it.
+Everything in this module is stdlib-only and import-light; the
+campaign scheduler (:mod:`repro.campaign.coordinator`) and the
+network stack (worker / ``http:`` cache backend) build on it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def backoff_delay(base: float, attempt: int,
     """Full-jitter delay for retry ``attempt`` (1-based), capped.
 
     ``key`` seeds the jitter: pass something that identifies the
-    retrying entity (``("pool", trial_index)``, a host id...) so
+    retrying entity (a ``(sweep, index)`` trial key, a host id...) so
     distinct entities spread out while the same entity draws the same
     schedule on every run.  ``key=None`` draws from the global RNG
     (still capped, no longer reproducible).

@@ -28,10 +28,11 @@ a byte to the campaign directory.  Endpoints:
 
 Responses are JSON unless the payload carries its own content type
 (``/metrics`` is Prometheus text, ``/dashboard`` is HTML); the server
-answers GET/HEAD only.  ``serve`` installs a SIGTERM handler so
-supervisors can stop it cleanly (the read-write coordinator,
-:mod:`repro.campaign.coordinator`, reuses the same routes and shutdown
-path on top of its write endpoints).
+answers GET/HEAD only.  :class:`StatusHandler` and
+:func:`serve_until_stopped` are the one handler base and the one
+serve loop of the package: the read-write coordinator
+(:mod:`repro.campaign.coordinator`) subclasses the handler with its
+write endpoints and runs the same SIGTERM-clean loop.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class HtmlText(str):
     content_type = "text/html; charset=utf-8"
 
 
-def _routes(directory, dashboard: bool = False):
+def read_routes(directory, dashboard: bool = False):
     """Route table: path -> () -> (http status, payload object/text)."""
     cdir = CampaignDir(directory)
 
@@ -147,18 +148,22 @@ def _routes(directory, dashboard: bool = False):
     return routes
 
 
-class CampaignRequestHandler(BaseHTTPRequestHandler):
+class StatusHandler(BaseHTTPRequestHandler):
     """GET/HEAD-only JSON handler over one campaign directory."""
 
     server_version = "repro-campaign/1"
-    #: Set by make_server().
+    #: Listed in the 404 body; subclasses extend it with their routes.
+    endpoints = ["/", "/status", "/manifest", "/healthz", "/metrics",
+                 "/result/<sweep>"]
+    #: Set by make_server() / make_coordinator().
     routes = None
 
     def log_message(self, fmt, *args):   # keep CLI output clean
         pass
 
     def _respond(self, code: int, payload) -> None:
-        body = (payload if isinstance(payload, str)
+        body = ("" if payload is None else
+                payload if isinstance(payload, str)
                 else json.dumps(payload, sort_keys=True, indent=2))
         data = body.encode("utf-8")
         self.send_response(code)
@@ -167,14 +172,20 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                                  "application/json"))
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(data)
+        if data and self.command != "HEAD":
+            try:
+                self.wfile.write(data)
+            except OSError:
+                pass                     # client vanished mid-response
+
+    def _path(self) -> str:
+        return self.path.split("?", 1)[0].rstrip("/") or "/"
 
     def do_HEAD(self):                   # noqa: N802 (stdlib naming)
         self.do_GET()
 
     def do_GET(self):                    # noqa: N802 (stdlib naming)
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path = self._path()
         if path.startswith("/result/"):
             code, payload = self.routes["result"](
                 path[len("/result/"):])
@@ -182,10 +193,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             code, payload = self.routes[path]()
         else:
             code, payload = 404, {"error": f"unknown path {path!r}",
-                                  "endpoints": ["/", "/status",
-                                                "/manifest", "/healthz",
-                                                "/metrics",
-                                                "/result/<sweep>"]}
+                                  "endpoints": self.endpoints}
         self._respond(code, payload)
 
 
@@ -195,29 +203,44 @@ def make_server(directory, host: str = "127.0.0.1",
     """Build (but don't start) the status server; ``port=0`` picks a
     free port — read it back from ``server.server_address``.
     ``dashboard=True`` adds the ``/dashboard`` + ``/timeline`` pair."""
-    handler = type("BoundCampaignHandler", (CampaignRequestHandler,),
-                   {"routes": _routes(directory, dashboard=dashboard)})
+    handler = type("BoundStatusHandler", (StatusHandler,),
+                   {"routes": read_routes(directory, dashboard=dashboard)})
     return ThreadingHTTPServer((host, port), handler)
 
 
-def install_sigterm_handler() -> None:
-    """Route SIGTERM onto the KeyboardInterrupt clean-shutdown path.
+def _terminate(signum, frame):
+    raise KeyboardInterrupt
 
-    Without this the stdlib HTTP loop ignores a supervisor's TERM
-    until the process is killed hard.  Only possible from the main
-    thread — anywhere else (tests driving servers from threads) this
-    is a no-op.
+
+def serve_until_stopped(server: ThreadingHTTPServer, banner: str,
+                        announce=None,
+                        helper: Optional[threading.Thread] = None) -> None:
+    """Serve until SIGINT/SIGTERM (or ``server.shutdown()``), then
+    close the socket.  ``helper`` is a daemon thread started once the
+    TERM handler is in place.
+
+    SIGTERM is routed onto the KeyboardInterrupt path — without that
+    the stdlib HTTP loop ignores a supervisor's TERM until the process
+    is killed hard.  Only the main thread can install it; servers
+    driven from other threads (tests) skip it.
     """
-    if threading.current_thread() is not threading.main_thread():
-        return
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
+    if threading.current_thread() is threading.main_thread():
+        try:
+            signal.signal(signal.SIGTERM, _terminate)
+        except (ValueError, OSError):   # non-main interpreter quirks
+            pass
+    # Everything after handler installation sits inside the try: a
+    # TERM landing before serve_forever() still takes the clean path.
     try:
-        signal.signal(signal.SIGTERM, _terminate)
-    except (ValueError, OSError):       # non-main interpreter quirks
+        if announce:
+            announce(banner)
+        if helper is not None:
+            helper.start()
+        server.serve_forever()
+    except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()
 
 
 def serve(directory, host: str = "127.0.0.1", port: int = 8008,
@@ -226,19 +249,11 @@ def serve(directory, host: str = "127.0.0.1", port: int = 8008,
     both shut it down cleanly (CLI entry point)."""
     server = make_server(directory, host=host, port=port,
                          dashboard=dashboard)
-    install_sigterm_handler()
     bound_host, bound_port = server.server_address[:2]
     extra = " /dashboard /timeline" if dashboard else ""
-    # The announce sits inside the try: a TERM landing between the
-    # banner and serve_forever() must still take the clean path.
-    try:
-        if announce:
-            announce(f"serving campaign {directory} on "
-                     f"http://{bound_host}:{bound_port} "
-                     f"(endpoints: /status /manifest /healthz "
-                     f"/metrics{extra} /result/<sweep>)")
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    serve_until_stopped(
+        server, f"serving campaign {directory} on "
+                f"http://{bound_host}:{bound_port} "
+                f"(endpoints: /status /manifest /healthz "
+                f"/metrics{extra} /result/<sweep>)",
+        announce=announce)

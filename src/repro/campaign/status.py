@@ -11,9 +11,10 @@ do).  All figures derive from journal events:
 * cache hit rate — journaled ``cached`` completions over completions;
 * throughput (trials/s) over the most recent run's computed trials and
   an ETA for the remainder at that rate;
-* multi-host lease figures (hosts seen, leases issued / renewed /
-  expired) when the campaign ran under a coordinator
-  (:mod:`repro.campaign.coordinator`).
+* lease figures (hosts seen, leases issued / renewed / expired) from
+  the scheduler's journal records
+  (:mod:`repro.campaign.coordinator`); a local run's worker
+  processes appear as ``local-<n>`` hosts.
 """
 
 from __future__ import annotations

@@ -15,13 +15,12 @@ Three executors ship today:
 * :class:`SerialExecutor` — everything inline, no processes;
 * :class:`ProcessPoolExecutor` — the classic ``multiprocessing`` pool
   fan-out (byte-identical to the serial path by construction);
-* :class:`repro.campaign.CampaignExecutor` — journaled, resumable,
-  work-stealing execution for large campaigns (crash resume, retries,
-  per-trial timeouts, live status).  Campaigns can also shard across
-  machines: a read-write coordinator
-  (:mod:`repro.campaign.coordinator`) leases trials to worker hosts
-  over HTTP, and ``http://`` cache URIs point any executor at a
-  remote result store.
+* :class:`repro.campaign.CampaignExecutor` — journaled, resumable
+  execution for large campaigns (crash resume, retries, per-trial
+  timeouts, live status).  One lease state machine
+  (:mod:`repro.campaign.coordinator`) hands trials to local worker
+  processes or, over HTTP, to worker hosts on other machines, and
+  ``http://`` cache URIs point any executor at a remote result store.
 
 ``run_sweep`` remains the convenience entry point (and what
 ``repro sweep`` calls): it picks a serial or pool executor from the
@@ -239,7 +238,7 @@ def _seal(plan: _Plan, workers: int, started: float) -> SweepResult:
         cached=plan.cached_flags,
         workers=workers,
         elapsed=time.monotonic() - started,
-        cache_hits=plan.store.hits if plan.store else 0,
+        cache_hits=sum(plan.cached_flags),
         cache_misses=len(plan.pending))
 
 

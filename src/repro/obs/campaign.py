@@ -30,8 +30,8 @@ def journal_timeline(directory, limit: int = 500) -> Dict:
     ``trial`` events carry the wall-clock completion ``time`` and the
     compute ``elapsed``, so each computed trial becomes a
     ``[time - elapsed, time]`` bar; cached trials are zero-width
-    markers.  ``lease`` events attribute bars to hosts under the
-    coordinator; single-host runs have no host column.  Only the most
+    markers.  ``lease`` events attribute bars to hosts (``local-<n>``
+    for a local run's worker processes).  Only the most
     recent ``limit`` trials are returned (the page stays light on
     100k-trial campaigns) — ``truncated`` reports how many were cut.
     """

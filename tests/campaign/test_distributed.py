@@ -146,10 +146,15 @@ class TestCoordinatedExecution:
             assert run_workers(coord.url, 1) == [0]
         status = campaign_status(tmp_path / "camp")
         assert status["state"] == "finished"
-        assert status["leases"]["issued"] == 0
+        # The local run leased its trials; the coordinator's run
+        # (everything after its start event) leased none.
+        events = journal_events(tmp_path / "camp")
+        last_start = max(i for i, e in enumerate(events)
+                         if e["event"] == "start")
+        assert not any(e["event"] == "lease" for e in events[last_start:])
 
     def test_mixed_local_then_distributed_campaign(self, tmp_path):
-        """A campaign started on the local pool finishes under a
+        """A campaign started by local workers finishes under a
         coordinator (and vice versa is the restart test above)."""
         sweep = window_sweep()
         reference = run_sweep(sweep, workers=1, cache=None).to_json()
@@ -256,6 +261,31 @@ class TestLeases:
         events = journal_events(tmp_path / "camp")
         assert not any(e["event"] == "trial" and e["status"] == "done"
                        for e in events)
+
+
+class TestMalformedRequests:
+    """Wrongly typed key fields are rejected with a 400 — never an
+    exception inside the state that drops the connection and sends
+    the worker into its retry budget."""
+
+    @pytest.mark.parametrize("route, payload", [
+        ("renew", {"lease": ["x"]}),
+        ("complete", {"lease": "bogus", "sweep": ["dist"], "index": 0,
+                      "result": {}}),
+        ("complete", {"lease": "bogus", "sweep": "dist", "index": "0",
+                      "result": {}}),
+        ("fail", {"lease": "bogus", "sweep": {"a": 1}, "index": 0}),
+        ("fail", {"lease": "bogus", "sweep": "dist", "index": 0.0}),
+    ])
+    def test_wrong_field_types_are_400(self, tmp_path, route, payload):
+        Campaign.create(tmp_path / "camp", window_sweep(n=2))
+        with _Coordinator(tmp_path / "camp") as coord:
+            code, body = request_json(f"{coord.url}/{route}",
+                                      payload=payload, policy=FAST_NET)
+            assert code == 400 and "must be a" in body["error"]
+            # The state is unharmed: a worker still finishes the run.
+            assert run_workers(coord.url, 1) == [0]
+        assert campaign_status(tmp_path / "camp")["state"] == "finished"
 
 
 class TestFailureTaxonomy:

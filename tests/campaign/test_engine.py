@@ -69,7 +69,7 @@ class TestByteIdentity:
 
     def test_serial_campaign_matches_pool(self, tmp_path):
         sweep = window_sweep()
-        serial = Campaign.create(tmp_path / "s", sweep).run(serial=True)
+        serial = Campaign.create(tmp_path / "s", sweep).run(workers=1)
         pooled = Campaign.create(tmp_path / "p", sweep).run(workers=3)
         assert serial[0].to_json() == pooled[0].to_json()
 
@@ -189,9 +189,24 @@ class TestFaultTolerance:
     def test_serial_fallback_retries_transients(self, tmp_path, fault_dir):
         sweep = fault_sweep("raise", "raise")
         campaign = Campaign.create(tmp_path / "camp", sweep, backoff=0.01)
-        result = campaign.run(serial=True, runner=_faults.raise_once)[0]
+        result = campaign.run(workers=1, runner=_faults.raise_once)[0]
         assert len(result.records) == len(sweep)
         assert journal_events(campaign, "retry")
+
+    def test_spawn_failure_degrades_to_in_process(self, tmp_path,
+                                                  monkeypatch):
+        from repro.campaign import engine
+
+        def no_fork(self):
+            raise OSError("fork unavailable")
+        monkeypatch.setattr(engine._LocalWorkers, "_spawn", no_fork)
+        sweep = window_sweep()
+        campaign = Campaign.create(tmp_path / "camp", sweep)
+        (result,) = campaign.run(workers=3)
+        assert result.to_json() \
+            == run_sweep(sweep, workers=1, cache=None).to_json()
+        (event,) = journal_events(campaign, "degraded")
+        assert "fork unavailable" in event["reason"]
 
     def test_serial_fallback_propagates_trial_errors(self, tmp_path):
         from repro.harness.runner import TrialError
@@ -200,46 +215,75 @@ class TestFaultTolerance:
         sweep.add("window", runahead="none", sled=8, config_base="small")
         campaign = Campaign.create(tmp_path / "camp", sweep)
         with pytest.raises(TrialError):
-            campaign.run(serial=True)
+            campaign.run(workers=1)
 
 
 class TestRetryBackoff:
-    """The pool's retry delays are capped and jittered — a giant
+    """The scheduler's retry delays are capped and jittered — a giant
     backoff base can no longer stall a campaign for hours, and trials
     that fail together stop retrying in lockstep."""
 
-    def _pool(self, backoff):
-        from repro.campaign.engine import _WorkStealingPool
-        from repro.harness.spec import Trial
-        trials = {i: Trial(kind="window", params={"sled": i})
-                  for i in range(8)}
-        return _WorkStealingPool(
-            trials, workers=1, timeout=None, max_retries=10,
-            backoff=backoff, runner=lambda t: {},
-            on_done=lambda *a: None, on_retry=lambda *a: None)
+    def _state(self, tmp_path, backoff):
+        from repro.campaign.coordinator import CoordinatorState
+        campaign = Campaign.create(tmp_path / "camp", window_sweep(n=8),
+                                   max_retries=10, backoff=backoff)
+        return CoordinatorState(campaign, workers=1)
 
-    def test_delay_is_capped(self):
+    def test_delay_is_capped(self, tmp_path):
         import time
 
         from repro.campaign.netretry import DEFAULT_MAX_DELAY
-        pool = self._pool(backoff=1000.0)
-        pool._schedule_retry(0, "boom")
-        ready_time, index = pool.delayed[0]
-        assert index == 0
+        state = self._state(tmp_path, backoff=1000.0)
+        state._schedule_retry(("win", 0), "boom")
+        ready_time, key = state.delayed[0]
+        assert key == ("win", 0)
         # Uncapped, attempt 1 would already wait 1000s.
         assert ready_time - time.monotonic() <= DEFAULT_MAX_DELAY + 0.1
 
-    def test_distinct_trials_draw_distinct_delays(self):
-        pool = self._pool(backoff=0.25)
+    def test_distinct_trials_draw_distinct_delays(self, tmp_path):
+        state = self._state(tmp_path, backoff=0.25)
         for index in range(8):
-            pool._schedule_retry(index, "boom")
-        delays = {ready for ready, _ in pool.delayed}
+            state._schedule_retry(("win", index), "boom")
+        delays = {ready for ready, _ in state.delayed}
         assert len(delays) > 1
 
     def test_same_trial_same_attempt_is_reproducible(self):
         from repro.campaign.netretry import backoff_delay
-        assert backoff_delay(0.25, 2, key=("pool", 3)) \
-            == backoff_delay(0.25, 2, key=("pool", 3))
+        key = ("coordinator", "win", 3)
+        assert backoff_delay(0.25, 2, key=key) \
+            == backoff_delay(0.25, 2, key=key)
+
+
+class TestLocalLeases:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_local_workers_go_through_the_lease_state_machine(
+            self, tmp_path, workers):
+        """Forked (3) and in-process (1) workers lease every trial
+        exactly once from the one state machine; none expires."""
+        sweep = window_sweep()
+        campaign = Campaign.create(tmp_path / "camp", sweep)
+        campaign.run(workers=workers)
+        leases = journal_events(campaign, "lease")
+        assert sorted(e["index"] for e in leases) == list(range(len(sweep)))
+        assert all(e["host"].startswith("local-") for e in leases)
+        assert not journal_events(campaign, "lease-expired")
+        status = campaign_status(tmp_path / "camp")
+        assert status["leases"]["issued"] >= status["computed"]
+
+
+class TestCacheHits:
+    def test_cache_hits_count_only_this_sweeps_cached_trials(
+            self, tmp_path):
+        """Sweep ``a`` is fully pre-cached, ``b`` not at all: ``b``
+        must not inherit ``a``'s hits from the shared store."""
+        a, b = window_sweep("a", n=3), window_sweep("b", n=3,
+                                                   async_flushes=1)
+        campaign = Campaign.create(tmp_path / "camp", [a, b])
+        run_sweep(a, workers=1, cache=campaign.backend())
+        result_a, result_b = campaign.run(workers=1)
+        assert (result_a.cache_hits, sum(result_a.cached)) == (3, 3)
+        assert (result_b.cache_hits, sum(result_b.cached)) == (0, 0)
+        assert "0 cached, 3 computed" in result_b.describe()
 
 
 class TestManifestDefaults:

@@ -9,17 +9,18 @@ heartbeat paces itself (and adapts) from that relative value alone.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.campaign import Campaign, make_coordinator
 from repro.campaign.coordinator import CoordinatorState
 from repro.campaign.worker import _Heartbeat
-from repro.campaign.netretry import RetryPolicy
 from repro.harness.spec import Sweep
 
-FAST_NET = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.02,
-                       timeout=2.0)
+
+def _no_call(endpoint, payload):
+    raise AssertionError("pacing tests never start the heartbeat")
 
 
 def window_sweep(name="ttl", n=2) -> Sweep:
@@ -90,11 +91,13 @@ class TestRenewTTL:
 
 class TestHeartbeatPacing:
     def test_interval_is_a_third_of_the_ttl(self):
-        beat = _Heartbeat("http://x", "lease", 9.0, FAST_NET)
+        beat = _Heartbeat(_no_call)
+        beat.track("lease", 9.0)
         assert beat.interval == pytest.approx(3.0)
 
     def test_interval_floor(self):
-        beat = _Heartbeat("http://x", "lease", 0.01, FAST_NET)
+        beat = _Heartbeat(_no_call)
+        beat.track("lease", 0.01)
         assert beat.interval == pytest.approx(0.05)
 
     def test_worker_paces_from_claim_ttl_not_lease_seconds(self):
@@ -103,11 +106,38 @@ class TestHeartbeatPacing:
         This mirrors run_worker's ttl-preferring claim handling."""
         claim = {"lease_seconds": 30.0, "ttl_seconds": 3.0}
         ttl = claim.get("ttl_seconds") or claim.get("lease_seconds", 30.0)
-        beat = _Heartbeat("http://x", "lease", float(ttl), FAST_NET)
+        beat = _Heartbeat(_no_call)
+        beat.track("lease", float(ttl))
         assert beat.interval == pytest.approx(1.0)
 
     def test_old_coordinator_without_ttl_falls_back(self):
         claim = {"lease_seconds": 6.0}
         ttl = claim.get("ttl_seconds") or claim.get("lease_seconds", 30.0)
-        beat = _Heartbeat("http://x", "lease", float(ttl), FAST_NET)
+        beat = _Heartbeat(_no_call)
+        beat.track("lease", float(ttl))
         assert beat.interval == pytest.approx(2.0)
+
+    def test_one_thread_renews_only_the_tracked_lease(self):
+        calls = []
+
+        def call(endpoint, payload):
+            calls.append(payload["lease"])
+            return 200, {"ok": True, "ttl_seconds": 0.15}
+        beat = _Heartbeat(call)
+        beat.start()
+        try:
+            beat.track("a", 0.15)            # renews every 0.05 s
+            time.sleep(0.3)
+            beat.release()
+            time.sleep(0.1)                  # let an in-flight beat land
+            renewed = len(calls)
+            time.sleep(0.3)
+            assert len(calls) == renewed     # released: no renewals
+            beat.track("b", 0.15)
+            time.sleep(0.3)
+        finally:
+            beat.stop()
+            beat.join(timeout=5)
+        assert not beat.is_alive()
+        assert calls.count("a") >= 2 and calls.count("b") >= 2
+        assert calls.index("b") >= renewed

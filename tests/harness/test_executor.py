@@ -75,6 +75,15 @@ class TestCacheWiring:
         warm = run_sweep(other, workers=1, cache=store)
         assert warm.cache_hits == 1
 
+    def test_cache_hits_are_per_sweep_on_a_shared_store(self, tmp_path):
+        store = ResultCache(root=tmp_path, code_version="v1")
+        run_sweep(cheap_sweep(), workers=1, cache=store)
+        run_sweep(cheap_sweep(), workers=1, cache=store)   # 4 store hits
+        other = Sweep("other")
+        other.add("window", runahead="none", sled=72, config_base="small")
+        fresh = run_sweep(other, workers=1, cache=store)
+        assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
+
 
 class TestFailures:
     def test_unknown_workload_raises_trial_error_inline(self):
