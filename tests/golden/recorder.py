@@ -12,7 +12,11 @@ payloads as the pre-refactor implementation.  This module defines what
   the architectural end state;
 * :func:`preset_records` — every trial of a quick-tier harness preset
   executed through :func:`repro.harness.runner.run_trial`, keyed by the
-  trial's spec hash.
+  trial's spec hash;
+* :func:`attack_records` — a small group of ``attack`` trials that
+  decode through a channel receiver, one core and cross-core, pinning
+  ``SpecRunAttack``'s channel and calibration path (no preset runs
+  ``attack`` with a receiver).
 
 ``python -m tests.golden.recorder`` regenerates
 ``tests/golden/golden_stats.json``.  The fixture committed in this repo
@@ -30,7 +34,7 @@ import pathlib
 from repro.harness import presets as preset_registry
 from repro.harness.registry import get_workload, make_controller
 from repro.harness.runner import run_trial
-from repro.harness.spec import canonical_json
+from repro.harness.spec import Trial, canonical_json
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_stats.json")
 
@@ -44,7 +48,28 @@ CORE_CONTROLLERS = ("none", "original", "precise", "vector", "secure",
 
 #: Quick-tier presets to snapshot end to end (trial payload equality).
 PRESET_NAMES = ("table1", "fig4", "fig7", "fig9", "fig10", "fig11",
-                "fig12", "sec43", "sec6", "ablations")
+                "fig12", "sec43", "sec6", "ablations",
+                # covert-channel read-out: one core, cross-core, co-runners
+                "channel_bandwidth", "fig9_noise_sweep", "fig10_cross_core",
+                "cross_core_bandwidth", "smt_corunner_sweep",
+                "trace_pressure_sweep")
+
+#: ``attack`` trials through a receiver: prime+probe calibrates, the
+#: reload receivers do not; every placement the topology allows.
+ATTACK_PARAMS = (
+    {"variant": "pht", "receiver": "prime-probe", "trials": 2,
+     "noise": {"jitter": 12}},
+    {"variant": "pht", "receiver": "prime-probe", "trials": 2, "cores": 2},
+    {"variant": "pht", "receiver": "flush-reload", "trials": 2},
+    {"variant": "pht", "receiver": "evict-reload", "trials": 2, "cores": 2},
+    {"variant": "pht", "receiver": "prime-probe", "runahead": "secure",
+     "cores": 2},
+    {"variant": "pht", "receiver": "prime-probe", "cores": 3,
+     "corunner": "lbm"},
+    {"variant": "pht", "receiver": "prime-probe", "cores": 2,
+     "corunner": "lbm", "smt": True},
+    {"variant": "btb", "receiver": "prime-probe"},
+)
 
 
 def _arch_state_digest(core) -> str:
@@ -85,15 +110,23 @@ def all_core_records() -> dict:
             for controller in CORE_CONTROLLERS}
 
 
+def trial_key(trial: Trial) -> str:
+    return f"{trial.label}#{trial.spec_hash()[:12]}"
+
+
 def preset_records(name: str) -> dict:
     """Run every quick-tier trial of a preset; key by trial spec hash."""
     preset = preset_registry.get(name)
     sweep = preset.build(quick=True)
-    records = {}
-    for trial in sweep.trials:
-        key = f"{trial.label}#{trial.spec_hash()[:12]}"
-        records[key] = run_trial(trial)
-    return records
+    return {trial_key(trial): run_trial(trial) for trial in sweep.trials}
+
+
+def attack_trials() -> list:
+    return [Trial(kind="attack", params=params) for params in ATTACK_PARAMS]
+
+
+def attack_records() -> dict:
+    return {trial_key(trial): run_trial(trial) for trial in attack_trials()}
 
 
 def all_preset_records() -> dict:
@@ -101,7 +134,8 @@ def all_preset_records() -> dict:
 
 
 def build_golden() -> dict:
-    return {"cores": all_core_records(), "presets": all_preset_records()}
+    return {"cores": all_core_records(), "presets": all_preset_records(),
+            "attacks": attack_records()}
 
 
 def load_golden() -> dict:
@@ -121,7 +155,8 @@ def main() -> int:
                            + "\n", encoding="utf-8")
     n_presets = sum(len(v) for v in golden["presets"].values())
     print(f"wrote {GOLDEN_PATH}: {len(golden['cores'])} core records, "
-          f"{n_presets} preset trials")
+          f"{n_presets} preset trials, {len(golden['attacks'])} attack "
+          f"trials")
     return 0
 
 

@@ -9,7 +9,7 @@ single-core runs:
   through the refactored ``MemoryHierarchy`` (which now IS a core view
   over its own single-view shared level), so
   ``tests/pipeline/test_golden_stats.py`` re-validates all 18
-  workload × controller records and all 10 quick-tier presets
+  workload × controller records and every quick-tier preset
   unmodified;
 * the *explicit* facade — these tests build the shared level by hand
   (``SharedHierarchy(cores=1)``), hand its view to

@@ -9,8 +9,11 @@ overhaul, PR 2).  These tests assert the optimized core reproduces it
   both defenses) must yield identical ``CoreStats``, per-level cache
   hit/miss/fill counts, transient-window maxima, branch-unit counters,
   and architectural end state;
-* every quick-tier harness preset trial (all 10 paper figures) must
-  yield an identical result payload through ``run_trial``.
+* every quick-tier harness preset trial (the 10 paper figures and the
+  6 covert-channel presets) must yield an identical result payload
+  through ``run_trial``;
+* every receiver ``attack`` trial in the fixture (``SpecRunAttack``'s
+  channel and calibration path, one core and cross-core) must too.
 
 If a future change *intends* to alter behaviour, regenerate the fixture
 with ``python -m tests.golden.recorder`` and say so in the commit; a
@@ -21,12 +24,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.runner import run_trial
+
 from tests.golden import recorder
 
 GOLDEN = recorder.load_golden()
 
 CORE_KEYS = sorted(GOLDEN["cores"])
 PRESET_NAMES = sorted(GOLDEN["presets"])
+ATTACK_TRIALS = {recorder.trial_key(trial): trial
+                 for trial in recorder.attack_trials()}
 
 
 def test_fixture_covers_expected_grid():
@@ -37,6 +44,7 @@ def test_fixture_covers_expected_grid():
                       for controller in recorder.CORE_CONTROLLERS}
     assert set(GOLDEN["cores"]) == expected_cores
     assert set(GOLDEN["presets"]) == set(recorder.PRESET_NAMES)
+    assert set(GOLDEN["attacks"]) == set(ATTACK_TRIALS)
 
 
 @pytest.mark.slow
@@ -51,9 +59,7 @@ def test_core_stats_match_golden(key):
             f"{key}: {field} diverged from the pre-refactor recording"
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_preset_trials_match_golden(name):
+def _assert_preset_matches(name):
     fresh = recorder.normalize(recorder.preset_records(name))
     want = GOLDEN["presets"][name]
     assert fresh.keys() == want.keys(), \
@@ -62,3 +68,23 @@ def test_preset_trials_match_golden(name):
         assert fresh[trial_key] == want[trial_key], \
             f"preset {name}: {trial_key} diverged from the " \
             f"pre-refactor recording"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_trials_match_golden(name):
+    _assert_preset_matches(name)
+
+
+def test_cross_core_preset_matches_golden_smoke():
+    """Fast witness of the channel path (the full preset grid is slow):
+    cross-core extraction through a calibrating and a reload receiver
+    on the baseline and the defended machines."""
+    _assert_preset_matches("fig10_cross_core")
+
+
+@pytest.mark.parametrize("key", sorted(ATTACK_TRIALS))
+def test_attack_trials_match_golden(key):
+    fresh = recorder.normalize(run_trial(ATTACK_TRIALS[key]))
+    assert fresh == GOLDEN["attacks"][key], \
+        f"{key} diverged from the pre-refactor recording"
