@@ -77,7 +77,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .harness import presets as preset_registry
 from .harness.cache import ResultCache, resolve_cache
@@ -120,6 +120,22 @@ def _cache_arg(args) -> Any:
     return "auto"
 
 
+def _run_cached(args, trial: Trial) -> Tuple[Dict[str, Any], bool]:
+    """Serve ``trial`` from the result cache unless ``--force``/
+    ``--no-cache``; otherwise run and store it.  Returns ``(result,
+    cached)``."""
+    cache = resolve_cache(_cache_arg(args))
+    if cache is not None and not args.force:
+        result = cache.get(trial)
+        if result is not None:
+            return result, True
+    from .harness.runner import run_trial
+    result = run_trial(trial)
+    if cache is not None:
+        cache.put(trial, result)
+    return result, False
+
+
 def _cmd_sweep(args) -> int:
     if args.list or not args.preset:
         for name in sorted(preset_registry.PRESETS):
@@ -149,16 +165,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_run(args) -> int:
     params = _parse_assignments(args.params)
     trial = Trial(kind=args.kind, params=params)
-    cache = resolve_cache(_cache_arg(args))
-    result: Optional[Dict[str, Any]] = None
-    if cache is not None and not args.force:
-        result = cache.get(trial)
-    cached = result is not None
-    if result is None:
-        from .harness.runner import run_trial
-        result = run_trial(trial)
-        if cache is not None:
-            cache.put(trial, result)
+    result, cached = _run_cached(args, trial)
     record = {"trial": trial.to_dict(), "cached": cached, "result": result}
     print(json.dumps(record, sort_keys=True, indent=2))
     return 0
@@ -217,16 +224,7 @@ def _cmd_attack(args) -> int:
             return 2
         params.update(topology)
     trial = Trial(kind="extract", params=params)
-    cache = resolve_cache(_cache_arg(args))
-    result: Optional[Dict[str, Any]] = None
-    if cache is not None and not args.force:
-        result = cache.get(trial)
-    cached = result is not None
-    if result is None:
-        from .harness.runner import run_trial
-        result = run_trial(trial)
-        if cache is not None:
-            cache.put(trial, result)
+    result, cached = _run_cached(args, trial)
     if args.json:
         print(json.dumps({"trial": trial.to_dict(), "cached": cached,
                           "result": result}, sort_keys=True, indent=2))
@@ -300,16 +298,7 @@ def _cmd_verify(args) -> int:
     if args.cross_check:
         params["cross_check"] = True
     trial = Trial(kind="verify", params=params)
-    cache = resolve_cache(_cache_arg(args))
-    result: Optional[Dict[str, Any]] = None
-    if cache is not None and not args.force:
-        result = cache.get(trial)
-    cached = result is not None
-    if result is None:
-        from .harness.runner import run_trial
-        result = run_trial(trial)
-        if cache is not None:
-            cache.put(trial, result)
+    result, cached = _run_cached(args, trial)
 
     disagreement = args.cross_check and not result["ok"]
     if args.json:

@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from ..analysis.leak import LeakReport, analyze_probe
 from ..pipeline.config import CoreConfig
-from ..pipeline.core import Core
 from ..runahead.base import NoRunahead, RunaheadController
 from ..runahead.original import OriginalRunahead
 from .gadgets import AttackProgram, build_attack
@@ -150,13 +149,9 @@ class SpecRunAttack:
     def run(self, max_cycles=3_000_000) -> AttackResult:
         if self.receiver is not None:
             return self._run_channel(max_cycles)
-        core = Core(self.attack.program, memory_image=self.attack.image,
-                    config=self.config, runahead=self.runahead,
-                    initial_sp=self.attack.initial_sp, warm_icache=True)
-        core.run(max_cycles=max_cycles)
-        if not core.halted:
-            raise RuntimeError(
-                f"attack program did not finish in {max_cycles} cycles")
+        from ..channel.session import run_victim
+        core, _ = run_victim(self.attack, self.runahead, self.config,
+                             max_cycles, receiver_name=None, topology=None)
         latencies = self.attack.read_latencies(core)
         report = analyze_probe(latencies)
         return AttackResult(attack=self.attack, report=report,
@@ -164,16 +159,19 @@ class SpecRunAttack:
                             runahead_name=self.runahead.name)
 
     def _run_channel(self, max_cycles) -> AttackResult:
-        from ..channel.session import run_channel_attack
-        calibration_runahead = copy.deepcopy(self._calibration_runahead) \
-            if self._calibration_runahead is not None else None
+        from ..channel.session import calibrate_receiver, run_channel_attack
+        baseline, calibration_cycles = (), 0
+        if self._calibration_attack is not None:
+            baseline, calibration_cycles = calibrate_receiver(
+                self._calibration_attack,
+                copy.deepcopy(self._calibration_runahead), self.config,
+                self.receiver, self.topology, max_cycles)
         outcome = run_channel_attack(
             self.attack, self.runahead, self.config, self.receiver,
             noise=self.noise, trials=self.trials, seed=self.seed,
-            max_cycles=max_cycles,
-            calibration_attack=self._calibration_attack,
-            calibration_runahead=calibration_runahead,
+            max_cycles=max_cycles, extra_ignore=baseline,
             topology=self.topology)
+        outcome.calibration_cycles = calibration_cycles
         return AttackResult(attack=self.attack, report=outcome.report,
                             stats=outcome.stats,
                             runahead_name=self.runahead.name,

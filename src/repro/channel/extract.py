@@ -219,7 +219,7 @@ def extract_secret(secret: Union[bytes, str, Sequence[int]],
     exactly the PR 3 single-core path.
     """
     from ..attack.gadgets import build_attack
-    from ..multicore.scenario import Topology, calibrate_topology_receiver
+    from ..multicore.scenario import Topology
 
     values = _as_values(secret)
     model = NoiseModel.from_spec(noise)
@@ -238,14 +238,8 @@ def extract_secret(secret: Union[bytes, str, Sequence[int]],
     if cls.needs_calibration:
         benign = build_attack(variant, secret_value=values[0],
                               trigger_index=1, **build_kwargs)
-        if topology is not None:
-            calibration_ignore, calibration_cycles = \
-                calibrate_topology_receiver(benign, make_runahead(),
-                                            config, receiver, topology,
-                                            max_cycles)
-        else:
-            calibration_ignore, calibration_cycles = calibrate_receiver(
-                benign, make_runahead(), config, receiver, max_cycles)
+        calibration_ignore, calibration_cycles = calibrate_receiver(
+            benign, make_runahead(), config, receiver, topology, max_cycles)
 
     results: List[ByteResult] = []
     total_cycles = calibration_cycles

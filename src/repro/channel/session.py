@@ -6,47 +6,53 @@ executed **once**; every trial then re-measures the finished hierarchy
 through a read-only receiver with an independently seeded noise draw.
 That keeps a trials-vs-success-rate sweep linear in secret bytes rather
 than in ``bytes x trials``, and makes the whole experiment a pure
-function of ``(attack spec, receiver, noise spec, seed)``.
+function of ``(attack spec, receiver, noise spec, seed, topology)``.
 
 The flow per transmitted value:
 
-1. build a fresh :class:`~repro.pipeline.core.Core` on the
-   external-probe attack program, ``receiver.prepare()``, run to halt;
-2. for prime+probe, optionally run a *calibration* core first (same
-   program with a benign trigger index) to learn the deterministic
-   baseline of self-disturbed sets, which decoding then ignores;
+1. :func:`run_victim` builds the victim and its receiver — one
+   :class:`~repro.pipeline.core.Core`, or with a multi-core topology
+   the cores of a shared-L3 system — calls ``receiver.prepare()`` and
+   runs to halt;
+2. for prime+probe, the caller first runs :func:`calibrate_receiver`
+   (same program with a benign trigger index, same placement) to learn
+   the deterministic baseline of self-disturbed sets, which decoding
+   then ignores;
 3. measure ``trials`` probe vectors (per-trial noise seeded from
    :func:`~repro.channel.noise.derive_seed`), decode with
    :func:`~repro.channel.decode.decode_trials`.
 
 Public contract
 ---------------
+* :func:`run_victim` is the only code that builds and runs a victim:
+  channel runs, calibration runs and ``SpecRunAttack``'s in-program
+  probe path all go through it, so the single-core vs multi-core
+  choice is made in one place.
 * :func:`run_channel_attack` is the single entry point for one-value
   channel runs; :func:`repro.channel.extract.extract_secret` loops it
   per byte, and the harness ``attack``/``extract`` trial kinds call
   those two — nothing else constructs receivers against a live run.
-  Passing ``topology`` routes to :func:`repro.multicore.scenario.
-  run_topology_attack`; the single-core path is byte-identical with
-  or without that parameter present.
+  A single-core ``topology`` (or none) is the one-core path, and its
+  records carry no ``topology`` key.
 * :class:`ChannelOutcome` is the stable result shape: ``to_dict`` is
   what harness records persist and cache, so new fields must keep old
   payloads decodable (add keys conditionally, as ``topology`` does).
-* :func:`channel_ignore_set` and :func:`measure_and_decode` are shared
-  with the multi-core path — they define the receiver-validation and
-  ``derive_seed("channel", seed, trial)`` noise-seeding contracts both
-  paths must honour for results to stay comparable and cacheable.
+* :func:`channel_ignore_set` and :func:`measure_and_decode` define the
+  receiver-validation and ``derive_seed("channel", seed, trial)``
+  noise-seeding contracts; results stay comparable and cacheable only
+  while every placement measures through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 from ..pipeline.config import CoreConfig
 from ..pipeline.core import Core
 from .decode import ChannelDecode, decode_trials, signal_indices
 from .noise import NO_NOISE, NoiseModel, SplitMix64, derive_seed
-from .receiver import ProbeLayout, Receiver, make_receiver, receiver_class
+from .receiver import ProbeLayout, make_receiver, receiver_class
 
 DEFAULT_MAX_CYCLES = 3_000_000
 
@@ -106,8 +112,7 @@ def channel_ignore_set(receiver_cls, attack, extra_ignore=()) -> set:
 
     Validates the attack is an external-probe build and, for receivers
     without a working ``clflush``, excludes the entries the attacker's
-    own training phase warmed.  Shared by the single-core and the
-    multi-core (:mod:`repro.multicore.scenario`) paths.
+    own training phase warmed.
     """
     if not attack.external_probe:
         raise ValueError(
@@ -125,9 +130,8 @@ def measure_and_decode(receiver, now, model, trials, seed, ignore):
     """Measure ``trials`` noisy probe vectors and decode them together.
 
     Per-trial noise streams derive from ``derive_seed("channel", seed,
-    trial)`` — the seeding contract both the single-core and multi-core
-    paths must share for their results to stay comparable.  Returns
-    ``(vectors, decode, measure_cycles)``.
+    trial)``, so one seed reproduces the outcome at any worker count.
+    Returns ``(decode, measure_cycles)``.
     """
     lines = receiver.noise_lines()
     n_indices = receiver.layout.entries
@@ -141,30 +145,55 @@ def measure_and_decode(receiver, now, model, trials, seed, ignore):
         vectors.append(receiver.measure(now, draw, trial=trial))
     decoded = decode_trials(vectors, ignore_indices=ignore)
     measure_cycles = sum(sum(v.latencies) for v in vectors)
-    return vectors, decoded, measure_cycles
+    return decoded, measure_cycles
 
 
-def _run_core(attack, runahead, config, max_cycles,
-              receiver_name: Optional[str] = None):
-    """Build, prepare and run one core; returns (core, receiver)."""
-    core = Core(attack.program, memory_image=attack.image, config=config,
-                runahead=runahead, initial_sp=attack.initial_sp,
-                warm_icache=True)
-    receiver = None
-    if receiver_name is not None:
-        receiver = make_receiver(receiver_name,
-                                 ProbeLayout.from_attack(attack),
-                                 core.hierarchy)
+def run_victim(attack, runahead, config: CoreConfig, max_cycles: int,
+               receiver_name: Optional[str], topology):
+    """Build the victim and its receiver, prepare the channel, run to halt.
+
+    The one place a victim run is built and run; returns ``(victim core,
+    receiver)`` (``receiver`` is ``None`` when ``receiver_name`` is;
+    only the single-core in-program probe path runs without one).
+
+    * ``topology is None``: one warm-icache :class:`~repro.pipeline.
+      core.Core`; the receiver measures that core's own hierarchy.
+    * a multi-core :class:`~repro.multicore.scenario.Topology`:
+      :func:`~repro.multicore.scenario.build_attack_system` assembles
+      victim, co-runners and the attacker's view of the shared L3, and
+      :class:`~repro.multicore.system.MultiCoreSystem` runs them in
+      lockstep until the victim halts.
+
+    Either way the cores are built (and code regions warmed) before
+    ``receiver.prepare()`` resets the channel.
+    """
+    if topology is None:
+        core = Core(attack.program, memory_image=attack.image,
+                    config=config, runahead=runahead,
+                    initial_sp=attack.initial_sp, warm_icache=True)
+        receiver = None
+        if receiver_name is not None:
+            receiver = make_receiver(receiver_name,
+                                     ProbeLayout.from_attack(attack),
+                                     core.hierarchy)
+            receiver.prepare()
+        core.run(max_cycles=max_cycles)
+    else:
+        from ..multicore.scenario import build_attack_system
+        system, receiver = build_attack_system(attack, runahead, config,
+                                               receiver_name, topology)
         receiver.prepare()
-    core.run(max_cycles=max_cycles)
+        core = system.run(max_cycles=max_cycles, primary=0)
     if not core.halted:
+        where = f" (topology {topology.to_spec()})" \
+            if topology is not None else ""
         raise RuntimeError(
-            f"attack program did not finish in {max_cycles} cycles")
+            f"attack program did not finish in {max_cycles} cycles{where}")
     return core, receiver
 
 
 def calibrate_receiver(calibration_attack, runahead, config: CoreConfig,
-                       receiver_name: str,
+                       receiver_name: str, topology,
                        max_cycles: int = DEFAULT_MAX_CYCLES) \
         -> Tuple[Tuple[int, ...], int]:
     """Run the benign-trigger program once and learn the self-noise.
@@ -174,10 +203,16 @@ def calibrate_receiver(calibration_attack, runahead, config: CoreConfig,
     (program data/code sharing sets with probe entries, the training
     phase's own transmit, ...).  Addresses — and therefore this set —
     are identical across secret values, so one calibration serves a
-    whole multi-byte extraction.
+    whole multi-byte extraction.  ``topology`` (``None``, a
+    :class:`~repro.multicore.scenario.Topology` or its spec dict)
+    calibrates through the same placement as the attack runs: a
+    deterministic co-runner's interference is then part of the
+    baseline too.
     """
-    core, receiver = _run_core(calibration_attack, runahead, config,
-                               max_cycles, receiver_name)
+    from ..multicore.scenario import Topology
+    core, receiver = run_victim(calibration_attack, runahead, config,
+                                max_cycles, receiver_name,
+                                Topology.from_params(topology))
     vector = receiver.measure(core.cycle, NO_NOISE, trial=0)
     baseline = signal_indices(vector)
     return tuple(sorted(baseline)), core.stats.cycles
@@ -188,8 +223,6 @@ def run_channel_attack(attack, runahead, config: Optional[CoreConfig],
                        seed: int = 0,
                        max_cycles: int = DEFAULT_MAX_CYCLES,
                        extra_ignore: Iterable[int] = (),
-                       calibration_attack=None,
-                       calibration_runahead=None,
                        topology=None) -> ChannelOutcome:
     """Run one external-probe attack and decode it through a receiver.
 
@@ -207,44 +240,27 @@ def run_channel_attack(attack, runahead, config: Optional[CoreConfig],
         Base seed; per-trial noise streams derive from it, so the whole
         outcome is reproducible at any worker count.
     extra_ignore:
-        Probe indices excluded from decoding (e.g. a precomputed
-        calibration baseline shared across an extraction).
-    calibration_attack / calibration_runahead:
-        Benign-trigger program (and a fresh controller for it) used when
-        the receiver needs calibration and no ``extra_ignore`` baseline
-        was supplied.
+        Probe indices excluded from decoding — for a receiver that
+        needs calibration, the :func:`calibrate_receiver` baseline
+        (callers calibrate once and share it across runs).
     topology:
         Optional :class:`~repro.multicore.scenario.Topology` (or its
-        spec dict).  A multi-core arrangement routes the run through
-        :func:`repro.multicore.scenario.run_topology_attack` — victim,
-        attacker and co-runners on separate views of a shared L3;
-        ``None``/single-core keeps this exact (byte-identical) path.
+        spec dict).  A multi-core arrangement runs victim, attacker and
+        co-runners on separate views of a shared L3 (see
+        :func:`run_victim`) and is recorded on the outcome;
+        ``None``/single-core keeps the one-core path.
     """
     from ..multicore.scenario import Topology
     topology = Topology.from_params(topology)
-    if topology is not None:
-        from ..multicore.scenario import run_topology_attack
-        return run_topology_attack(
-            attack, runahead, config, receiver, topology, noise=noise,
-            trials=trials, seed=seed, max_cycles=max_cycles,
-            extra_ignore=extra_ignore,
-            calibration_attack=calibration_attack,
-            calibration_runahead=calibration_runahead)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or CoreConfig.paper()
     model = NoiseModel.from_spec(noise)
-    cls = receiver_class(receiver)
-    ignore = channel_ignore_set(cls, attack, extra_ignore)
-    calibration_cycles = 0
-    if cls.needs_calibration and calibration_attack is not None:
-        baseline, calibration_cycles = calibrate_receiver(
-            calibration_attack, calibration_runahead, config, receiver,
-            max_cycles)
-        ignore.update(baseline)
-
-    core, live = _run_core(attack, runahead, config, max_cycles, receiver)
-    _, decoded, measure_cycles = measure_and_decode(
+    ignore = channel_ignore_set(receiver_class(receiver), attack,
+                                extra_ignore)
+    core, live = run_victim(attack, runahead, config, max_cycles, receiver,
+                            topology)
+    decoded, measure_cycles = measure_and_decode(
         live, core.cycle, model, trials, seed, ignore)
     return ChannelOutcome(
         receiver=receiver, trials=trials,
@@ -252,4 +268,4 @@ def run_channel_attack(attack, runahead, config: Optional[CoreConfig],
         decode=decoded, ignore_indices=tuple(sorted(ignore)),
         stats=core.stats, cycles=core.stats.cycles,
         measure_cycles=measure_cycles,
-        calibration_cycles=calibration_cycles)
+        topology=topology.to_spec() if topology is not None else None)

@@ -1,10 +1,8 @@
 """Multi-core simulation: lockstep scheduling and cross-core channels."""
 
-from .scenario import (Topology, build_attack_system,
-                       calibrate_topology_receiver, run_topology_attack)
+from .scenario import Topology, build_attack_system
 from .system import CoreSlot, MultiCoreSystem
 
 __all__ = [
-    "Topology", "build_attack_system", "calibrate_topology_receiver",
-    "run_topology_attack", "CoreSlot", "MultiCoreSystem",
+    "Topology", "build_attack_system", "CoreSlot", "MultiCoreSystem",
 ]

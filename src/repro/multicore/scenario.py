@@ -24,22 +24,16 @@ module.
 
 Public contract
 ---------------
-Three docs surfaces (CHANNELS, EXPERIMENTS, WORKLOADS) and the harness
-reference exactly these entry points:
-
 * :class:`Topology` — immutable, data-only placement spec.
   ``from_params`` accepts ``None`` / a ``Topology`` / a params mapping
   and returns ``None`` whenever the arrangement is equivalent to the
   single-core path, so callers can branch on "is this multi-core at
   all" in one place; ``to_spec`` round-trips through JSON.
-* :func:`run_topology_attack` — the multi-core twin of
-  :func:`repro.channel.session.run_channel_attack`: same parameters,
-  same seeding contract, same :class:`~repro.channel.session.
-  ChannelOutcome` return type (with ``topology`` filled in).  Callers
-  never construct cores or views themselves.
-* :func:`build_attack_system` / :func:`calibrate_topology_receiver` —
-  the assembly and calibration halves, exposed for tests and custom
-  scenarios.
+* :func:`build_attack_system` — assembles the shared hierarchy, the
+  cores and the attacker's receiver for one topology.  Its only
+  caller is :func:`repro.channel.session.run_victim`, which prepares
+  the receiver and runs the system; channel runs, calibration and
+  decoding are the session's, whatever the placement.
 
 Invariants: runs are pure functions of ``(attack spec, receiver,
 noise spec, seed, topology)`` — deterministic at any harness worker
@@ -52,16 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
-from ..channel.decode import signal_indices
-from ..channel.noise import NO_NOISE, NoiseModel
-from ..channel.receiver import ProbeLayout, Receiver, make_receiver, \
-    receiver_class
+from ..channel.receiver import ProbeLayout, Receiver, make_receiver
 from ..memory.hierarchy import PHYS_WINDOW_STRIDE, SharedHierarchy
 from ..pipeline.config import CoreConfig
 from ..pipeline.core import Core
 from .system import MultiCoreSystem
-
-DEFAULT_MAX_CYCLES = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +85,22 @@ class Topology:
     restart_corunner: bool = True
 
     def __post_init__(self):
+        # Params arrive from the CLI, JSON and campaign manifests: a
+        # float, bool or string must not run (or be cached) as some
+        # other placement.
+        if isinstance(self.cores, bool) or not isinstance(self.cores, int):
+            raise ValueError(f"cores must be an int, got {self.cores!r}")
+        if not isinstance(self.smt, bool):
+            raise ValueError(f"smt must be a bool, got {self.smt!r}")
+        if not isinstance(self.restart_corunner, bool):
+            raise ValueError(f"restart_corunner must be a bool, got "
+                             f"{self.restart_corunner!r}")
+        if self.corunner is not None and not isinstance(self.corunner, str):
+            raise ValueError(f"corunner must be a workload name or None, "
+                             f"got {self.corunner!r}")
+        if not isinstance(self.corunner_runahead, str):
+            raise ValueError(f"corunner_runahead must be a controller "
+                             f"name, got {self.corunner_runahead!r}")
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
         if self.smt and self.corunner is None:
@@ -200,85 +205,3 @@ def build_attack_system(attack, runahead, config: CoreConfig,
     if attacker_view is not victim_view:
         receiver.cross_core()
     return system, receiver
-
-
-def _run_system(attack, runahead, config, receiver_name, topology,
-                max_cycles):
-    """Build, prepare and run one multi-core scenario.
-
-    Ordering mirrors the single-core session: cores are built (and code
-    regions warmed) first, then ``receiver.prepare()`` resets the
-    channel, then the system runs to the victim's halt.
-    """
-    system, receiver = build_attack_system(attack, runahead, config,
-                                           receiver_name, topology)
-    receiver.prepare()
-    victim = system.run(max_cycles=max_cycles, primary=0)
-    if not victim.halted:
-        raise RuntimeError(
-            f"victim program did not finish in {max_cycles} cycles "
-            f"(topology {topology.to_spec()})")
-    return system, victim, receiver
-
-
-def calibrate_topology_receiver(calibration_attack, runahead,
-                                config: CoreConfig, receiver_name: str,
-                                topology: Topology,
-                                max_cycles: int = DEFAULT_MAX_CYCLES) \
-        -> Tuple[Tuple[int, ...], int]:
-    """Benign-trigger calibration through the *same* topology.
-
-    Because the co-runner stream is deterministic and the victim
-    program's timing is value-independent, the sets it deterministically
-    disturbs — now including real co-runner interference, not just the
-    program's own footprint — are identical across secret values, so one
-    calibration serves a whole multi-byte extraction, exactly as in the
-    single-core session.
-    """
-    _, core, receiver = _run_system(calibration_attack, runahead, config,
-                                    receiver_name, topology, max_cycles)
-    vector = receiver.measure(core.cycle, NO_NOISE, trial=0)
-    return tuple(sorted(signal_indices(vector))), core.stats.cycles
-
-
-def run_topology_attack(attack, runahead, config: Optional[CoreConfig],
-                        receiver: str, topology: Topology, noise=None,
-                        trials: int = 1, seed: int = 0,
-                        max_cycles: int = DEFAULT_MAX_CYCLES,
-                        extra_ignore=(), calibration_attack=None,
-                        calibration_runahead=None):
-    """Multi-core twin of :func:`repro.channel.session.run_channel_attack`.
-
-    Same contract and return type (:class:`~repro.channel.session.
-    ChannelOutcome`, with ``topology`` recorded); the victim run is
-    simulated once per transmitted value and ``trials`` read-only
-    measurements with independent noise draws are decoded together.
-    """
-    from ..channel.session import (ChannelOutcome, channel_ignore_set,
-                                   measure_and_decode)
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    config = config or CoreConfig.paper()
-    model = NoiseModel.from_spec(noise)
-    cls = receiver_class(receiver)
-    ignore = channel_ignore_set(cls, attack, extra_ignore)
-    calibration_cycles = 0
-    if cls.needs_calibration and calibration_attack is not None:
-        baseline, calibration_cycles = calibrate_topology_receiver(
-            calibration_attack, calibration_runahead, config, receiver,
-            topology, max_cycles)
-        ignore.update(baseline)
-
-    _, core, live = _run_system(attack, runahead, config, receiver,
-                                topology, max_cycles)
-    _, decoded, measure_cycles = measure_and_decode(
-        live, core.cycle, model, trials, seed, ignore)
-    return ChannelOutcome(
-        receiver=receiver, trials=trials,
-        noise=model.to_spec() if model is not None else None,
-        decode=decoded, ignore_indices=tuple(sorted(ignore)),
-        stats=core.stats, cycles=core.stats.cycles,
-        measure_cycles=measure_cycles,
-        calibration_cycles=calibration_cycles,
-        topology=topology.to_spec())

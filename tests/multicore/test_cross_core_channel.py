@@ -12,7 +12,8 @@ from repro.attack.gadgets import build_attack
 from repro.channel.extract import extract_secret
 from repro.channel.receiver import RECEIVERS
 from repro.harness.registry import make_controller
-from repro.multicore.scenario import Topology, run_topology_attack
+from repro.channel.session import run_channel_attack
+from repro.multicore.scenario import Topology
 from repro.pipeline.config import CoreConfig
 
 SECRET = "S"                       # one byte keeps the sweep fast
@@ -41,6 +42,17 @@ class TestTopologySpec:
     def test_smt_needs_a_corunner(self):
         with pytest.raises(ValueError, match="smt=True"):
             Topology(cores=2, smt=True)
+
+    @pytest.mark.parametrize("params", [
+        {"cores": 2.5}, {"cores": True}, {"cores": "2"},
+        {"cores": 3, "corunner": "lbm", "smt": "true"},
+        {"cores": 3, "corunner": 7},
+    ], ids=repr)
+    def test_malformed_params_rejected(self, params):
+        """Trial params come from the CLI, JSON and manifests: a float,
+        bool or string must not run as another placement."""
+        with pytest.raises(ValueError, match="must be"):
+            Topology.from_params(params)
 
 
 class TestCrossCoreRecovery:
@@ -83,9 +95,19 @@ class TestCrossCoreRecovery:
     def test_topology_requires_external_probe(self):
         attack = build_attack("pht", secret_value=83)   # in-program probe
         with pytest.raises(ValueError, match="external-probe"):
-            run_topology_attack(attack, make_controller("original"),
-                                CoreConfig.paper(), "flush-reload",
-                                Topology(cores=2))
+            run_channel_attack(attack, make_controller("original"),
+                               CoreConfig.paper(), "flush-reload",
+                               topology=Topology(cores=2))
+
+    @pytest.mark.parametrize("topology", [None, Topology(cores=2)],
+                             ids=["one-core", "cores=2"])
+    def test_victim_must_halt_within_max_cycles(self, topology):
+        attack = build_attack("pht", secret_value=83, external_probe=True)
+        with pytest.raises(RuntimeError,
+                           match="did not finish in 500 cycles"):
+            run_channel_attack(attack, make_controller("original"),
+                               CoreConfig.paper(), "flush-reload",
+                               max_cycles=500, topology=topology)
 
 
 class TestDefenseNegativeSweep:
