@@ -49,8 +49,9 @@ registry also resolves the synthetic trace suite (``trace-mcf``,
     forks with ``index % n == k`` — merge shards with
     :func:`repro.verify.merge_reports`), ``cross_check`` (bool: also
     run the target on the cycle simulator and hold the
-    :mod:`repro.verify.crosscheck` contract), ``max_cycles`` (the
-    cross-check simulation budget).
+    :mod:`repro.verify.crosscheck` contract; excludes ``shard`` and a
+    restricted ``windows``), ``max_cycles`` (the cross-check simulation
+    budget).
 """
 
 from __future__ import annotations
@@ -239,6 +240,7 @@ def verify_record(case, result, shard=None) -> Dict[str, Any]:
 
 def _run_verify(trial: Trial) -> Dict[str, Any]:
     from ..verify import VerifyOptions, check_program
+    from ..verify.crosscheck import DEFAULT_MAX_CYCLES, cross_check_case
     from ..verify.report import WINDOWS
 
     params = trial.params
@@ -249,30 +251,37 @@ def _run_verify(trial: Trial) -> Dict[str, Any]:
                 "max_window_forks"):
         if key in params:
             setattr(options, key, params[key])
+    windows = params.get("windows", list(WINDOWS))
     shard = params.get("shard")
-    fork_filter = None
-    if shard is not None:
-        index, count = shard
-        if params.get("cross_check"):
+    if params.get("cross_check"):
+        # The contract judges the one full checker run cross_check_case
+        # makes; the record reports that same verdict.
+        if shard is not None:
             raise TrialError("verify trial cannot combine shard with "
                              "cross_check: the contract needs the full "
                              "report set")
+        if set(windows) != set(WINDOWS):
+            raise TrialError("verify trial cannot combine windows with "
+                             "cross_check: the contract judges every "
+                             "window kind")
+        cross = cross_check_case(
+            case, (defense,), options,
+            params.get("max_cycles", DEFAULT_MAX_CYCLES))
+        cell = cross.cells[0]
+        record = verify_record(case, cell.verdict)
+        record["cross_check"] = cell.to_dict()
+        record["ok"] = cross.ok
+        record["disagreements"] = list(cross.disagreements)
+        return record
+    fork_filter = None
+    if shard is not None:
+        index, count = shard
         fork_filter = lambda fork: fork % count == index
     result = check_program(
         case.program, case.image, secret_addrs=case.secret_addrs,
-        initial_sp=case.initial_sp, defense=defense,
-        windows=params.get("windows", list(WINDOWS)),
+        initial_sp=case.initial_sp, defense=defense, windows=windows,
         options=options, fork_filter=fork_filter)
-    record = verify_record(case, result, shard=shard)
-    if params.get("cross_check"):
-        from ..verify.crosscheck import cross_check_case
-        cross = cross_check_case(
-            case, defenses=(defense,), options=options,
-            max_cycles=params.get("max_cycles", 3_000_000))
-        record["cross_check"] = cross.cells[0].to_dict()
-        record["ok"] = cross.ok
-        record["disagreements"] = list(cross.disagreements)
-    return record
+    return verify_record(case, result, shard=shard)
 
 
 def _run_taint(trial: Trial) -> Dict[str, Any]:

@@ -67,7 +67,8 @@ DEFAULT_DEFENSES = ("original", "no-runahead", "secure", "branch-skip")
 #: Hierarchy levels counted as a warm (hit-latency) line.
 _WARM_LEVELS = ("l1", "l2", "l3")
 
-_DEFAULT_MAX_CYCLES = 3_000_000
+#: Simulator cycle budget for one replay.
+DEFAULT_MAX_CYCLES = 3_000_000
 
 
 @dataclass
@@ -87,6 +88,8 @@ class CellOutcome:
     oracle: str
     #: Contract satisfied for this cell?
     ok: bool
+    #: The checker run the cell judged (not part of ``to_dict``).
+    verdict: VerifyResult = field(repr=False)
     detail: str = ""
 
     def to_dict(self) -> Dict:
@@ -133,7 +136,7 @@ def make_defense_controller(defense: str):
 
 
 def empirical_secret_leak(case: GadgetCase, defense: str,
-                          max_cycles: int = _DEFAULT_MAX_CYCLES,
+                          max_cycles: int = DEFAULT_MAX_CYCLES,
                           config: Optional[CoreConfig] = None
                           ) -> Tuple[bool, str, str]:
     """Run the target on the simulator; did the secret get out?
@@ -187,7 +190,7 @@ def _footprint_leak(case: GadgetCase, defense: str, max_cycles: int,
 def cross_check_case(case: GadgetCase,
                      defenses: Sequence[str] = DEFAULT_DEFENSES,
                      options: Optional[VerifyOptions] = None,
-                     max_cycles: int = _DEFAULT_MAX_CYCLES,
+                     max_cycles: int = DEFAULT_MAX_CYCLES,
                      config: Optional[CoreConfig] = None
                      ) -> CrossCheckResult:
     """Run the full contract for one target across ``defenses``."""
@@ -219,7 +222,7 @@ def cross_check_case(case: GadgetCase,
         result.cells.append(CellOutcome(
             target=case.name, defense=defense, flagged=flagged,
             n_reports=len(verdict.reports), windows=windows,
-            leaked=leaked, oracle=oracle, ok=not problems,
+            leaked=leaked, oracle=oracle, ok=not problems, verdict=verdict,
             detail=detail if not problems else "; ".join(problems)))
         result.disagreements.extend(problems)
     return result
@@ -228,7 +231,7 @@ def cross_check_case(case: GadgetCase,
 def cross_check_targets(names: Optional[Sequence[str]] = None,
                         defenses: Sequence[str] = DEFAULT_DEFENSES,
                         options: Optional[VerifyOptions] = None,
-                        max_cycles: int = _DEFAULT_MAX_CYCLES
+                        max_cycles: int = DEFAULT_MAX_CYCLES
                         ) -> CrossCheckResult:
     """Cross-check every named (default: all registered) target."""
     result = CrossCheckResult()

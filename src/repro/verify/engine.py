@@ -96,8 +96,8 @@ class VerifyOptions:
     max_window_forks: int = 6
 
 
-_STORES = (Opcode.STORE, Opcode.FSTORE, Opcode.VSTORE)
-_LOADS = (Opcode.LOAD, Opcode.FLOAD, Opcode.VLOAD)
+#: pc -> instruction-index shift (INSTR_BYTES is a power of two).
+_PC_SHIFT = INSTR_BYTES.bit_length() - 1
 
 
 class Checker:
@@ -172,33 +172,41 @@ class Checker:
 
     def run(self) -> VerifyResult:
         state = PathState.initial(self.image, self.initial_sp)
-        program = self.program
+        instructions = self.program.instructions
+        count = len(instructions)
         limit = self.options.max_arch_steps
-        while not state.halted and self.arch_steps < limit:
-            instr = program.fetch(state.pc)
-            if instr is None:
+        while self.arch_steps < limit:
+            pc = state.pc
+            if pc & (INSTR_BYTES - 1):
+                raise ValueError(f"misaligned pc: {pc:#x}")
+            index = pc >> _PC_SHIFT
+            if not 0 <= index < count:
                 break
+            instr = instructions[index]
             self.arch_steps += 1
             opcode = instr.opcode
-            if opcode is Opcode.HALT:
-                break
-            if instr.cond_branch:
-                self._arch_cond_branch(state, instr)
-            elif opcode is Opcode.JMP:
-                state.pc = instr.target
-            elif opcode is Opcode.JR:
-                self._arch_jr(state, instr)
-            elif opcode is Opcode.CALL:
-                self._arch_call(state, instr)
-            elif opcode is Opcode.RET:
-                self._arch_ret(state, instr)
-            elif opcode in _LOADS:
+            if instr.branch:
+                if instr.cond_branch:
+                    self._arch_cond_branch(state, instr)
+                elif opcode is Opcode.JMP:
+                    state.pc = instr.target
+                elif opcode is Opcode.JR:
+                    self._arch_jr(state, instr)
+                elif opcode is Opcode.CALL:
+                    self._arch_call(state, instr)
+                else:
+                    self._arch_ret(state, instr)
+            elif instr.load:
                 self._arch_load(state, instr)
-            elif opcode in _STORES:
+            elif instr.store:
                 self._arch_store(state, instr)
             elif opcode is Opcode.CLFLUSH:
                 addr = mem_addr(instr, state)
                 state.flush(as_int(addr.val))
+                state.pc += INSTR_BYTES
+            elif opcode is Opcode.HALT:
+                break
+            elif opcode is Opcode.NOP or opcode is Opcode.FENCE:
                 state.pc += INSTR_BYTES
             else:
                 value = alu_result(instr, state, self.arch_steps)
@@ -384,71 +392,82 @@ class Checker:
         # runahead cache / store-queue forwarding).
         stored = set()
         work = [(state, crossed)]
-        program = self.program
+        instructions = self.program.instructions
+        count = len(instructions)
+        steps = 0
         while work:
             state, crossed = work.pop()
-            while state.steps < budget and not state.halted:
-                instr = program.fetch(state.pc)
-                if instr is None:
+            while state.steps < budget:
+                pc = state.pc
+                if pc & (INSTR_BYTES - 1):
+                    raise ValueError(f"misaligned pc: {pc:#x}")
+                index = pc >> _PC_SHIFT
+                if not 0 <= index < count:
                     break
+                instr = instructions[index]
                 state.steps += 1
-                self.window_steps += 1
+                steps += 1
                 opcode = instr.opcode
-                if opcode is Opcode.HALT:
-                    break
-                if instr.cond_branch:
-                    outcome = self._window_cond_branch(
-                        state, instr, forks, work)
-                    if outcome is None:
-                        break
-                    crossed = crossed or outcome
-                elif opcode is Opcode.JMP:
-                    state.pc = instr.target
-                elif opcode is Opcode.JR:
-                    src = state.read_reg(instr.srcs[0])
-                    if src.inv:
-                        if self.defense == "branch-skip":
-                            break   # stop fetch on INV indirect control
-                        predicted = self.btb.get(state.pc)
-                        if predicted is None:
+                if instr.branch:
+                    if instr.cond_branch:
+                        outcome = self._window_cond_branch(
+                            state, instr, forks, work)
+                        if outcome is None:
                             break
-                        crossed = True
-                        state.pc = predicted
+                        crossed = crossed or outcome
+                    elif opcode is Opcode.JMP:
+                        state.pc = instr.target
+                    elif opcode is Opcode.JR:
+                        src = state.read_reg(instr.srcs[0])
+                        if src.inv:
+                            if self.defense == "branch-skip":
+                                break   # stop fetch on INV indirect control
+                            predicted = self.btb.get(state.pc)
+                            if predicted is None:
+                                break
+                            crossed = True
+                            state.pc = predicted
+                        else:
+                            state.pc = as_int(src.val) & ~3
+                    elif opcode is Opcode.CALL:
+                        # The return-address store forwards through the
+                        # store queue in-window — no cache fill involved.
+                        sp = state.read_reg(REG_SP)
+                        new_sp = (as_int(sp.val) - WORD_BYTES) & \
+                            ~(WORD_BYTES - 1)
+                        state.write_word(new_sp,
+                                         clean(state.pc + INSTR_BYTES))
+                        stored.add(new_sp)
+                        state.write_reg(REG_SP, clean(new_sp))
+                        state.rsb.append(state.pc + INSTR_BYTES)
+                        state.pc = instr.target
                     else:
-                        state.pc = as_int(src.val) & ~3
-                elif opcode is Opcode.CALL:
-                    # The return-address store forwards through the
-                    # store queue in-window — no cache fill involved.
-                    sp = state.read_reg(REG_SP)
-                    new_sp = (as_int(sp.val) - WORD_BYTES) & \
-                        ~(WORD_BYTES - 1)
-                    state.write_word(new_sp, clean(state.pc + INSTR_BYTES))
-                    stored.add(new_sp)
-                    state.write_reg(REG_SP, clean(new_sp))
-                    state.rsb.append(state.pc + INSTR_BYTES)
-                    state.pc = instr.target
-                elif opcode is Opcode.RET:
-                    outcome = self._window_ret(state, instr, mode,
-                                               fork_pc, fork_index, crossed,
-                                               stored, now)
-                    if outcome is None:
-                        break
-                    crossed = crossed or outcome
-                elif opcode in _LOADS:
+                        outcome = self._window_ret(
+                            state, instr, mode, fork_pc, fork_index,
+                            crossed, stored, now)
+                        if outcome is None:
+                            break
+                        crossed = crossed or outcome
+                elif instr.load:
                     self._window_load(state, instr, mode, fork_pc,
                                       fork_index, crossed, stored, now)
-                elif opcode in _STORES:
+                elif instr.store:
                     self._window_store(state, instr, stored)
                 elif opcode is Opcode.CLFLUSH:
                     addr_v = mem_addr(instr, state)
                     if not addr_v.inv:
                         state.flush(as_int(addr_v.val))
                     state.pc += INSTR_BYTES
+                elif opcode is Opcode.HALT:
+                    break
+                elif opcode is Opcode.NOP or opcode is Opcode.FENCE:
+                    state.pc += INSTR_BYTES
                 else:
                     value = alu_result(instr, state, state.steps)
                     if instr.dest is not None:
                         state.write_reg(instr.dest, value)
                     state.pc += INSTR_BYTES
+        self.window_steps += steps
 
     def _window_cond_branch(self, state, instr, forks, work):
         """Returns True if a prediction was crossed, None to stop."""

@@ -25,12 +25,12 @@ each other.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..isa.instructions import (ALU_EVAL, INSTR_BYTES, WORD_BYTES, Opcode,
-                                eval_branch, to_signed64, to_unsigned64)
+from ..isa.instructions import (ALU_EVAL, WORD_BYTES, Opcode, eval_branch,
+                                to_signed64, to_unsigned64)
 from ..isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
-from .taint import AbsValue, ZERO, cap_chain, clean, combine
+from .taint import AbsValue, ZERO, clean, combine
 
 #: Cache-line granularity of the warm/cold model (the hierarchy's line).
 LINE_BYTES = 64
@@ -50,8 +50,7 @@ def line_of(addr: int) -> int:
 class PathState:
     """Register file, memory overlay, fill map and RSB for one path."""
 
-    __slots__ = ("regs", "mem", "fills", "pending", "rsb", "pc", "halted",
-                 "steps")
+    __slots__ = ("regs", "mem", "fills", "pending", "rsb", "pc", "steps")
 
     def __init__(self, regs: List[AbsValue], mem: Dict[int, AbsValue],
                  fills: Dict[int, int], rsb: List[int], pc: int = 0):
@@ -65,12 +64,11 @@ class PathState:
         self.pending: Set[int] = set()
         self.rsb = rsb
         self.pc = pc
-        self.halted = False
         self.steps = 0
 
     @classmethod
-    def initial(cls, image=None, initial_sp: Optional[int] = None,
-                secret_addrs: Tuple[int, ...] = ()) -> "PathState":
+    def initial(cls, image=None,
+                initial_sp: Optional[int] = None) -> "PathState":
         regs = [ZERO] * NUM_ARCH_REGS
         if initial_sp is not None:
             regs[REG_SP] = clean(to_unsigned64(initial_sp))
@@ -122,9 +120,13 @@ class PathState:
         self.fills.pop(line_of(addr), None)
 
 
+#: Unsigned 64-bit wrap, inlined for the int case of :func:`as_int`.
+_MASK64 = (1 << 64) - 1
+
+
 def as_int(value) -> int:
     if type(value) is int:
-        return to_unsigned64(value)
+        return value & _MASK64
     if isinstance(value, float):
         return to_unsigned64(int(value))
     if isinstance(value, tuple):
@@ -133,16 +135,31 @@ def as_int(value) -> int:
 
 
 def alu_result(instr, state: PathState, step_count: int) -> AbsValue:
-    """Evaluate a non-memory, non-branch instruction with taint join."""
-    op = instr.op
-    fn = ALU_EVAL[op]
-    srcs = instr.srcs
-    sources = [state.read_reg(r) for r in srcs]
+    """Evaluate a non-memory, non-branch instruction with taint join.
+
+    Integer ops (at most two sources) read the register file directly —
+    ``regs[REG_ZERO]`` is never written, so it always holds ``ZERO`` —
+    and skip the join when no source carries an annotation.
+    """
+    fn = ALU_EVAL[instr.op]
     if fn is not None:
         n = instr.n_srcs
-        a = as_int(sources[0].val) if n else 0
-        b = as_int(sources[1].val) if n > 1 else None
-        return combine(fn(a, b, instr.imm), sources, instr_pc(instr, state))
+        if not n:
+            return AbsValue(fn(0, None, instr.imm))
+        regs = state.regs
+        srcs = instr.srcs
+        x = regs[srcs[0]]
+        if n == 1:
+            val = fn(as_int(x.val), None, instr.imm)
+            if x.taint or x.inv or x.slow:
+                return combine(val, (x,), state.pc)
+            return AbsValue(val)
+        y = regs[srcs[1]]
+        val = fn(as_int(x.val), as_int(y.val), instr.imm)
+        if x.taint or x.inv or x.slow or y.taint or y.inv or y.slow:
+            return combine(val, (x, y), state.pc)
+        return AbsValue(val)
+    sources = [state.read_reg(r) for r in instr.srcs]
     opcode = instr.opcode
     if opcode is Opcode.RDTSC:
         return clean(step_count)
@@ -156,13 +173,12 @@ def alu_result(instr, state: PathState, step_count: int) -> AbsValue:
             val = a * b
         else:
             val = a / b if b else float("inf")
-        return combine(val, sources, instr_pc(instr, state))
+        return combine(val, sources, state.pc)
     if opcode is Opcode.FCVT:
         return combine(float(to_signed64(as_int(sources[0].val))), sources,
-                       instr_pc(instr, state))
+                       state.pc)
     if opcode is Opcode.FMOV:
-        return combine(float(sources[0].val or 0), sources,
-                       instr_pc(instr, state))
+        return combine(float(sources[0].val or 0), sources, state.pc)
     if opcode in (Opcode.VADD, Opcode.VMUL):
         a = _as_vec(sources[0].val)
         b = _as_vec(sources[1].val)
@@ -170,14 +186,14 @@ def alu_result(instr, state: PathState, step_count: int) -> AbsValue:
             val = (to_unsigned64(a[0] + b[0]), to_unsigned64(a[1] + b[1]))
         else:
             val = (to_unsigned64(a[0] * b[0]), to_unsigned64(a[1] * b[1]))
-        return combine(val, sources, instr_pc(instr, state))
+        return combine(val, sources, state.pc)
     if opcode is Opcode.VSPLAT:
         lane = as_int(sources[0].val)
-        return combine((lane, lane), sources, instr_pc(instr, state))
+        return combine((lane, lane), sources, state.pc)
     if opcode is Opcode.VEXTRACT:
         return combine(_as_vec(sources[0].val)[instr.imm & 1], sources,
-                       instr_pc(instr, state))
-    # nop / fence / halt produce nothing.
+                       state.pc)
+    # Unreachable from the walks, which step nop/fence/halt themselves.
     return ZERO
 
 
@@ -187,15 +203,9 @@ def _as_vec(value):
     return (as_int(value), as_int(value))
 
 
-def instr_pc(instr, state: PathState) -> int:
-    # The current pc is tracked on the state; instructions are
-    # position-independent objects.
-    return state.pc
-
-
 def mem_addr(instr, state: PathState) -> AbsValue:
     """Effective address value (base + imm) with annotations joined."""
-    if instr.opcode in (Opcode.STORE, Opcode.FSTORE, Opcode.VSTORE):
+    if instr.store:
         base = state.read_reg(instr.srcs[1])
     else:
         base = state.read_reg(instr.srcs[0])
@@ -205,6 +215,3 @@ def mem_addr(instr, state: PathState) -> AbsValue:
 
 def branch_taken(instr, a: AbsValue, b: AbsValue) -> bool:
     return eval_branch(instr.opcode, as_int(a.val), as_int(b.val))
-
-
-NEXT = INSTR_BYTES

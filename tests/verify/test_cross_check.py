@@ -79,3 +79,56 @@ class TestShardFanOut:
             run_trial(Trial("verify", {"target": "stale-store",
                                        "shard": [0, 2],
                                        "cross_check": True}))
+
+    def test_restricted_windows_exclude_cross_check(self):
+        """A restricted verdict would be printed while the contract
+        judged a different, full-window run."""
+        from repro.harness.runner import TrialError
+        with pytest.raises(TrialError, match="windows"):
+            run_trial(Trial("verify", {"target": "pht",
+                                       "windows": ["runahead"],
+                                       "cross_check": True}))
+
+
+#: The record fields the checker run alone decides.
+CHECKER_FIELDS = ("target", "defense", "windows", "clean", "n_reports",
+                  "reports", "arch_steps", "window_steps", "spec_forks",
+                  "runahead_forks", "suppressed")
+
+
+class TestOneCheckerRun:
+    """A cross-checked verify trial runs the checker once and reports
+    the verdict the contract judged."""
+
+    def test_cross_checked_trial_checks_once(self, monkeypatch):
+        import repro.verify
+        from repro.verify import crosscheck, engine
+        calls = []
+        real = engine.check_program
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("defense"))
+            return real(*args, **kwargs)
+
+        for module in (engine, crosscheck, repro.verify):
+            monkeypatch.setattr(module, "check_program", counting)
+        record = run_trial(Trial("verify", {"target": "stale-store",
+                                            "defense": "secure",
+                                            "cross_check": True}))
+        assert record["ok"]
+        assert calls == ["secure"]
+
+    @pytest.mark.parametrize("defense", ("original", "branch-skip"))
+    @pytest.mark.parametrize("target", ("pht", "stale-store"))
+    def test_cross_checked_record_matches_plain_record(self, target,
+                                                       defense):
+        from repro.harness.runner import verify_record
+        params = {"target": target, "defense": defense}
+        plain = run_trial(Trial("verify", dict(params)))
+        crossed = run_trial(Trial("verify", {**params, "cross_check": True}))
+        case = build_target(target)
+        cell = cross_check_case(case, (defense,)).cells[0]
+        judged = verify_record(case, cell.verdict)
+        for key in CHECKER_FIELDS:
+            assert crossed[key] == plain[key] == judged[key], key
+        assert crossed["cross_check"] == cell.to_dict()
