@@ -78,6 +78,11 @@ class TaintInfo:
                 for n in sorted(self.is_set)]
 
 
+_CLEAN: FrozenSet[int] = frozenset()
+#: Tags of every non-load whose sources are all clean (frozen: shareable).
+_UNTAGGED = TaintInfo(btag=None, is_set=_CLEAN)
+
+
 class TaintTracker:
     """Tracks register taint and branch scopes over one speculative stream.
 
@@ -147,25 +152,33 @@ class TaintTracker:
     def on_instruction(self, pc, instr) -> TaintInfo:
         """Process one pseudo-retired instruction; returns its tags."""
         self._pop_ended_scopes(pc)
-        srcs_taint = frozenset().union(
-            *(self.reg_taint.get(src, frozenset()) for src in instr.srcs)) \
-            if instr.srcs else frozenset()
+        # Per-pseudo-retire hot path: most sources are clean, so join
+        # only the tainted ones and allocate nothing when there are none.
+        reg_taint = self.reg_taint
+        srcs_taint = _CLEAN
+        for src in instr.srcs:
+            taint = reg_taint.get(src)
+            if taint:
+                srcs_taint = srcs_taint | taint if srcs_taint else taint
 
-        if instr.is_load():
+        if instr.load:
             return self._on_load(instr, srcs_taint)
 
         # ALU and friends: propagate the union of input taints.
         if instr.dest is not None:
             if srcs_taint:
-                self.reg_taint[instr.dest] = srcs_taint
+                reg_taint[instr.dest] = srcs_taint
             else:
-                self.reg_taint.pop(instr.dest, None)
+                reg_taint.pop(instr.dest, None)
+        if not srcs_taint:
+            return _UNTAGGED
         return TaintInfo(btag=None, is_set=frozenset(
             label for label in srcs_taint if label != UNTRUSTED))
 
     def _on_load(self, instr, addr_taint):
         scope = self.innermost()
-        scope_part = frozenset(l for l in addr_taint if l != UNTRUSTED)
+        scope_part = frozenset(l for l in addr_taint if l != UNTRUSTED) \
+            if addr_taint else _CLEAN
         if UNTRUSTED in addr_taint and scope is not None:
             scope_part |= {scope.scope_id}
         if self.conservative and scope is not None:

@@ -11,14 +11,12 @@ functional units.  Branch instructions still execute and resolve as usual
 execution in runahead mode", §4.3) — which is exactly why PRE remains
 vulnerable: an INV-source branch steers the slice down the poisoned path.
 
-The slice is computed once per program with a flow-insensitive def-use
-graph (networkx); over-approximation errs toward executing more, which is
-conservative for both performance and the attack.
+The slice is computed once per program by a reverse worklist over a
+flow-insensitive register-to-producers map; over-approximation errs toward
+executing more, which is conservative for both performance and the attack.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
@@ -29,29 +27,28 @@ from .original import OriginalRunahead
 def compute_stall_slices(program: Program):
     """Return the set of instruction indices in any load-address slice.
 
-    Flow-insensitive: every definition of a register reaches every use.
-    Nodes are instruction indices; an edge producer→consumer exists when
-    the producer's destination is one of the consumer's sources.  The
-    slice is the ancestor set of all load address operands, plus the
-    loads themselves.
+    Flow-insensitive: every definition of a register reaches every use,
+    so the producers of a register are all instructions that write it,
+    wherever they sit.  The worklist and the slice start as every load
+    and RET; popping an index adds each not-yet-seen producer of its
+    sources.  Each instruction enters the worklist at most once, so the
+    cost is linear in the def-use edges.
     """
-    graph = nx.DiGraph()
+    instructions = program.instructions
     producers = {}
-    for index, instr in enumerate(program.instructions):
-        graph.add_node(index)
+    for index, instr in enumerate(instructions):
         if instr.dest is not None:
             producers.setdefault(instr.dest, []).append(index)
-    for index, instr in enumerate(program.instructions):
-        for src in instr.srcs:
-            for producer in producers.get(src, ()):
-                if producer != index:
-                    graph.add_edge(producer, index)
 
-    slice_set = set()
-    for index, instr in enumerate(program.instructions):
-        if instr.is_load() or instr.opcode is Opcode.RET:
-            slice_set.add(index)
-            slice_set.update(nx.ancestors(graph, index))
+    worklist = [index for index, instr in enumerate(instructions)
+                if instr.is_load() or instr.opcode is Opcode.RET]
+    slice_set = set(worklist)
+    while worklist:
+        for src in instructions[worklist.pop()].srcs:
+            for producer in producers.get(src, ()):
+                if producer not in slice_set:
+                    slice_set.add(producer)
+                    worklist.append(producer)
     return slice_set
 
 

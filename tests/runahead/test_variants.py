@@ -1,8 +1,11 @@
 """Precise and vector runahead: variant-specific mechanisms."""
 
+import hashlib
+
 import pytest
 
 from repro import Core, CoreConfig, MemoryImage, assemble
+from repro.harness.registry import get_workload
 from repro.runahead import (OriginalRunahead, PreciseRunahead, RunaheadCache,
                             VectorRunahead, compute_stall_slices)
 from repro.runahead.vector import _StrideEntry
@@ -45,6 +48,78 @@ class TestStallSlices:
     def test_ret_counts_as_load(self):
         program = assemble("ret")
         assert 0 in compute_stall_slices(program)
+
+    def test_loop_carried_address(self):
+        program = assemble("""
+            li r1, 0x1000
+            li r6, 8             # stride: two hops from the load
+            li r4, 10
+        loop:
+            load r2, r1, 0
+            add r5, r5, r2       # consumer: NOT in slice
+            add r1, r1, r6       # loop-carried address register
+            addi r4, r4, -1      # trip count feeds only the branch
+            bne r4, r0, loop
+            halt
+        """)
+        assert compute_stall_slices(program) == {0, 1, 3, 5}
+
+    def test_self_dependency(self):
+        program = assemble("""
+            li r1, 0x1000
+            addi r1, r1, 8       # reads its own destination
+            addi r7, r7, 1       # self-dependent, feeds no address
+            load r2, r1, 0
+            halt
+        """)
+        assert compute_stall_slices(program) == {0, 1, 3}
+
+    def test_redefinition_after_use_stays_in_slice(self):
+        """Flow-insensitive: a definition that no path carries to the
+        load still counts, because every definition reaches every use."""
+        program = assemble("""
+            li r1, 0x1000
+            load r2, r1, 0
+            li r1, 0x2000        # redefined after its only use
+            halt
+        """)
+        assert compute_stall_slices(program) == {0, 1, 2}
+
+
+#: ``(len, sha256 of the sorted indices joined by commas)`` of each
+#: sim-sweep kernel's stall slice, recorded with the def-use graph
+#: (``networkx.ancestors`` per load) that the worklist replaced.
+KERNEL_SLICES = {
+    "zeusmp": (6, "172b2fb4d96a2232ca5f1b8868c66416"
+                  "c1a5fb9ffcd4748454e755aa616efff0"),
+    "wrf": (4, "fb0d3744db4668f3a0c0fe93144ea891"
+               "09bb8005ec3cfe8c10041c73862832d0"),
+    "bwaves": (5, "4d0f826cc641236e66accf571e3a8bac"
+                  "31076ab9885a91fe89f6ae754e8aa48e"),
+    "lbm": (4, "8b9d2532e498ded4ff749438f0bd7f2e"
+               "2b2546c89ccd93dc10aeff241e1c8e3d"),
+    "mcf": (15, "d545e48aa4048e48e78f5d9c95859686"
+                "5c63f82ea15b392f7f3d76def6db32d2"),
+    "gems": (10, "b9a9611ec38d786f433302534e8239aa"
+                 "b1538778895ece9847176936394160d0"),
+    "trace-mcf": (2133, "e3704d44014f2f84617f6ffab5b86318"
+                        "226994b586514b0d8be1f61332df25a9"),
+    "trace-stream": (1601, "83a5f5a659bd7c3d5fd0565f43cdd7c8"
+                           "a9cc31e1c8851766b59d4c29bdce0886"),
+    "trace-gcc": (1446, "53032186791d2ceac6573f7dc21a2ebe"
+                        "a78ed742e5fcc043064c2fa6ab82a26e"),
+    "trace-zipf": (1664, "476479b3880651a1f50ceacb2e7dbad6"
+                         "6e302bb02e1f03d0accc05a877451896"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_SLICES))
+def test_kernel_slices_unchanged(kernel):
+    program = get_workload(kernel).materialize()[0]
+    slices = compute_stall_slices(program)
+    digest = hashlib.sha256(
+        ",".join(map(str, sorted(slices))).encode()).hexdigest()
+    assert (len(slices), digest) == KERNEL_SLICES[kernel]
 
 
 class TestPreciseRunahead:
