@@ -105,6 +105,11 @@ class AsyncFlusher:
         self.budget -= 1
         self.flushes += 1
 
+    @property
+    def armed(self):
+        """True while a later :meth:`poll` may still fire."""
+        return self.budget > 0 and self.core.mode == MODE_RUNAHEAD
+
 
 def measure_window(runahead=None, async_flushes=0, sled=4096, config=None) \
         -> WindowMeasurement:
@@ -121,7 +126,9 @@ def measure_window(runahead=None, async_flushes=0, sled=4096, config=None) \
         core.step()
         flusher.poll()
         if not core._activity and not core.halted:
-            skip_to = core._next_event()
+            # An armed flusher polls every cycle, so a blocked core
+            # keeps its stride instead of jumping over a poll.
+            skip_to = core._next_event(hold=flusher.armed)
             if skip_to is None:
                 break
             if skip_to > core.cycle:

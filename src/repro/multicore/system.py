@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..pipeline.core import Core
+from ..pipeline.core import Core, next_step_cycle
 from ..memory.hierarchy import SharedHierarchy
 
 
@@ -109,16 +109,30 @@ class MultiCoreSystem:
             if active:
                 continue
             # Global cycle skip: every core idle — jump to the earliest
-            # cycle at which any of them can make progress.
-            skip_to = None
+            # cycle at which any of them can make progress.  The stride
+            # rule applies once, to the minimum over the cores: they
+            # all step on the one global clock.
+            event = None
+            blocked = []
+            hold = False
             for slot in slots:
                 core = slot.core
                 if core.halted:
                     continue
-                event = core._next_event()
-                if event is not None and (skip_to is None or
-                                          event < skip_to):
-                    skip_to = event
+                wake, reason = core._wake_up()
+                if wake is not None and (event is None or wake < event):
+                    event = wake
+                if reason is not None:
+                    blocked.append((core, reason))
+                if core._ready:
+                    hold = True
+            if blocked:
+                # Stride steps install every view's due fills, a halted
+                # core's too: those must not be jumped over either.
+                fill = shared.next_event()
+                if fill is not None and (event is None or fill < event):
+                    event = fill
+            skip_to = next_step_cycle(now + 1, event, blocked, hold)
             if skip_to is None:
                 break              # system quiescent: nothing can happen
             if skip_to > now:

@@ -28,6 +28,18 @@ issue queue, so a cycle's issue work is proportional to what can
 actually issue — the behaviour (issue order, FU arbitration, stats) is
 bit-identical to the scan it replaced, which the golden-stats tests
 (``tests/pipeline/test_golden_stats.py``) pin down.
+
+Cycle skipping: after an *idle* step (no stage made progress) at cycle
+``c`` the run loops jump to the earliest wake-up event, but never to
+less than ``floor = c + 2`` — the stride-2 floor.  A front-end head that
+dispatch already tried and a full structure held back (a *blocked*
+head: ROB, rename registers, LQ/SQ/IQ or a fence) is not a wake-up
+source: only a completion, a fill, a fetch resume or the runahead exit
+can free it.  Under the stride-2 floor such a core would step at
+``c+2, c+4, …`` doing nothing, so :func:`next_step_cycle` jumps straight
+to the first of those stride steps at or after the next event — the
+same cycle, the same stats, fewer steps.  The golden fixtures pin the
+stride, so an event due at an odd offset is still seen one cycle late.
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ from ..runahead.runahead_cache import RunaheadCache
 from .config import CoreConfig
 from .functional_units import FunctionalUnitPool
 from .rob import DISPATCHED, DONE, ISSUED, ReorderBuffer, RobEntry
-from .stats import CoreStats
+from .stats import CoreStats, DispatchStalls
 
 MODE_NORMAL = "normal"
 MODE_RUNAHEAD = "runahead"
@@ -95,6 +107,8 @@ _FU_BRANCH = FuKind.BRANCH
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+_RENAME_STALL = {"int": "rename-int", "fp": "rename-fp", "vec": "rename-vec"}
+
 #: Sentinel returned through the issue path when an entry parked itself
 #: on a store's wakeup list: it neither issued nor needs a retry — the
 #: store's issue will re-queue it.
@@ -115,6 +129,36 @@ class _Fetched:
         self.instr = instr
         self.prediction = prediction
         self.ready_cycle = ready_cycle
+
+
+def next_step_cycle(floor, event, blocked=(), hold=False):
+    """Cycle of the next step after an all-idle step, or None.
+
+    The one skip rule of every run loop (``Core.run``,
+    ``measure_window``, ``MultiCoreSystem.run``).  ``floor`` is the
+    stride-2 floor (the idle step's cycle + 2); ``event`` is the
+    earliest wake-up over the cores, not counting blocked front-end
+    heads; ``blocked`` lists ``(core, reason)`` for each core whose head
+    is blocked.  Without a blocked head the loop jumps to ``event`` (None:
+    quiescent).  With one, it lands on the first stride step
+    ``floor + 2k`` at or after ``event`` — where stepping every second
+    cycle would first see it — or stays on ``floor`` if there is no
+    other event (a wedged core spins to its ceiling) or ``hold`` is set
+    (a core with a ready instruction retries issue on every stride
+    step).  Each blocked core is credited the stride steps jumped over.
+    """
+    if not blocked:
+        if event is None:
+            return None
+        return event if event > floor else floor
+    if hold or event is None or event <= floor:
+        target = floor
+    else:
+        target = event + ((event - floor) & 1)
+    skipped = (target - floor) >> 1
+    for core, reason in blocked:
+        core._record_stall(reason, skipped)
+    return target
 
 
 class Core:
@@ -147,6 +191,10 @@ class Core:
                                    self.config.btb_tag_bits),
             rsb=ReturnStackBuffer(self.config.rsb_entries))
         self.rob = ReorderBuffer(self.config.rob_size)
+        # The hot paths read the ROB's deque directly (it is never
+        # replaced: clear and squash mutate it in place).
+        self._rob = self.rob._entries
+        self._fetch_queue = self.config.fetch_queue
         self.fus = FunctionalUnitPool(self.config.functional_units)
 
         self.arch_regs = make_register_file()
@@ -185,6 +233,8 @@ class Core:
         self.runahead_cache = RunaheadCache(self.config.runahead.cache_entries)
 
         self.stats = CoreStats()
+        #: Why dispatch was blocked on idle steps (not part of the stats).
+        self.dispatch_stalls = DispatchStalls()
         #: Observability sink (repro.obs.sink) — ``None`` means tracing
         #: is off and every emit site is a single is-None test.  Sinks
         #: observe only; nothing on the result path reads them.
@@ -254,12 +304,11 @@ class Core:
         hierarchy = self.hierarchy
         if now >= hierarchy.next_fill:
             hierarchy.apply_completed(now)
-        self.fus.new_cycle(now)
 
         if self.mode == MODE_RUNAHEAD and self.runahead.should_exit(self, now):
             self._exit_runahead(now)
 
-        if not self.rob.empty:
+        if self._rob:
             self._commit(now)
             if self.halted:
                 self.stats.cycles = now + 1
@@ -268,11 +317,14 @@ class Core:
         if completions and completions[0][0] <= now:
             self._complete(now)
         if self._ready:
+            # The FU pool is read only by the issue stage.
+            self.fus.new_cycle(now)
             self._issue(now)
         frontend = self.frontend
         if frontend and frontend[0].ready_cycle <= now:
             self._dispatch(now)
-        if not self.fetch_halted and now >= self.fetch_stall_until:
+        if not self.fetch_halted and now >= self.fetch_stall_until and \
+                len(frontend) < self._fetch_queue:
             self._fetch(now)
         self.cycle = now + 1
 
@@ -290,8 +342,25 @@ class Core:
         self.stats.cycles = self.cycle
         return self.stats
 
-    def _next_event(self):
-        """Earliest future cycle at which anything can change."""
+    def _next_event(self, hold=False):
+        """Cycle of the next step after an idle step, or None if nothing
+        can ever happen (see :func:`next_step_cycle`).  ``hold`` keeps a
+        blocked core on the stride (a caller polling every cycle)."""
+        event, reason = self._wake_up()
+        if reason is None:
+            return next_step_cycle(self.cycle + 1, event)
+        return next_step_cycle(self.cycle + 1, event, ((self, reason),),
+                               hold or bool(self._ready))
+
+    def _wake_up(self):
+        """After an idle step: ``(event, reason)``.
+
+        ``event`` is the earliest cycle at which anything can change
+        other than a blocked front-end head (None if there is none);
+        ``reason`` is the structure blocking that head (one of
+        :data:`~repro.pipeline.stats.STALL_REASONS`), or None when the
+        head is not blocked.
+        """
         best = None
         completions = self._completions
         while completions and completions[0][2].squashed:
@@ -302,9 +371,14 @@ class Core:
         event = self.hierarchy.next_event()
         if event is not None and (best is None or event < best):
             best = event
+        reason = None
         if self.frontend:
-            ready_cycle = self.frontend[0].ready_cycle
-            if best is None or ready_cycle < best:
+            head = self.frontend[0]
+            ready_cycle = head.ready_cycle
+            if ready_cycle < self.cycle:
+                # Dispatch tried this head in the idle step just taken.
+                reason = self._stall_reason(head)
+            if reason is None and (best is None or ready_cycle < best):
                 best = ready_cycle
         if not self.fetch_halted and self.fetch_stall_until >= self.cycle:
             # A fetch stall lifting exactly at the current cycle must still
@@ -318,21 +392,45 @@ class Core:
             stall = self.checkpoint.stalling_completion
             if best is None or stall < best:
                 best = stall
-        if best is None:
-            return None
-        floor = self.cycle + 1
-        return best if best > floor else floor
+        return best, reason
+
+    def _stall_reason(self, slot):
+        """The structure holding back the eligible front-end ``slot``:
+        ``_dispatch``'s checks in its order, or None if none fails."""
+        instr = slot.instr
+        if instr.opcode is _FENCE and (self._rob or
+                                       self.mode == MODE_RUNAHEAD):
+            return "fence"
+        if len(self._rob) >= self.rob.capacity:
+            return "rob"
+        rename = instr.rename_class
+        if rename is not None and self._rename_free[rename] <= 0:
+            return _RENAME_STALL[rename]
+        config = self.config
+        if instr.pipe_load and len(self.lq) >= config.lq_size:
+            return "lq"
+        if instr.pipe_store and len(self.sq) >= config.sq_size:
+            return "sq"
+        if not instr.immediate and len(self.iq) >= config.iq_size:
+            return "iq"
+        return None
+
+    def _record_stall(self, reason, skipped):
+        """Account one idle step blocked by ``reason`` and the
+        ``skipped`` stride steps jumped over (each of which would have
+        counted a fence stall)."""
+        self.dispatch_stalls.record(reason, skipped)
+        if reason == "fence":
+            self.stats.fence_stalls += skipped
 
     # ----------------------------------------------------------------- commit --
 
     def _commit(self, now):
         committed = 0
         width = self.config.width
-        rob_head = self.rob.head
-        while committed < width:
-            head = rob_head()
-            if head is None:
-                break
+        rob = self._rob
+        while committed < width and rob:
+            head = rob[0]
             if head.state != DONE:
                 if self.mode == MODE_NORMAL:
                     # Inline precondition of _maybe_enter_runahead: most
@@ -407,7 +505,7 @@ class Core:
 
     def _retire_entry(self, head):
         """Pop the head and release its resources."""
-        self.rob.pop_head()
+        self._rob.popleft()
         instr = head.instr
         rename = instr.rename_class
         if rename is not None:
@@ -1080,8 +1178,8 @@ class Core:
         lq_size = config.lq_size
         sq_size = config.sq_size
         iq_size = config.iq_size
-        rob = self.rob
-        rob_capacity = rob.capacity
+        rob = self._rob
+        rob_capacity = self.rob.capacity
         lq = self.lq
         sq = self.sq
         iq = self.iq
@@ -1147,7 +1245,7 @@ class Core:
                 rat[dest] = entry
             if rename is not None:
                 rename_free[rename] -= 1
-            rob.push(entry)
+            rob.append(entry)
             stats.dispatched += 1
             dispatched += 1
             if trace is not None:

@@ -55,3 +55,30 @@ class CoreStats:
                 f"prefetches={self.runahead_prefetches} "
                 f"inv-branches={self.inv_branches}")
         return "\n".join(lines)
+
+
+#: Why an eligible front-end head could not dispatch, in the order the
+#: dispatch stage tests them (pyArchSim's ``'ROB_FULL'``-style reasons).
+STALL_REASONS = ("fence", "rob", "rename-int", "rename-fp", "rename-vec",
+                 "lq", "sq", "iq")
+
+
+class DispatchStalls:
+    """Dispatch-stall reasons, counted on the idle path only.
+
+    Kept outside :class:`CoreStats` so the golden fixtures and the
+    dispatch hot path are untouched.  For each reason, ``steps`` counts
+    idle steps whose front-end head was blocked by it and ``skipped``
+    the stride steps the core jumped over instead of taking; their sum
+    is the blocked steps a core without the skip would have taken.
+    """
+
+    __slots__ = ("steps", "skipped")
+
+    def __init__(self):
+        self.steps = dict.fromkeys(STALL_REASONS, 0)
+        self.skipped = dict.fromkeys(STALL_REASONS, 0)
+
+    def record(self, reason, skipped):
+        self.steps[reason] += 1
+        self.skipped[reason] += skipped
