@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
+_TWO53 = float(1 << 53)
 
 
 def derive_seed(*parts) -> int:
@@ -63,6 +64,28 @@ class SplitMix64:
         if high < low:
             raise ValueError("empty range")
         return low + self.next_u64() % (high - low + 1)
+
+    def randoms(self, n: int) -> List[float]:
+        """``n`` successive :meth:`random` draws (same stream, inlined)."""
+        return [(z >> 11) / _TWO53 for z in self._u64s(n)]
+
+    def randints(self, low: int, high: int, n: int) -> List[int]:
+        """``n`` successive :meth:`randint` draws (same stream, inlined)."""
+        if high < low:
+            raise ValueError("empty range")
+        span = high - low + 1
+        return [low + z % span for z in self._u64s(n)]
+
+    def _u64s(self, n: int) -> Iterator[int]:
+        """``n`` :meth:`next_u64` outputs; consume it whole (the state
+        is stored back once, after the last output)."""
+        state = self._state
+        for _ in range(n):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            yield z ^ (z >> 31)
+        self._state = state
 
 
 @dataclass(frozen=True)
@@ -120,15 +143,19 @@ class NoiseModel:
     def from_spec(cls, spec: Union[None, "NoiseModel", Mapping]) \
             -> Optional["NoiseModel"]:
         """Build from a JSON-able mapping (harness trial params) or pass
-        through an existing model; ``None``/empty means no noise."""
+        through an existing model.  ``None``, an empty mapping and any
+        silent model (however it is spelled) all mean no noise: ``None``.
+        """
         if spec is None:
             return None
         if isinstance(spec, cls):
-            return spec
-        unknown = set(spec) - {"jitter", "evict_rate", "pollute_rate"}
-        if unknown:
-            raise ValueError(f"unknown noise spec keys: {sorted(unknown)}")
-        model = cls(**dict(spec))
+            model = spec
+        else:
+            unknown = set(spec) - {"jitter", "evict_rate", "pollute_rate"}
+            if unknown:
+                raise ValueError(
+                    f"unknown noise spec keys: {sorted(unknown)}")
+            model = cls(**dict(spec))
         return model if model.is_noisy else None
 
     def to_spec(self) -> dict:
@@ -152,15 +179,16 @@ class NoiseModel:
         evicted = set()
         polluted = set()
         if self.evict_rate or self.pollute_rate:
-            for line in lines:
-                sample = rng.random()
-                if sample < self.evict_rate:
+            evict_rate = self.evict_rate
+            noisy_rate = evict_rate + self.pollute_rate
+            for line, sample in zip(lines, rng.randoms(len(lines))):
+                if sample < evict_rate:
                     evicted.add(line)
-                elif sample < self.evict_rate + self.pollute_rate:
+                elif sample < noisy_rate:
                     polluted.add(line)
         if self.jitter:
-            jitters = tuple(rng.randint(-self.jitter, self.jitter)
-                            for _ in range(n_indices))
+            jitters = tuple(rng.randints(-self.jitter, self.jitter,
+                                         n_indices))
         else:
             jitters = ()
         return NoiseDraw(evicted=frozenset(evicted),

@@ -28,12 +28,14 @@ MemoryHierarchy`:
     excludes them.
 
 Every receiver follows the same protocol: ``prepare()`` before the run,
-``measure(now, draw) -> ProbeVector`` afterwards — once per trial.
-``measure`` is read-only against the hierarchy (it uses
+``measure(now, draws) -> [ProbeVector, ...]`` afterwards — one vector per
+trial's :class:`~repro.channel.noise.NoiseDraw`.  ``measure`` is
+read-only against the hierarchy (it uses
 :meth:`~repro.memory.hierarchy.MemoryHierarchy.probe_latency`), which is
 what makes multi-trial measurement of a single simulated run sound: the
 probe cannot destroy the footprint it is reading, and each trial differs
-only by its injected :class:`~repro.channel.noise.NoiseDraw`.
+only by its injected draw.  So ``measure`` walks every monitored line
+once and derives all trials from that one noise-free walk.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ def eviction_set(config: CacheConfig, line: int, ways: Optional[int] = None,
 class Receiver:
     """Base class: binds a probe layout to one hierarchy instance.
 
-    Subclasses set the class attributes and implement ``prepare`` /
-    ``_index_latency``.  A receiver instance is single-run: ``prepare``
+    Subclasses set the class attributes and implement ``prepare``; one
+    that times other lines than the probe entries themselves overrides
+    ``_monitored_lines``.  A receiver instance is single-run: ``prepare``
     may mutate the hierarchy, so the session builds a fresh receiver per
     simulated run.
     """
@@ -129,6 +132,9 @@ class Receiver:
         self.hierarchy = hierarchy
         self.hit_latency = hierarchy.config.data_hit_latency
         self.miss_latency = hierarchy.config.data_miss_latency
+        #: Per probe index, the lines it times; the index reads the
+        #: slowest of them.
+        self.index_lines: List[Tuple[int, ...]] = self._monitored_lines()
 
     # -- protocol ---------------------------------------------------------------
 
@@ -138,22 +144,58 @@ class Receiver:
 
     def noise_lines(self) -> List[int]:
         """Lines the noise model perturbs (receiver-monitored lines)."""
-        return self.probe_lines()
+        return [line for lines in self.index_lines for line in lines]
 
     def prepare(self) -> None:
         """Reset the channel before the victim runs (flush/evict/prime)."""
         raise NotImplementedError
 
-    def measure(self, now: int, draw: NoiseDraw = NO_NOISE,
-                trial: int = 0) -> ProbeVector:
-        """Time every candidate index at cycle ``now`` (read-only)."""
-        latencies = []
-        for index in range(self.layout.entries):
-            latency = self._index_latency(index, now, draw)
-            latencies.append(max(1, latency + draw.jitter(index)))
-        return ProbeVector(latencies=tuple(latencies),
-                           signal_low=self.signal_low, trial=trial,
-                           receiver=self.name)
+    def measure(self, now: int, draws: Sequence[NoiseDraw] = (NO_NOISE,)) \
+            -> List[ProbeVector]:
+        """Time every candidate index at cycle ``now`` (read-only).
+
+        Returns one :class:`ProbeVector` per draw, trial ``i`` measured
+        under ``draws[i]``.  Every monitored line is walked once; a
+        trial overrides its evicted lines with ``miss_latency`` and its
+        polluted ones with ``hit_latency``, recombines only the indices
+        that own such a line, and adds its jitter.
+        """
+        probe = self.hierarchy.probe_latency
+        walked: Dict[int, int] = {}
+        for lines in self.index_lines:
+            for line in lines:
+                if line not in walked:
+                    walked[line] = probe(line, now)[0]
+        clean = [max(map(walked.__getitem__, lines))
+                 for lines in self.index_lines]
+        owners: Dict[int, List[int]] = {}
+        vectors = []
+        for trial, draw in enumerate(draws):
+            latencies = clean
+            evicted, polluted = draw.evicted, draw.polluted
+            if evicted or polluted:
+                if not owners:
+                    for index, lines in enumerate(self.index_lines):
+                        for line in lines:
+                            owners.setdefault(line, []).append(index)
+                latencies = list(clean)
+                for index in {index for line in evicted | polluted
+                              for index in owners.get(line, ())}:
+                    latencies[index] = max(
+                        self.miss_latency if line in evicted
+                        else self.hit_latency if line in polluted
+                        else walked[line]
+                        for line in self.index_lines[index])
+            jitters = draw.jitters
+            if jitters:
+                latencies = [max(1, latency + jitters[index])
+                             for index, latency in enumerate(latencies)]
+            else:
+                latencies = [max(1, latency) for latency in latencies]
+            vectors.append(ProbeVector(latencies=tuple(latencies),
+                                       signal_low=self.signal_low,
+                                       trial=trial, receiver=self.name))
+        return vectors
 
     def cross_core(self) -> "Receiver":
         """Rebase the channel's fast reference to the shared LLC.
@@ -169,30 +211,12 @@ class Receiver:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _line_latency(self, line: int, now: int, draw: NoiseDraw) -> int:
-        """Observed latency of one monitored line under the noise draw."""
-        if line in draw.evicted:
-            return self.miss_latency
-        if line in draw.polluted:
-            return self._polluted_latency()
-        latency, _ = self.hierarchy.probe_latency(line, now)
-        return latency
-
-    def _polluted_latency(self) -> int:
-        return self.hit_latency
-
-    def _index_latency(self, index: int, now: int, draw: NoiseDraw) -> int:
-        raise NotImplementedError
+    def _monitored_lines(self) -> List[Tuple[int, ...]]:
+        """Reload channels time each probe entry's own line."""
+        return [(line,) for line in self.probe_lines()]
 
 
-class _ReloadReceiver(Receiver):
-    """Shared reload-timing half of flush+reload and evict+reload."""
-
-    def _index_latency(self, index: int, now: int, draw: NoiseDraw) -> int:
-        return self._line_latency(self.layout.line(index), now, draw)
-
-
-class FlushReloadReceiver(_ReloadReceiver):
+class FlushReloadReceiver(Receiver):
     """Flush+Reload: ``clflush`` the probe lines, reload and time them.
 
     The flush half runs inside the attack program (its step-② flush
@@ -211,7 +235,7 @@ class FlushReloadReceiver(_ReloadReceiver):
             self.hierarchy.flush_line(line)
 
 
-class EvictReloadReceiver(_ReloadReceiver):
+class EvictReloadReceiver(Receiver):
     """Evict+Reload: no ``clflush`` — evict probe lines via set conflicts.
 
     ``prepare`` walks per-level eviction sets (built against the real
@@ -260,28 +284,21 @@ class PrimeProbeReceiver(Receiver):
 
     def __init__(self, layout: ProbeLayout, hierarchy: MemoryHierarchy):
         super().__init__(layout, hierarchy)
-        cache = hierarchy.l3
-        self._sets: List[List[int]] = [
-            eviction_set(cache.config, layout.line(i), salt=7)
-            for i in range(layout.entries)]
         # A primed line re-probed after the victim ran sits in L3 (we
         # prime L3 only, so the L1/L2 walk misses first).
         self.hit_latency = hierarchy.config.llc_hit_latency
 
-    def noise_lines(self) -> List[int]:
-        return [line for ev_set in self._sets for line in ev_set]
-
     def prepare(self) -> None:
-        for ev_set in self._sets:
+        for ev_set in self.index_lines:
             for line in ev_set:
                 self.hierarchy.l3.fill(line)
 
-    def _polluted_latency(self) -> int:
-        return self.hit_latency
-
-    def _index_latency(self, index: int, now: int, draw: NoiseDraw) -> int:
-        return max(self._line_latency(line, now, draw)
-                   for line in self._sets[index])
+    def _monitored_lines(self) -> List[Tuple[int, ...]]:
+        """Each index times its L3 set's eviction set (several indices
+        share one when the geometry maps their entries to one set)."""
+        config = self.hierarchy.l3.config
+        return [tuple(eviction_set(config, line, salt=7))
+                for line in self.probe_lines()]
 
 
 RECEIVERS: Dict[str, Type[Receiver]] = {

@@ -2,8 +2,9 @@
 
 The simulator is deterministic, so the expensive part of a noisy-channel
 experiment — the cycle-level run that plants the transmit footprint — is
-executed **once**; every trial then re-measures the finished hierarchy
-through a read-only receiver with an independently seeded noise draw.
+executed **once**; the receiver then walks the finished hierarchy once
+(read-only) and derives every trial from that walk with an
+independently seeded noise draw.
 That keeps a trials-vs-success-rate sweep linear in secret bytes rather
 than in ``bytes x trials``, and makes the whole experiment a pure
 function of ``(attack spec, receiver, noise spec, seed, topology)``.
@@ -18,8 +19,9 @@ The flow per transmitted value:
    (same program with a benign trigger index, same placement) to learn
    the deterministic baseline of self-disturbed sets, which decoding
    then ignores;
-3. measure ``trials`` probe vectors (per-trial noise seeded from
-   :func:`~repro.channel.noise.derive_seed`), decode with
+3. draw ``trials`` noise samples (each seeded from
+   :func:`~repro.channel.noise.derive_seed`), measure all of them from
+   one read-only walk of the hierarchy, decode with
    :func:`~repro.channel.decode.decode_trials`.
 
 Public contract
@@ -131,18 +133,19 @@ def measure_and_decode(receiver, now, model, trials, seed, ignore):
 
     Per-trial noise streams derive from ``derive_seed("channel", seed,
     trial)``, so one seed reproduces the outcome at any worker count.
+    All draws are made first and measured by one ``receiver.measure``
+    call, which walks the hierarchy once for every trial.
     Returns ``(decode, measure_cycles)``.
     """
-    lines = receiver.noise_lines()
-    n_indices = receiver.layout.entries
-    vectors = []
-    for trial in range(trials):
-        if model is not None:
-            rng = SplitMix64(derive_seed("channel", seed, trial))
-            draw = model.draw(rng, lines, n_indices)
-        else:
-            draw = NO_NOISE
-        vectors.append(receiver.measure(now, draw, trial=trial))
+    if model is not None:
+        lines = receiver.noise_lines()
+        n_indices = receiver.layout.entries
+        draws = [model.draw(SplitMix64(derive_seed("channel", seed, trial)),
+                            lines, n_indices)
+                 for trial in range(trials)]
+    else:
+        draws = [NO_NOISE] * trials
+    vectors = receiver.measure(now, draws)
     decoded = decode_trials(vectors, ignore_indices=ignore)
     measure_cycles = sum(sum(v.latencies) for v in vectors)
     return decoded, measure_cycles
@@ -213,7 +216,7 @@ def calibrate_receiver(calibration_attack, runahead, config: CoreConfig,
     core, receiver = run_victim(calibration_attack, runahead, config,
                                 max_cycles, receiver_name,
                                 Topology.from_params(topology))
-    vector = receiver.measure(core.cycle, NO_NOISE, trial=0)
+    vector, = receiver.measure(core.cycle, (NO_NOISE,))
     baseline = signal_indices(vector)
     return tuple(sorted(baseline)), core.stats.cycles
 

@@ -1,8 +1,27 @@
 """Unit tests for the deterministic noise layer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.channel import NO_NOISE, NoiseModel, SplitMix64, derive_seed
+from repro.channel import (NO_NOISE, NoiseDraw, NoiseModel, SplitMix64,
+                           derive_seed, extract_secret)
+
+
+def one_by_one_draw(model, rng, lines, n_indices):
+    """``NoiseModel.draw`` with one rng call per sample, as first written."""
+    evicted, polluted = set(), set()
+    if model.evict_rate or model.pollute_rate:
+        for line in lines:
+            sample = rng.random()
+            if sample < model.evict_rate:
+                evicted.add(line)
+            elif sample < model.evict_rate + model.pollute_rate:
+                polluted.add(line)
+    jitters = tuple(rng.randint(-model.jitter, model.jitter)
+                    for _ in range(n_indices)) if model.jitter else ()
+    return NoiseDraw(evicted=frozenset(evicted),
+                     polluted=frozenset(polluted), jitters=jitters)
 
 
 class TestSplitMix64:
@@ -33,6 +52,17 @@ class TestSplitMix64:
     def test_randint_empty_range(self):
         with pytest.raises(ValueError):
             SplitMix64(0).randint(3, 2)
+        with pytest.raises(ValueError):
+            SplitMix64(0).randints(3, 2, 4)
+
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(0, 40),
+           low=st.integers(-600, 0), width=st.integers(0, 1200))
+    def test_bulk_draws_continue_the_same_stream(self, seed, n, low, width):
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        assert bulk.randoms(n) == [single.random() for _ in range(n)]
+        assert bulk.randints(low, low + width, n) == \
+            [single.randint(low, low + width) for _ in range(n)]
+        assert bulk.next_u64() == single.next_u64()
 
 
 class TestDeriveSeed:
@@ -51,6 +81,16 @@ class TestNoiseModel:
         assert NoiseModel.from_spec({}) is None
         assert NoiseModel.from_spec(
             {"jitter": 0, "evict_rate": 0.0}) is None
+        assert NoiseModel.from_spec(NoiseModel()) is None
+        assert NoiseModel.from_spec(NoiseModel(jitter=0)) is None
+
+    def test_silent_spellings_record_the_same_noise(self):
+        """A silent model passed as an object and as a dict spec is the
+        same experiment, so it must give the same record."""
+        as_model = extract_secret("A", noise=NoiseModel(), trials=2)
+        as_dict = extract_secret("A", noise={"jitter": 0}, trials=2)
+        assert as_model.to_dict()["noise"] is None
+        assert as_model.to_dict() == as_dict.to_dict()
 
     def test_from_spec_roundtrip(self):
         spec = {"jitter": 8, "evict_rate": 0.1, "pollute_rate": 0.2}
@@ -90,6 +130,22 @@ class TestNoiseModel:
         assert not clean.evicted and not clean.polluted
         assert len(clean.jitters) == 10
         assert all(-3 <= j <= 3 for j in clean.jitters)
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, (1 << 64) - 1),
+           jitter=st.sampled_from([0, 1, 8, 600]),
+           rates=st.sampled_from([(0.0, 0.0), (0.1, 0.0), (0.0, 0.3),
+                                  (0.05, 0.05), (0.5, 0.5), (1.0, 0.0)]),
+           n_lines=st.integers(0, 64), n_indices=st.integers(0, 16))
+    def test_draw_matches_one_by_one_stream(self, seed, jitter, rates,
+                                            n_lines, n_indices):
+        model = NoiseModel(jitter=jitter, evict_rate=rates[0],
+                           pollute_rate=rates[1])
+        lines = [64 * i for i in range(n_lines)]
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        assert model.draw(bulk, lines, n_indices) == \
+            one_by_one_draw(model, single, lines, n_indices)
+        assert bulk.next_u64() == single.next_u64()
 
     def test_evict_and_pollute_disjoint(self):
         model = NoiseModel(evict_rate=0.5, pollute_rate=0.5)

@@ -93,7 +93,7 @@ class TestReloadReceivers:
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
         h.warm(LAYOUT.line(7))                  # the "transmit"
-        vector = receiver.measure(0)
+        vector = receiver.measure(0)[0]
         assert vector.signal_low
         assert vector.latencies[7] == 2
         assert all(lat == 242 for i, lat in enumerate(vector.latencies)
@@ -104,7 +104,7 @@ class TestReloadReceivers:
         h.warm(LAYOUT.line(2))
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
-        assert receiver.measure(0).latencies[2] == 242
+        assert receiver.measure(0)[0].latencies[2] == 242
 
     def test_evict_reload_prepare_evicts_via_sets(self):
         h = paper_hierarchy()
@@ -112,15 +112,15 @@ class TestReloadReceivers:
         receiver = make_receiver("evict-reload", LAYOUT, h)
         receiver.prepare()                      # no clflush involved
         assert h.stats.flushes == 0
-        assert receiver.measure(0).latencies[2] == 242
+        assert receiver.measure(0)[0].latencies[2] == 242
 
     def test_measure_is_repeatable(self):
         h = paper_hierarchy()
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
         h.warm(LAYOUT.line(3))
-        first = receiver.measure(0)
-        second = receiver.measure(0)
+        first = receiver.measure(0)[0]
+        second = receiver.measure(0)[0]
         assert first.latencies == second.latencies
 
     def test_noise_overlay(self):
@@ -131,12 +131,12 @@ class TestReloadReceivers:
         model = NoiseModel(evict_rate=1.0)
         draw = model.draw(SplitMix64(1), receiver.noise_lines(),
                           LAYOUT.entries)
-        noisy = receiver.measure(0, draw)
+        noisy = receiver.measure(0, (draw,))[0]
         assert all(lat == 242 for lat in noisy.latencies)  # signal erased
         pollute = NoiseModel(pollute_rate=1.0).draw(
             SplitMix64(1), receiver.noise_lines(), LAYOUT.entries)
         assert all(lat == 2
-                   for lat in receiver.measure(0, pollute).latencies)
+                   for lat in receiver.measure(0, (pollute,))[0].latencies)
 
     def test_jitter_keeps_latency_positive(self):
         h = paper_hierarchy()
@@ -144,7 +144,8 @@ class TestReloadReceivers:
         receiver.prepare()
         draw = NoiseModel(jitter=500).draw(
             SplitMix64(3), receiver.noise_lines(), LAYOUT.entries)
-        assert all(lat >= 1 for lat in receiver.measure(0, draw).latencies)
+        assert all(lat >= 1
+                   for lat in receiver.measure(0, (draw,))[0].latencies)
 
 
 class TestPrimeProbe:
@@ -154,7 +155,7 @@ class TestPrimeProbe:
         receiver.prepare()
         # Victim fills its transmit line into L3, evicting a primed way.
         h.l3.fill(LAYOUT.line(9))
-        vector = receiver.measure(0)
+        vector = receiver.measure(0)[0]
         assert not vector.signal_low
         assert vector.latencies[9] == 242       # one primed way missing
         assert all(lat == 42 for i, lat in enumerate(vector.latencies)
