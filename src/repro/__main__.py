@@ -442,15 +442,13 @@ def _cmd_report(args) -> int:
 def _cmd_cache(args) -> int:
     cache = ResultCache(root=args.cache_dir) if args.cache_dir \
         else ResultCache()
-    entries = list(cache.root.rglob("*.json")) if cache.root.exists() \
-        else []
     if args.clear:
         removed = cache.clear()
         print(f"removed {removed} cached records from {cache.root}")
         return 0
     print(f"cache root   : {cache.root}")
     print(f"code version : {cache.code_version}")
-    print(f"records      : {len(entries)}")
+    print(f"records      : {cache.count()}")
     return 0
 
 
@@ -743,10 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: $REPRO_WORKERS)")
     p_crun.add_argument("--cache", default=None, metavar="URI",
-                        help="campaign result store: dir:<path>, "
-                             "sqlite:<path> or http://host:port, "
-                             "relative paths inside the campaign dir "
-                             "(default: dir:cache)")
+                        help="campaign result store: dir:<path> or "
+                             "http://host:port, relative paths inside "
+                             "the campaign dir (default: dir:cache)")
     p_crun.add_argument("--timeout", type=float, default=None,
                         help="per-trial timeout in seconds "
                              "(default: none)")

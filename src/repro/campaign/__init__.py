@@ -35,7 +35,7 @@ run|resume|status|serve|coordinate|worker``.
 from .coordinator import (DEFAULT_BACKOFF, DEFAULT_LEASE_SECONDS,
                           DEFAULT_RETRIES, coordinate, make_coordinator)
 from .engine import Campaign, CampaignExecutor
-from .httpcache import HttpCacheBackend, make_cache_server
+from .httpcache import HttpCacheBackend
 from .journal import CampaignDir, CampaignError
 from .netretry import RetryPolicy, Unreachable, backoff_delay
 from .server import make_server, serve
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_BACKOFF", "DEFAULT_RETRIES", "DEFAULT_LEASE_SECONDS",
     "Campaign", "CampaignExecutor", "CampaignDir", "CampaignError",
     "HttpCacheBackend", "RetryPolicy", "Unreachable", "backoff_delay",
-    "campaign_status", "coordinate", "make_cache_server",
-    "make_coordinator", "make_server", "render_status", "run_worker",
-    "serve",
+    "campaign_status", "coordinate", "make_coordinator", "make_server",
+    "render_status", "run_worker", "serve",
 ]

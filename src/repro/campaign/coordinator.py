@@ -18,7 +18,7 @@ or its result store:
   re-enqueues the trial with bounded capped-jitter retries — a dead
   host is indistinguishable from a dead local worker.
 * **Cache before journal.**  ``POST /complete`` writes the result to
-  the campaign's real ``dir:``/``sqlite:`` store *before* appending
+  the campaign's real ``dir:`` store *before* appending
   the journal completion, preserving the ordering every resume proof
   relies on.  Completions are idempotent: a duplicate (expired lease,
   retried upload after a truncated response) is acknowledged and

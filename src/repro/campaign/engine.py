@@ -226,12 +226,14 @@ def _resolve_campaign_cache(spec: Any, base: CampaignDir) -> CacheBackend:
         return spec
     if isinstance(spec, str) and ":" in spec:
         scheme, _, location = spec.partition(":")
-        if scheme in ("http", "https"):
+        if scheme not in ("http", "https") \
+                and not location.startswith("/"):
+            spec = f"{scheme}:{base.path / location}"
+        try:
             return resolve_cache(spec)
-        path = base.path / location
-        return resolve_cache(f"{scheme}:{path}") \
-            if not location.startswith("/") else resolve_cache(spec)
-    raise CampaignError(f"campaign cache must be a dir:/sqlite:/http: "
+        except ValueError as exc:
+            raise CampaignError(str(exc)) from None
+    raise CampaignError(f"campaign cache must be a dir:/http: "
                         f"URI or a CacheBackend, got {spec!r}")
 
 
@@ -253,7 +255,7 @@ class Campaign:
                name: Optional[str] = None) -> "Campaign":
         """Lay down a new campaign directory for these sweeps.
 
-        ``cache`` is a ``dir:``/``sqlite:`` URI (relative paths live
+        ``cache`` is a ``dir:``/``http:`` URI (relative paths live
         inside the campaign directory) or a :class:`CacheBackend`;
         the default is ``dir:cache`` — a directory backend inside the
         campaign dir, making the whole campaign self-contained.
@@ -276,6 +278,7 @@ class Campaign:
             cache_uri = cache.uri()
         else:
             cache_uri = str(cache)
+        _resolve_campaign_cache(cache_uri, cdir)     # reject bad URIs early
         manifest = {
             "version": 1,
             "name": name or "+".join(names),
@@ -306,7 +309,15 @@ class Campaign:
                     f"manifest signature mismatch for sweep "
                     f"{sweep.name!r} — {cdir.manifest_path} was edited "
                     f"after creation")
-        return cls(cdir, manifest)
+        campaign = cls(cdir, manifest)
+        try:
+            campaign.backend()
+        except CampaignError as exc:
+            raise CampaignError(
+                f"{exc}; {cdir.path} cannot be continued — re-run its "
+                f"sweeps in a fresh --dir (results recompute "
+                f"byte-identically)") from None
+        return campaign
 
     @classmethod
     def create_or_open(cls, directory, sweeps, **kwargs) -> "Campaign":

@@ -4,26 +4,24 @@ The client half, :class:`HttpCacheBackend`, is a full
 :class:`~repro.harness.cache.CacheBackend` whose record storage lives
 behind the coordinator's ``/cache/<key>`` endpoints.  Keying stays
 client-side (trial spec + code fingerprint, exactly like the local
-backends), so identical trials hit the same record whether the store
-is a directory, a SQLite file, or a URL.  Every network call carries a
+directory backend), so identical trials hit the same record whether
+the store is a directory or a URL.  Every network call carries a
 timeout and capped, jittered retries (:mod:`repro.campaign.netretry`),
 and — like every backend — **never raises**: an unreachable or flaky
 server degrades to a cache miss, because the cache must never change
 experiment outcomes.
 
-The server half, :class:`CacheRoutes` + :func:`make_cache_server`,
-maps those endpoints onto any local backend.  The campaign coordinator
-mounts the same routes (serialized under its state lock, in front of
-its real ``dir:``/``sqlite:`` store); ``make_cache_server`` serves
-them standalone so a plain sweep run on one host can use another
-host's store via ``run_sweep(..., cache="http://host:port")``.
+The server half, :class:`CacheRoutes`, maps those endpoints onto a
+local backend.  The campaign coordinator mounts it (serialized under
+its state lock, in front of the campaign's ``dir:`` store), so a plain
+sweep run on one host can use a coordinator's store on another via
+``run_sweep(..., cache="http://host:port")``.
 
 Wire protocol (all JSON):
 
 ====================  =============================================
 ``GET /cache/<key>``  200 + the raw record, or 404
 ``PUT /cache/<key>``  store the request body as the record → 204
-``DELETE /cache/<key>``  200 ``{"removed": true|false}``
 ``GET /cache``        200 ``{"records": N}``
 ``DELETE /cache``     200 ``{"removed": N}`` (clear)
 ====================  =============================================
@@ -33,12 +31,11 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, Optional, Tuple
 
 from ..harness.cache import CacheBackend
 from .netretry import DEFAULT_POLICY, RetryPolicy, Unreachable, request_json
-from .server import StatusHandler
 
 _KEY_CHARS = set("0123456789abcdef")
 
@@ -48,7 +45,7 @@ def _valid_key(key: str) -> bool:
 
 
 class HttpCacheBackend(CacheBackend):
-    """Cache client for a coordinator (or standalone cache server) URL.
+    """Cache client for a campaign coordinator's URL.
 
     The URI *is* the URL (``http://host:port``), so ``resolve_cache``
     round-trips it like any other backend URI.
@@ -88,15 +85,6 @@ class HttpCacheBackend(CacheBackend):
     def _store(self, key: str, record: Dict[str, Any]) -> None:
         self._call(key, record, "PUT", None)
 
-    def _exists(self, key: str) -> bool:
-        code, _ = self._call(key, None, "GET", False)
-        return code == 200
-
-    def _delete(self, key: str) -> bool:
-        code, body = self._call(key, None, "DELETE", False)
-        return bool(code == 200 and isinstance(body, dict)
-                    and body.get("removed"))
-
     def count(self) -> int:
         code, body = self._call("", None, "GET", 0)
         if code == 200 and isinstance(body, dict):
@@ -118,10 +106,9 @@ class CacheRoutes:
     real store.
     """
 
-    def __init__(self, backend: CacheBackend,
-                 lock: Optional[threading.Lock] = None):
+    def __init__(self, backend: CacheBackend, lock: threading.Lock):
         self.backend = backend
-        self.lock = lock or threading.Lock()
+        self.lock = lock
 
     def serve(self, handler: BaseHTTPRequestHandler, method: str,
               path: str) -> Tuple[int, Any]:
@@ -154,8 +141,6 @@ class CacheRoutes:
                                           "object"}
                 self.backend._store(key, body)
                 return 204, None
-            if method == "DELETE":
-                return 200, {"removed": self.backend._delete(key)}
             return 405, {"error": f"{method} not allowed on /cache/<key>"}
 
 
@@ -181,41 +166,3 @@ def read_json_body(handler: BaseHTTPRequestHandler) \
     except (UnicodeDecodeError, ValueError):
         return None
     return decoded if isinstance(decoded, dict) else None
-
-
-class _CacheOnlyHandler(StatusHandler):
-    """Standalone remote-cache server handler (no campaign attached)."""
-
-    server_version = "repro-cache/1"
-    endpoints = ["/cache", "/cache/<key>", "/healthz"]
-    routes: CacheRoutes = None
-
-    def _dispatch(self, method: str) -> None:
-        path = self._path()
-        if path == "/healthz":
-            self._respond(200, {"status": "ok",
-                                "records": self.routes.backend.count()})
-            return
-        if path == "/cache" or path.startswith("/cache/"):
-            self._respond(*self.routes.serve(self, method, path))
-            return
-        self._respond(404, {"error": f"unknown path {path!r}",
-                            "endpoints": self.endpoints})
-
-    def do_GET(self):              # noqa: N802 (stdlib naming)
-        self._dispatch("GET")
-
-    def do_PUT(self):              # noqa: N802 (stdlib naming)
-        self._dispatch("PUT")
-
-    def do_DELETE(self):           # noqa: N802 (stdlib naming)
-        self._dispatch("DELETE")
-
-
-def make_cache_server(backend: CacheBackend, host: str = "127.0.0.1",
-                      port: int = 0) -> ThreadingHTTPServer:
-    """Build (don't start) a standalone remote-cache server over any
-    local backend; ``port=0`` picks a free port."""
-    handler = type("BoundCacheHandler", (_CacheOnlyHandler,),
-                   {"routes": CacheRoutes(backend)})
-    return ThreadingHTTPServer((host, port), handler)

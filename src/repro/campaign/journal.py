@@ -10,9 +10,9 @@ A campaign directory is fully self-describing::
                            ``renew`` / ``lease-expired`` records of
                            the scheduler carrying host identities —
                            ``local-<n>`` for a local run's workers)
-    <dir>/cache/ or        the campaign's result store (any
-    <dir>/results.sqlite   CacheBackend URI; defaults to a directory
-                           backend inside the campaign dir)
+    <dir>/cache/           the campaign's result store (a ``dir:``
+                           or ``http:`` CacheBackend URI; defaults to
+                           ``dir:cache`` inside the campaign dir)
     <dir>/<sweep>.result.json
                            canonical SweepResult.to_json per completed
                            sweep — byte-identical however the campaign

@@ -19,8 +19,7 @@ from . import presets
 from .aggregate import (attack_cell, attack_matrix, geomean,
                         geometric_mean_speedup, ipc_table, speedup_bars)
 from .cache import (CACHE_DIR_ENV, CACHE_DISABLE_ENV, CacheBackend,
-                    DirectoryCacheBackend, ResultCache,
-                    SqliteCacheBackend, code_fingerprint,
+                    DirectoryCacheBackend, ResultCache, code_fingerprint,
                     default_cache_dir, resolve_cache)
 from .executor import (Executor, ProcessPoolExecutor, SerialExecutor,
                        SweepResult, default_workers, make_record,
@@ -34,8 +33,7 @@ __all__ = [
     "presets", "attack_cell", "attack_matrix", "geomean",
     "geometric_mean_speedup", "ipc_table", "speedup_bars",
     "CACHE_DIR_ENV", "CACHE_DISABLE_ENV", "CacheBackend",
-    "DirectoryCacheBackend", "ResultCache", "SqliteCacheBackend",
-    "code_fingerprint", "default_cache_dir", "resolve_cache",
+    "DirectoryCacheBackend", "ResultCache", "code_fingerprint", "default_cache_dir", "resolve_cache",
     "Executor", "ProcessPoolExecutor", "SerialExecutor", "SweepResult",
     "default_workers", "make_record", "run_sweep", "CONTROLLERS",
     "get_workload", "make_config", "make_controller", "workloads",

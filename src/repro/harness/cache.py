@@ -18,20 +18,18 @@ Storage is a :class:`CacheBackend`:
   as ``ResultCache``) keeps one JSON file per record under
   ``<root>/<key[:2]>/<key>.json`` so a CI cache restore is a plain
   directory copy.  The default root is ``$REPRO_CACHE_DIR`` or
-  ``~/.cache/repro-specrun``.
-* :class:`SqliteCacheBackend` packs every record into one SQLite file —
-  a single artifact to ship around, and the natural store for
-  :mod:`repro.campaign` runs that want their whole state in one
-  directory.
+  ``~/.cache/repro-specrun``.  Each write goes to a temp file unique
+  to the writer and is renamed into place, so concurrent writers —
+  even of the same key — never expose a half-written record.
 * :class:`repro.campaign.httpcache.HttpCacheBackend` (URI =
   ``http://host:port``) stores records behind a campaign coordinator
-  or standalone cache server on another host — the multi-host remote
-  store.  It lives with the campaign network stack; ``resolve_cache``
-  loads it lazily so this module stays free of network code.
+  on another host — the multi-host remote store.  It lives with the
+  campaign network stack; ``resolve_cache`` loads it lazily so this
+  module stays free of network code.
 
 ``resolve_cache`` turns user-facing cache arguments into backends and
-understands ``dir:<path>`` / ``sqlite:<path>`` / ``http://<url>``
-URIs; every backend reports its own URI via :meth:`CacheBackend.uri`.
+understands ``dir:<path>`` / ``http://<url>`` URIs; every backend
+reports its own URI via :meth:`CacheBackend.uri`.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import hashlib
 import json
 import os
 import pathlib
-import sqlite3
+import uuid
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
@@ -105,18 +103,18 @@ class CacheBackend(abc.ABC):
     """Maps trial specs to stored result records.
 
     The public surface every backend implements identically:
-    ``get``/``put``/``contains``/``evict``/``stats`` (plus ``clear``
-    and ``uri``).  ``get``/``put`` never raise on I/O problems — a
-    broken record or an unwritable store degrades to a miss, because
-    the cache must never change experiment outcomes.  Keying is shared
+    ``get``/``put``/``stats``/``count``/``clear``/``uri``.
+    ``get``/``put`` never raise on I/O problems — a broken record or an
+    unwritable store degrades to a miss, because the cache must never
+    change experiment outcomes.  Keying is shared
     (:meth:`key`): identical trials hit the same record in any backend.
 
     Subclasses provide only the raw record storage:
-    :meth:`_load` / :meth:`_store` / :meth:`_exists` / :meth:`_delete` /
-    :meth:`count` / :meth:`clear` — none of which may raise.
+    :meth:`_load` / :meth:`_store` / :meth:`count` / :meth:`clear` —
+    none of which may raise.
     """
 
-    #: URI scheme of the backend (``dir`` / ``sqlite``).
+    #: URI scheme of the backend (``dir`` / ``http``).
     scheme = "?"
 
     def __init__(self, code_version: Optional[str] = None):
@@ -124,7 +122,6 @@ class CacheBackend(abc.ABC):
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        self.evictions = 0
 
     # -------------------------------------------------------- keying
 
@@ -161,17 +158,6 @@ class CacheBackend(abc.ABC):
         self._store(key, record)
         self.puts += 1
 
-    def contains(self, trial: Trial) -> bool:
-        """True when a record for this trial exists (no hit/miss count)."""
-        return self._exists(self.key(trial))
-
-    def evict(self, trial: Trial) -> bool:
-        """Drop one trial's record; True when something was removed."""
-        removed = self._delete(self.key(trial))
-        if removed:
-            self.evictions += 1
-        return removed
-
     def stats(self) -> Dict[str, Any]:
         """Counters + store-wide figures, JSON-ready (for ``status``)."""
         lookups = self.hits + self.misses
@@ -182,7 +168,6 @@ class CacheBackend(abc.ABC):
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
-            "evictions": self.evictions,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
 
@@ -203,14 +188,6 @@ class CacheBackend(abc.ABC):
     @abc.abstractmethod
     def _store(self, key: str, record: Dict[str, Any]) -> None:
         """Persist a record (never raises; failure degrades to a miss)."""
-
-    @abc.abstractmethod
-    def _exists(self, key: str) -> bool:
-        """True when a record is present (never raises)."""
-
-    @abc.abstractmethod
-    def _delete(self, key: str) -> bool:
-        """Remove one record; True when it existed (never raises)."""
 
     @abc.abstractmethod
     def count(self) -> int:
@@ -250,28 +227,21 @@ class DirectoryCacheBackend(CacheBackend):
             return None
 
     def _store(self, key: str, record: Dict[str, Any]) -> None:
+        # A temp name unique to this writer, in the record's directory:
+        # two writers of one key each rename a complete file into place
+        # (last write wins), never each other's half-written one.
         path = self._path(key)
+        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
             tmp.write_text(json.dumps(record, sort_keys=True, indent=1),
                            encoding="utf-8")
             os.replace(tmp, path)
         except OSError:
-            pass
-
-    def _exists(self, key: str) -> bool:
-        try:
-            return self._path(key).is_file()
-        except OSError:
-            return False
-
-    def _delete(self, key: str) -> bool:
-        try:
-            self._path(key).unlink()
-            return True
-        except OSError:
-            return False
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
     def count(self) -> int:
         if not self.root.exists():
@@ -295,83 +265,6 @@ class DirectoryCacheBackend(CacheBackend):
 ResultCache = DirectoryCacheBackend
 
 
-class SqliteCacheBackend(CacheBackend):
-    """Every record in one SQLite file — a single shippable artifact.
-
-    A fresh connection is opened per operation, so instances survive
-    ``fork`` into campaign worker processes (which never touch the
-    cache anyway — all cache I/O happens in the parent) and never hold
-    the file locked between calls.
-    """
-
-    scheme = "sqlite"
-
-    def __init__(self, path: Optional[pathlib.Path] = None,
-                 code_version: Optional[str] = None):
-        super().__init__(code_version=code_version)
-        self.path = pathlib.Path(path) if path \
-            else default_cache_dir() / "results.sqlite"
-
-    def uri(self) -> str:
-        return f"sqlite:{self.path}"
-
-    def _run(self, fn, default):
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=10.0)
-            try:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS records ("
-                    "key TEXT PRIMARY KEY, record TEXT NOT NULL)")
-                out = fn(conn)
-                conn.commit()
-                return out
-            finally:
-                conn.close()
-        except (sqlite3.Error, OSError, ValueError):
-            return default
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        def fetch(conn):
-            row = conn.execute(
-                "SELECT record FROM records WHERE key = ?",
-                (key,)).fetchone()
-            return json.loads(row[0]) if row else None
-        return self._run(fetch, None)
-
-    def _store(self, key: str, record: Dict[str, Any]) -> None:
-        text = json.dumps(record, sort_keys=True)
-        self._run(lambda conn: conn.execute(
-            "INSERT OR REPLACE INTO records (key, record) VALUES (?, ?)",
-            (key, text)), None)
-
-    def _exists(self, key: str) -> bool:
-        return self._run(
-            lambda conn: conn.execute(
-                "SELECT 1 FROM records WHERE key = ?",
-                (key,)).fetchone() is not None,
-            False)
-
-    def _delete(self, key: str) -> bool:
-        return self._run(
-            lambda conn: conn.execute(
-                "DELETE FROM records WHERE key = ?", (key,)).rowcount > 0,
-            False)
-
-    def count(self) -> int:
-        return self._run(
-            lambda conn: conn.execute(
-                "SELECT COUNT(*) FROM records").fetchone()[0],
-            0)
-
-    def clear(self) -> int:
-        def wipe(conn):
-            (n,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
-            conn.execute("DELETE FROM records")
-            return n
-        return self._run(wipe, 0)
-
-
 def resolve_cache(cache="auto") -> Optional[CacheBackend]:
     """Turn a user-facing ``cache`` argument into a backend or None.
 
@@ -379,11 +272,14 @@ def resolve_cache(cache="auto") -> Optional[CacheBackend]:
     * an existing :class:`CacheBackend` passes through;
     * ``"auto"`` builds the default directory backend unless
       ``$REPRO_NO_CACHE=1``;
-    * ``"dir:<path>"`` / ``"sqlite:<path>"`` URIs pick a backend
-      explicitly; ``"http://host:port"`` builds the remote backend
-      talking to a campaign coordinator or standalone cache server;
+    * ``"dir:<path>"`` picks the directory backend explicitly;
+      ``"http://host:port"`` builds the remote backend talking to a
+      campaign coordinator;
     * any other path-like builds a directory backend rooted there
       (the historical behaviour).
+
+    A URI of the removed single-file store raises ValueError instead
+    of silently becoming a directory of that name.
     """
     if cache is None or cache is False:
         return None
@@ -398,8 +294,8 @@ def resolve_cache(cache="auto") -> Optional[CacheBackend]:
             return DirectoryCacheBackend(
                 root=pathlib.Path(cache[len("dir:"):]))
         if cache.startswith("sqlite:"):
-            return SqliteCacheBackend(
-                path=pathlib.Path(cache[len("sqlite:"):]))
+            raise ValueError(f"the sqlite: result store was removed; "
+                             f"use dir:<path> instead of {cache!r}")
         if cache.startswith(("http://", "https://")):
             # Lazy import: the remote backend lives with the campaign
             # network stack, keeping this module free of network code.

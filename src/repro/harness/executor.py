@@ -340,7 +340,7 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
     cache:
         "auto" (default on-disk cache, honouring ``$REPRO_NO_CACHE``),
         ``None`` to disable, a :class:`CacheBackend`, a directory path,
-        or a ``dir:<path>`` / ``sqlite:<path>`` URI.
+        or a ``dir:<path>`` / ``http://host:port`` URI.
     force:
         Recompute every trial even on a cache hit (fresh results are
         still written back).

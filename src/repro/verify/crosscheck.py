@@ -36,30 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..defense.restrictions import BranchRestrictedRunahead
-from ..defense.secure import SecureRunahead
+from ..harness.registry import CONTROLLERS
 from ..isa.interpreter import run_program
 from ..pipeline.config import CoreConfig
 from ..pipeline.core import Core
-from ..runahead.base import NoRunahead
-from ..runahead.original import OriginalRunahead
-from ..runahead.precise import PreciseRunahead
-from ..runahead.vector import VectorRunahead
 from .engine import VerifyOptions, check_program
 from .report import VerifyResult
 from .targets import GadgetCase, build_target, target_names
-
-#: Defense name -> controller factory (mirrors harness CONTROLLERS;
-#: instantiated fresh per run — controllers carry per-run state).
-_CONTROLLER_FACTORIES = {
-    "none": NoRunahead,
-    "no-runahead": NoRunahead,
-    "original": OriginalRunahead,
-    "precise": PreciseRunahead,
-    "vector": VectorRunahead,
-    "secure": SecureRunahead,
-    "branch-skip": BranchRestrictedRunahead,
-}
 
 #: The defense sweep the cross-check preset exercises by default.
 DEFAULT_DEFENSES = ("original", "no-runahead", "secure", "branch-skip")
@@ -125,13 +108,14 @@ class CrossCheckResult:
 
 
 def make_defense_controller(defense: str):
-    """Fresh controller instance for a defense name."""
+    """Fresh controller instance for a defense name (controllers carry
+    per-run state, so every replay gets its own)."""
     try:
-        factory = _CONTROLLER_FACTORIES[defense]
+        factory = CONTROLLERS[defense]
     except KeyError:
         raise KeyError(
             f"unknown defense {defense!r}; known: "
-            f"{sorted(set(_CONTROLLER_FACTORIES))}") from None
+            f"{sorted(CONTROLLERS)}") from None
     return factory()
 
 

@@ -6,9 +6,8 @@ the failure taxonomy over HTTP, graceful worker degradation.
 
 Slow tier: the chaos acceptance run — two worker *processes* pulling
 through a fault-injecting proxy, one host SIGKILLed mid-campaign, the
-coordinator SIGKILLed and restarted mid-campaign, on both cache
-backends — and the final result must be byte-identical to a clean
-single-host serial run.
+coordinator SIGKILLed and restarted mid-campaign — and the final
+result must be byte-identical to a clean single-host serial run.
 """
 
 import json
@@ -158,8 +157,7 @@ class TestCoordinatedExecution:
         coordinator (and vice versa is the restart test above)."""
         sweep = window_sweep()
         reference = run_sweep(sweep, workers=1, cache=None).to_json()
-        Campaign.create(tmp_path / "camp", sweep,
-                        cache="sqlite:results.sqlite")
+        Campaign.create(tmp_path / "camp", sweep, cache="dir:cache")
         from repro.harness.runner import run_trial
 
         ran = 0
@@ -390,8 +388,7 @@ class TestGracefulDegradation:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("cache_uri", ["dir:cache",
-                                       "sqlite:results.sqlite"])
+@pytest.mark.parametrize("cache_uri", ["dir:cache"])
 def test_chaos_acceptance(tmp_path, cache_uri):
     """The headline invariant: two worker hosts pulling through a
     fault-injecting proxy, one host SIGKILLed mid-campaign, the

@@ -4,7 +4,6 @@ import pytest
 
 from repro.campaign import (Campaign, CampaignError, CampaignExecutor,
                             campaign_status)
-from repro.harness.cache import SqliteCacheBackend
 from repro.harness.executor import run_sweep
 from repro.harness.spec import Sweep
 
@@ -56,16 +55,6 @@ class TestByteIdentity:
         (result,) = campaign.run(workers=3)
         assert result.to_json() == reference
         assert campaign.cdir.read_result(sweep.name) == reference
-
-    def test_sqlite_backend_matches_directory_backend(self, tmp_path):
-        sweep = window_sweep()
-        via_dir = Campaign.create(tmp_path / "a", sweep,
-                                  cache="dir:cache").run(workers=2)
-        via_sql = Campaign.create(tmp_path / "b", sweep,
-                                  cache="sqlite:results.sqlite") \
-            .run(workers=2)
-        assert via_dir[0].to_json() == via_sql[0].to_json()
-        assert (tmp_path / "b" / "results.sqlite").exists()
 
     def test_serial_campaign_matches_pool(self, tmp_path):
         sweep = window_sweep()
@@ -307,6 +296,24 @@ class TestManifestDefaults:
         with pytest.raises(CampaignError, match="unique"):
             Campaign.create(tmp_path / "camp",
                             [window_sweep("a"), window_sweep("a")])
+
+    def test_removed_sqlite_store_is_rejected_at_create(self, tmp_path):
+        with pytest.raises(CampaignError, match="dir:<path>"):
+            Campaign.create(tmp_path / "camp", window_sweep(),
+                            cache="sqlite:results.sqlite")
+        assert not (tmp_path / "camp").exists()
+
+    def test_removed_sqlite_store_is_rejected_at_open(self, tmp_path):
+        """A campaign made when ``sqlite:`` existed cannot be resumed;
+        the error points at a fresh directory (results recompute
+        byte-identically there)."""
+        campaign = Campaign.create(tmp_path / "camp", window_sweep())
+        manifest = campaign.cdir.read_manifest()
+        manifest["cache"] = "sqlite:results.sqlite"
+        campaign.cdir.write_manifest(manifest)
+        with pytest.raises(CampaignError, match="fresh --dir"):
+            Campaign.open(tmp_path / "camp")
+        assert not (tmp_path / "camp" / "sqlite:results.sqlite").exists()
 
     def test_multi_sweep_campaign_writes_every_result(self, tmp_path):
         sweeps = [window_sweep("first", n=3),

@@ -1,6 +1,5 @@
 """Kill-and-resume acceptance: a campaign SIGKILLed mid-flight resumes
-to a byte-identical result, for both cache backends, at any worker
-count.
+to a byte-identical result at any worker count.
 
 The campaign subprocess runs in its own session so ``killpg`` takes out
 the driver *and* its worker processes at once — the closest a test can
@@ -71,8 +70,7 @@ def kill_at_halfway(proc, campaign_dir, total, deadline=60.0):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("cache_uri", ["dir:cache",
-                                       "sqlite:results.sqlite"])
+@pytest.mark.parametrize("cache_uri", ["dir:cache"])
 @pytest.mark.parametrize("resume_workers", [1, 3])
 def test_sigkill_resume_byte_identical(tmp_path, cache_uri,
                                        resume_workers):

@@ -1,21 +1,24 @@
 """Backend-conformance suite: every CacheBackend behaves identically.
 
-The same battery runs against the directory, sqlite and http backends
-— anything observable through the public surface (get/put/contains/
-evict/stats/clear/count/uri) must not depend on the storage scheme.
-The http backend runs in front of a real loopback cache server, so
-every conformance assertion also exercises the wire protocol.
+The same battery runs against the directory and http backends —
+anything observable through the public surface (get/put/stats/count/
+clear/uri) must not depend on the storage scheme.  The http backend
+talks to a real loopback campaign coordinator (the one server that
+mounts the ``/cache`` routes), so every conformance assertion also
+exercises the wire protocol.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from repro.harness.cache import (CacheBackend, DirectoryCacheBackend,
-                                 ResultCache, SqliteCacheBackend,
-                                 resolve_cache)
-from repro.harness.spec import Trial
+                                 ResultCache, resolve_cache)
+from repro.harness.spec import Sweep, Trial
 
 
 def make_trial(sled=64) -> Trial:
@@ -23,31 +26,40 @@ def make_trial(sled=64) -> Trial:
                             "config_base": "small"})
 
 
-@pytest.fixture(params=["dir", "sqlite", "http"])
+def start_coordinator(campaign_dir, host="127.0.0.1", port=0):
+    """Serve a one-trial campaign (created on first use) over HTTP; its
+    ``/cache`` routes front the campaign's ``dir:cache`` store."""
+    from repro.campaign import Campaign, make_coordinator
+    if not campaign_dir.exists():
+        sweep = Sweep("tiny")
+        sweep.add("window", runahead="none", sled=8, config_base="small")
+        Campaign.create(campaign_dir, sweep)
+    server, _, _ = make_coordinator(campaign_dir, host=host, port=port)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(params=["dir", "http"])
 def backend(request, tmp_path) -> CacheBackend:
     if request.param == "dir":
         yield DirectoryCacheBackend(root=tmp_path / "cache",
                                     code_version="v1")
         return
-    if request.param == "sqlite":
-        yield SqliteCacheBackend(path=tmp_path / "cache.sqlite",
-                                 code_version="v1")
-        return
-    from repro.campaign.httpcache import (HttpCacheBackend,
-                                          make_cache_server)
+    from repro.campaign.httpcache import HttpCacheBackend
     from repro.campaign.netretry import RetryPolicy
-    server = make_cache_server(
-        DirectoryCacheBackend(root=tmp_path / "remote",
-                              code_version="v1"))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server = start_coordinator(tmp_path / "camp")
     host, port = server.server_address[:2]
     yield HttpCacheBackend(f"http://{host}:{port}", code_version="v1",
                            policy=RetryPolicy(attempts=3,
                                               base_delay=0.01,
                                               max_delay=0.05,
                                               timeout=5.0))
-    server.shutdown()
-    server.server_close()
+    stop(server)
 
 
 class TestConformance:
@@ -57,34 +69,19 @@ class TestConformance:
         backend.put(trial, {"window": 42})
         assert backend.get(trial) == {"window": 42}
 
-    def test_contains_does_not_touch_counters(self, backend):
-        trial = make_trial()
-        assert not backend.contains(trial)
-        backend.put(trial, {"ok": True})
-        assert backend.contains(trial)
-        assert backend.hits == backend.misses == 0
-
     def test_counters(self, backend):
         trial = make_trial()
         backend.get(trial)                      # miss
         backend.put(trial, {"ok": True})
         backend.get(trial)                      # hit
-        backend.evict(trial)
         stats = backend.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["puts"] == 1
-        assert stats["evictions"] == 1
+        assert stats["records"] == 1
         assert stats["hit_rate"] == 0.5
         assert stats["backend"] == backend.scheme
         assert stats["uri"] == backend.uri()
-
-    def test_evict(self, backend):
-        trial = make_trial()
-        assert not backend.evict(trial)
-        backend.put(trial, {"ok": True})
-        assert backend.evict(trial)
-        assert backend.get(trial) is None
 
     def test_count_and_clear(self, backend):
         for sled in (8, 16, 24):
@@ -113,8 +110,8 @@ class TestConformance:
         assert backend.key(make_trial()) == other.key(make_trial())
 
     def test_code_version_partitions_keys(self, backend, tmp_path):
-        other = SqliteCacheBackend(path=tmp_path / "other.sqlite",
-                                   code_version="v2")
+        other = DirectoryCacheBackend(root=tmp_path / "other",
+                                      code_version="v2")
         assert backend.key(make_trial()) != other.key(make_trial())
 
     def test_uri_round_trips_through_resolve_cache(self, backend):
@@ -136,15 +133,6 @@ class TestCorruptionResilience:
         backend._path(backend.key(trial)).write_text("{garbage",
                                                      encoding="utf-8")
         assert backend.get(trial) is None
-
-    def test_corrupt_sqlite_file(self, tmp_path):
-        path = tmp_path / "cache.sqlite"
-        path.write_bytes(b"this is not a database")
-        backend = SqliteCacheBackend(path=path, code_version="v1")
-        trial = make_trial()
-        assert backend.get(trial) is None
-        backend.put(trial, {"ok": True})     # silently degrades
-        assert backend.count() == 0
 
     def test_wrong_record_version_is_a_miss(self, tmp_path):
         backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
@@ -175,54 +163,38 @@ class TestHttpDegradation:
         trial = make_trial()
         assert backend.get(trial) is None
         backend.put(trial, {"ok": True})        # swallowed, no raise
-        assert not backend.contains(trial)
-        assert not backend.evict(trial)
+        assert backend.get(trial) is None
         assert backend.count() == 0
         assert backend.clear() == 0
-        assert backend.stats()["misses"] == 1
+        assert backend.stats()["misses"] == 2
 
     def test_server_restart_recovers(self, tmp_path):
-        from repro.campaign.httpcache import (HttpCacheBackend,
-                                              make_cache_server)
+        from repro.campaign.httpcache import HttpCacheBackend
         from repro.campaign.netretry import RetryPolicy
-        store = DirectoryCacheBackend(root=tmp_path / "remote",
-                                      code_version="v1")
-        server = make_cache_server(store)
+        server = start_coordinator(tmp_path / "camp")
         host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
         backend = HttpCacheBackend(
             f"http://{host}:{port}", code_version="v1",
             policy=RetryPolicy(attempts=2, base_delay=0.0,
                                max_delay=0.0, timeout=0.5))
         trial = make_trial()
         backend.put(trial, {"ok": True})
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        stop(server)
         assert backend.get(trial) is None       # down: miss, no raise
-        # Same port, same on-disk store — the record survived.
-        server = make_cache_server(store, host=host, port=port)
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
+        # Same port, same campaign store — the record survived.
+        server = start_coordinator(tmp_path / "camp", host=host,
+                                   port=port)
         try:
             assert backend.get(trial) == {"ok": True}
         finally:
-            server.shutdown()
-            server.server_close()
+            stop(server)
 
     def test_server_rejects_traversal_keys(self, tmp_path):
         import urllib.error
         import urllib.request
 
-        from repro.campaign.httpcache import make_cache_server
-        server = make_cache_server(
-            DirectoryCacheBackend(root=tmp_path / "remote",
-                                  code_version="v1"))
+        server = start_coordinator(tmp_path / "camp")
         host, port = server.server_address[:2]
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
         try:
             for ugly in ("..%2f..%2fsecrets", "UPPER", "zz!", "a" * 200):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -230,79 +202,82 @@ class TestHttpDegradation:
                         f"http://{host}:{port}/cache/{ugly}", timeout=5)
                 assert excinfo.value.code == 404
         finally:
-            server.shutdown()
-            server.server_close()
+            stop(server)
 
 
-_SQLITE_WRITER = """
+_WRITER = """
 import sys
-from repro.harness.cache import SqliteCacheBackend
+from repro.harness.cache import DirectoryCacheBackend
 from repro.harness.spec import Trial
 
-path, offset, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-backend = SqliteCacheBackend(path=path, code_version="v1")
-for i in range(count):
-    sled = offset + i
-    trial = Trial("window", {"runahead": "none", "sled": sled,
-                             "config_base": "small"})
-    backend.put(trial, {"sled": sled})
-    if backend.get(trial) != {"sled": sled}:
-        sys.exit(1)
+root, tag, first, count, rounds, pad = sys.argv[1:]
+backend = DirectoryCacheBackend(root=root, code_version="v1")
+for round_ in range(int(rounds)):
+    for sled in range(int(first), int(first) + int(count)):
+        trial = Trial("window", {"runahead": "none", "sled": sled,
+                                 "config_base": "small"})
+        backend.put(trial, {"sled": sled, "writer": tag,
+                            "round": round_, "pad": "x" * int(pad)})
+        got = backend.get(trial)
+        if got is None or got["sled"] != sled:
+            sys.exit(1)
 sys.exit(0)
 """
 
 
-class TestSqliteConcurrency:
-    """Several OS processes hammering one sqlite store never corrupt
-    it — the property the multi-host coordinator's serialized writes
-    rely on, and the reason ``sqlite:`` is safe on shared filesystems.
+def spawn_writers(root, jobs):
+    """One writer process per ``(tag, first, count, rounds, pad)``."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+        .rstrip(os.pathsep))
+    return [subprocess.Popen([sys.executable, "-c", _WRITER, str(root)]
+                             + [str(arg) for arg in job], env=env)
+            for job in jobs]
+
+
+class TestDirectoryConcurrency:
+    """Several OS processes writing one ``dir:`` store never corrupt a
+    record: each write goes to a temp file unique to its writer and is
+    renamed into place, so readers see one complete record or another.
     """
 
     def test_concurrent_multiprocess_writers(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        path = tmp_path / "shared.sqlite"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
-            + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-            .rstrip(os.pathsep))
         writers, per_writer = 4, 25
-        procs = [subprocess.Popen(
-            [sys.executable, "-c", _SQLITE_WRITER, str(path),
-             str(w * per_writer), str(per_writer)], env=env)
-            for w in range(writers)]
+        procs = spawn_writers(tmp_path, [
+            (f"w{w}", w * per_writer, per_writer, 1, 0)
+            for w in range(writers)])
         for proc in procs:
             assert proc.wait(timeout=120) == 0
-        backend = SqliteCacheBackend(path=path, code_version="v1")
+        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
         assert backend.count() == writers * per_writer
         for sled in range(writers * per_writer):
-            assert backend.get(make_trial(sled)) == {"sled": sled}
-        import sqlite3
-        with sqlite3.connect(path) as conn:
-            assert conn.execute("PRAGMA integrity_check").fetchone() \
-                == ("ok",)
+            assert backend.get(make_trial(sled))["sled"] == sled
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_overlapping_writers_last_write_wins(self, tmp_path):
-        """Two processes writing the SAME keys: no corruption, and
-        every record is one of the written values."""
-        import os
-        import subprocess
-        import sys
-        path = tmp_path / "shared.sqlite"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
-            + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-            .rstrip(os.pathsep))
-        procs = [subprocess.Popen(
-            [sys.executable, "-c", _SQLITE_WRITER, str(path), "0", "20"],
-            env=env) for _ in range(2)]
-        for proc in procs:
-            assert proc.wait(timeout=120) == 0
-        backend = SqliteCacheBackend(path=path, code_version="v1")
-        assert backend.count() == 20
-        for sled in range(20):
-            assert backend.get(make_trial(sled)) == {"sled": sled}
+        """Two processes re-writing the SAME key while a reader polls
+        it: no read is ever torn, and the surviving record is the
+        final write of one of the writers."""
+        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        trial = make_trial(0)
+        backend.put(trial, {"sled": 0, "writer": "seed"})
+        rounds = 300
+        procs = spawn_writers(tmp_path, [
+            (tag, 0, 1, rounds, 20000) for tag in ("a", "b")])
+        reads = torn = 0
+        while any(proc.poll() is None for proc in procs):
+            reads += 1
+            if backend.get(trial) is None:
+                torn += 1
+        codes = [proc.wait(timeout=120) for proc in procs]
+        assert torn == 0, f"{torn} torn reads out of {reads}"
+        assert codes == [0, 0]              # the writers saw none either
+        final = backend.get(trial)
+        assert final["writer"] in ("a", "b")
+        assert final["round"] == rounds - 1
+        assert backend.count() == 1
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestResolveCache:
@@ -311,8 +286,8 @@ class TestResolveCache:
         assert resolve_cache(False) is None
 
     def test_backend_passthrough(self, tmp_path):
-        backend = SqliteCacheBackend(path=tmp_path / "x.sqlite",
-                                     code_version="v1")
+        backend = DirectoryCacheBackend(root=tmp_path / "x",
+                                        code_version="v1")
         assert resolve_cache(backend) is backend
 
     def test_dir_uri(self, tmp_path):
@@ -321,9 +296,11 @@ class TestResolveCache:
         assert backend.root == tmp_path / "store"
 
     def test_sqlite_uri(self, tmp_path):
-        backend = resolve_cache(f"sqlite:{tmp_path / 'store.sqlite'}")
-        assert isinstance(backend, SqliteCacheBackend)
-        assert backend.path == tmp_path / "store.sqlite"
+        """The removed single-file store is rejected by name instead of
+        silently becoming a directory called ``sqlite:…``."""
+        with pytest.raises(ValueError, match="dir:<path>"):
+            resolve_cache(f"sqlite:{tmp_path / 'store.sqlite'}")
+        assert not list(tmp_path.iterdir())
 
     def test_http_uri(self):
         from repro.campaign.httpcache import HttpCacheBackend

@@ -236,13 +236,14 @@ class TestCampaignCommand:
         assert status["completed"] == 1
 
     def test_sqlite_cache_uri(self, capsys, tmp_path):
+        """The removed ``sqlite:`` store is an error naming ``dir:``,
+        not a silently created directory called ``sqlite:…``."""
         cdir = tmp_path / "camp"
         assert main(["campaign", "run", "fig12", "--dir", str(cdir),
                      "--workers", "1", "--cache",
-                     "sqlite:results.sqlite", "--json"]) == 0
-        assert (cdir / "results.sqlite").is_file()
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["records"]) == 1
+                     "sqlite:results.sqlite", "--json"]) == 1
+        assert "dir:<path>" in capsys.readouterr().err
+        assert not cdir.exists()
 
     def test_status_of_missing_campaign_errors(self, capsys, tmp_path):
         assert main(["campaign", "status",

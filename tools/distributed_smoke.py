@@ -11,8 +11,8 @@ Runs the whole distributed story in one process tree:
 5. wait for convergence and compare the campaign's result file
    byte-for-byte against the reference.
 
-Usage: ``python tools/distributed_smoke.py --backend dir|sqlite``
-(run from the repository root; exits nonzero on any divergence).
+Usage: ``python tools/distributed_smoke.py [--trials N]`` (run from
+the repository root; exits nonzero on any divergence).
 """
 
 import argparse
@@ -44,21 +44,17 @@ def smoke_sweep(n=80) -> Sweep:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("dir", "sqlite"),
-                        default="dir")
     parser.add_argument("--trials", type=int, default=80)
     args = parser.parse_args()
-    cache_uri = "dir:cache" if args.backend == "dir" \
-        else "sqlite:results.sqlite"
 
     sweep = smoke_sweep(args.trials)
     print(f"[smoke] reference: clean serial run of {len(sweep)} trials")
     reference = run_sweep(sweep, workers=1, cache=None).to_json()
 
-    workdir = tempfile.mkdtemp(prefix=f"dist-smoke-{args.backend}-")
+    workdir = tempfile.mkdtemp(prefix="dist-smoke-")
     campaign_dir = os.path.join(workdir, "camp")
     journal = os.path.join(campaign_dir, "journal.jsonl")
-    Campaign.create(campaign_dir, sweep, cache=cache_uri)
+    Campaign.create(campaign_dir, sweep, cache="dir:cache")
 
     port = free_port()
     proxy = FlakyProxy(port, seed=7).start()
@@ -125,9 +121,8 @@ def main() -> int:
     if proxy.faults == 0:
         print("[smoke] FAIL: the proxy never injected a fault")
         return 1
-    print(f"[smoke] OK ({args.backend}): byte-identical after "
-          f"{proxy.faults} injected faults / {proxy.exchanges} "
-          f"exchanges, 1 host killed, "
+    print(f"[smoke] OK: byte-identical after {proxy.faults} injected "
+          f"faults / {proxy.exchanges} exchanges, 1 host killed, "
           f"{time.monotonic() - started:.1f}s; hosts seen: "
           f"{', '.join(status['hosts'])}")
     return 0
