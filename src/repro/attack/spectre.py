@@ -17,18 +17,11 @@ from ..runahead.base import NoRunahead
 from .specrun import AttackResult, SpecRunAttack
 
 
-def run_classic_spectre(variant="pht", config=None, receiver=None,
-                        noise=None, trials=1, **gadget_kwargs) -> AttackResult:
-    """Run the gadget on the no-runahead machine.
-
-    ``receiver`` / ``noise`` / ``trials`` select the external
-    covert-channel measurement path (:mod:`repro.channel`) instead of
-    the in-program probe, exactly as on the runahead machine — useful
-    for comparing channel quality with and without runahead reach.
-    """
+def run_classic_spectre(variant="pht", config=None,
+                        **gadget_kwargs) -> AttackResult:
+    """Run the gadget on the no-runahead machine."""
     return SpecRunAttack(variant=variant, runahead=NoRunahead(),
-                         config=config, receiver=receiver, noise=noise,
-                         trials=trials, **gadget_kwargs).run()
+                         config=config, **gadget_kwargs).run()
 
 
 def rob_limit_comparison(nop_padding, config=None, secret_value=127,

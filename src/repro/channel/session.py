@@ -28,17 +28,17 @@ Public contract
 ---------------
 * :func:`run_victim` is the only code that builds and runs a victim:
   channel runs, calibration runs and ``SpecRunAttack``'s in-program
-  probe path all go through it, so the single-core vs multi-core
-  choice is made in one place.
+  probe all go through it, so the single-core vs multi-core choice is
+  made in one place.
 * :func:`run_channel_attack` is the single entry point for one-value
   channel runs; :func:`repro.channel.extract.extract_secret` loops it
-  per byte, and the harness ``attack``/``extract`` trial kinds call
-  those two — nothing else constructs receivers against a live run.
-  A single-core ``topology`` (or none) is the one-core path, and its
-  records carry no ``topology`` key.
-* :class:`ChannelOutcome` is the stable result shape: ``to_dict`` is
-  what harness records persist and cache, so new fields must keep old
-  payloads decodable (add keys conditionally, as ``topology`` does).
+  per byte and is the one receiver-measured attack (the harness
+  ``extract`` trial kind and ``repro attack`` call it) — nothing else
+  constructs receivers against a live run.  A single-core
+  ``topology`` (or none) is the one-core path.
+* :class:`ChannelOutcome` is what one run hands back to
+  ``extract_secret``; the persisted, cached payload is
+  :meth:`~repro.channel.extract.ExtractionResult.to_dict`.
 * :func:`channel_ignore_set` and :func:`measure_and_decode` define the
   receiver-validation and ``derive_seed("channel", seed, trial)``
   noise-seeding contracts; results stay comparable and cacheable only
@@ -74,10 +74,6 @@ class ChannelOutcome:
     #: measured latencies across trials (a real receiver's reload/probe
     #: loop).  Charged to the channel-bandwidth denominator.
     measure_cycles: int = 0
-    calibration_cycles: int = 0
-    #: Core/co-runner placement spec (:meth:`repro.multicore.scenario.
-    #: Topology.to_spec`); None on the single-core path.
-    topology: Optional[dict] = None
 
     @property
     def recovered(self) -> Optional[int]:
@@ -86,27 +82,6 @@ class ChannelOutcome:
     @property
     def confidence(self) -> float:
         return self.decode.confidence
-
-    @property
-    def report(self):
-        return self.decode.report
-
-    def to_dict(self) -> dict:
-        payload = {
-            "receiver": self.receiver,
-            "trials": self.trials,
-            "noise": self.noise,
-            "recovered": self.recovered,
-            "confidence": self.confidence,
-            "votes": {str(k): v for k, v in sorted(self.decode.votes.items())},
-            "ignore_indices": list(self.ignore_indices),
-            "cycles": self.cycles,
-            "measure_cycles": self.measure_cycles,
-            "calibration_cycles": self.calibration_cycles,
-        }
-        if self.topology is not None:
-            payload["topology"] = self.topology
-        return payload
 
 
 def channel_ignore_set(receiver_cls, attack, extra_ignore=()) -> set:
@@ -250,8 +225,8 @@ def run_channel_attack(attack, runahead, config: Optional[CoreConfig],
         Optional :class:`~repro.multicore.scenario.Topology` (or its
         spec dict).  A multi-core arrangement runs victim, attacker and
         co-runners on separate views of a shared L3 (see
-        :func:`run_victim`) and is recorded on the outcome;
-        ``None``/single-core keeps the one-core path.
+        :func:`run_victim`); ``None``/single-core keeps the one-core
+        path.
     """
     from ..multicore.scenario import Topology
     topology = Topology.from_params(topology)
@@ -270,5 +245,4 @@ def run_channel_attack(attack, runahead, config: Optional[CoreConfig],
         noise=model.to_spec() if model is not None else None,
         decode=decoded, ignore_indices=tuple(sorted(ignore)),
         stats=core.stats, cycles=core.stats.cycles,
-        measure_cycles=measure_cycles,
-        topology=topology.to_spec() if topology is not None else None)
+        measure_cycles=measure_cycles)

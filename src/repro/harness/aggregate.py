@@ -65,8 +65,3 @@ def attack_matrix(attack_results: Sequence[Dict[str, Any]],
             cells.append(attack_cell(res) if res else "-")
         table_rows.append(tuple(cells))
     return format_table([row_field] + list(cols), table_rows)
-
-
-def stats_field(records: Sequence[Dict[str, Any]], field: str) -> List[Any]:
-    """Extract one ``stats`` field across result payloads."""
-    return [record["stats"][field] for record in records]

@@ -6,9 +6,9 @@ output of a sweep is byte-identical no matter which executor ran it or
 how many workers it used.  Each trial is self-contained — the worker
 resolves names to fresh simulator objects via the registry, and the
 simulator itself is fully deterministic — so sharding cannot change any
-measurement.  (A trial's ``seed`` is part of its spec and cache key,
-reserved for future stochastic workloads; current runners don't
-consume it.)
+measurement.  (A trial's ``seed`` is part of its spec and cache key;
+the ``extract`` runner seeds its receiver noise from it unless the
+params carry their own ``seed``.)
 
 Three executors ship today:
 

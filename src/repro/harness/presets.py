@@ -759,7 +759,6 @@ def _render_ablations(result: SweepResult) -> str:
 
 # ----------------------------------------------------- verify_cross_check
 
-VERIFY_DEFENSES = ("original", "no-runahead", "secure", "branch-skip")
 VERIFY_DEFENSES_QUICK = ("original", "branch-skip")
 VERIFY_GEN_FAMILIES = ("spec", "stale", "straight")
 VERIFY_GEN_SEEDS = 200
@@ -767,8 +766,9 @@ VERIFY_GEN_SEEDS_QUICK = 12
 
 
 def _build_verify_cross_check(quick: bool = False) -> Sweep:
+    from ..verify.crosscheck import DEFAULT_DEFENSES
     from ..verify.targets import target_names
-    defenses = VERIFY_DEFENSES_QUICK if quick else VERIFY_DEFENSES
+    defenses = VERIFY_DEFENSES_QUICK if quick else DEFAULT_DEFENSES
     n_seeds = VERIFY_GEN_SEEDS_QUICK if quick else VERIFY_GEN_SEEDS
     sweep = Sweep("verify_cross_check",
                   description="differential gate: static checker verdicts "

@@ -11,18 +11,18 @@ Trial kinds and their parameters (all optional unless noted):
 
 ``attack``
     ``variant`` (required), ``runahead`` + ``runahead_kwargs``,
-    ``config_base``/``config``, ``secret_value``, ``nop_padding``;
-    optionally ``receiver``/``noise``/``trials``/``seed`` to measure
-    through a :mod:`repro.channel` receiver instead of the in-program
-    probe, and ``cores``/``corunner``/``smt``/``corunner_runahead`` to
-    place victim, attacker and co-runners on a shared-L3 multi-core
-    topology (:class:`repro.multicore.scenario.Topology`).
+    ``config_base``/``config``, ``secret_value``, ``nop_padding`` —
+    one :class:`~repro.attack.specrun.SpecRunAttack` read by the paper's
+    in-program probe.  Receiver and topology params belong to
+    ``extract``; an ``attack`` trial that carries one is rejected.
 ``extract``
     ``secret`` (required: string or list of byte values), ``variant``,
     ``receiver``, ``noise``, ``trials``, ``runahead`` +
-    ``runahead_kwargs``, ``config_base``/``config``, ``seed``, plus the
-    same ``cores``/``corunner``/``smt``/``corunner_runahead`` topology
-    params — the multi-byte covert-channel extraction of
+    ``runahead_kwargs``, ``config_base``/``config``, ``seed``, and
+    ``cores``/``corunner``/``smt``/``corunner_runahead`` to place
+    victim, attacker and co-runners on a shared-L3 multi-core topology
+    (:class:`repro.multicore.scenario.Topology`) — the multi-byte
+    covert-channel extraction of
     :func:`repro.channel.extract.extract_secret`.
 ``ipc``
     ``workload`` (required), ``baseline`` (default no-runahead),
@@ -45,13 +45,10 @@ registry also resolves the synthetic trace suite (``trace-mcf``,
     ``target`` (required: a :mod:`repro.verify.targets` name or
     ``gen:<family>:<seed>``), ``defense`` (default "original"),
     ``windows``, ``spec_depth``/``runahead_len``/``max_window_forks``/
-    ``max_arch_steps``, ``shard`` (``[k, n]``: explore only window
-    forks with ``index % n == k`` — merge shards with
-    :func:`repro.verify.merge_reports`), ``cross_check`` (bool: also
-    run the target on the cycle simulator and hold the
-    :mod:`repro.verify.crosscheck` contract; excludes ``shard`` and a
-    restricted ``windows``), ``max_cycles`` (the cross-check simulation
-    budget).
+    ``max_arch_steps``, ``cross_check`` (bool: also run the target on
+    the cycle simulator and hold the :mod:`repro.verify.crosscheck`
+    contract; excludes a restricted ``windows``), ``max_cycles`` (the
+    cross-check simulation budget).
 """
 
 from __future__ import annotations
@@ -71,8 +68,11 @@ class TrialError(RuntimeError):
     """A trial failed; carries the trial label for diagnostics."""
 
 
-#: Multi-core placement params shared by the attack and extract kinds.
+#: Multi-core placement params of the extract kind.
 _TOPOLOGY_KEYS = ("cores", "corunner", "smt", "corunner_runahead")
+
+#: Receiver-measurement params that only the extract kind reads.
+_EXTRACT_ONLY_KEYS = ("receiver", "noise", "trials", "seed") + _TOPOLOGY_KEYS
 
 
 def _stats_dict(stats) -> Dict[str, Any]:
@@ -86,24 +86,21 @@ def _config_from(params) -> Any:
 
 def _run_attack(trial: Trial) -> Dict[str, Any]:
     params = trial.params
+    stale = [key for key in _EXTRACT_ONLY_KEYS if key in params]
+    if stale:
+        raise TrialError(
+            f"attack trials read the in-program probe and take no "
+            f"{', '.join(stale)}; measure through a receiver with an "
+            f"'extract' trial")
     controller = make_controller(params.get("runahead", "original"),
                                  **params.get("runahead_kwargs", {}))
-    gadget_kwargs = {}
-    for key in ("secret_value", "nop_padding"):
-        if key in params:
-            gadget_kwargs[key] = params[key]
-    for key in _TOPOLOGY_KEYS:
-        if key in params:
-            gadget_kwargs[key] = params[key]
+    gadget_kwargs = {key: params[key]
+                     for key in ("secret_value", "nop_padding")
+                     if key in params}
     attack = SpecRunAttack(variant=params["variant"], runahead=controller,
-                           config=_config_from(params),
-                           receiver=params.get("receiver"),
-                           noise=params.get("noise"),
-                           trials=params.get("trials", 1),
-                           seed=params.get("seed", trial.seed),
-                           **gadget_kwargs)
+                           config=_config_from(params), **gadget_kwargs)
     result = attack.run(max_cycles=params.get("max_cycles", 3_000_000))
-    record = {
+    return {
         "variant": params["variant"],
         "runahead": result.runahead_name,
         "secret": attack.attack.secret_value,
@@ -113,9 +110,6 @@ def _run_attack(trial: Trial) -> Dict[str, Any]:
         "latencies": list(result.latencies),
         "stats": _stats_dict(result.stats),
     }
-    if result.channel is not None:
-        record["channel"] = result.channel.to_dict()
-    return record
 
 
 def _run_extract(trial: Trial) -> Dict[str, Any]:
@@ -218,9 +212,9 @@ def resolve_verify_target(name: str):
     return build_target(name)
 
 
-def verify_record(case, result, shard=None) -> Dict[str, Any]:
+def verify_record(case, result) -> Dict[str, Any]:
     """The deterministic ``verify`` payload (shared-record pattern)."""
-    record = {
+    return {
         "target": case.name,
         "defense": result.defense,
         "windows": list(result.windows),
@@ -233,9 +227,6 @@ def verify_record(case, result, shard=None) -> Dict[str, Any]:
         "runahead_forks": result.runahead_forks,
         "suppressed": result.suppressed,
     }
-    if shard is not None:
-        record["shard"] = list(shard)
-    return record
 
 
 def _run_verify(trial: Trial) -> Dict[str, Any]:
@@ -252,14 +243,12 @@ def _run_verify(trial: Trial) -> Dict[str, Any]:
         if key in params:
             setattr(options, key, params[key])
     windows = params.get("windows", list(WINDOWS))
-    shard = params.get("shard")
+    if "shard" in params:
+        raise TrialError("verify trials take no shard: every checker run "
+                         "explores all window forks")
     if params.get("cross_check"):
         # The contract judges the one full checker run cross_check_case
         # makes; the record reports that same verdict.
-        if shard is not None:
-            raise TrialError("verify trial cannot combine shard with "
-                             "cross_check: the contract needs the full "
-                             "report set")
         if set(windows) != set(WINDOWS):
             raise TrialError("verify trial cannot combine windows with "
                              "cross_check: the contract judges every "
@@ -273,15 +262,11 @@ def _run_verify(trial: Trial) -> Dict[str, Any]:
         record["ok"] = cross.ok
         record["disagreements"] = list(cross.disagreements)
         return record
-    fork_filter = None
-    if shard is not None:
-        index, count = shard
-        fork_filter = lambda fork: fork % count == index
     result = check_program(
         case.program, case.image, secret_addrs=case.secret_addrs,
         initial_sp=case.initial_sp, defense=defense, windows=windows,
-        options=options, fork_filter=fork_filter)
-    return verify_record(case, result, shard=shard)
+        options=options)
+    return verify_record(case, result)
 
 
 def _run_taint(trial: Trial) -> Dict[str, Any]:

@@ -528,14 +528,6 @@ class MemoryHierarchy:
             return
         (self.l1i if inst else self.l1d).fill(line)
 
-    def warm_range(self, start, size_bytes, level=LEVEL_L1):
-        """Warm every line in ``[start, start + size_bytes)``."""
-        line_bytes = self.config.line_bytes
-        line = start & ~(line_bytes - 1)
-        while line < start + size_bytes:
-            self.warm(line, level=level)
-            line += line_bytes
-
     def warm_code_range(self, start, size_bytes):
         """Warm a code region into *both* L1 caches (plus L2/L3).
 

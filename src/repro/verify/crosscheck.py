@@ -42,7 +42,7 @@ from ..pipeline.config import CoreConfig
 from ..pipeline.core import Core
 from .engine import VerifyOptions, check_program
 from .report import VerifyResult
-from .targets import GadgetCase, build_target, target_names
+from .targets import GadgetCase
 
 #: The defense sweep the cross-check preset exercises by default.
 DEFAULT_DEFENSES = ("original", "no-runahead", "secure", "branch-skip")
@@ -86,7 +86,7 @@ class CellOutcome:
 
 @dataclass
 class CrossCheckResult:
-    """All cells for one target (or one whole sweep)."""
+    """All cells for one target."""
 
     cells: List[CellOutcome] = field(default_factory=list)
     disagreements: List[str] = field(default_factory=list)
@@ -94,10 +94,6 @@ class CrossCheckResult:
     @property
     def ok(self) -> bool:
         return not self.disagreements
-
-    def extend(self, other: "CrossCheckResult") -> None:
-        self.cells.extend(other.cells)
-        self.disagreements.extend(other.disagreements)
 
     def to_dict(self) -> Dict:
         return {
@@ -209,18 +205,4 @@ def cross_check_case(case: GadgetCase,
             leaked=leaked, oracle=oracle, ok=not problems, verdict=verdict,
             detail=detail if not problems else "; ".join(problems)))
         result.disagreements.extend(problems)
-    return result
-
-
-def cross_check_targets(names: Optional[Sequence[str]] = None,
-                        defenses: Sequence[str] = DEFAULT_DEFENSES,
-                        options: Optional[VerifyOptions] = None,
-                        max_cycles: int = DEFAULT_MAX_CYCLES
-                        ) -> CrossCheckResult:
-    """Cross-check every named (default: all registered) target."""
-    result = CrossCheckResult()
-    for name in (names if names is not None else target_names()):
-        result.extend(cross_check_case(build_target(name),
-                                       defenses=defenses, options=options,
-                                       max_cycles=max_cycles))
     return result

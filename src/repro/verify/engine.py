@@ -56,8 +56,9 @@ simulator; a *clean* verdict under any defense must extract nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from ..harness.registry import CONTROLLERS
 from ..isa.instructions import INSTR_BYTES, WORD_BYTES, Opcode
 from ..isa.registers import REG_SP
 from .machine import (LINE_BYTES, PathState, alu_result, as_int,
@@ -66,10 +67,9 @@ from .report import (WINDOW_RUNAHEAD, WINDOW_SPECULATION, WINDOWS,
                      LeakReport, VerifyResult, merge_reports)
 from .taint import AbsValue, cap_chain, clean
 
-#: Defense models, mirroring the controller names in
-#: :data:`repro.harness.registry.CONTROLLERS` (validated by test).
-DEFENSES = ("none", "no-runahead", "original", "precise", "vector",
-            "secure", "branch-skip")
+#: Defense models: the controller names of
+#: :data:`repro.harness.registry.CONTROLLERS`.
+DEFENSES = tuple(CONTROLLERS)
 
 #: Defenses under which the runahead machinery never runs.
 _NO_RUNAHEAD = ("none", "no-runahead")
@@ -108,8 +108,7 @@ class Checker:
                  initial_sp: Optional[int] = None,
                  defense: Optional[str] = None,
                  windows: Sequence[str] = WINDOWS,
-                 options: Optional[VerifyOptions] = None,
-                 fork_filter: Optional[Callable[[int], bool]] = None):
+                 options: Optional[VerifyOptions] = None):
         self.program = program
         self.image = image
         if not secret_addrs:
@@ -136,7 +135,6 @@ class Checker:
             defense not in _NO_RUNAHEAD
         self.windows = tuple(w for w in WINDOWS if w in windows)
         self.options = options or VerifyOptions()
-        self.fork_filter = fork_filter
         # Predictor state, trained by the architectural walk only.
         self.bhist: Dict[int, bool] = {}
         self.btb: Dict[int, int] = {}
@@ -159,14 +157,12 @@ class Checker:
 
     # -- fork bookkeeping --------------------------------------------------
 
-    def _next_fork(self) -> Tuple[int, bool]:
-        """Allocate a deterministic fork ordinal; second element tells
-        whether this shard explores it (fork indices are stable across
-        any sharding, so merged shard results are byte-identical)."""
+    def _next_fork(self) -> int:
+        """Allocate a deterministic fork ordinal (the report's
+        ``fork_index``, which :func:`merge_reports` orders by)."""
         index = self._fork_index
         self._fork_index += 1
-        explore = self.fork_filter is None or self.fork_filter(index)
-        return index, explore
+        return index
 
     # -- architectural walk ------------------------------------------------
 
@@ -228,14 +224,12 @@ class Checker:
             # Resolution waits on a memory-level miss: the wrong path
             # runs for the stall.  The attacker trains the predictor, so
             # the non-architectural direction is the reachable one.
-            index, explore = self._next_fork()
+            index = self._next_fork()
             self.spec_forks += 1
-            if explore:
-                wrong = state.fork()
-                wrong.pc = (state.pc + INSTR_BYTES) if taken \
-                    else instr.target
-                self._explore(wrong, mode="spec", fork_pc=state.pc,
-                              fork_index=index, crossed=True)
+            wrong = state.fork()
+            wrong.pc = (state.pc + INSTR_BYTES) if taken else instr.target
+            self._explore(wrong, mode="spec", fork_pc=state.pc,
+                          fork_index=index, crossed=True)
         self.bhist[state.pc] = taken
         state.pc = instr.target if taken else state.pc + INSTR_BYTES
         if instr.dest is not None:
@@ -247,13 +241,12 @@ class Checker:
         if self.explore_spec and src.slow:
             predicted = self.btb.get(state.pc)
             if predicted is not None and predicted != target:
-                index, explore = self._next_fork()
+                index = self._next_fork()
                 self.spec_forks += 1
-                if explore:
-                    wrong = state.fork()
-                    wrong.pc = predicted
-                    self._explore(wrong, mode="spec", fork_pc=state.pc,
-                                  fork_index=index, crossed=True)
+                wrong = state.fork()
+                wrong.pc = predicted
+                self._explore(wrong, mode="spec", fork_pc=state.pc,
+                              fork_index=index, crossed=True)
         self.btb[state.pc] = target
         state.pc = target
 
@@ -273,23 +266,20 @@ class Checker:
         if self.explore_runahead and cold:
             # Fig. 4c: the ret itself is the stalling load — runahead
             # enters with the return target unresolvable.
-            index, explore = self._next_fork()
+            index = self._next_fork()
             self.runahead_forks += 1
-            if explore:
-                self._runahead_window(state, fork_pc=state.pc,
-                                      fork_index=index)
+            self._runahead_window(state, fork_pc=state.pc, fork_index=index)
         slot = state.read_word(addr)
         target = as_int(slot.val) & ~3
         predicted = state.rsb[-1] if state.rsb else None
         if self.explore_spec and predicted is not None and \
                 predicted != target and (slot.slow or cold):
-            index, explore = self._next_fork()
+            index = self._next_fork()
             self.spec_forks += 1
-            if explore:
-                wrong = state.fork()
-                wrong.pc = predicted
-                self._explore(wrong, mode="spec", fork_pc=state.pc,
-                              fork_index=index, crossed=True)
+            wrong = state.fork()
+            wrong.pc = predicted
+            self._explore(wrong, mode="spec", fork_pc=state.pc,
+                          fork_index=index, crossed=True)
         if state.rsb:
             state.rsb.pop()
         state.touch(addr, self.arch_steps)
@@ -301,11 +291,9 @@ class Checker:
         addr = as_int(addr_v.val)
         cold = not state.is_warm(addr, self.arch_steps)
         if self.explore_runahead and cold:
-            index, explore = self._next_fork()
+            index = self._next_fork()
             self.runahead_forks += 1
-            if explore:
-                self._runahead_window(state, fork_pc=state.pc,
-                                      fork_index=index)
+            self._runahead_window(state, fork_pc=state.pc, fork_index=index)
         value = self._load_word(state, instr, addr, slow=cold)
         state.touch(addr, self.arch_steps)
         if instr.opcode is Opcode.VLOAD:
@@ -601,7 +589,7 @@ class Checker:
 
 def check_program(program, image=None, *, secret_addrs,
                   initial_sp=None, defense=None, windows=WINDOWS,
-                  options=None, fork_filter=None) -> VerifyResult:
+                  options=None) -> VerifyResult:
     """Statically check one program for transient secret leaks.
 
     Returns a :class:`~repro.verify.report.VerifyResult` whose
@@ -611,6 +599,5 @@ def check_program(program, image=None, *, secret_addrs,
     """
     checker = Checker(program, image, secret_addrs=secret_addrs,
                       initial_sp=initial_sp, defense=defense,
-                      windows=windows, options=options,
-                      fork_filter=fork_filter)
+                      windows=windows, options=options)
     return checker.run()

@@ -49,7 +49,7 @@ class LeakReport:
     chain: Tuple[int, ...]
     #: Where the window opened: the stalling/mispredicted instruction.
     fork_pc: int
-    #: Deterministic ordinal of the window (sharding key).
+    #: Deterministic ordinal of the window (dedup tie-break).
     fork_index: int
     #: Instructions executed inside the window before the leak.
     depth: int
@@ -91,7 +91,7 @@ class VerifyResult:
     windows: Tuple[str, ...] = WINDOWS
     arch_steps: int = 0
     window_steps: int = 0
-    #: Windows opened, by kind (filtered-out shards still count forks).
+    #: Windows opened, by kind.
     spec_forks: int = 0
     runahead_forks: int = 0
     #: Reports dropped by the defense model (e.g. secure quarantine).
@@ -100,9 +100,6 @@ class VerifyResult:
     @property
     def clean(self) -> bool:
         return not self.reports
-
-    def by_window(self, window: str) -> List[LeakReport]:
-        return [r for r in self.reports if r.window == window]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -119,12 +116,12 @@ class VerifyResult:
 
 
 def merge_reports(*groups) -> List[LeakReport]:
-    """Union report lists (e.g. from shards) into canonical order.
+    """Union report lists into canonical order.
 
     Deduplicates on :meth:`LeakReport.key`, keeping the report from the
     earliest window (lowest ``(fork_index, depth)``), then sorts — the
-    same report set in the same order no matter how exploration was
-    split across executors.
+    same report set in the same order no matter in which order the
+    windows were explored.
     """
     best: Dict[Tuple, LeakReport] = {}
     for group in groups:

@@ -32,11 +32,6 @@ from ..runahead.base import RunaheadController
 _BUILD_CACHE: Dict[str, Tuple[Program, MemoryImage, Optional[int]]] = {}
 
 
-def clear_build_cache():
-    """Drop all memoized workload builds (tests and long-lived servers)."""
-    _BUILD_CACHE.clear()
-
-
 @dataclass
 class Workload:
     """One runnable benchmark kernel.

@@ -7,7 +7,8 @@ from repro.attack.gadgets import build_attack
 from repro.channel import (NO_NOISE, EvictReloadReceiver,
                            FlushReloadReceiver, NoiseModel,
                            PrimeProbeReceiver, ProbeLayout, SplitMix64,
-                           eviction_set, make_receiver, receiver_class)
+                           eviction_set, extract_secret, make_receiver,
+                           receiver_class)
 from repro.memory.hierarchy import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
                                     LEVEL_PENDING, HierarchyConfig,
                                     MemoryHierarchy)
@@ -204,19 +205,20 @@ class TestFig9Equivalence:
     """Acceptance: noise off, trials=1 -> the exact Fig. 9 result."""
 
     def test_flush_reload_matches_in_program_probe(self):
-        legacy = run_specrun("pht", secret_value=86)
-        channel = run_specrun("pht", secret_value=86,
-                              receiver="flush-reload")
-        assert legacy.succeeded and channel.succeeded
-        assert channel.recovered_secret == legacy.recovered_secret == 86
-        assert channel.report.hits == legacy.report.hits == [86]
-        assert channel.channel.confidence == 1.0
+        in_program = run_specrun("pht", secret_value=86)
+        byte, = extract_secret([86], receiver="flush-reload",
+                               trials=1).bytes_
+        assert in_program.succeeded
+        assert byte.recovered == in_program.recovered_secret == 86
+        assert byte.decode.report.hits == in_program.report.hits == [86]
+        assert byte.confidence == 1.0
 
     @pytest.mark.parametrize("receiver", ["evict-reload", "prime-probe"])
     def test_other_receivers_recover_cleanly(self, receiver):
-        result = run_specrun("pht", secret_value=86, receiver=receiver)
-        assert result.succeeded, result.describe()
-        assert result.channel.confidence == 1.0
+        result = extract_secret([86], receiver=receiver, trials=1)
+        byte, = result.bytes_
+        assert byte.recovered == 86, result.describe()
+        assert byte.confidence == 1.0
 
     def test_external_probe_program_has_no_latencies(self):
         attack = build_attack("pht", external_probe=True)

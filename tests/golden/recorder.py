@@ -13,10 +13,9 @@ payloads as the pre-refactor implementation.  This module defines what
 * :func:`preset_records` — every trial of a quick-tier harness preset
   executed through :func:`repro.harness.runner.run_trial`, keyed by the
   trial's spec hash;
-* :func:`attack_records` — a small group of ``attack`` trials that
-  decode through a channel receiver, one core and cross-core, pinning
-  ``SpecRunAttack``'s channel and calibration path (no preset runs
-  ``attack`` with a receiver).
+* :func:`extract_records` — a small group of one-byte ``extract``
+  trials (``secret=[86]``) that decode through every receiver, one
+  core and cross-core, with and without calibration and co-runners.
 
 ``python -m tests.golden.recorder`` regenerates
 ``tests/golden/golden_stats.json``.  The fixture committed in this repo
@@ -54,9 +53,9 @@ PRESET_NAMES = ("table1", "fig4", "fig7", "fig9", "fig10", "fig11",
                 "cross_core_bandwidth", "smt_corunner_sweep",
                 "trace_pressure_sweep")
 
-#: ``attack`` trials through a receiver: prime+probe calibrates, the
-#: reload receivers do not; every placement the topology allows.
-ATTACK_PARAMS = (
+#: Receiver scenarios: prime+probe calibrates, the reload receivers do
+#: not; every placement the topology allows.
+RECEIVER_SCENARIOS = (
     {"variant": "pht", "receiver": "prime-probe", "trials": 2,
      "noise": {"jitter": 12}},
     {"variant": "pht", "receiver": "prime-probe", "trials": 2, "cores": 2},
@@ -70,6 +69,9 @@ ATTACK_PARAMS = (
      "corunner": "lbm", "smt": True},
     {"variant": "btb", "receiver": "prime-probe"},
 )
+#: Each scenario as a one-byte ``extract`` trial.
+EXTRACT_PARAMS = tuple(dict(params, secret=[86])
+                       for params in RECEIVER_SCENARIOS)
 
 
 def _arch_state_digest(core) -> str:
@@ -121,12 +123,12 @@ def preset_records(name: str) -> dict:
     return {trial_key(trial): run_trial(trial) for trial in sweep.trials}
 
 
-def attack_trials() -> list:
-    return [Trial(kind="attack", params=params) for params in ATTACK_PARAMS]
+def extract_trials() -> list:
+    return [Trial(kind="extract", params=params) for params in EXTRACT_PARAMS]
 
 
-def attack_records() -> dict:
-    return {trial_key(trial): run_trial(trial) for trial in attack_trials()}
+def extract_records() -> dict:
+    return {trial_key(trial): run_trial(trial) for trial in extract_trials()}
 
 
 def all_preset_records() -> dict:
@@ -135,7 +137,7 @@ def all_preset_records() -> dict:
 
 def build_golden() -> dict:
     return {"cores": all_core_records(), "presets": all_preset_records(),
-            "attacks": attack_records()}
+            "extracts": extract_records()}
 
 
 def load_golden() -> dict:
@@ -155,7 +157,7 @@ def main() -> int:
                            + "\n", encoding="utf-8")
     n_presets = sum(len(v) for v in golden["presets"].values())
     print(f"wrote {GOLDEN_PATH}: {len(golden['cores'])} core records, "
-          f"{n_presets} preset trials, {len(golden['attacks'])} attack "
+          f"{n_presets} preset trials, {len(golden['extracts'])} extract "
           f"trials")
     return 0
 

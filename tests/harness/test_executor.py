@@ -117,6 +117,15 @@ class TestFailures:
         with pytest.raises(TrialError, match="no runner"):
             run_trial(trial)
 
+    @pytest.mark.parametrize("key, value", [
+        ("receiver", "prime-probe"), ("noise", {"jitter": 12}),
+        ("trials", 2), ("seed", 7), ("cores", 2), ("corunner", "lbm"),
+        ("smt", True), ("corunner_runahead", "original")])
+    def test_attack_rejects_receiver_params(self, key, value):
+        trial = Trial("attack", {"variant": "pht", key: value})
+        with pytest.raises(TrialError, match=rf"{key}.*'extract' trial"):
+            run_trial(trial)
+
 
 class TestExecutorProtocol:
     def test_executors_are_executors(self):

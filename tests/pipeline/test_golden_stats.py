@@ -12,8 +12,8 @@ overhaul, PR 2).  These tests assert the optimized core reproduces it
 * every quick-tier harness preset trial (the 10 paper figures and the
   6 covert-channel presets) must yield an identical result payload
   through ``run_trial``;
-* every receiver ``attack`` trial in the fixture (``SpecRunAttack``'s
-  channel and calibration path, one core and cross-core) must too.
+* every one-byte ``extract`` trial in the fixture (each receiver, with
+  and without calibration, one core and cross-core) must too.
 
 If a future change *intends* to alter behaviour, regenerate the fixture
 with ``python -m tests.golden.recorder`` and say so in the commit; a
@@ -32,8 +32,8 @@ GOLDEN = recorder.load_golden()
 
 CORE_KEYS = sorted(GOLDEN["cores"])
 PRESET_NAMES = sorted(GOLDEN["presets"])
-ATTACK_TRIALS = {recorder.trial_key(trial): trial
-                 for trial in recorder.attack_trials()}
+EXTRACT_TRIALS = {recorder.trial_key(trial): trial
+                  for trial in recorder.extract_trials()}
 
 
 def test_fixture_covers_expected_grid():
@@ -44,7 +44,7 @@ def test_fixture_covers_expected_grid():
                       for controller in recorder.CORE_CONTROLLERS}
     assert set(GOLDEN["cores"]) == expected_cores
     assert set(GOLDEN["presets"]) == set(recorder.PRESET_NAMES)
-    assert set(GOLDEN["attacks"]) == set(ATTACK_TRIALS)
+    assert set(GOLDEN["extracts"]) == set(EXTRACT_TRIALS)
 
 
 @pytest.mark.slow
@@ -83,8 +83,8 @@ def test_cross_core_preset_matches_golden_smoke():
     _assert_preset_matches("fig10_cross_core")
 
 
-@pytest.mark.parametrize("key", sorted(ATTACK_TRIALS))
-def test_attack_trials_match_golden(key):
-    fresh = recorder.normalize(run_trial(ATTACK_TRIALS[key]))
-    assert fresh == GOLDEN["attacks"][key], \
+@pytest.mark.parametrize("key", sorted(EXTRACT_TRIALS))
+def test_extract_trials_match_golden(key):
+    fresh = recorder.normalize(run_trial(EXTRACT_TRIALS[key]))
+    assert fresh == GOLDEN["extracts"][key], \
         f"{key} diverged from the pre-refactor recording"

@@ -15,7 +15,6 @@ from repro.harness.spec import Trial
 from repro.verify.crosscheck import (DEFAULT_DEFENSES, cross_check_case,
                                      empirical_secret_leak,
                                      make_defense_controller)
-from repro.verify.report import LeakReport, merge_reports
 from repro.verify.targets import build_target
 
 #: One gadget per shape: probe-loop attack, its benign twin, and the
@@ -56,29 +55,16 @@ def test_footprint_oracle_sees_nothing_for_the_benign_twin():
 
 
 class TestShardFanOut:
-    """Per-branch shard fan-out: the union of shard results must equal
-    the unsharded run byte for byte (what the executors rely on)."""
-
-    def _reports(self, params):
-        record = run_trial(Trial("verify", dict(params)))
-        return [LeakReport.from_dict(d) for d in record["reports"]]
-
-    @pytest.mark.parametrize("target", ("pht", "stale-store"))
-    def test_shard_union_equals_full_run(self, target):
-        base = {"target": target, "defense": "original"}
-        full = self._reports(base)
-        shards = [self._reports({**base, "shard": [k, 3]})
-                  for k in range(3)]
-        merged = merge_reports(*shards)
-        assert [r.to_dict() for r in merged] == \
-            [r.to_dict() for r in full]
+    """A verify trial is one whole checker run: there is no fork
+    fan-out to shard, and cross_check judges every window kind."""
 
     def test_shard_excludes_cross_check(self):
+        """``shard`` is no verify param, with or without cross_check."""
         from repro.harness.runner import TrialError
-        with pytest.raises(TrialError, match="shard"):
-            run_trial(Trial("verify", {"target": "stale-store",
-                                       "shard": [0, 2],
-                                       "cross_check": True}))
+        for extra in ({}, {"cross_check": True}):
+            with pytest.raises(TrialError, match="shard"):
+                run_trial(Trial("verify", {"target": "stale-store",
+                                           "shard": [0, 2], **extra}))
 
     def test_restricted_windows_exclude_cross_check(self):
         """A restricted verdict would be printed while the contract
