@@ -4,8 +4,8 @@
 Drives the six SPEC2006-shaped kernels through the experiment harness
 (``repro.harness``): the ``fig7`` preset declares the sweep, the
 executor fans it out across worker processes, and the on-disk result
-cache makes a second run of this script (or of
-``benchmarks/bench_fig7_ipc.py`` — same trials) near-instant.
+cache makes a second run of this script (or of ``python -m repro
+sweep fig7`` — same trials) near-instant.
 
 Try::
 

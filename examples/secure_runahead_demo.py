@@ -9,7 +9,7 @@ Runs the identical attack program against three machines:
 
 Then shows the performance cost of each defense on a memory-bound
 workload.  Both halves are one harness sweep (the quick tier of the
-``sec6`` preset; full grid: ``benchmarks/bench_sec6_defense.py``).
+``sec6`` preset; full grid: ``python -m repro sweep sec6``).
 """
 
 from repro.harness import ProcessPoolExecutor, presets

@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``repro sweep <preset>``
     Build a paper-figure sweep, execute it (sharded, cached), print the
-    rendered report.  ``--quick`` runs the reduced CI grid, ``--out``
+    rendered report and check the preset's paper claims: exit status 1
+    if any claim fails.  ``--quick`` runs the reduced CI grid, ``--out``
     writes the canonical JSON, ``--list`` enumerates presets.
 ``repro run <kind> [key=value ...]``
     Execute one ad-hoc trial (``attack``, ``ipc``, ``window``, ``run``,
@@ -59,7 +60,8 @@ Subcommands
     any number of hosts.
 ``repro report <file.json | preset>``
     Render a previously saved sweep result, or re-render a preset from
-    the cache without recomputing anything that is already stored.
+    the cache without recomputing anything that is already stored;
+    claims are checked as for ``sweep``.
 ``repro cache [--clear]``
     Show (or empty) the on-disk result cache.
 
@@ -152,14 +154,30 @@ def _cmd_sweep(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(result.to_json())
         print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
+    status = _render_and_check(preset, result, args.json)
+    if not args.json:
+        print()
+        print(result.describe())
+    return status
+
+
+def _render_and_check(preset, result: SweepResult, as_json: bool) -> int:
+    """Print ``result`` (the preset's report, or the canonical JSON with
+    ``as_json``), then the preset's claims: ``claims: all hold`` or each
+    failing one, on stderr under ``as_json``.  Returns 1 if any claim
+    fails, else 0."""
+    if as_json:
         print(result.to_json())
     else:
         print(f"== {preset.title} ==")
         print(preset.render(result))
-        print()
-        print(result.describe())
-    return 0
+    out = sys.stderr if as_json else sys.stdout
+    problems = preset.check(result)
+    for problem in problems:
+        print(f"claim failed: {preset.name}: {problem}", file=out)
+    if not problems:
+        print("claims: all hold", file=out)
+    return 1 if problems else 0
 
 
 def _cmd_run(args) -> int:
@@ -433,10 +451,7 @@ def _cmd_report(args) -> int:
         result = SerialExecutor().execute(preset.build(quick=args.quick),
                                           cache=_cache_arg(args))
         name = source
-    preset = preset_registry.get(name)
-    print(f"== {preset.title} ==")
-    print(preset.render(result))
-    return 0
+    return _render_and_check(preset_registry.get(name), result, False)
 
 
 def _cmd_cache(args) -> int:
@@ -452,14 +467,19 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _campaign_report(campaign, results) -> None:
+def _campaign_report(results, as_json: bool) -> int:
+    """Render and check every campaign sweep; 1 if any claim fails."""
+    status = 0
     for result in results:
         preset = preset_registry.PRESETS.get(result.name)
         if preset is not None:
-            print(f"== {preset.title} ==")
-            print(preset.render(result))
+            status |= _render_and_check(preset, result, as_json)
+        elif as_json:
+            print(result.to_json())
+        if not as_json:
             print()
-        print(result.describe())
+            print(result.describe())
+    return status
 
 
 def _cmd_campaign_run(args) -> int:
@@ -474,13 +494,10 @@ def _cmd_campaign_run(args) -> int:
     progress = lambda line: print(line, file=sys.stderr)   # noqa: E731
     results = campaign.run(workers=args.workers, progress=progress,
                            force=args.force)
-    if args.json:
-        for result in results:
-            print(result.to_json())
-    else:
-        _campaign_report(campaign, results)
+    status = _campaign_report(results, args.json)
+    if not args.json:
         print(f"campaign directory: {campaign.directory}")
-    return 0
+    return status
 
 
 def _cmd_campaign_resume(args) -> int:
@@ -489,12 +506,7 @@ def _cmd_campaign_resume(args) -> int:
     campaign = Campaign.open(args.dir)
     progress = lambda line: print(line, file=sys.stderr)   # noqa: E731
     results = campaign.run(workers=args.workers, progress=progress)
-    if args.json:
-        for result in results:
-            print(result.to_json())
-    else:
-        _campaign_report(campaign, results)
-    return 0
+    return _campaign_report(results, args.json)
 
 
 def _cmd_campaign_status(args) -> int:

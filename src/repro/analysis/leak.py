@@ -9,7 +9,7 @@ from .thresholds import classify_hits
 
 
 @dataclass
-class LeakReport:
+class ProbeVerdict:
     """Interpretation of one probe-array timing vector (one Fig. 9 curve)."""
 
     latencies: List[int]
@@ -35,7 +35,8 @@ class LeakReport:
                 f"threshold {self.threshold})")
 
 
-def analyze_probe(latencies, expected_hits=1, ignore_indices=()) -> LeakReport:
+def analyze_probe(latencies, expected_hits=1,
+                  ignore_indices=()) -> ProbeVerdict:
     """Classify probe latencies and recover the leaked index.
 
     ``ignore_indices`` excludes indices the experiment itself warms (for
@@ -51,13 +52,13 @@ def analyze_probe(latencies, expected_hits=1, ignore_indices=()) -> LeakReport:
       multi-hit transmission, and zero or multiple hits are ambiguous.
     * ``expected_hits`` never changes recovery; it is recorded on the
       report so experiments that transmit several indices (or expect
-      none) can check :attr:`LeakReport.hits_as_expected` separately.
+      none) can check :attr:`ProbeVerdict.hits_as_expected` separately.
       Multi-trial channels needing more than this single-shot rule use
       :func:`repro.channel.decode.decode_trials` instead.
     """
     hits, threshold = classify_hits(latencies)
     meaningful = [h for h in hits if h not in set(ignore_indices)]
     recovered = meaningful[0] if len(meaningful) == 1 else None
-    return LeakReport(latencies=list(latencies), hits=meaningful,
+    return ProbeVerdict(latencies=list(latencies), hits=meaningful,
                       threshold=threshold, recovered=recovered,
                       expected_hits=expected_hits)

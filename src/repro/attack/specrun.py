@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.leak import LeakReport, analyze_probe
+from ..analysis.leak import ProbeVerdict, analyze_probe
 from ..pipeline.config import CoreConfig
 from ..runahead.base import RunaheadController
 from ..runahead.original import OriginalRunahead
@@ -25,7 +25,7 @@ class AttackResult:
     """Outcome of one end-to-end attack run."""
 
     attack: AttackProgram
-    report: LeakReport
+    report: ProbeVerdict
     stats: object                 # CoreStats of the run
     runahead_name: str
 

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.leak import LeakReport, analyze_probe
+from ..analysis.leak import ProbeVerdict, analyze_probe
 from ..analysis.thresholds import classify_hits
 from .receiver import ProbeVector
 
@@ -67,7 +67,7 @@ class ChannelDecode:
     confidence: float                 # votes for `recovered` / trials
     trials: int
     votes: Dict[int, int]             # index -> number of trials voting
-    report: LeakReport                # single-shot analysis of the median
+    report: ProbeVerdict              # single-shot analysis of the median
     aggregated: List[int]             # per-index median latency (raw)
     per_trial_signals: List[List[int]]
     ignore_indices: Tuple[int, ...] = ()

@@ -4,7 +4,7 @@ These replace the ad-hoc reduction loops the benchmark scripts used to
 carry: geometric means over IPC records, speedup tables/bars, and
 attack-outcome matrices.  Everything operates on the plain result
 payloads produced by :mod:`repro.harness.runner`, so the same helpers
-serve the benchmarks, the examples and ``python -m repro report``.
+serve the preset renderers, the examples and ``python -m repro report``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Each preset maps one table/figure/section of the paper to a declarative
 :class:`~repro.harness.spec.Sweep` plus a renderer that turns the sweep
-result back into the text block the reproduction reports.  The
-benchmarks, the examples and ``python -m repro sweep <name>`` all build
-their experiments here, so a figure is defined in exactly one place.
+result back into the text block the reproduction reports, plus a
+checker that holds the result to the paper's claims.  The examples and
+``python -m repro sweep <name>`` build their experiments here, so a
+figure and its claims are defined in exactly one place.
 
 ``build(quick=True)`` returns a reduced grid for CI smoke runs — fewer
 axis points, same trial kinds and the same code paths end to end.
@@ -13,10 +14,13 @@ Public contract
 ---------------
 * :data:`PRESETS` / :func:`get` are the catalogue: every entry is a
   :class:`Preset` whose ``build(quick=False)`` returns a fresh,
-  JSON-serializable :class:`~repro.harness.spec.Sweep` and whose
+  JSON-serializable :class:`~repro.harness.spec.Sweep`, whose
   ``render(result)`` turns the executed sweep back into the report
-  text.  ``repro sweep``/``repro report``, every ``benchmarks/bench_*``
-  file and the examples resolve experiments only through here.
+  text, and whose ``check(result)`` returns one problem string per
+  claim that fails (empty when every claim holds).  A claim whose bound
+  differs by tier works the tier out from the records.  ``repro
+  sweep``/``repro report``/``repro campaign`` print the problems and
+  exit 1; the examples resolve experiments only through here.
 * Sweeps must be **byte-identical at any worker count**: trial params
   may contain only registry names and numbers, and any randomness must
   derive from committed seed constants (`FIG9_NOISE_SEED` et al.).
@@ -26,8 +30,8 @@ Public contract
   emitting identical trials (see ``cross_core_bandwidth``).
 * Some rendered *findings* are empirical properties of the committed
   constants (Fig. 9's monotone success curve, the smt/trace co-runner
-  calibration results) — pinned by the benchmarks; re-verify when
-  retuning.
+  calibration results) — pinned by each preset's ``check``; re-verify
+  when retuning.
 """
 
 from __future__ import annotations
@@ -57,6 +61,12 @@ class Preset:
     title: str
     build: Callable[..., Sweep]          # build(quick=False) -> Sweep
     render: Callable[[SweepResult], str]
+    check: Callable[[SweepResult], List[str]]   # [] when every claim holds
+
+
+def _failed(*claims) -> List[str]:
+    """The messages of the ``(holds, message)`` claims that fail."""
+    return [message for holds, message in claims if not holds]
 
 
 # ---------------------------------------------------------------- table1
@@ -97,6 +107,14 @@ def _render_table1(result: SweepResult) -> str:
             f"IPC {ref['ipc']:.3f}")
 
 
+def _check_table1(result: SweepResult) -> List[str]:
+    ref = result.one("run", workload="reference")["result"]
+    return _failed(
+        (ref["halted"], "reference run did not halt"),
+        (ref["cycles"] > 0,
+         f"reference run took {ref['cycles']} cycles, want > 0"))
+
+
 # ------------------------------------------------------------------ fig4
 
 def _build_fig4(quick: bool = False) -> Sweep:
@@ -125,6 +143,16 @@ def _render_fig4(result: SweepResult) -> str:
             "(Fig. 4c).")
 
 
+def _check_fig4(result: SweepResult) -> List[str]:
+    attacks = result.results("attack")
+    return _failed(
+        (attacks, "sweep produced no attack records"),
+        *((res["succeeded"],
+           f"{res['variant']}: recovered {res['recovered']}, want "
+           f"{res['secret']} (paper: every variant leaks under runahead)")
+          for res in attacks))
+
+
 # ------------------------------------------------------------------ fig7
 
 def _build_fig7(quick: bool = False) -> Sweep:
@@ -146,11 +174,40 @@ def _render_fig7(result: SweepResult) -> str:
             "(paper: ~1.11x average)")
 
 
+def _check_fig7(result: SweepResult) -> List[str]:
+    rows = result.results("ipc")
+    by_name = {row["workload"]: row for row in rows}
+    if "zeusmp" not in by_name or "mcf" not in by_name:
+        return [f"ran {sorted(by_name)}, want zeusmp and mcf among them"]
+    zeusmp = by_name["zeusmp"]["speedup"]
+    mean = geometric_mean_speedup(rows)
+    # The paper's band applies to its six-kernel average only.
+    if set(by_name) == set(FIG7_KERNELS):
+        mean_claim = (1.05 < mean < 1.30, f"geomean speedup {mean:.3f}x, "
+                      "want in (1.05, 1.30) (paper ~1.11x)")
+    else:
+        mean_claim = (mean > 1.0, f"geomean speedup {mean:.3f}x over "
+                      f"{sorted(by_name)}, want > 1.0")
+    return _failed(
+        (0.95 < zeusmp < 1.15,
+         f"zeusmp (compute bound) speedup {zeusmp:.3f}x, "
+         "want in (0.95, 1.15)"),
+        *((by_name[name]["speedup"] > 1.05,
+           f"{name} (memory bound) speedup "
+           f"{by_name[name]['speedup']:.3f}x, want > 1.05")
+          for name in ("bwaves", "lbm", "mcf", "gems") if name in by_name),
+        mean_claim)
+
+
 # ------------------------------------------------------------------ fig9
+
+FIG9_SECRET = 86
+
 
 def _build_fig9(quick: bool = False) -> Sweep:
     sweep = Sweep("fig9", description="Fig. 9: probe latencies of the PoC")
-    sweep.add("attack", variant="pht", runahead="original", secret_value=86)
+    sweep.add("attack", variant="pht", runahead="original",
+              secret_value=FIG9_SECRET)
     return sweep
 
 
@@ -171,6 +228,23 @@ def _render_fig9(result: SweepResult) -> str:
             f"(paper: drop at index 86, ~100 vs ~350 cycles)")
 
 
+def _check_fig9(result: SweepResult) -> List[str]:
+    res = result.one("attack", variant="pht")["result"]
+    latencies = res["latencies"]
+    dip = latencies[FIG9_SECRET]
+    fastest_other = min(lat for i, lat in enumerate(latencies)
+                        if i != FIG9_SECRET)
+    return _failed(
+        (res["succeeded"] and res["recovered"] == FIG9_SECRET,
+         f"recovered {res['recovered']}, want {FIG9_SECRET} "
+         f"(paper {FIG9_SECRET})"),
+        (dip < 50, f"dip latency {dip} cycles at index {FIG9_SECRET}, "
+                   "want < 50 (paper ~100)"),
+        (fastest_other > 150,
+         f"fastest non-secret probe {fastest_other} cycles, want > 150 "
+         "(paper ~350)"))
+
+
 # ------------------------------------------------------- fig9_noise_sweep
 
 #: A noisy covert channel: probe jitter, co-runner evictions and
@@ -186,7 +260,7 @@ FIG9_NOISE_SECRET_QUICK = [83, 67]            # "SC"
 #: That makes the points comparable (prefix property), but decoding is
 #: a majority vote, so monotonicity of the success curve is an
 #: *empirical* property of these committed constants — pinned by
-#: benchmarks/bench_channel_noise.py, re-verify when retuning.
+#: ``_check_fig9_noise``, re-verify when retuning.
 FIG9_NOISE_SEED = 7
 
 
@@ -226,6 +300,25 @@ def _render_fig9_noise(result: SweepResult) -> str:
             "majority vote across\ntrials recovers the full secret "
             "(bandwidth = correctly recovered bits /\nsimulated cycles "
             "at a nominal 2 GHz clock).")
+
+
+def _check_fig9_noise(result: SweepResult) -> List[str]:
+    rows = result.results("extract")
+    trials = [res["trials"] for res in rows]
+    rates = [res["success_rate"] for res in rows]
+    final = rows[-1]
+    return _failed(
+        (trials == sorted(trials), f"trials axis {trials} is not ascending"),
+        (all(a <= b for a, b in zip(rates, rates[1:])),
+         f"success rate {rates} is not monotone in trials"),
+        (rates[-1] == 1.0 and final["recovered"] == final["secret"],
+         f"{final['trials']} trials recovered "
+         f"{_recovered_text(final['recovered'])!r} at rate {rates[-1]:.2f}, "
+         f"want the full secret {_recovered_text(final['secret'])!r}"),
+        (final["bandwidth_bits_per_s"] > 0 and final["bits_per_kcycle"] > 0,
+         f"{final['trials']} trials: bandwidth "
+         f"{final['bandwidth_bits_per_s']} bits/s, "
+         f"{final['bits_per_kcycle']} bits/kcycle, want both > 0"))
 
 
 # ------------------------------------------------------ channel_bandwidth
@@ -270,6 +363,24 @@ def _render_channel_bandwidth(result: SweepResult) -> str:
             "clflush\nrequirement (training-warmed entries are excluded); "
             "prime+probe watches its\nown primed L3 sets and pays one "
             "benign calibration run.")
+
+
+def _check_channel_bandwidth(result: SweepResult) -> List[str]:
+    by_receiver = {res["receiver"]: res
+                   for res in result.results("extract")}
+    if set(by_receiver) != set(CHANNEL_RECEIVERS):
+        return [f"receivers {sorted(by_receiver)}, "
+                f"want {sorted(CHANNEL_RECEIVERS)}"]
+    return _failed(
+        (by_receiver["flush-reload"]["success_rate"] == 1.0,
+         "flush-reload success rate "
+         f"{by_receiver['flush-reload']['success_rate']:.2f}, want 1.0"),
+        *((res["success_rate"] >= 0.5 and res["bandwidth_bits_per_s"] > 0,
+           f"{name}: success rate {res['success_rate']:.2f} at "
+           f"{res['bandwidth_bits_per_s']} bits/s, want >= 0.5 at > 0")
+          for name, res in by_receiver.items()),
+        (by_receiver["prime-probe"]["calibration_cycles"] > 0,
+         "prime-probe spent no calibration cycles, want > 0"))
 
 
 def _recovered_text(values) -> str:
@@ -328,6 +439,30 @@ def _render_fig10_cross_core(result: SweepResult) -> str:
             "decodes).")
 
 
+def _check_fig10_cross_core(result: SweepResult) -> List[str]:
+    by_machine: Dict[str, List[dict]] = {}
+    for record in result.select("extract"):
+        by_machine.setdefault(record["params"]["runahead"],
+                              []).append(record["result"])
+    return _failed(
+        *((res["topology"]["cores"] == 2,
+           f"{machine}/{res['receiver']}: ran on "
+           f"{res['topology']['cores']} cores, want 2")
+          for machine, rows in by_machine.items() for res in rows),
+        *((res["success_rate"] >= 0.9,
+           f"original/{res['receiver']}: success rate "
+           f"{res['success_rate']:.2f}, want >= 0.9 (baseline leaks "
+           "cross-core)")
+          for res in by_machine["original"]),
+        *((res["success_rate"] == 0.0,
+           f"{machine}/{res['receiver']}: success rate "
+           f"{res['success_rate']:.2f}, recovered "
+           f"{_recovered_text(res['recovered'])!r}, want 0.0 (defense "
+           "closes the channel)")
+          for machine in ("secure", "branch-skip")
+          for res in by_machine[machine]))
+
+
 # ----------------------------------------------------- cross_core_bandwidth
 
 def _build_cross_core_bandwidth(quick: bool = False) -> Sweep:
@@ -369,6 +504,34 @@ def _render_cross_core_bandwidth(result: SweepResult) -> str:
             "(the receiver's\nprivate caches never hold the victim's "
             "lines), shrinking the timing margin\nbut leaving every "
             "strategy a working cross-core channel.")
+
+
+def _check_cross_core_bandwidth(result: SweepResult) -> List[str]:
+    pairs: Dict[str, Dict[int, dict]] = {}
+    for record in result.select("extract"):
+        pairs.setdefault(record["result"]["receiver"], {})[
+            record["params"].get("cores", 1)] = record["result"]
+    if set(pairs) != set(CHANNEL_RECEIVERS):
+        return [f"receivers {sorted(pairs)}, "
+                f"want {sorted(CHANNEL_RECEIVERS)}"]
+    problems = []
+    for receiver, by_cores in pairs.items():
+        same, cross = by_cores[1], by_cores[2]
+        problems += _failed(
+            (cross["success_rate"] >= 0.5
+             and cross["bandwidth_bits_per_s"] > 0,
+             f"{receiver} cross-core: success rate "
+             f"{cross['success_rate']:.2f} at "
+             f"{cross['bandwidth_bits_per_s']} bits/s, "
+             "want >= 0.5 at > 0"),
+            # Cross-core reload hits pay LLC latency, so a reload
+            # channel never runs faster on another core.
+            (receiver == "prime-probe"
+             or same["bits_per_kcycle"] >= 0.9 * cross["bits_per_kcycle"],
+             f"{receiver}: same-core {same['bits_per_kcycle']:.3f} "
+             f"bits/kcycle, want >= 0.9x cross-core "
+             f"{cross['bits_per_kcycle']:.3f}"))
+    return problems
 
 
 # ------------------------------------------------------ smt_corunner_sweep
@@ -437,6 +600,36 @@ def _render_smt_corunner(result: SweepResult) -> str:
             "window cannot\nfake a reload hit on the victim's lines.")
 
 
+def _check_smt_corunner(result: SweepResult) -> List[str]:
+    records = result.select("extract")
+    real = [r for r in records if r["params"].get("corunner")]
+    overlay = [r for r in records if r["params"].get("noise")
+               and r["params"].get("corunner") is None]
+    clean = [r for r in records if not r["params"].get("noise")
+             and r["params"].get("corunner") is None]
+    return _failed(
+        (overlay and real, "want both overlay-noise and real co-runner "
+                           "rows"),
+        *((r["result"]["total_cycles"] > 0
+           and r["result"]["topology"]["corunner"]
+           == r["params"]["corunner"],
+           f"{_smt_scenario_label(r['params'])}: co-runner "
+           f"{r['result']['topology']['corunner']!r} over "
+           f"{r['result']['total_cycles']} cycles, want "
+           f"{r['params']['corunner']!r} over > 0")
+          for r in real),
+        # A co-runner in its own physical window cannot fake a reload
+        # hit on the victim's lines.
+        *((r["result"]["success_rate"] == 1.0,
+           f"flush-reload under {_smt_scenario_label(r['params'])}: "
+           f"success rate {r['result']['success_rate']:.2f}, want 1.0")
+          for r in real if r["result"]["receiver"] == "flush-reload"),
+        *((r["result"]["success_rate"] == 1.0,
+           f"{r['result']['receiver']} clean cross-core: success rate "
+           f"{r['result']['success_rate']:.2f}, want 1.0")
+          for r in clean))
+
+
 # ------------------------------------------------------------ fig7_traces
 
 TRACE_KERNELS = ("trace-mcf", "trace-stream", "trace-gcc", "trace-zipf")
@@ -465,6 +658,24 @@ def _render_fig7_traces(result: SweepResult) -> str:
             "serialized (dependent loads go INV — runahead prefetches\n"
             "only the arc streams), streaming prefetches everything, "
             "zipf's hot set is\ncache-resident.")
+
+
+def _check_fig7_traces(result: SweepResult) -> List[str]:
+    rows = {res["workload"]: res for res in result.results("ipc")}
+    mcf, stream = rows["trace-mcf"], rows["trace-stream"]
+    return _failed(
+        *((res["ipc_base"] > 0, f"{name}: baseline IPC {res['ipc_base']}, "
+                                "want > 0")
+          for name, res in rows.items()),
+        # The chase gains through its arc streams even though the
+        # chase itself is unprefetchable.
+        (mcf["speedup"] > 1.3,
+         f"trace-mcf speedup {mcf['speedup']:.3f}x, want > 1.3"),
+        (stream["speedup"] > 1.2,
+         f"trace-stream speedup {stream['speedup']:.3f}x, want > 1.2"),
+        (mcf["prefetches"] > 0,
+         f"trace-mcf issued {mcf['prefetches']} runahead prefetches, "
+         "want > 0"))
 
 
 # ---------------------------------------------------- trace_pressure_sweep
@@ -527,6 +738,34 @@ def _render_trace_pressure(result: SweepResult) -> str:
             "physical window cannot fake a reload hit.")
 
 
+def _check_trace_pressure(result: SweepResult) -> List[str]:
+    table = {(r["result"]["receiver"], r["params"].get("corunner")):
+             r["result"] for r in result.select("extract")}
+    pp = {corunner: table[("prime-probe", corunner)]["success_rate"]
+          for corunner in TRACE_PRESSURE_CORUNNERS}
+    fr = {corunner: table[("flush-reload", corunner)]
+          for corunner in TRACE_PRESSURE_CORUNNERS}
+    return _failed(
+        (pp["trace-mcf"] < pp["trace-stream"],
+         f"prime-probe success {pp['trace-mcf']:.2f} under trace-mcf, "
+         f"want below trace-stream's {pp['trace-stream']:.2f}"),
+        (pp["trace-mcf"] == 0.0,
+         f"prime-probe success {pp['trace-mcf']:.2f} under trace-mcf, "
+         "want 0.0 (the chase defeats calibration)"),
+        *((pp[corunner] == 1.0, f"prime-probe success {pp[corunner]:.2f} "
+                                f"with co-runner {corunner}, want 1.0")
+          for corunner in (None, "trace-stream")),
+        *((res["success_rate"] == 1.0,
+           f"flush-reload success {res['success_rate']:.2f} with "
+           f"co-runner {corunner}, want 1.0")
+          for corunner, res in fr.items()),
+        (fr["trace-mcf"]["bandwidth_bits_per_s"]
+         < fr[None]["bandwidth_bits_per_s"],
+         "flush-reload bandwidth under trace-mcf "
+         f"{fr['trace-mcf']['bandwidth_bits_per_s']:,.0f} bits/s, want "
+         f"below the clean {fr[None]['bandwidth_bits_per_s']:,.0f}"))
+
+
 # ----------------------------------------------------------------- fig10
 
 def _build_fig10(quick: bool = False) -> Sweep:
@@ -563,6 +802,19 @@ def _render_fig10(result: SweepResult) -> str:
             "ROB\nwith the paper's ordering.")
 
 
+def _check_fig10(result: SweepResult) -> List[str]:
+    n1 = result.one("window", runahead="none")["result"]["window"]
+    n2 = result.one("window", runahead="original",
+                    async_flushes=None)["result"]["window"]
+    n3 = result.one("window", runahead="original",
+                    async_flushes=1)["result"]["window"]
+    rob = make_config("paper").rob_size
+    return _failed(
+        (n1 == rob - 1, f"N1 = {n1}, want ROB-1 = {rob - 1} (paper 255)"),
+        (n2 > rob, f"N2 = {n2}, want > ROB = {rob} (paper 480)"),
+        (n3 > n2, f"N3 = {n3}, want > N2 = {n2} (paper 840)"))
+
+
 # ----------------------------------------------------------------- fig11
 
 FIG11_SECRET = 127
@@ -595,6 +847,18 @@ def _render_fig11(result: SweepResult) -> str:
             "(paper: leakage only on the runahead machine, index 127)")
 
 
+def _check_fig11(result: SweepResult) -> List[str]:
+    baseline = result.one("attack", runahead="none")["result"]
+    runahead = result.one("attack", runahead="original")["result"]
+    return _failed(
+        (not baseline["leaked"],
+         f"no-runahead machine leaked {baseline['recovered']}, want no "
+         "leak (paper: no drop)"),
+        (runahead["succeeded"] and runahead["recovered"] == FIG11_SECRET,
+         f"runahead machine recovered {runahead['recovered']}, want "
+         f"{FIG11_SECRET} (paper {FIG11_SECRET})"))
+
+
 # ----------------------------------------------------------------- fig12
 
 def _build_fig12(quick: bool = False) -> Sweep:
@@ -620,6 +884,14 @@ def _render_fig12(result: SweepResult) -> str:
                if not res["mismatches"]
                else f"MISMATCHES: {res['mismatches']}")
     return f"{table}\n\n{verdict}"
+
+
+def _check_fig12(result: SweepResult) -> List[str]:
+    res = result.one("taint")["result"]
+    return _failed(
+        (res["rows"], "taint trial produced no rows"),
+        (not res["mismatches"],
+         f"cells differ from the paper's Fig. 12: {res['mismatches']}"))
 
 
 # ----------------------------------------------------------------- sec43
@@ -649,6 +921,20 @@ def _render_sec43(result: SweepResult) -> str:
          "variant-specific"], rows)
     return (f"{table}\n\nall runahead designs leak the planted secret "
             "(paper §4.3).")
+
+
+def _check_sec43(result: SweepResult) -> List[str]:
+    by_machine = {res["runahead"]: res for res in result.results("attack")}
+    if "precise" not in by_machine:
+        return [f"ran {sorted(by_machine)}, want precise among them"]
+    filtered = by_machine["precise"]["stats"]["filtered_instructions"]
+    return _failed(
+        *((res["succeeded"], f"{name}: recovered {res['recovered']}, want "
+                             f"{res['secret']} (paper: every runahead "
+                             "design leaks)")
+          for name, res in by_machine.items()),
+        (filtered > 0, f"precise runahead filtered {filtered} "
+                       "instructions, want > 0"))
 
 
 # ------------------------------------------------------------------ sec6
@@ -689,6 +975,29 @@ def _render_sec6(result: SweepResult) -> str:
             f"speedup over no-runahead:\n{perf_table}\n\n"
             "both defenses block every variant while retaining a benefit\n"
             "on the streaming kernels (paper §6: overhead may increase).")
+
+
+def _check_sec6(result: SweepResult) -> List[str]:
+    attacks = result.results("attack")
+    by_cell = {(res["runahead"], res["variant"]): res for res in attacks}
+    variants = sorted({res["variant"] for res in attacks})
+    claims = [(attacks, "sweep produced no attack records")]
+    for variant in variants:
+        original = by_cell[("original", variant)]
+        claims.append((original["succeeded"],
+                       f"original/{variant}: recovered "
+                       f"{original['recovered']}, want the secret to leak"))
+        claims += [(not by_cell[(machine, variant)]["leaked"],
+                    f"{machine}/{variant}: leaked "
+                    f"{by_cell[(machine, variant)]['recovered']}, want no "
+                    "leak (paper: the defense blocks every variant)")
+                   for machine in ("secure", "branch-skip")]
+    for machine in DEFENSE_MACHINES:
+        gems = result.one("ipc", workload="gems",
+                          contender=machine)["result"]["speedup"]
+        claims.append((gems > 1.0, f"{machine} gems speedup {gems:.3f}x, "
+                                   "want > 1.0"))
+    return _failed(*claims)
 
 
 # -------------------------------------------------------------- ablations
@@ -755,6 +1064,35 @@ def _render_ablations(result: SweepResult) -> str:
         format_table(["capacity (lines)", "leaked"], sl_rows),
     ]
     return "\n".join(text)
+
+
+def _check_ablations(result: SweepResult) -> List[str]:
+    robs = result.select("window", runahead="none")
+    latency_windows = [r["result"]["window"] for r in sorted(
+        result.select("window", runahead="original"),
+        key=lambda r: r["params"]["config"]["mem_latency"])]
+    secure = result.select("attack", runahead="secure")
+    return _failed(
+        (robs, "no ROB-sweep rows"),
+        *((r["result"]["window"] == r["params"]["config"]["rob_size"] - 1,
+           f"ROB {r['params']['config']['rob_size']}: window "
+           f"{r['result']['window']}, want ROB-1")
+          for r in robs),
+        (latency_windows == sorted(latency_windows)
+         and latency_windows[0] < latency_windows[-1],
+         f"windows {latency_windows} by ascending memory latency, want "
+         "them to grow"),
+        # gshare may need path-exact training: reported, not required.
+        *((r["result"]["recovered"] == 86,
+           f"predictor {r['params']['config']['predictor']}: recovered "
+           f"{r['result']['recovered']}, want 86")
+          for r in result.select("attack", runahead="original")
+          if r["params"]["config"]["predictor"] != "gshare"),
+        (secure, "no SL-capacity rows"),
+        *((not r["result"]["leaked"],
+           f"SL capacity {r['params']['runahead_kwargs']['sl_capacity']} "
+           "leaked, want no leak")
+          for r in secure))
 
 
 # ----------------------------------------------------- verify_cross_check
@@ -830,52 +1168,63 @@ def _render_verify_cross_check(result: SweepResult) -> str:
             f"extracts nothing.\n\n{verdict}")
 
 
+def _check_verify_cross_check(result: SweepResult) -> List[str]:
+    return [f"checker and simulator disagree: {line}"
+            for res in result.results("verify")
+            for line in res.get("disagreements", [])]
+
+
 PRESETS: Dict[str, Preset] = {
     p.name: p for p in [
         Preset("table1", "Table 1: processor configuration",
-               _build_table1, _render_table1),
+               _build_table1, _render_table1, _check_table1),
         Preset("fig4", "Fig. 4: SPECRUN across Spectre variants",
-               _build_fig4, _render_fig4),
+               _build_fig4, _render_fig4, _check_fig4),
         Preset("fig7", "Fig. 7: normalized IPC with/without runahead",
-               _build_fig7, _render_fig7),
+               _build_fig7, _render_fig7, _check_fig7),
         Preset("fig9", "Fig. 9: PoC probe-latency dip",
-               _build_fig9, _render_fig9),
+               _build_fig9, _render_fig9, _check_fig9),
         Preset("fig9_noise_sweep",
                "noisy-channel success rate vs measurement trials",
-               _build_fig9_noise, _render_fig9_noise),
+               _build_fig9_noise, _render_fig9_noise, _check_fig9_noise),
         Preset("channel_bandwidth",
                "covert-channel bandwidth per receiver strategy",
-               _build_channel_bandwidth, _render_channel_bandwidth),
+               _build_channel_bandwidth, _render_channel_bandwidth,
+               _check_channel_bandwidth),
         Preset("fig10_cross_core",
                "cross-core covert channel vs the runahead defenses",
-               _build_fig10_cross_core, _render_fig10_cross_core),
+               _build_fig10_cross_core, _render_fig10_cross_core,
+               _check_fig10_cross_core),
         Preset("cross_core_bandwidth",
                "channel capacity: same-core vs cross-core",
-               _build_cross_core_bandwidth, _render_cross_core_bandwidth),
+               _build_cross_core_bandwidth, _render_cross_core_bandwidth,
+               _check_cross_core_bandwidth),
         Preset("smt_corunner_sweep",
                "co-runner interference: overlay vs real streams",
-               _build_smt_corunner, _render_smt_corunner),
+               _build_smt_corunner, _render_smt_corunner, _check_smt_corunner),
         Preset("fig7_traces",
                "Fig. 7 under trace-driven workloads",
-               _build_fig7_traces, _render_fig7_traces),
+               _build_fig7_traces, _render_fig7_traces, _check_fig7_traces),
         Preset("trace_pressure_sweep",
                "extraction success under trace-driven co-runner pressure",
-               _build_trace_pressure, _render_trace_pressure),
+               _build_trace_pressure, _render_trace_pressure,
+               _check_trace_pressure),
         Preset("fig10", "Fig. 10: transient-window scenarios",
-               _build_fig10, _render_fig10),
+               _build_fig10, _render_fig10, _check_fig10),
         Preset("fig11", "Fig. 11: leaking beyond the ROB",
-               _build_fig11, _render_fig11),
+               _build_fig11, _render_fig11, _check_fig11),
         Preset("fig12", "Fig. 12: Btag / IS tagging table",
-               _build_fig12, _render_fig12),
+               _build_fig12, _render_fig12, _check_fig12),
         Preset("sec43", "§4.3: SPECRUN on runahead variants",
-               _build_sec43, _render_sec43),
+               _build_sec43, _render_sec43, _check_sec43),
         Preset("sec6", "§6: secure-runahead defense matrix",
-               _build_sec6, _render_sec6),
+               _build_sec6, _render_sec6, _check_sec6),
         Preset("ablations", "design-parameter ablation sweeps",
-               _build_ablations, _render_ablations),
+               _build_ablations, _render_ablations, _check_ablations),
         Preset("verify_cross_check",
                "differential gate: leak checker vs cycle simulator",
-               _build_verify_cross_check, _render_verify_cross_check),
+               _build_verify_cross_check, _render_verify_cross_check,
+               _check_verify_cross_check),
     ]
 }
 

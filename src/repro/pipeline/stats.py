@@ -1,6 +1,6 @@
 """Execution statistics collected by the core.
 
-Everything the benchmarks report comes from here: IPC (Fig. 7), transient
+Everything the presets report comes from here: IPC (Fig. 7), transient
 instruction counts (Fig. 10), runahead episode accounting, and branch /
 cache statistics for the analysis notebooks.
 """

@@ -92,6 +92,8 @@ class TestThresholdEdgeCases:
 
 
 class TestLeakReport:
+    """``analyze_probe``'s :class:`ProbeVerdict`."""
+
     def test_single_dip_recovered(self):
         latencies = [260] * 256
         latencies[42] = 8

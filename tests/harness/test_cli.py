@@ -1,10 +1,12 @@
 """CLI smoke tests: ``python -m repro`` subcommands, in-process."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.__main__ import _parse_assignments, main
+from repro.harness import presets
 
 
 @pytest.fixture
@@ -194,6 +196,41 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "fig12", "--cache-dir", cache_dir]) == 0
         assert "Btag" in capsys.readouterr().out
+
+
+class TestClaims:
+    """``sweep``, ``report`` and ``campaign`` print a preset's claims
+    after its report and exit 1 when one fails."""
+
+    PROBLEM = "N1 = 254, want ROB-1 = 255 (paper 255)"
+
+    @pytest.fixture
+    def failing_fig10(self, monkeypatch):
+        failing = dataclasses.replace(presets.get("fig10"),
+                                      check=lambda result: [self.PROBLEM])
+        monkeypatch.setitem(presets.PRESETS, "fig10", failing)
+
+    def test_holding_claims_exit_zero(self, capsys, cache_dir):
+        for argv in (["sweep", "fig10", "--quick"],
+                     ["report", "fig10", "--quick"]):
+            assert main(argv + ["--cache-dir", cache_dir]) == 0
+            out = capsys.readouterr().out
+            assert "claims: all hold" in out
+            assert "claim failed" not in out
+
+    def test_failing_claim_exits_one(self, capsys, tmp_path, cache_dir,
+                                     failing_fig10):
+        for argv in (["sweep", "fig10", "--quick", "--no-cache"],
+                     ["sweep", "fig10", "--quick", "--json",
+                      "--cache-dir", cache_dir],
+                     ["report", "fig10", "--quick", "--no-cache"],
+                     ["campaign", "run", "fig10", "--quick", "--workers",
+                      "1", "--dir", str(tmp_path / "camp")]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert f"claim failed: fig10: {self.PROBLEM}" in \
+                captured.out + captured.err, argv
+            assert "claims: all hold" not in captured.out + captured.err
 
 
 class TestCacheCommand:

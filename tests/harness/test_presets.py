@@ -5,12 +5,16 @@ import json
 import pytest
 
 from repro.harness import presets
+from repro.harness.executor import SweepResult, make_record, run_sweep
 from repro.harness.registry import (CONTROLLERS, get_workload, make_config,
                                     make_controller, make_noise,
                                     resolve_receiver)
 from repro.multicore.scenario import Topology
 
+from tests.golden import recorder
+
 ALL = sorted(presets.PRESETS)
+GOLDEN_PRESETS = recorder.load_golden()["presets"]
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -34,6 +38,30 @@ def test_expected_presets_exist():
                  "fig10_cross_core", "cross_core_bandwidth",
                  "smt_corunner_sweep"):
         assert name in presets.PRESETS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PRESETS) + ["fig7_traces"])
+def test_quick_tier_claims_hold(name):
+    """Every claim holds on the quick tier.  The golden fixture's
+    payloads stand in for the runs (``test_preset_trials_match_golden``
+    pins them to fresh ones); ``fig7_traces`` is not in it and runs
+    live.  ``verify_cross_check`` is covered by ``tests/verify``."""
+    preset = presets.get(name)
+    sweep = preset.build(quick=True)
+    if name in GOLDEN_PRESETS:
+        payloads = GOLDEN_PRESETS[name]
+        result = SweepResult(name, [
+            make_record(trial, payloads[recorder.trial_key(trial)])
+            for trial in sweep.trials])
+    else:
+        result = run_sweep(sweep, workers=1, cache=None)
+    assert preset.check(result) == []
+
+
+def test_full_sec43_covers_every_runahead_variant():
+    sweep = presets.get("sec43").build()
+    assert {t.params["runahead"] for t in sweep} == \
+        set(presets.RUNAHEAD_VARIANTS)
 
 
 def test_channel_presets_share_noise_seed():

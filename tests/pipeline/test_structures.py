@@ -103,6 +103,32 @@ class TestFunctionalUnits:
 
 
 class TestCoreConfig:
+    def test_paper_config_is_table1(self):
+        config = CoreConfig.paper()
+        h = config.hierarchy
+        assert config.width == 4
+        assert config.frontend_depth == 6
+        assert config.predictor == "twolevel"
+        assert config.functional_units[FuKind.INT_ALU] == (4, 1)
+        assert config.functional_units[FuKind.INT_MUL] == (2, 2)
+        assert config.functional_units[FuKind.INT_DIV] == (1, 5)
+        assert config.functional_units[FuKind.FP_ADD] == (2, 5)
+        assert config.functional_units[FuKind.FP_MUL] == (1, 10)
+        assert config.functional_units[FuKind.FP_DIV] == (1, 15)
+        assert (config.int_regs, config.fp_regs, config.vec_regs) == \
+            (80, 40, 40)
+        assert config.rob_size == 256
+        assert (config.iq_size, config.lq_size, config.sq_size) == \
+            (40, 40, 40)
+        assert (h.l1i.size_bytes, h.l1i.assoc, h.l1i.latency) == \
+            (16384, 4, 2)
+        assert (h.l1d.size_bytes, h.l1d.assoc, h.l1d.latency) == \
+            (16384, 4, 2)
+        assert (h.l2.size_bytes, h.l2.assoc, h.l2.latency) == (131072, 8, 8)
+        assert (h.l3.size_bytes, h.l3.assoc, h.l3.latency) == \
+            (4194304, 8, 32)
+        assert h.mem_latency == 200
+
     def test_rename_register_counts(self):
         config = CoreConfig.paper()
         assert config.rename_int == 80 - 32
