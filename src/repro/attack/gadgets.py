@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..isa.assembler import assemble
+from ..isa.assembler import assemble, labels as code_labels
 from ..isa.instructions import INSTR_BYTES, WORD_BYTES
 from ..isa.memory_image import MemoryImage
 
@@ -366,7 +366,7 @@ def build_btb_attack(secret_value=DEFAULT_SECRET,
                         external_probe=external_probe)}
     """
     # Pre-resolve the two code addresses used as data.
-    labels = assemble(source, symbols=_label_stub(image)).labels
+    labels = code_labels(source)
     image.symbols["victim_gadget_addr"] = labels["victim_gadget"]
     image.symbols["victim_benign_addr"] = labels["victim_benign"]
     program = assemble(source, memory_image=image)
@@ -441,7 +441,7 @@ def build_rsb_overwrite_attack(secret_value=DEFAULT_SECRET,
     {_probe_and_support(probe_entries, probe_stride, delay_iters,
                         external_probe=external_probe)}
     """
-    labels = assemble(source, symbols=_label_stub(image)).labels
+    labels = code_labels(source)
     image.symbols["benign_landing_addr"] = labels["benign_landing"]
     program = assemble(source, memory_image=image)
     return AttackProgram(
@@ -517,7 +517,7 @@ def build_rsb_flush_attack(secret_value=DEFAULT_SECRET,
     {_probe_and_support(probe_entries, probe_stride, delay_iters,
                         external_probe=external_probe)}
     """
-    labels = assemble(source, symbols=_label_stub(image)).labels
+    labels = code_labels(source)
     image.symbols["benign_landing_addr"] = labels["benign_landing"]
     program = assemble(source, memory_image=image)
     return AttackProgram(
@@ -527,15 +527,6 @@ def build_rsb_flush_attack(secret_value=DEFAULT_SECRET,
         probe_stride=probe_stride, array1_addr=array1, array2_addr=array2,
         secret_addr=secret, initial_sp=sp,
         external_probe=external_probe, trigger_index=trigger_index)
-
-
-def _label_stub(image):
-    """Symbol table with placeholder code addresses for two-stage builds."""
-    stub = dict(image.symbols)
-    for name in ("victim_gadget_addr", "victim_benign_addr",
-                 "benign_landing_addr"):
-        stub.setdefault(name, 0)
-    return stub
 
 
 _BUILDERS = {

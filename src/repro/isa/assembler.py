@@ -15,7 +15,8 @@ Directives:
 
 * ``label:`` — define a code label (may share a line with an instruction).
 * ``.repeat N, <instruction>`` — emit N copies of one instruction (used
-  for the nop sleds of Figs. 10 and 11).
+  for the nop sleds of Figs. 10 and 11).  The instruction is parsed once
+  and the N program slots share one :class:`Instruction` object.
 
 Operand kinds per opcode follow the reference table in
 :func:`assemble`'s implementation; immediates accept decimal, hex and
@@ -155,6 +156,55 @@ def _parse_instruction(text, symbols, lineno):
     return opcode, dest, tuple(srcs), imm, target_label
 
 
+def _pass1(source):
+    """Collect labels and raw statements; ``.repeat`` stays one statement.
+
+    Returns ``(statements, label_table)``: each statement is
+    ``(lineno, instruction text, count)`` and labels map to addresses
+    counted over every emitted instruction.
+    """
+    statements: List[Tuple[int, str, int]] = []
+    label_table: Dict[str, int] = {}
+    count_so_far = 0
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        line_labels, code = _split_statements(line)
+        for label in line_labels:
+            if label in label_table:
+                raise AssemblyError(lineno, f"duplicate label: {label!r}")
+            label_table[label] = count_so_far * INSTR_BYTES
+        if not code:
+            continue
+        if code.startswith(".repeat"):
+            body = code[len(".repeat"):].strip()
+            count_text, _, instr_text = body.partition(",")
+            try:
+                count = int(count_text.strip(), 0)
+            except ValueError:
+                raise AssemblyError(
+                    lineno, f"bad .repeat count: {count_text!r}") from None
+            if count < 0:
+                raise AssemblyError(lineno, ".repeat count must be >= 0")
+            code = instr_text.strip()
+            if not code:
+                raise AssemblyError(lineno, ".repeat needs an instruction")
+        elif code.startswith("."):
+            raise AssemblyError(lineno, f"unknown directive: {code.split()[0]!r}")
+        else:
+            count = 1
+        statements.append((lineno, code, count))
+        count_so_far += count
+    return statements, label_table
+
+
+def labels(source):
+    """Return the code-label table of ``source`` without assembling it.
+
+    Needs no data symbols, so a builder can resolve code addresses it
+    then stores as data before the real :func:`assemble`.
+    """
+    return _pass1(source)[1]
+
+
 def assemble(source, symbols=None, memory_image=None):
     """Assemble source text into a :class:`~repro.isa.program.Program`.
 
@@ -174,42 +224,16 @@ def assemble(source, symbols=None, memory_image=None):
             raise ValueError("pass either symbols or memory_image, not both")
         symbols = memory_image.symbols
     symbols = dict(symbols or {})
+    statements, label_table = _pass1(source)
 
-    # Pass 1: expand directives, collect labels and raw statements.
-    statements: List[Tuple[int, str]] = []  # (lineno, instruction text)
-    labels: Dict[str, int] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        line_labels, code = _split_statements(line)
-        for label in line_labels:
-            if label in labels:
-                raise AssemblyError(lineno, f"duplicate label: {label!r}")
-            labels[label] = len(statements) * INSTR_BYTES
-        if not code:
-            continue
-        if code.startswith(".repeat"):
-            body = code[len(".repeat"):].strip()
-            count_text, _, instr_text = body.partition(",")
-            try:
-                count = int(count_text.strip(), 0)
-            except ValueError:
-                raise AssemblyError(
-                    lineno, f"bad .repeat count: {count_text!r}") from None
-            if count < 0:
-                raise AssemblyError(lineno, ".repeat count must be >= 0")
-            instr_text = instr_text.strip()
-            if not instr_text:
-                raise AssemblyError(lineno, ".repeat needs an instruction")
-            statements.extend((lineno, instr_text) for _ in range(count))
-        elif code.startswith("."):
-            raise AssemblyError(lineno, f"unknown directive: {code.split()[0]!r}")
-        else:
-            statements.append((lineno, code))
-
-    # Pass 2: parse and resolve.
+    # Pass 2: parse and resolve.  A ``.repeat`` body is parsed once and
+    # its one (immutable) Instruction emitted ``count`` times.
     from .registers import REG_SP
 
     instructions = []
-    for index, (lineno, text) in enumerate(statements):
+    for lineno, text, count in statements:
+        if not count:
+            continue
         opcode, dest, srcs, imm, target_label = _parse_instruction(
             text, symbols, lineno)
         if opcode in (Opcode.CALL, Opcode.RET):
@@ -219,10 +243,10 @@ def assemble(source, symbols=None, memory_image=None):
             srcs = (REG_SP,)
         target = None
         if target_label is not None:
-            if target_label not in labels:
+            if target_label not in label_table:
                 raise AssemblyError(lineno, f"unknown label: {target_label!r}")
-            target = labels[target_label]
-        instructions.append(
-            Instruction(opcode=opcode, dest=dest, srcs=srcs, imm=imm,
-                        target=target))
-    return Program(instructions, labels=labels, symbols=symbols)
+            target = label_table[target_label]
+        instructions.extend(
+            [Instruction(opcode=opcode, dest=dest, srcs=srcs, imm=imm,
+                         target=target)] * count)
+    return Program(instructions, labels=label_table, symbols=symbols)

@@ -67,8 +67,11 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig, rng_seed=1):
         self.config = config
+        self._rng_seed = rng_seed
         self._policy = make_policy(config.replacement, seed=rng_seed)
-        self._sets = [OrderedDict() for _ in range(config.n_sets)]
+        # A set's way list is created by its first fill; ``None`` is an
+        # empty set, so building a cache costs nothing per set.
+        self._sets = [None] * config.n_sets
         self._set_shift = (config.line_bytes - 1).bit_length()
         self._set_mask = config.n_sets - 1
         if config.n_sets & self._set_mask:
@@ -90,7 +93,7 @@ class SetAssociativeCache:
     def probe(self, addr):
         """Presence check with no side effects (no recency update, no stats)."""
         ways, tag = self._set_and_tag(addr)
-        return tag in ways
+        return ways is not None and tag in ways
 
     def lookup(self, addr, update=True):
         """Return True on hit.  Updates recency and hit/miss statistics.
@@ -100,7 +103,7 @@ class SetAssociativeCache:
         stealth variants) but still counts statistics.
         """
         ways, tag = self._set_and_tag(addr)
-        if tag in ways:
+        if ways is not None and tag in ways:
             if update:
                 self._policy.on_hit(ways, tag)
             self.stats.hits += 1
@@ -110,8 +113,12 @@ class SetAssociativeCache:
 
     def fill(self, addr):
         """Insert the line holding ``addr``; returns the evicted line or None."""
-        ways, tag = self._set_and_tag(addr)
-        if tag in ways:
+        tag = addr >> self._set_shift
+        index = tag & self._set_mask
+        ways = self._sets[index]
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif tag in ways:
             self._policy.on_hit(ways, tag)
             return None
         evicted = None
@@ -127,7 +134,7 @@ class SetAssociativeCache:
     def invalidate(self, addr):
         """Remove the line holding ``addr``; returns True if it was present."""
         ways, tag = self._set_and_tag(addr)
-        if tag in ways:
+        if ways is not None and tag in ways:
             del ways[tag]
             self.stats.invalidations += 1
             return True
@@ -135,17 +142,23 @@ class SetAssociativeCache:
 
     def occupancy(self):
         """Total number of resident lines."""
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets if ways is not None)
 
     def resident_lines(self):
-        """Return all resident line addresses (for tests and analysis)."""
+        """Return all resident line addresses (for tests and analysis),
+        set by set, each set from eviction candidate to most protected."""
         lines = []
         for ways in self._sets:
-            lines.extend(tag << self._set_shift for tag in ways)
+            if ways is not None:
+                lines.extend(tag << self._set_shift for tag in ways)
         return lines
 
     def reset(self):
-        """Drop all contents and statistics."""
+        """Drop all contents and statistics and restart the replacement
+        policy, so a reset cache behaves exactly like a fresh one."""
         for ways in self._sets:
-            ways.clear()
+            if ways is not None:
+                ways.clear()
+        self._policy = make_policy(self.config.replacement,
+                                   seed=self._rng_seed)
         self.stats = CacheStats()

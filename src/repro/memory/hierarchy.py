@@ -319,6 +319,7 @@ class MemoryHierarchy:
         self.shared = shared
         self.config = shared.config
         self.phys_base = phys_base
+        self._line_mask = ~(self.config.line_bytes - 1)
         self.view_id = len(shared.views)
         if smt_with is not None:
             if smt_with.shared is not shared:
@@ -347,7 +348,7 @@ class MemoryHierarchy:
 
     def line_of(self, addr):
         """Physical line address of ``addr`` in this view's window."""
-        return (addr + self.phys_base) & ~(self.config.line_bytes - 1)
+        return (addr + self.phys_base) & self._line_mask
 
     def apply_completed(self, now):
         """Install every pending fill whose completion has passed."""

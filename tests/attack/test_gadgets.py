@@ -108,3 +108,27 @@ class TestLatencyExtraction:
 
         latencies = attack.read_latencies(FakeCore())
         assert latencies == list(range(256))
+
+
+@pytest.mark.parametrize("variant", ["pht", "btb", "rsb-overwrite",
+                                     "rsb-flush"])
+def test_each_build_assembles_once(variant, monkeypatch):
+    """Code addresses stored as data come from the label pass alone."""
+    from repro.attack import gadgets
+
+    calls = []
+    real = gadgets.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets, "assemble", counting)
+    attack = build_attack(variant)
+    assert len(calls) == 1
+    for name in ("victim_gadget_addr", "victim_benign_addr",
+                 "benign_landing_addr"):
+        if name in attack.image.symbols:
+            label = name[:-len("_addr")]
+            assert attack.image.symbols[name] == \
+                attack.program.address_of(label)

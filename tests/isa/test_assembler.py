@@ -1,9 +1,11 @@
 """Unit tests for the two-pass assembler."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa import (AssemblyError, MemoryImage, Opcode, assemble, int_reg,
                        REG_SP)
+from repro.isa.assembler import labels
 
 
 class TestBasicParsing:
@@ -130,6 +132,60 @@ class TestDirectives:
     def test_unknown_directive(self):
         with pytest.raises(AssemblyError, match="unknown directive"):
             assemble(".align 8")
+
+
+class TestRepeatParsesOnce:
+    """``.repeat N, X`` parses X once; the Program equals N explicit
+    lines, labels included."""
+
+    FORMS = ("nop", "addi r1, r1, 1", "load r2, r1, 8", "li r3, @buf",
+             "bne r1, r0, top", "jmp end", "call top", "ret",
+             "fadd f1, f2, f3", "clflush r1")
+
+    @given(st.sampled_from(FORMS), st.integers(min_value=0, max_value=300),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_repeat_equals_explicit_lines(self, form, count, pad_before,
+                                          pad_after):
+        before = "    li r1, 8\n" * pad_before
+        after = "    addi r2, r2, 1\n" * pad_after
+        repeated = (f"top:\n{before}    .repeat {count}, {form}\n"
+                    f"mid:\n{after}end: halt\n")
+        explicit = (f"top:\n{before}" + f"    {form}\n" * count +
+                    f"mid:\n{after}end: halt\n")
+        symbols = {"buf": 0x4000}
+        got = assemble(repeated, symbols=symbols)
+        want = assemble(explicit, symbols=symbols)
+        assert got.instructions == want.instructions
+        assert got.labels == want.labels
+        assert labels(repeated) == got.labels
+        assert got.address_of("mid") == (pad_before + count) * 4
+
+    def test_repeat_slots_share_one_instruction(self):
+        program = assemble(".repeat 4, addi r1, r1, 1\nhalt")
+        first = program.instructions[0]
+        assert all(instr is first for instr in program.instructions[:4])
+
+    def test_repeat_zero_never_parses_its_body(self):
+        program = assemble(".repeat 0, bogus r99\nhalt")
+        assert [i.opcode for i in program] == [Opcode.HALT]
+
+    def test_repeat_body_error_carries_line_number(self):
+        with pytest.raises(AssemblyError, match="line 2: unknown mnemonic"):
+            assemble("nop\n.repeat 3, bogus")
+
+
+class TestLabelsOnly:
+    def test_matches_assemble_without_symbols(self):
+        source = "jmp main\nf: ret\nmain: li r1, @later\n.repeat 7, nop\nx: halt"
+        assert labels(source) == assemble(
+            source, symbols={"later": 0}).labels
+        assert labels(source) == {"f": 4, "main": 8, "x": 40}
+
+    def test_reports_pass_one_errors(self):
+        with pytest.raises(AssemblyError, match="duplicate label"):
+            labels("a: nop\na: nop")
 
 
 class TestCallRet:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import CacheConfig, SetAssociativeCache
+from repro.memory import CacheConfig, CacheStats, SetAssociativeCache
 
 
 def make_cache(size=1024, assoc=2, line=64, replacement="lru"):
@@ -98,6 +98,57 @@ class TestEviction:
         assert results[0] in (0x000, 0x100)
 
 
+class TestReset:
+    def test_reset_cache_replays_a_fresh_one(self):
+        """Reset restarts the replacement PRNG: a reset random-policy
+        cache picks the same victims as a freshly built one."""
+        def victims(cache):
+            # 8 sets of 2 ways; stride 512 keeps every line in set 0.
+            return [cache.fill(i * 512) for i in range(40)]
+
+        config = CacheConfig("test", 1024, 2, replacement="random")
+        reset = SetAssociativeCache(config, rng_seed=7)
+        victims(reset)
+        reset.reset()
+        assert reset.occupancy() == 0
+        assert reset.stats == CacheStats()
+        fresh = SetAssociativeCache(config, rng_seed=7)
+        assert victims(reset) == victims(fresh)
+        assert reset.resident_lines() == fresh.resident_lines()
+
+
+class TestLazySets:
+    """A set's way list exists only once the set is filled."""
+
+    @staticmethod
+    def allocated(cache):
+        return [i for i, ways in enumerate(cache._sets) if ways is not None]
+
+    def test_fresh_cache_allocates_no_set(self):
+        cache = make_cache(size=4 * 1024 * 1024, assoc=8)
+        assert self.allocated(cache) == []
+        assert cache.occupancy() == 0
+        assert cache.resident_lines() == []
+
+    def test_reads_of_untouched_sets_allocate_nothing(self):
+        cache = make_cache()             # 8 sets
+        assert not cache.probe(0x1000)
+        assert not cache.lookup(0x1040)
+        assert not cache.lookup(0x1080, update=False)
+        assert not cache.invalidate(0x10c0)
+        assert self.allocated(cache) == []
+        assert cache.stats.misses == 2
+
+    def test_fill_allocates_only_its_set(self):
+        cache = make_cache()
+        cache.fill(0x1040)               # line 0x41 -> set 1
+        assert self.allocated(cache) == [1]
+        assert cache.invalidate(0x1040)
+        assert cache.occupancy() == 0
+        cache.reset()
+        assert cache.resident_lines() == []
+
+
 class TestOccupancyInvariants:
     @given(st.lists(st.integers(min_value=0, max_value=63), max_size=200),
            st.sampled_from(["lru", "fifo", "random"]))
@@ -108,7 +159,7 @@ class TestOccupancyInvariants:
             cache.fill(index * 64)
             assert cache.occupancy() <= cache.config.n_lines
             for ways in cache._sets:
-                assert len(ways) <= cache.config.assoc
+                assert ways is None or len(ways) <= cache.config.assoc
 
     @given(st.lists(st.tuples(st.booleans(),
                               st.integers(min_value=0, max_value=31)),

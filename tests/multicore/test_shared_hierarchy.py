@@ -248,11 +248,11 @@ def hierarchy_snapshot(shared):
     state = []
     for view in shared.views:
         for cache in (view.l1i, view.l1d, view.l2):
-            state.append([list(ways) for ways in cache._sets])
+            state.append(cache.resident_lines())
             state.append(dataclasses.asdict(cache.stats))
         state.append(dict(view._pending))
         state.append(dataclasses.asdict(view.stats))
-    state.append([list(ways) for ways in shared.l3._sets])
+    state.append(shared.l3.resident_lines())
     state.append(dataclasses.asdict(shared.l3.stats))
     return repr(state)
 

@@ -216,3 +216,79 @@ class TestTermination:
         source = "\n".join(f"li r{i % 20 + 1}, {i}" for i in range(200))
         core = run_core(source + "\nhalt")
         assert core.stats.committed == 201
+
+
+def _fields(program):
+    return [(i.opcode, i.dest, i.srcs, i.imm, i.target) for i in program]
+
+
+class TestSetupCost:
+    """Building a core costs what the trial touches: a cache set exists
+    only once filled, and no read allocates one."""
+
+    @staticmethod
+    def allocated(cache):
+        return {i for i, ways in enumerate(cache._sets) if ways is not None}
+
+    def test_fresh_core_allocates_only_code_line_sets(self):
+        program = assemble(".repeat 300, nop\nhalt")
+        core = Core(program, config=CoreConfig.paper(), warm_icache=True)
+        hierarchy = core.hierarchy
+        lines = {hierarchy.line_of(pc)
+                 for pc in range(0, program.end_pc, 64)}
+        assert len(lines) == 19              # 301 instructions * 4 bytes
+        for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2,
+                      hierarchy.l3):
+            sets = {(line >> 6) & (cache.config.n_sets - 1)
+                    for line in lines}
+            assert self.allocated(cache) == sets
+            assert sorted(cache.resident_lines()) == sorted(lines)
+
+    def test_cold_core_allocates_nothing(self):
+        core = Core(assemble("halt"), config=CoreConfig.paper())
+        hierarchy = core.hierarchy
+        for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2,
+                      hierarchy.l3):
+            assert self.allocated(cache) == set()
+
+    def test_probe_latency_on_untouched_sets_allocates_nothing(self):
+        core = Core(assemble("halt"), config=CoreConfig.paper(),
+                    warm_icache=True)
+        hierarchy = core.hierarchy
+        caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.l3)
+        before = [self.allocated(cache) for cache in caches]
+        for addr in range(0x10000, 0x20000, 0x1040):
+            assert hierarchy.probe_latency(addr, 0)[0] == \
+                hierarchy.config.data_miss_latency
+        assert [self.allocated(cache) for cache in caches] == before
+
+
+class TestProgramIsReadOnly:
+    """``Core.run`` never mutates a program: ``.repeat`` slots share one
+    Instruction object, and programs may be reused across cores."""
+
+    def test_window_program(self):
+        from repro.attack.window import window_program
+        from repro.runahead import OriginalRunahead
+
+        program, image = window_program(sled=512)
+        before = _fields(program)
+        core = Core(program, memory_image=image, config=CoreConfig.paper(),
+                    runahead=OriginalRunahead(), warm_icache=True)
+        core.run(max_cycles=200_000)
+        assert core.halted
+        assert core.stats.runahead_episodes > 0
+        assert _fields(program) == before
+
+    def test_pht_gadget(self):
+        from repro.attack import build_attack
+        from repro.runahead import OriginalRunahead
+
+        attack = build_attack("pht")
+        before = _fields(attack.program)
+        core = Core(attack.program, memory_image=attack.image,
+                    config=CoreConfig.paper(), runahead=OriginalRunahead(),
+                    initial_sp=attack.initial_sp, warm_icache=True)
+        core.run(max_cycles=2_000_000)
+        assert core.halted
+        assert _fields(attack.program) == before
