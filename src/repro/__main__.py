@@ -81,7 +81,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from .harness import presets as preset_registry
+from .harness import presets
 from .harness.cache import ResultCache, resolve_cache
 from .harness.executor import (SerialExecutor, SweepResult,
                                default_workers, run_sweep)
@@ -140,11 +140,11 @@ def _run_cached(args, trial: Trial) -> Tuple[Dict[str, Any], bool]:
 
 def _cmd_sweep(args) -> int:
     if args.list or not args.preset:
-        for name in sorted(preset_registry.PRESETS):
-            preset = preset_registry.PRESETS[name]
+        for name in sorted(presets.PRESETS):
+            preset = presets.PRESETS[name]
             print(f"{name:10s} {preset.title}")
         return 0
-    preset = preset_registry.get(args.preset)
+    preset = presets.get(args.preset)
     sweep = preset.build(quick=args.quick)
     progress = None if args.json else (lambda line: print(line,
                                                           file=sys.stderr))
@@ -447,11 +447,11 @@ def _cmd_report(args) -> int:
             result = SweepResult.from_json(handle.read())
         name = result.name
     else:
-        preset = preset_registry.get(source)
+        preset = presets.get(source)
         result = SerialExecutor().execute(preset.build(quick=args.quick),
                                           cache=_cache_arg(args))
         name = source
-    return _render_and_check(preset_registry.get(name), result, False)
+    return _render_and_check(presets.get(name), result, False)
 
 
 def _cmd_cache(args) -> int:
@@ -471,7 +471,7 @@ def _campaign_report(results, as_json: bool) -> int:
     """Render and check every campaign sweep; 1 if any claim fails."""
     status = 0
     for result in results:
-        preset = preset_registry.PRESETS.get(result.name)
+        preset = presets.PRESETS.get(result.name)
         if preset is not None:
             status |= _render_and_check(preset, result, as_json)
         elif as_json:
@@ -485,7 +485,7 @@ def _campaign_report(results, as_json: bool) -> int:
 def _cmd_campaign_run(args) -> int:
     from .campaign import Campaign
 
-    sweeps = [preset_registry.get(name).build(quick=args.quick)
+    sweeps = [presets.get(name).build(quick=args.quick)
               for name in args.presets]
     directory = args.dir or f"campaigns/{'+'.join(args.presets)}"
     campaign = Campaign.create_or_open(

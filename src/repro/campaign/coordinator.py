@@ -54,7 +54,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..harness.executor import SweepResult, plan_sweep
 from ..harness.spec import Trial
-from ..obs.metrics import get_registry
 from .httpcache import CacheRoutes, read_json_body
 from .netretry import backoff_delay
 from .server import StatusHandler, read_routes, serve_until_stopped
@@ -135,44 +134,6 @@ class CoordinatorState:
         self.finished = False
         self.results: Dict[str, SweepResult] = {}   # sealed sweeps
 
-        registry = get_registry()
-        self._m_claims = registry.counter(
-            "repro_coordinator_claims_total",
-            "Claim requests by outcome", labels={"outcome": "granted"})
-        self._m_claims_empty = registry.counter(
-            "repro_coordinator_claims_total",
-            "Claim requests by outcome", labels={"outcome": "empty"})
-        self._m_renewals = registry.counter(
-            "repro_coordinator_renewals_total",
-            "Lease heartbeats accepted")
-        self._m_completions = registry.counter(
-            "repro_coordinator_completions_total",
-            "Trial uploads by outcome", labels={"outcome": "ok"})
-        self._m_duplicates = registry.counter(
-            "repro_coordinator_completions_total",
-            "Trial uploads by outcome", labels={"outcome": "duplicate"})
-        self._m_failures = registry.counter(
-            "repro_coordinator_failures_total",
-            "Worker-reported trial failures")
-        self._m_expirations = registry.counter(
-            "repro_coordinator_lease_expirations_total",
-            "Leases expired by the reconcile loop")
-        self._g_queued = registry.gauge(
-            "repro_coordinator_queued", "Trials ready to lease")
-        self._g_leased = registry.gauge(
-            "repro_coordinator_leased", "Trials currently leased out")
-        self._g_unfinished = registry.gauge(
-            "repro_coordinator_unfinished",
-            "Trials not yet completed")
-        self._g_hosts = registry.gauge(
-            "repro_coordinator_hosts", "Distinct worker hosts seen")
-        self._trial_timer = registry.histogram(
-            "repro_campaign_trial_seconds",
-            "Per-trial compute wall time inside the campaign engine")
-        self._m_retries = registry.counter(
-            "repro_campaign_retries_total",
-            "Trial retries scheduled by the campaign engine")
-
         for sweep in campaign.sweeps():
             plan = plan_sweep(sweep, cache=self.store, force=force,
                               progress=progress)
@@ -203,14 +164,6 @@ class CoordinatorState:
             for name in list(self.plans):
                 self._maybe_seal(name)
             self._maybe_finish()
-            self._update_gauges()
-
-    def _update_gauges(self) -> None:
-        """Refresh the point-in-time metrics (caller holds the lock)."""
-        self._g_queued.set(len(self.queue))
-        self._g_leased.set(len(self.leases))
-        self._g_unfinished.set(len(self.unfinished))
-        self._g_hosts.set(len(self.hosts))
 
     @property
     def settled(self) -> bool:
@@ -248,8 +201,6 @@ class CoordinatorState:
             self.hosts.add(host)
             key = self._next_ready()
             if key is None:
-                self._m_claims_empty.inc()
-                self._update_gauges()
                 return 200, {"retry_after": self._poll_hint()}
             lease_id = uuid.uuid4().hex
             now = time.monotonic()
@@ -268,8 +219,6 @@ class CoordinatorState:
                 "event": "lease", "run": self.run_id, "sweep": sweep,
                 "index": index, "host": host, "lease": lease_id,
                 "ttl_seconds": ttl})
-            self._m_claims.inc()
-            self._update_gauges()
             return 200, {
                 "lease": lease_id, "sweep": sweep, "index": index,
                 "trial": self.trials[key].to_dict(),
@@ -294,7 +243,6 @@ class CoordinatorState:
                 "event": "renew", "run": self.run_id,
                 "sweep": lease.key[0], "index": lease.key[1],
                 "host": lease.host, "lease": lease_id})
-            self._m_renewals.inc()
             return 200, {"ok": True,
                          "lease_seconds": self.lease_seconds,
                          "ttl_seconds": round(lease.expires - now, 3)}
@@ -306,9 +254,8 @@ class CoordinatorState:
             return 400, {"error": "completion needs a JSON `result` "
                                   "object"}
         with self.lock:
-            lease = self.leases.pop(lease_id, None)
+            lease = self.leases.get(lease_id)
             if lease is not None:
-                self.by_key.pop(lease.key, None)
                 key = lease.key
                 host = lease.host
                 elapsed = time.monotonic() - lease.issued
@@ -320,12 +267,18 @@ class CoordinatorState:
                 host = body.get("host", "?")
                 elapsed = None
             trial = self.trials.get(key)
-            if trial is None or key not in self.unfinished:
-                self._m_duplicates.inc()
-                return 200, {"ok": True, "duplicate": True}
-            if body.get("spec_hash") not in (None, trial.spec_hash()):
+            duplicate = trial is None or key not in self.unfinished
+            if not duplicate and body.get("spec_hash") not in (
+                    None, trial.spec_hash()):
+                # Rejected before the lease is touched: the trial stays
+                # leased, and expiry re-enqueues it as usual.
                 return 409, {"error": "spec hash mismatch — different "
                                       "campaign or stale worker"}
+            if lease is not None:
+                del self.leases[lease_id]
+                self.by_key.pop(key, None)
+            if duplicate:
+                return 200, {"ok": True, "duplicate": True}
             sweep, index = key
             self.unfinished.discard(key)
             # Cache write happens inside plan.finish, BEFORE the
@@ -340,12 +293,8 @@ class CoordinatorState:
             if elapsed is not None:
                 event["elapsed"] = round(elapsed, 6)
             self.cdir.append_event(event)
-            self._m_completions.inc()
-            if elapsed is not None:
-                self._trial_timer.observe(elapsed)
             self._maybe_seal(sweep)
             self._maybe_finish()
-            self._update_gauges()
             return 200, {"ok": True}
 
     def fail(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
@@ -361,7 +310,6 @@ class CoordinatorState:
                 key = (body.get("sweep"), body.get("index"))
             if key not in self.unfinished:
                 return 200, {"ok": True, "duplicate": True}
-            self._m_failures.inc()
             if kind == "trial-error":
                 # Deterministic failure: rerunning can only fail the
                 # same way — abort the campaign.
@@ -401,9 +349,7 @@ class CoordinatorState:
                 "event": "lease-expired", "run": self.run_id,
                 "sweep": lease.key[0], "index": lease.key[1],
                 "host": lease.host, "lease": lease_id})
-            self._m_expirations.inc()
             self._schedule_retry(lease.key, reason)
-        self._update_gauges()
 
     def _schedule_retry(self, key: Tuple[str, int], reason: str) -> None:
         if self.error is not None or key not in self.unfinished:
@@ -417,7 +363,6 @@ class CoordinatorState:
                         f"{reason}", "retries-exhausted")
             return
         self.retries[key] = attempt
-        self._m_retries.inc()
         self.cdir.append_event({
             "event": "retry", "run": self.run_id, "sweep": key[0],
             "index": key[1], "attempt": attempt, "reason": reason})
@@ -602,8 +547,8 @@ def make_coordinator(directory, host: str = "127.0.0.1", port: int = 0,
                              progress=progress)
     handler = type("BoundCoordinatorHandler", (CoordinatorHandler,),
                    {"state": state,
-                    "routes": read_routes(directory,
-                                          dashboard=dashboard),
+                    "routes": read_routes(directory, dashboard=dashboard,
+                                          snapshot=state.snapshot),
                     "cache_routes": CacheRoutes(state.store, state.lock)})
     server = ThreadingHTTPServer((host, port), handler)
     loop = _ReconcileLoop(state)

@@ -17,10 +17,9 @@ a byte to the campaign directory.  Endpoints:
                    readability figures, 503 when the campaign state
                    cannot be read — what supervisors (and the chaos
                    proxy in the test suite) poll
-``GET /metrics``   Prometheus text: journal-derived campaign gauges
-                   plus the process metrics registry (live executor /
-                   engine / coordinator series when this process is
-                   also computing)
+``GET /metrics``   Prometheus text: campaign gauges derived from the
+                   journal (plus the live queue gauges on a
+                   coordinator)
 ``GET /dashboard`` (``--dashboard`` only) the single-file HTML
                    dashboard — static page, all data via JSON polling
 ``GET /timeline``  (``--dashboard`` only) per-trial timeline rows
@@ -41,7 +40,7 @@ import json
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..obs.campaign import dashboard_html, journal_timeline, \
     status_metrics
@@ -61,8 +60,11 @@ class HtmlText(str):
     content_type = "text/html; charset=utf-8"
 
 
-def read_routes(directory, dashboard: bool = False):
-    """Route table: path -> () -> (http status, payload object/text)."""
+def read_routes(directory, dashboard: bool = False,
+                snapshot: Optional[Callable[[], dict]] = None):
+    """Route table: path -> () -> (http status, payload object/text).
+    ``snapshot`` (a coordinator's live state view) adds its queue
+    gauges to ``/metrics``."""
     cdir = CampaignDir(directory)
 
     def index() -> Tuple[int, object]:
@@ -126,7 +128,8 @@ def read_routes(directory, dashboard: bool = False):
             status = campaign_status(directory)
         except CampaignError as exc:
             return 500, {"error": str(exc)}
-        return 200, PlainText(status_metrics(status))
+        return 200, PlainText(status_metrics(
+            status, snapshot() if snapshot is not None else None))
 
     def timeline() -> Tuple[int, object]:
         try:

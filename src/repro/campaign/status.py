@@ -14,7 +14,10 @@ do).  All figures derive from journal events:
 * lease figures (hosts seen, leases issued / renewed / expired) from
   the scheduler's journal records
   (:mod:`repro.campaign.coordinator`); a local run's worker
-  processes appear as ``local-<n>`` hosts.
+  processes appear as ``local-<n>`` hosts;
+* ``state`` — ``failed`` only for an error journalled since the
+  latest ``start`` (a resume is ``in-progress``); ``errors`` keeps
+  every run's errors as history.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ def campaign_status(directory) -> Dict[str, Any]:
     retries = 0
     runs = 0
     errors = []
+    failed = False                        # an error since the last start
     finished = False
     hosts: set = set()
     leases = {"issued": 0, "renewed": 0, "expired": 0}
@@ -51,7 +55,7 @@ def campaign_status(directory) -> Dict[str, Any]:
         kind = event.get("event")
         if kind == "start":
             runs += 1
-            finished = False
+            failed = finished = False
             compute_times = []
         elif kind == "trial":
             key = (event.get("sweep"), event.get("spec_hash"))
@@ -75,6 +79,7 @@ def campaign_status(directory) -> Dict[str, Any]:
         elif kind == "error":
             errors.append({"sweep": event.get("sweep"),
                            "message": event.get("message")})
+            failed = True
         elif kind == "finish":
             finished = True
         elif kind == "lease":
@@ -113,7 +118,7 @@ def campaign_status(directory) -> Dict[str, Any]:
         "runs": runs,
         "errors": errors,
         "state": ("finished" if finished and not remaining else
-                  "failed" if errors and not finished else
+                  "failed" if failed and not finished else
                   "in-progress" if runs else "created"),
         "trials_per_second": rate,
         "eta_seconds": eta,

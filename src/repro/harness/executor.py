@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs.metrics import get_registry
 from .cache import CacheBackend, resolve_cache
 from .runner import TrialError, run_trial
 from .spec import Sweep, Trial
@@ -182,10 +181,6 @@ class _Plan:
         self.records[index] = make_record(trial, result)
         if self.store is not None:
             self.store.put(trial, result)
-        get_registry().counter(
-            "repro_trials_finished_total",
-            "Trials completed by any executor",
-            labels={"kind": trial.kind}).inc()
         self.say(f"[{index + 1}/{len(self.sweep.trials)}] "
                  f"{trial.label}: done")
 
@@ -206,29 +201,8 @@ def plan_sweep(sweep: Sweep, cache="auto", force: bool = False,
             say(f"[{index + 1}/{len(sweep.trials)}] {trial.label}: cached")
         else:
             pending.append((index, trial))
-    registry = get_registry()
-    hits = len(sweep.trials) - len(pending)
-    if hits:
-        registry.counter("repro_cache_lookups_total",
-                         "Result-cache lookups by outcome",
-                         labels={"outcome": "hit"}).inc(hits)
-    if pending:
-        registry.counter("repro_cache_lookups_total",
-                         "Result-cache lookups by outcome",
-                         labels={"outcome": "miss"}).inc(len(pending))
     return _Plan(sweep=sweep, store=store, records=records,
                  cached_flags=cached_flags, pending=pending, say=say)
-
-
-def _timed_run(trial: Trial) -> Dict[str, Any]:
-    """Inline trial execution with a wall-time observation."""
-    begin = time.monotonic()
-    result = run_trial(trial)
-    get_registry().histogram(
-        "repro_trial_seconds",
-        "Per-trial compute wall time").observe(
-        time.monotonic() - begin)
-    return result
 
 
 def _seal(plan: _Plan, workers: int, started: float) -> SweepResult:
@@ -272,7 +246,7 @@ class SerialExecutor(Executor):
         plan = plan_sweep(sweep, cache=cache, force=force,
                           progress=progress)
         for index, trial in plan.pending:
-            plan.finish(index, trial, _timed_run(trial))
+            plan.finish(index, trial, run_trial(trial))
         return _seal(plan, workers=1, started=started)
 
 
@@ -306,7 +280,7 @@ class ProcessPoolExecutor(Executor):
                           progress=progress)
         if len(plan.pending) <= 1 or self.workers == 1:
             for index, trial in plan.pending:
-                plan.finish(index, trial, _timed_run(trial))
+                plan.finish(index, trial, run_trial(trial))
         else:
             by_index = {index: trial for index, trial in plan.pending}
             jobs = [(index, trial.to_dict())

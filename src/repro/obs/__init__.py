@@ -1,21 +1,19 @@
-"""Observability: event tracing, metrics, and campaign dashboards.
+"""Observability: event tracing, campaign metrics and dashboards.
 
-Three independent layers, all stdlib-only and all strictly off the
-result path (enabling any of them never changes ``CoreStats``, sweep
-JSON, or cache keys):
+Independent layers, all stdlib-only and all strictly off the result
+path (enabling any of them never changes ``CoreStats``, sweep JSON, or
+cache keys):
 
 ``repro.obs.events``   typed micro-architectural event schema plus the
                        compact varint-encoded ``.evt`` container.
 ``repro.obs.sink``     pluggable :class:`TraceSink` implementations the
                        simulator emits into (memory ring / binary file).
-``repro.obs.metrics``  a small Prometheus-style registry (counters,
-                       gauges, histograms) threaded through the harness
-                       executor, campaign engine and coordinator.
 ``repro.obs.view``     cycle-level timeline rendering of one ``.evt``
                        trace (text sparkline or single-file HTML).
 ``repro.obs.campaign`` campaign-facing adapters: journal-derived trial
-                       timeline, status-to-metrics bridge, and the
-                       ``--dashboard`` HTML page.
+                       timeline, the journal-derived Prometheus gauges
+                       behind ``/metrics``, and the ``--dashboard``
+                       HTML page.
 """
 
 from .events import (EV_CACHE_EVICT, EV_CACHE_FILL, EV_CACHE_PROBE,
@@ -25,8 +23,6 @@ from .events import (EV_CACHE_EVICT, EV_CACHE_FILL, EV_CACHE_PROBE,
                      EV_SQUASH, EVENT_NAMES, EVENT_SCHEMA, LEVEL_IDS,
                      LEVEL_NAMES, decode_events, encode_events,
                      event_name, load_events, save_events)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      get_registry, set_registry)
 from .sink import FileSink, MemorySink, TraceSink, attach_sink
 from .view import render_html, render_text, summarize_events
 
@@ -38,8 +34,6 @@ __all__ = [
     "EVENT_NAMES", "EVENT_SCHEMA", "LEVEL_IDS", "LEVEL_NAMES",
     "decode_events", "encode_events", "event_name", "load_events",
     "save_events",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
-    "set_registry",
     "FileSink", "MemorySink", "TraceSink", "attach_sink",
     "render_html", "render_text", "summarize_events",
 ]

@@ -1,16 +1,17 @@
 """Campaign-facing observability adapters.
 
 Everything here derives strictly from read-only campaign state (the
-journal and the status dict) — same contract as ``campaign serve``:
+journal, the status dict and a coordinator's snapshot dict) — same
+contract as ``campaign serve``:
 no simulator imports, never writes a byte into the campaign directory.
 
 ``journal_timeline``   per-trial timeline rows (start/end/host/status)
                        reconstructed from journal ``trial``/``lease``
                        events, plus a per-host rollup — the data model
                        behind the dashboard's timeline explorer.
-``status_metrics``     bridge the ``campaign_status`` dict onto gauges
-                       in a throwaway registry, rendered as Prometheus
-                       text for the ``/metrics`` route.
+``status_metrics``     render the ``campaign_status`` dict (plus, on a
+                       coordinator, its live queue snapshot) as
+                       Prometheus gauges for the ``/metrics`` route.
 ``dashboard_html``     the single-file ``--dashboard`` page: inline
                        CSS/JS, polls ``/status`` + ``/timeline`` (and
                        ``/coordinator`` when present), no external
@@ -20,8 +21,6 @@ no simulator imports, never writes a byte into the campaign directory.
 from __future__ import annotations
 
 from typing import Dict, Optional
-
-from .metrics import MetricsRegistry, get_registry
 
 
 def journal_timeline(directory, limit: int = 500) -> Dict:
@@ -116,49 +115,85 @@ def journal_timeline(directory, limit: int = 500) -> Dict:
     }
 
 
-def status_metrics(status: Dict,
-                   registry: Optional[MetricsRegistry] = None) -> str:
-    """Render the status dict as Prometheus gauges, appended to the
-    process registry (live executor/engine/coordinator series when the
-    serving process is also computing)."""
-    fresh = MetricsRegistry()
-    gauge = fresh.gauge
-    gauge("repro_campaign_trials_total",
-          "Trials in the campaign manifest").set(
-        status.get("total_trials") or 0)
-    gauge("repro_campaign_trials_completed",
-          "Trials done or cache-served").set(
-        status.get("completed") or 0)
-    gauge("repro_campaign_trials_computed",
-          "Trials computed by workers").set(
-        status.get("computed") or 0)
-    gauge("repro_campaign_trials_cached",
-          "Trials served from the result cache").set(
-        status.get("cached") or 0)
-    gauge("repro_campaign_progress_ratio",
-          "completed / total").set(status.get("progress") or 0.0)
-    gauge("repro_campaign_cache_hit_ratio",
-          "cached / completed").set(
-        status.get("cache_hit_rate") or 0.0)
-    gauge("repro_campaign_runs_total",
-          "Journalled engine runs (resumes included)").set(
-        status.get("runs") or 0)
-    gauge("repro_campaign_errors", "Journalled error events").set(
-        len(status.get("errors") or ()))
-    gauge("repro_campaign_finished",
-          "1 once every sweep is sealed").set(
-        1 if status.get("state") == "finished" else 0)
-    throughput = status.get("trials_per_second")
-    if throughput is not None:
-        gauge("repro_campaign_trials_per_second",
-              "Recent completion rate").set(throughput)
-    eta = status.get("eta_seconds")
-    if eta is not None:
-        gauge("repro_campaign_eta_seconds",
-              "Remaining / recent rate").set(eta)
-    process = (registry if registry is not None
-               else get_registry()).render()
-    return fresh.render() + process
+#: (name, help, field) of every journal-derived gauge; the fields are
+#: those of ``campaign_status`` after ``status_metrics`` flattens it.
+_STATUS_GAUGES = (
+    ("repro_campaign_trials_total", "Trials in the campaign manifest",
+     "total_trials"),
+    ("repro_campaign_trials_completed", "Trials done or cache-served",
+     "completed"),
+    ("repro_campaign_trials_computed", "Trials computed by workers",
+     "computed"),
+    ("repro_campaign_trials_cached", "Trials served from the result cache",
+     "cached"),
+    ("repro_campaign_progress_ratio", "completed / total", "progress"),
+    ("repro_campaign_cache_hit_ratio", "cached / completed",
+     "cache_hit_rate"),
+    ("repro_campaign_runs_total",
+     "Journalled engine runs (resumes included)", "runs"),
+    ("repro_campaign_errors", "Journalled error events", "errors"),
+    ("repro_campaign_finished", "1 once every sweep is sealed",
+     "finished"),
+    ("repro_campaign_hosts", "Distinct hosts in journalled leases",
+     "hosts"),
+    ("repro_campaign_leases_issued", "Journalled lease events",
+     "leases_issued"),
+    ("repro_campaign_leases_renewed", "Journalled renew events",
+     "leases_renewed"),
+    ("repro_campaign_leases_expired", "Journalled lease-expired events",
+     "leases_expired"),
+    ("repro_campaign_retries", "Journalled retry events", "retries"),
+    ("repro_campaign_trials_retried", "Trials retried at least once",
+     "trials_retried"),
+    ("repro_campaign_trials_per_second", "Recent completion rate",
+     "trials_per_second"),
+    ("repro_campaign_eta_seconds", "Remaining / recent rate",
+     "eta_seconds"),
+)
+#: Live queue gauges read from a coordinator's ``snapshot()``.
+_SNAPSHOT_GAUGES = (
+    ("repro_coordinator_queued", "Trials ready to lease", "queued"),
+    ("repro_coordinator_delayed", "Retries waiting out their backoff",
+     "delayed"),
+    ("repro_coordinator_leased", "Trials currently leased out",
+     "leased"),
+    ("repro_coordinator_unfinished", "Trials not yet completed",
+     "unfinished"),
+)
+
+
+def _format(value: float) -> str:
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
+
+
+def status_metrics(status: Dict, snapshot: Optional[Dict] = None) -> str:
+    """Render the status dict as Prometheus gauges, sorted by name.
+
+    Every ``repro_campaign_*`` gauge derives from the journal, so it
+    is correct in a process that computes nothing and survives a
+    restart.  A coordinator passes its live ``snapshot()`` to add the
+    ``repro_coordinator_*`` queue gauges.  A ``None`` figure (a rate
+    that is not yet estimable) is left out."""
+    leases = status.get("leases") or {}
+    figures = dict(status,
+                   errors=len(status.get("errors") or ()),
+                   finished=int(status.get("state") == "finished"),
+                   hosts=len(status.get("hosts") or ()),
+                   **{f"leases_{kind}": count
+                      for kind, count in leases.items()})
+    gauges = [(name, text, figures.get(field))
+              for name, text, field in _STATUS_GAUGES]
+    if snapshot is not None:
+        gauges += [(name, text, snapshot[field])
+                   for name, text, field in _SNAPSHOT_GAUGES]
+    lines = []
+    for name, text, value in sorted(gauges):
+        if value is not None:
+            lines += [f"# HELP {name} {text}", f"# TYPE {name} gauge",
+                      f"{name} {_format(value)}"]
+    return "\n".join(lines) + "\n"
 
 
 def dashboard_html(title: str = "repro campaign") -> str:

@@ -260,6 +260,32 @@ class TestLeases:
         assert not any(e["event"] == "trial" and e["status"] == "done"
                        for e in events)
 
+    def test_wrong_hash_under_a_live_lease_keeps_the_trial_leasable(
+            self, tmp_path):
+        """A 409 must not consume the lease: the trial stays leased,
+        the right upload still lands, and expiry re-enqueues it."""
+        Campaign.create(tmp_path / "camp", window_sweep(n=1), backoff=0.0)
+        _, state, _ = make_coordinator(tmp_path / "camp",
+                                       lease_seconds=0.1)
+        _, claim = state.claim("host-a")
+        code, _ = state.complete({"lease": claim["lease"],
+                                  "spec_hash": "bogus", "result": {}})
+        assert code == 409
+        assert state.snapshot()["leased"] == 1
+
+        time.sleep(0.15)
+        state.reconcile()
+        code, again = state.claim("host-b")
+        assert code == 200 and again["index"] == claim["index"]
+
+        from repro.harness.runner import run_trial
+        from repro.harness.spec import Trial
+        result = run_trial(Trial.from_dict(again["trial"]))
+        code, _ = state.complete({"lease": again["lease"],
+                                  "spec_hash": again["spec_hash"],
+                                  "result": result})
+        assert code == 200 and state.finished
+
 
 class TestMalformedRequests:
     """Wrongly typed key fields are rejected with a 400 — never an

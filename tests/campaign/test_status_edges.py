@@ -106,3 +106,28 @@ class TestStatusJsonCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["state"] == "created"
         assert payload["trials_per_second"] is None
+
+
+class TestStateAfterResume:
+    def write_events(self, directory, kinds):
+        cdir = CampaignDir(directory)
+        for kind in kinds:
+            event = {"event": kind, "run": 1}
+            if kind == "error":
+                event.update(sweep="demo", message="injected")
+            cdir.append_event(event)
+
+    def test_resume_after_a_failure_is_in_progress(self, tmp_path):
+        Campaign.create(tmp_path / "camp", small_sweep())
+        self.write_events(tmp_path / "camp", ["start", "error", "start"])
+        status = campaign_status(tmp_path / "camp")
+        assert status["state"] == "in-progress"
+        # The earlier failure stays in the history.
+        assert status["errors"] == [{"sweep": "demo",
+                                     "message": "injected"}]
+
+    def test_failure_in_the_latest_run_is_failed(self, tmp_path):
+        Campaign.create(tmp_path / "camp", small_sweep())
+        self.write_events(tmp_path / "camp",
+                          ["start", "error", "start", "error"])
+        assert campaign_status(tmp_path / "camp")["state"] == "failed"

@@ -30,7 +30,7 @@ import hashlib
 import json
 import pathlib
 
-from repro.harness import presets as preset_registry
+from repro.harness import presets
 from repro.harness.registry import get_workload, make_controller
 from repro.harness.runner import run_trial
 from repro.harness.spec import Trial, canonical_json
@@ -118,7 +118,7 @@ def trial_key(trial: Trial) -> str:
 
 def preset_records(name: str) -> dict:
     """Run every quick-tier trial of a preset; key by trial spec hash."""
-    preset = preset_registry.get(name)
+    preset = presets.get(name)
     sweep = preset.build(quick=True)
     return {trial_key(trial): run_trial(trial) for trial in sweep.trials}
 

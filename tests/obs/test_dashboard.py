@@ -1,7 +1,9 @@
 """The /metrics, /timeline, and /dashboard HTTP surface."""
 
 import json
+import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,10 +11,10 @@ import pytest
 
 from repro.campaign import Campaign, make_server
 from repro.campaign.coordinator import make_coordinator
+from repro.harness.runner import run_trial
 from repro.harness.spec import Sweep
 from repro.obs.campaign import (dashboard_html, journal_timeline,
                                 status_metrics)
-from repro.obs.metrics import get_registry
 
 
 def small_sweep(name="demo", n=4) -> Sweep:
@@ -21,6 +23,18 @@ def small_sweep(name="demo", n=4) -> Sweep:
         sweep.add("window", runahead="none", sled=8 + 8 * i,
                   config_base="small")
     return sweep
+
+
+def paced_run(trial):
+    """Hold each trial long enough for every local worker to claim."""
+    time.sleep(0.2)
+    return run_trial(trial)
+
+
+def gauges(body):
+    """{name: value} of the sample lines of a Prometheus text body."""
+    return {name: float(value) for name, value in
+            re.findall(r"^(\w+) (\S+)$", body, re.MULTILINE)}
 
 
 @pytest.fixture
@@ -59,13 +73,36 @@ class TestMetricsEndpoint:
         assert "repro_campaign_progress_ratio 1" in body
         assert "repro_campaign_finished 1" in body
 
-    def test_includes_the_process_registry(self, dashboard_server):
-        """Executor/engine series recorded in this process show up on
-        the same scrape as the journal-derived gauges."""
-        get_registry().counter(
-            "repro_obs_test_probe_total", "Test probe").inc(7)
+    def test_every_sample_is_a_typed_gauge(self, dashboard_server):
         _, _, body = fetch_raw(dashboard_server + "/metrics")
-        assert "repro_obs_test_probe_total 7" in body
+        names = re.findall(r"^# TYPE (\w+) gauge$", body, re.MULTILINE)
+        assert names == sorted(gauges(body))
+        assert body.endswith("\n") and not body.endswith("\n\n")
+
+    def test_local_hosts_and_their_leases(self, tmp_path):
+        """A finished local run's worker processes appear as hosts,
+        read from the journal by a process that computed nothing."""
+        Campaign.create(tmp_path / "camp", small_sweep()).run(
+            workers=2, runner=paced_run)
+        server = make_server(tmp_path / "camp")
+        thread = threading.Thread(target=server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            _, _, body = fetch_raw(f"http://{host}:{port}/metrics")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        values = gauges(body)
+        assert values["repro_campaign_hosts"] == 2
+        assert values["repro_campaign_leases_issued"] == 4
+        assert values["repro_campaign_leases_expired"] == 0
+        assert values["repro_campaign_retries"] == 0
+        assert values["repro_campaign_trials_computed"] == 4
+        assert not any(name.startswith("repro_coordinator_")
+                       for name in values)
 
     def test_metrics_available_without_dashboard_flag(self,
                                                       campaign_dir):
@@ -157,8 +194,12 @@ class TestCoordinatorMetrics:
                 f"http://{host}:{port}/metrics")
             assert code == 200
             assert ctype.startswith("text/plain")
-            assert "repro_coordinator_queued" in body
-            assert "repro_coordinator_claims_total" in body
+            values = gauges(body)
+            # The local run's leases come from the journal, though
+            # this coordinator granted none of them.
+            assert values["repro_campaign_leases_issued"] == 4
+            assert values["repro_coordinator_queued"] == 0
+            assert values["repro_coordinator_unfinished"] == 0
             code, ctype, _ = fetch_raw(
                 f"http://{host}:{port}/dashboard")
             assert code == 200
@@ -168,3 +209,33 @@ class TestCoordinatorMetrics:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_lease_retry_and_queue_gauges(self, tmp_path):
+        Campaign.create(tmp_path / "camp", small_sweep(), backoff=60.0)
+        server, state, loop = make_coordinator(tmp_path / "camp")
+        thread = threading.Thread(target=server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            _, first = state.claim("host-a")
+            _, second = state.claim("host-b")
+            assert state.renew(second["lease"])[1]["ok"]
+            state.fail({"lease": first["lease"], "kind": "worker-error",
+                        "reason": "injected"})
+            _, _, body = fetch_raw(f"http://{host}:{port}/metrics")
+        finally:
+            loop.stop()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        values = gauges(body)
+        assert values["repro_campaign_hosts"] == 2
+        assert values["repro_campaign_leases_issued"] == 2
+        assert values["repro_campaign_leases_renewed"] == 1
+        assert values["repro_campaign_retries"] == 1
+        assert values["repro_campaign_trials_retried"] == 1
+        assert values["repro_coordinator_queued"] == 2
+        assert values["repro_coordinator_delayed"] == 1
+        assert values["repro_coordinator_leased"] == 1
+        assert values["repro_coordinator_unfinished"] == 4
