@@ -2,8 +2,8 @@
 """Runahead performance on the Fig. 7 benchmark suite.
 
 Drives the six SPEC2006-shaped kernels through the experiment harness
-(``repro.harness``): the ``fig7`` preset declares the sweep, the
-executor fans it out across worker processes, and the on-disk result
+(``repro.harness``): the ``fig7`` preset declares the sweep,
+``run_sweep`` fans it out across worker processes, and the on-disk result
 cache makes a second run of this script (or of ``python -m repro
 sweep fig7`` — same trials) near-instant.
 
@@ -15,7 +15,7 @@ Try::
 
 import sys
 
-from repro.harness import ProcessPoolExecutor, presets
+from repro.harness import presets, run_sweep
 
 
 def main():
@@ -24,8 +24,7 @@ def main():
     sweep = preset.build(quick=quick)
     print(f"Fig. 7: normalized IPC, no-runahead vs runahead "
           f"({len(sweep)} trials)")
-    result = ProcessPoolExecutor().execute(
-        sweep, progress=lambda line: print(f"  {line}"))
+    result = run_sweep(sweep, progress=lambda line: print(f"  {line}"))
     print()
     print(preset.render(result))
     print()

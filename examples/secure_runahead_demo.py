@@ -12,7 +12,7 @@ workload.  Both halves are one harness sweep (the quick tier of the
 ``sec6`` preset; full grid: ``python -m repro sweep sec6``).
 """
 
-from repro.harness import ProcessPoolExecutor, presets
+from repro.harness import presets, run_sweep
 from repro.harness.presets import DEFENSE_MACHINES
 
 LABELS = {"original": "original runahead", "secure": "secure runahead   ",
@@ -21,7 +21,7 @@ LABELS = {"original": "original runahead", "secure": "secure runahead   ",
 
 def main():
     preset = presets.get("sec6")
-    result = ProcessPoolExecutor().execute(preset.build(quick=True))
+    result = run_sweep(preset.build(quick=True))
 
     print("=== SPECRUN vs the Section-6 defenses ===")
     for machine in DEFENSE_MACHINES:

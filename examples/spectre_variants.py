@@ -12,7 +12,7 @@ controller — rather than using a canned preset, showing how to declare
 your own experiment and still get sharded execution and result caching.
 """
 
-from repro.harness import ProcessPoolExecutor, Sweep, attack_matrix
+from repro.harness import Sweep, attack_matrix, run_sweep
 
 VARIANTS = ["pht", "btb", "rsb-overwrite", "rsb-flush"]
 CONTROLLERS = ["original", "precise", "vector"]
@@ -23,8 +23,7 @@ def main():
                        variant=VARIANTS, runahead=CONTROLLERS)
     print(f"attack variant x runahead variant matrix "
           f"({len(sweep)} attack runs; cell = outcome)")
-    result = ProcessPoolExecutor().execute(
-        sweep, progress=lambda line: print(f"  {line}"))
+    result = run_sweep(sweep, progress=lambda line: print(f"  {line}"))
     print()
     print(attack_matrix(result.results("attack"),
                         rows=VARIANTS, cols=CONTROLLERS))

@@ -13,13 +13,12 @@ invocations hit the result cache and each scenario can execute in its
 own worker process.
 """
 
-from repro.harness import ProcessPoolExecutor, presets
+from repro.harness import presets, run_sweep
 
 
 def main():
-    executor = ProcessPoolExecutor()
     fig10 = presets.get("fig10")
-    result = executor.execute(fig10.build())
+    result = run_sweep(fig10.build())
     print("=== Fig. 10: transient window size ===")
     print(fig10.render(result))
     n_windows = [rec["result"]["window"] for rec in result.select("window")]
@@ -29,7 +28,7 @@ def main():
     print()
     print("=== Fig. 11: leaking beyond the ROB ===")
     fig11 = presets.get("fig11")
-    result11 = executor.execute(fig11.build())
+    result11 = run_sweep(fig11.build())
     baseline = result11.one("attack", runahead="none")["result"]
     runahead = result11.one("attack", runahead="original")["result"]
     print(f"  no-runahead machine: "

@@ -82,7 +82,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from .harness import presets
-from .harness.cache import ResultCache, resolve_cache
+from .harness.cache import ResultCache
 from .harness.executor import (SerialExecutor, SweepResult,
                                default_workers, run_sweep)
 from .harness.runner import TrialError
@@ -123,19 +123,13 @@ def _cache_arg(args) -> Any:
 
 
 def _run_cached(args, trial: Trial) -> Tuple[Dict[str, Any], bool]:
-    """Serve ``trial`` from the result cache unless ``--force``/
-    ``--no-cache``; otherwise run and store it.  Returns ``(result,
-    cached)``."""
-    cache = resolve_cache(_cache_arg(args))
-    if cache is not None and not args.force:
-        result = cache.get(trial)
-        if result is not None:
-            return result, True
-    from .harness.runner import run_trial
-    result = run_trial(trial)
-    if cache is not None:
-        cache.put(trial, result)
-    return result, False
+    """Run ``trial`` as a one-trial sweep, so it is served from and
+    written to the result cache exactly as sweep trials are.  Returns
+    ``(result, cached)``."""
+    result = SerialExecutor().execute(Sweep(trial.kind, [trial]),
+                                      cache=_cache_arg(args),
+                                      force=args.force)
+    return result.records[0]["result"], result.cached[0]
 
 
 def _cmd_sweep(args) -> int:

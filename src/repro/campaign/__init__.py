@@ -10,12 +10,12 @@ touching the simulator.
 
 Typical use::
 
-    from repro.campaign import Campaign, CampaignExecutor
+    from repro.campaign import Campaign
     from repro.harness import presets
 
     sweep = presets.get("fig7").build()
-    result = CampaignExecutor("campaigns/fig7", workers=8) \
-        .execute(sweep, cache="auto")
+    (result,) = Campaign.create_or_open("campaigns/fig7", [sweep]) \
+        .run(workers=8)
     # ... SIGKILL at any point, then the same call (or
     # `repro campaign resume campaigns/fig7`) completes it —
     # result.to_json() is byte-identical either way.
@@ -34,7 +34,7 @@ run|resume|status|serve|coordinate|worker``.
 
 from .coordinator import (DEFAULT_BACKOFF, DEFAULT_LEASE_SECONDS,
                           DEFAULT_RETRIES, coordinate, make_coordinator)
-from .engine import Campaign, CampaignExecutor
+from .engine import Campaign
 from .httpcache import HttpCacheBackend
 from .journal import CampaignDir, CampaignError
 from .netretry import RetryPolicy, Unreachable, backoff_delay
@@ -44,7 +44,7 @@ from .worker import run_worker
 
 __all__ = [
     "DEFAULT_BACKOFF", "DEFAULT_RETRIES", "DEFAULT_LEASE_SECONDS",
-    "Campaign", "CampaignExecutor", "CampaignDir", "CampaignError",
+    "Campaign", "CampaignDir", "CampaignError",
     "HttpCacheBackend", "RetryPolicy", "Unreachable", "backoff_delay",
     "campaign_status", "coordinate", "make_coordinator", "make_server",
     "render_status", "run_worker", "serve",

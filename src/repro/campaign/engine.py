@@ -31,9 +31,8 @@ it with the same worker loop (:func:`repro.campaign.worker.work`):
   the state: the same retry semantics, minus timeouts (a hung trial
   cannot be killed without a separate process).
 
-:class:`CampaignExecutor` adapts all of this to the
-:class:`~repro.harness.executor.Executor` protocol, so a campaign can
-run anywhere a plain executor does.
+:func:`repro.harness.run_sweep` with ``workers > 1`` runs its sweep
+as a throwaway campaign, so this is the only multi-process scheduler.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..harness.cache import CacheBackend, resolve_cache
-from ..harness.executor import Executor, SweepResult, default_workers
+from ..harness.executor import SweepResult, default_workers
 from ..harness.runner import TrialError
 from ..harness.spec import Sweep
 from .coordinator import DEFAULT_BACKOFF, DEFAULT_RETRIES, CoordinatorState
@@ -222,8 +221,6 @@ def _resolve_campaign_cache(spec: Any, base: CampaignDir) -> CacheBackend:
     the campaign directory (so a campaign dir can be moved around).
     Remote ``http:``/``https:`` URIs pass through untouched — there is
     nothing to anchor."""
-    if isinstance(spec, CacheBackend):
-        return spec
     if isinstance(spec, str) and ":" in spec:
         scheme, _, location = spec.partition(":")
         if scheme not in ("http", "https") \
@@ -240,9 +237,11 @@ def _resolve_campaign_cache(spec: Any, base: CampaignDir) -> CacheBackend:
 class Campaign:
     """One campaign directory: manifest, journal, cache, results."""
 
-    def __init__(self, cdir: CampaignDir, manifest: Dict[str, Any]):
+    def __init__(self, cdir: CampaignDir, manifest: Dict[str, Any],
+                 store: Optional[CacheBackend] = None):
         self.cdir = cdir
         self.manifest = manifest
+        self._store = store        # the backend object given to create
 
     # ---------------------------------------------------- lifecycle
 
@@ -256,9 +255,11 @@ class Campaign:
         """Lay down a new campaign directory for these sweeps.
 
         ``cache`` is a ``dir:``/``http:`` URI (relative paths live
-        inside the campaign directory) or a :class:`CacheBackend`;
-        the default is ``dir:cache`` — a directory backend inside the
-        campaign dir, making the whole campaign self-contained.
+        inside the campaign directory) or a :class:`CacheBackend`,
+        which this campaign then runs on as given (the manifest keeps
+        its URI for a later :meth:`open`); the default is
+        ``dir:cache`` — a directory backend inside the campaign dir,
+        making the whole campaign self-contained.
         """
         if isinstance(sweeps, Sweep):
             sweeps = [sweeps]
@@ -272,13 +273,12 @@ class Campaign:
             raise CampaignError(
                 f"{cdir.path} already holds a campaign — use "
                 f"Campaign.open / `repro campaign resume` to continue it")
-        if cache is None:
-            cache_uri = "dir:cache"
-        elif isinstance(cache, CacheBackend):
-            cache_uri = cache.uri()
+        store = None
+        if isinstance(cache, CacheBackend):
+            store, cache_uri = cache, cache.uri()
         else:
-            cache_uri = str(cache)
-        _resolve_campaign_cache(cache_uri, cdir)     # reject bad URIs early
+            cache_uri = "dir:cache" if cache is None else str(cache)
+            _resolve_campaign_cache(cache_uri, cdir)  # reject bad URIs early
         manifest = {
             "version": 1,
             "name": name or "+".join(names),
@@ -295,7 +295,7 @@ class Campaign:
         cdir.append_event({"event": "created", "name": manifest["name"],
                            "sweeps": names, "cache": cache_uri,
                            "total_trials": manifest["total_trials"]})
-        return cls(cdir, manifest)
+        return cls(cdir, manifest, store)
 
     @classmethod
     def open(cls, directory) -> "Campaign":
@@ -351,6 +351,8 @@ class Campaign:
         return self.cdir.sweeps(self.manifest)
 
     def backend(self) -> CacheBackend:
+        if self._store is not None:
+            return self._store
         return _resolve_campaign_cache(self.manifest["cache"], self.cdir)
 
     # ---------------------------------------------------- execution
@@ -384,38 +386,3 @@ class Campaign:
             raise (TrialError if state.error_kind == "trial-error"
                    else CampaignError)(state.error)
         return [state.results[name] for name in state.plans]
-
-
-class CampaignExecutor(Executor):
-    """:class:`Executor` adapter: run one sweep as a resumable campaign.
-
-    ``execute(sweep, cache)`` creates the campaign directory on first
-    use and resumes it on every later call with the same sweep.  With
-    ``cache="auto"`` the campaign uses its own self-contained store
-    (``<dir>/cache``) rather than the global result cache — pass an
-    explicit URI or backend to share state across campaigns.
-    """
-
-    def __init__(self, directory, workers: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 max_retries: int = DEFAULT_RETRIES,
-                 backoff: float = DEFAULT_BACKOFF,
-                 runner: Optional[TrialRunner] = None):
-        self.directory = directory
-        self.workers = workers
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.runner = runner
-
-    def execute(self, sweep: Sweep, cache="auto", force: bool = False,
-                progress: Optional[Callable[[str], None]] = None) \
-            -> SweepResult:
-        campaign = Campaign.create_or_open(
-            self.directory, [sweep],
-            cache=None if cache == "auto" else cache,
-            workers=self.workers, timeout=self.timeout,
-            max_retries=self.max_retries, backoff=self.backoff)
-        results = campaign.run(workers=self.workers, progress=progress,
-                               force=force, runner=self.runner)
-        return results[0]

@@ -15,8 +15,9 @@ A campaign directory is fully self-describing::
                            ``dir:cache`` inside the campaign dir)
     <dir>/<sweep>.result.json
                            canonical SweepResult.to_json per completed
-                           sweep — byte-identical however the campaign
-                           was executed, interrupted or resumed
+                           sweep (name percent-encoded) — byte-identical
+                           however the campaign was executed,
+                           interrupted or resumed
 
 The journal is *write-ahead bookkeeping*, not the source of truth for
 results: payloads live in the cache, keyed by trial content, so a
@@ -35,6 +36,7 @@ import json
 import pathlib
 import time
 from typing import Any, Dict, Iterator, List, Optional
+from urllib.parse import quote
 
 from ..harness.spec import Sweep
 
@@ -49,7 +51,9 @@ class CampaignError(RuntimeError):
 
 
 def result_filename(sweep_name: str) -> str:
-    return f"{sweep_name}.result.json"
+    """One flat file per sweep: the name is percent-encoded, so a
+    ``/`` in it can neither nest a directory nor escape this one."""
+    return f"{quote(sweep_name, safe='')}.result.json"
 
 
 class CampaignDir:

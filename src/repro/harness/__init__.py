@@ -10,7 +10,7 @@ Typical use::
     print(preset.render(result))
 
 Every trial is pure data (see :mod:`repro.harness.spec`), executed by
-:mod:`repro.harness.runner` in whatever process the executor picks, and
+:mod:`repro.harness.runner` in whatever process the scheduler picks, and
 cached on disk keyed by trial spec + code fingerprint
 (:mod:`repro.harness.cache`).
 """
@@ -21,9 +21,8 @@ from .aggregate import (attack_cell, attack_matrix, geomean,
 from .cache import (CACHE_DIR_ENV, CACHE_DISABLE_ENV, CacheBackend,
                     DirectoryCacheBackend, ResultCache, code_fingerprint,
                     default_cache_dir, resolve_cache)
-from .executor import (Executor, ProcessPoolExecutor, SerialExecutor,
-                       SweepResult, default_workers, make_record,
-                       run_sweep)
+from .executor import (SerialExecutor, SweepResult, default_workers,
+                       make_record, run_sweep)
 from .registry import (CONTROLLERS, get_workload, make_config,
                        make_controller, workloads)
 from .runner import TrialError, run_trial
@@ -34,7 +33,7 @@ __all__ = [
     "geometric_mean_speedup", "ipc_table", "speedup_bars",
     "CACHE_DIR_ENV", "CACHE_DISABLE_ENV", "CacheBackend",
     "DirectoryCacheBackend", "ResultCache", "code_fingerprint", "default_cache_dir", "resolve_cache",
-    "Executor", "ProcessPoolExecutor", "SerialExecutor", "SweepResult",
+    "SerialExecutor", "SweepResult",
     "default_workers", "make_record", "run_sweep", "CONTROLLERS",
     "get_workload", "make_config", "make_controller", "workloads",
     "TrialError", "run_trial", "Sweep", "Trial", "canonical_json",

@@ -1,47 +1,44 @@
-"""Sweep execution behind a pluggable :class:`Executor` API.
+"""Sweep execution: one trial order, byte-identical at any worker count.
 
-An executor turns a :class:`~repro.harness.spec.Sweep` into a
+Running a :class:`~repro.harness.spec.Sweep` yields a
 :class:`SweepResult` with results **in trial order**, so the aggregated
-output of a sweep is byte-identical no matter which executor ran it or
-how many workers it used.  Each trial is self-contained — the worker
-resolves names to fresh simulator objects via the registry, and the
-simulator itself is fully deterministic — so sharding cannot change any
-measurement.  (A trial's ``seed`` is part of its spec and cache key;
-the ``extract`` runner seeds its receiver noise from it unless the
-params carry their own ``seed``.)
+output of a sweep is byte-identical however many workers computed it.
+Each trial is self-contained — the worker resolves names to fresh
+simulator objects via the registry, and the simulator itself is fully
+deterministic — so sharding cannot change any measurement.  (A trial's
+``seed`` is part of its spec and cache key; the ``extract`` runner
+seeds its receiver noise from it unless the params carry their own
+``seed``.)
 
-Three executors ship today:
+A sweep runs one of two ways; the second is the only multi-process path:
 
-* :class:`SerialExecutor` — everything inline, no processes;
-* :class:`ProcessPoolExecutor` — the classic ``multiprocessing`` pool
-  fan-out (byte-identical to the serial path by construction);
-* :class:`repro.campaign.CampaignExecutor` — journaled, resumable
-  execution for large campaigns (crash resume, retries, per-trial
-  timeouts, live status).  One lease state machine
+* :class:`SerialExecutor` runs everything inline, no processes — the
+  reference semantics;
+* :func:`run_sweep` with ``workers > 1`` runs the sweep as a throwaway
+  :class:`repro.campaign.Campaign`: the campaign's lease state machine
   (:mod:`repro.campaign.coordinator`) hands trials to local worker
-  processes or, over HTTP, to worker hosts on other machines, and
-  ``http://`` cache URIs point any executor at a remote result store.
+  processes, retries a trial whose worker died, and seals the result
+  exactly as a serial run would.  Journaled, resumable runs and worker
+  hosts on other machines use the same scheduler directly
+  (``repro campaign``).
 
-``run_sweep`` remains the convenience entry point (and what
-``repro sweep`` calls): it picks a serial or pool executor from the
-``workers`` argument exactly as it always has.
-
-All cache I/O happens in the parent process: workers only compute.
+``run_sweep`` is the convenience entry point (and what ``repro sweep``
+calls).  All cache I/O happens in the calling process: workers only
+compute.
 """
 
 from __future__ import annotations
 
-import abc
 import json
-import multiprocessing
 import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .cache import CacheBackend, resolve_cache
-from .runner import TrialError, run_trial
+from .runner import run_trial
 from .spec import Sweep, Trial
 
 #: Environment variable providing the default worker count.
@@ -79,7 +76,7 @@ class SweepResult:
     ``records[i]`` corresponds to ``sweep.trials[i]`` and contains the
     deterministic payload only; volatile run metadata (cache hits,
     wall-clock) lives on the result object itself so ``to_json`` stays
-    byte-stable across runs, executors and worker counts.
+    byte-stable across runs and worker counts.
     """
 
     name: str
@@ -159,7 +156,7 @@ class SweepResult:
 
 
 def make_record(trial: Trial, result: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic per-trial record every executor must emit."""
+    """The deterministic per-trial record every sweep run emits."""
     return {"kind": trial.kind, "label": trial.label,
             "params": trial.params, "seed": trial.seed,
             "spec_hash": trial.spec_hash(), "result": result}
@@ -167,8 +164,8 @@ def make_record(trial: Trial, result: Dict[str, Any]) -> Dict[str, Any]:
 
 @dataclass
 class _Plan:
-    """Cache-scan outcome shared by every executor: what is already
-    served and what still needs computing."""
+    """Cache-scan outcome shared by the serial path and the campaign
+    scheduler: what is already served and what still needs computing."""
 
     sweep: Sweep
     store: Optional[CacheBackend]
@@ -216,28 +213,10 @@ def _seal(plan: _Plan, workers: int, started: float) -> SweepResult:
         cache_misses=len(plan.pending))
 
 
-class Executor(abc.ABC):
-    """Strategy for running a sweep's trials.
-
-    The contract every implementation must honour:
-
-    * ``execute(sweep, cache) -> SweepResult`` with ``records`` in
-      trial order, **byte-identical** (``to_json``) to a serial run;
-    * cache reads/writes happen in the calling process only;
-    * a deterministic trial failure surfaces as
-      :class:`~repro.harness.runner.TrialError`.
-    """
-
-    @abc.abstractmethod
-    def execute(self, sweep: Sweep, cache="auto", force: bool = False,
-                progress: Optional[Callable[[str], None]] = None) \
-            -> SweepResult:
-        """Run every trial; return ordered results."""
-
-
-class SerialExecutor(Executor):
+class SerialExecutor:
     """Everything inline in the calling process — the reference
-    semantics all other executors must reproduce byte-for-byte."""
+    semantics :func:`run_sweep` reproduces byte-for-byte at any worker
+    count."""
 
     def execute(self, sweep: Sweep, cache="auto", force: bool = False,
                 progress: Optional[Callable[[str], None]] = None) \
@@ -250,61 +229,15 @@ class SerialExecutor(Executor):
         return _seal(plan, workers=1, started=started)
 
 
-def _pool_worker(payload: Tuple[int, Dict[str, Any]]) \
-        -> Tuple[int, Optional[Dict[str, Any]], Optional[str]]:
-    index, trial_dict = payload
-    try:
-        return index, run_trial(Trial.from_dict(trial_dict)), None
-    except Exception as exc:   # surfaced in the parent as TrialError
-        return index, None, f"{type(exc).__name__}: {exc}"
-
-
-class ProcessPoolExecutor(Executor):
-    """Fan cache-missing trials out across a ``multiprocessing`` pool.
-
-    Results are reassembled in trial order, so the output is
-    byte-identical to :class:`SerialExecutor` at any worker count.
-    With one worker (or at most one pending trial) it runs inline —
-    no pool is spawned for work that cannot be parallelised.
-    """
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = default_workers() if workers is None \
-            else max(1, workers)
-
-    def execute(self, sweep: Sweep, cache="auto", force: bool = False,
-                progress: Optional[Callable[[str], None]] = None) \
-            -> SweepResult:
-        started = time.monotonic()
-        plan = plan_sweep(sweep, cache=cache, force=force,
-                          progress=progress)
-        if len(plan.pending) <= 1 or self.workers == 1:
-            for index, trial in plan.pending:
-                plan.finish(index, trial, run_trial(trial))
-        else:
-            by_index = {index: trial for index, trial in plan.pending}
-            jobs = [(index, trial.to_dict())
-                    for index, trial in plan.pending]
-            procs = min(self.workers, len(plan.pending))
-            with multiprocessing.Pool(processes=procs) as pool:
-                for index, result, error in pool.imap_unordered(
-                        _pool_worker, jobs, chunksize=1):
-                    if error is not None:
-                        pool.terminate()
-                        raise TrialError(
-                            f"trial {by_index[index].label!r} failed in "
-                            f"worker: {error}")
-                    plan.finish(index, by_index[index], result)
-        return _seal(plan, workers=self.workers, started=started)
-
-
 def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
               force: bool = False,
               progress: Optional[Callable[[str], None]] = None) \
         -> SweepResult:
     """Execute every trial of ``sweep``; results come back in trial
-    order.  Thin wrapper that picks an :class:`Executor` from
-    ``workers``: serial at 1, a process pool above.
+    order.  Serial at one worker; above that the sweep runs as a
+    throwaway campaign (:class:`repro.campaign.Campaign` in a temporary
+    directory), whose lease scheduler retries a trial lost to a dead
+    worker process.
 
     Parameters
     ----------
@@ -322,7 +255,15 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
         Optional callable receiving one line per trial state change.
     """
     workers = default_workers() if workers is None else max(1, workers)
-    chosen = SerialExecutor() if workers == 1 \
-        else ProcessPoolExecutor(workers=workers)
-    return chosen.execute(sweep, cache=cache, force=force,
-                          progress=progress)
+    if workers == 1:
+        return SerialExecutor().execute(sweep, cache=cache, force=force,
+                                        progress=progress)
+    # Lazy import: the campaign package is built on this module.
+    from ..campaign import Campaign
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+        # With caching off the campaign computes into its own store,
+        # which is deleted with the directory.
+        campaign = Campaign.create(scratch, [sweep],
+                                   cache=resolve_cache(cache))
+        return campaign.run(workers=workers, progress=progress,
+                            force=force)[0]

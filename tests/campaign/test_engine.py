@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.campaign import (Campaign, CampaignError, CampaignExecutor,
-                            campaign_status)
+from repro.campaign import Campaign, CampaignError, campaign_status
+from repro.harness.cache import ResultCache
 from repro.harness.executor import run_sweep
 from repro.harness.spec import Sweep
 
@@ -86,13 +86,33 @@ class TestResume:
         reference = run_sweep(sweep, workers=1, cache=None).to_json()
         assert result.to_json() == reference
 
-    def test_executor_adapter_resumes(self, tmp_path):
+    def test_create_or_open_resumes(self, tmp_path):
         sweep = window_sweep()
-        executor = CampaignExecutor(tmp_path / "camp", workers=2)
-        first = executor.execute(sweep)
-        second = executor.execute(sweep)
+        (first,) = Campaign.create_or_open(tmp_path / "camp", [sweep]) \
+            .run(workers=2)
+        (second,) = Campaign.create_or_open(tmp_path / "camp", [sweep]) \
+            .run(workers=2)
         assert second.to_json() == first.to_json()
         assert all(second.cached)
+
+    def test_runs_on_the_backend_object_it_was_given(self, tmp_path):
+        sweep = window_sweep(n=3)
+        store = ResultCache(root=tmp_path / "store", code_version="v1")
+        Campaign.create(tmp_path / "camp", sweep, cache=store).run(
+            workers=1)
+        assert all(store.get(trial) is not None for trial in sweep)
+        warm = run_sweep(sweep, workers=1, cache=store)
+        assert warm.cache_hits == len(sweep)
+
+    def test_sweep_name_with_a_slash_seals(self, tmp_path):
+        sweep = window_sweep(name="fig7/quick", n=2)
+        campaign = Campaign.create(tmp_path / "camp", sweep)
+        (result,) = campaign.run(workers=1)
+        assert campaign.cdir.read_result("fig7/quick") == result.to_json()
+        assert (tmp_path / "camp" / "fig7%2Fquick.result.json").is_file()
+        assert campaign_status(tmp_path / "camp")["state"] == "finished"
+        (again,) = Campaign.open(tmp_path / "camp").run(workers=1)
+        assert all(again.cached)
 
     def test_create_or_open_rejects_different_sweeps(self, tmp_path):
         Campaign.create(tmp_path / "camp", window_sweep())

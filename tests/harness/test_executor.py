@@ -1,15 +1,19 @@
-"""Executor semantics: deterministic sharding, ordering, cache wiring.
+"""Sweep execution: deterministic sharding, ordering, cache wiring.
 
 The sweeps here use cheap trials (the taint table and small-config
 reference runs) so the multi-worker paths are exercised without paying
 for paper-scale simulations.
 """
 
+import os
+import signal
+
 import pytest
 
+import repro.campaign.engine as engine_mod
+import repro.campaign.worker as worker_mod
 from repro.harness.cache import ResultCache
-from repro.harness.executor import (Executor, ProcessPoolExecutor,
-                                    SerialExecutor, SweepResult,
+from repro.harness.executor import (SerialExecutor, SweepResult,
                                     default_workers, run_sweep)
 from repro.harness.runner import TrialError, run_trial
 from repro.harness.spec import Sweep, Trial
@@ -100,16 +104,14 @@ class TestFailures:
         with pytest.raises(TrialError, match="does-not-exist"):
             run_sweep(sweep, workers=3, cache=None)
 
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(), ProcessPoolExecutor(workers=2)],
-        ids=["serial", "pool"])
-    def test_cycle_ceiling_raises_did_not_halt(self, executor):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_cycle_ceiling_raises_did_not_halt(self, workers):
         sweep = Sweep("ceiling")
         sweep.add("taint")
         sweep.add("run", workload="reference", runahead="none",
                   config_base="small", max_cycles=2)
         with pytest.raises(TrialError, match="did not halt"):
-            executor.execute(sweep, cache=None)
+            run_sweep(sweep, workers=workers, cache=None)
 
     def test_run_trial_rejects_unknown_kind(self):
         trial = Trial("attack", {"variant": "pht"})
@@ -127,15 +129,32 @@ class TestFailures:
             run_trial(trial)
 
 
+def _kill_once(flag):
+    """A trial runner that SIGKILLs the worker process computing the
+    first trial it is handed (``flag`` marks that it already fired);
+    it never kills the test process itself."""
+    parent = os.getpid()
+
+    def runner(trial):
+        if os.getpid() != parent and not flag.exists():
+            flag.write_text("fired")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_trial(trial)
+    return runner
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("sweep hung after a worker was killed")
+
+
 class TestExecutorProtocol:
-    def test_executors_are_executors(self):
-        assert isinstance(SerialExecutor(), Executor)
-        assert isinstance(ProcessPoolExecutor(), Executor)
+    """:class:`SerialExecutor` is the reference; ``run_sweep`` above one
+    worker runs a pool of campaign worker processes."""
 
     def test_serial_and_pool_are_byte_identical(self):
         sweep = cheap_sweep()
         serial = SerialExecutor().execute(sweep, cache=None)
-        pooled = ProcessPoolExecutor(workers=3).execute(sweep, cache=None)
+        pooled = run_sweep(sweep, workers=3, cache=None)
         assert serial.to_json() == pooled.to_json()
         assert serial.workers == 1
         assert pooled.workers == 3
@@ -146,14 +165,18 @@ class TestExecutorProtocol:
         via_serial = SerialExecutor().execute(sweep, cache=None)
         assert via_wrapper.to_json() == via_serial.to_json()
 
-    def test_pool_runs_inline_for_single_pending_trial(self, tmp_path):
+    def test_pool_runs_inline_for_single_pending_trial(self, tmp_path,
+                                                       monkeypatch):
         store = ResultCache(root=tmp_path, code_version="v1")
         sweep = cheap_sweep()
         run_sweep(Sweep("seed", sweep.trials[:-1]), workers=1,
                   cache=store)
+
+        def no_processes(*args, **kwargs):
+            raise AssertionError("spawned worker processes for one trial")
+        monkeypatch.setattr(engine_mod, "_LocalWorkers", no_processes)
         # 3 of 4 trials cached: one pending trial must not spawn a pool.
-        result = ProcessPoolExecutor(workers=4).execute(sweep,
-                                                        cache=store)
+        result = run_sweep(sweep, workers=4, cache=store)
         assert result.cached == [True, True, True, False]
         assert result.to_json() == \
             SerialExecutor().execute(sweep, cache=store).to_json()
@@ -165,6 +188,43 @@ class TestExecutorProtocol:
         SerialExecutor().execute(sweep, cache=None,
                                  progress=lines.append)
         assert lines == ["[1/1] taint: done"]
+
+    def test_pool_progress_lines_match_serial(self):
+        sweep = cheap_sweep()
+        serial, pooled = [], []
+        SerialExecutor().execute(sweep, cache=None, progress=serial.append)
+        run_sweep(sweep, workers=2, cache=None, progress=pooled.append)
+        assert serial == [f"[{i + 1}/4] {trial.label}: done"
+                          for i, trial in enumerate(sweep.trials)]
+        assert sorted(pooled) == sorted(serial)
+
+    def test_pool_writes_the_given_backend(self, tmp_path):
+        store = ResultCache(root=tmp_path, code_version="v1")
+        cold = run_sweep(cheap_sweep(), workers=2, cache=store)
+        assert cold.cache_misses == len(cold)
+        assert all(store.get(trial) is not None
+                   for trial in cheap_sweep().trials)
+        warm = run_sweep(cheap_sweep(), workers=1, cache=store)
+        assert warm.cache_hits == len(warm)
+
+    def test_killed_worker_is_recovered(self, tmp_path, monkeypatch):
+        sweep = Sweep("killed")
+        for sled in (8, 16, 24):
+            sweep.add("window", runahead="none", sled=sled,
+                      config_base="small")
+        serial = SerialExecutor().execute(sweep, cache=None)
+        monkeypatch.setattr(worker_mod, "run_trial",
+                            _kill_once(tmp_path / "killed"))
+        # The lost trial must be retried, not waited on forever.
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(60)
+        try:
+            result = run_sweep(sweep, workers=2, cache=None)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (tmp_path / "killed").exists()
+        assert result.to_json() == serial.to_json()
 
 
 class TestDefaultWorkers:
