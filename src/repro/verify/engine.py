@@ -59,13 +59,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..harness.registry import CONTROLLERS
-from ..isa.instructions import INSTR_BYTES, WORD_BYTES, Opcode
-from ..isa.registers import REG_SP
-from .machine import (LINE_BYTES, PathState, alu_result, as_int,
-                      branch_taken, line_of, mem_addr)
+from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
+                                WORD_BYTES, Opcode)
+from ..isa.registers import REG_SP, REG_ZERO
+from .machine import (FILL_SETTLE_STEPS, LINE_BYTES, PathState, alu_result,
+                      as_int, branch_taken, line_of, mem_addr)
 from .report import (WINDOW_RUNAHEAD, WINDOW_SPECULATION, WINDOWS,
                      LeakReport, VerifyResult, merge_reports)
-from .taint import AbsValue, cap_chain, clean
+from .taint import AbsValue, cap_chain, clean, combine
 
 #: Defense models: the controller names of
 #: :data:`repro.harness.registry.CONTROLLERS`.
@@ -96,8 +97,71 @@ class VerifyOptions:
     max_window_forks: int = 6
 
 
+def _check_bounds(options: VerifyOptions) -> None:
+    """Reject a bound that would silently shrink the exploration: a
+    zero-length window explores nothing and reports a leaking gadget
+    clean."""
+    for field, least in (("spec_depth", 1), ("runahead_len", 1),
+                         ("max_arch_steps", 1), ("max_window_forks", 0)):
+        value = getattr(options, field)
+        if type(value) is not int or value < least:
+            kind = "a positive int" if least else "an int >= 0"
+            raise VerifyError(f"{field} must be {kind}, got {value!r}")
+
+
 #: pc -> instruction-index shift (INSTR_BYTES is a power of two).
 _PC_SHIFT = INSTR_BYTES.bit_length() - 1
+
+_MASK64 = (1 << 64) - 1
+#: Effective address of ``base + imm``: wrapped to 64 bits, word-aligned.
+_ADDR_MASK = _MASK64 & ~(WORD_BYTES - 1)
+_LINE_MASK = ~(LINE_BYTES - 1)
+#: An in-window miss: the value will not arrive before the window ends.
+_INV_MISS = AbsValue(0, frozenset(), True, False, ())
+
+# Kinds of the decoded table (see :func:`decode`).
+(_ALU1, _ALU2, _CONST, _COND, _LOAD, _NOP, _JMP, _RDTSC, _CLFLUSH, _HALT,
+ _OTHER) = range(11)
+
+_KIND_OF = {Opcode.NOP: _NOP, Opcode.FENCE: _NOP, Opcode.JMP: _JMP,
+            Opcode.RDTSC: _RDTSC, Opcode.CLFLUSH: _CLFLUSH,
+            Opcode.HALT: _HALT}
+
+
+def decode(program) -> list:
+    """Decode a program once into the table both walks index by pc.
+
+    Row ``(kind, fn, a, b, imm, dest, target, instr)``: ``a``/``b`` are
+    the source registers (for a load or ``clflush``, ``a`` is the base),
+    ``dest`` is None when nothing is written (no dest, or ``r0``), ``fn``
+    is the ``ALU_EVAL`` / ``BRANCH_EVAL`` entry.  A source-free integer
+    op (``li``) is ``_CONST``, its result precomputed into ``imm``.
+    Everything the window walk does not finish inline — ``jr``,
+    ``call``/``ret``, stores, fp and vector ops — is ``_OTHER`` and
+    steps through ``instr``.
+    """
+    table = []
+    for instr in program.instructions:
+        op = instr.op
+        srcs = instr.srcs
+        a = srcs[0] if srcs else None
+        b = srcs[1] if len(srcs) > 1 else None
+        dest = None if instr.dest in (None, REG_ZERO) else instr.dest
+        fn = ALU_EVAL[op] or BRANCH_EVAL[op]
+        imm = instr.imm
+        if ALU_EVAL[op] is not None:
+            if not srcs:
+                kind, imm = _CONST, AbsValue(fn(0, None, imm))
+            else:
+                kind = _ALU1 if b is None else _ALU2
+        elif instr.cond_branch:
+            kind = _COND
+        elif instr.load:
+            kind = _LOAD
+        else:
+            kind = _KIND_OF.get(instr.opcode, _OTHER)
+        table.append((kind, fn, a, b, imm, dest, instr.target, instr))
+    return table
 
 
 class Checker:
@@ -135,6 +199,8 @@ class Checker:
             defense not in _NO_RUNAHEAD
         self.windows = tuple(w for w in WINDOWS if w in windows)
         self.options = options or VerifyOptions()
+        _check_bounds(self.options)
+        self._table = decode(program)
         # Predictor state, trained by the architectural walk only.
         self.bhist: Dict[int, bool] = {}
         self.btb: Dict[int, int] = {}
@@ -168,8 +234,8 @@ class Checker:
 
     def run(self) -> VerifyResult:
         state = PathState.initial(self.image, self.initial_sp)
-        instructions = self.program.instructions
-        count = len(instructions)
+        table = self._table
+        count = len(table)
         limit = self.options.max_arch_steps
         while self.arch_steps < limit:
             pc = state.pc
@@ -178,36 +244,36 @@ class Checker:
             index = pc >> _PC_SHIFT
             if not 0 <= index < count:
                 break
-            instr = instructions[index]
+            kind, _, _, _, _, dest, target, instr = table[index]
             self.arch_steps += 1
-            opcode = instr.opcode
-            if instr.branch:
-                if instr.cond_branch:
-                    self._arch_cond_branch(state, instr)
-                elif opcode is Opcode.JMP:
-                    state.pc = instr.target
-                elif opcode is Opcode.JR:
+            if kind == _COND:
+                self._arch_cond_branch(state, instr)
+            elif kind == _LOAD:
+                self._arch_load(state, instr)
+            elif kind == _JMP:
+                state.pc = target
+            elif kind == _NOP:
+                state.pc += INSTR_BYTES
+            elif kind == _HALT:
+                break
+            elif kind == _CLFLUSH:
+                addr = mem_addr(instr, state)
+                state.flush(as_int(addr.val))
+                state.pc += INSTR_BYTES
+            elif instr.branch:
+                opcode = instr.opcode
+                if opcode is Opcode.JR:
                     self._arch_jr(state, instr)
                 elif opcode is Opcode.CALL:
                     self._arch_call(state, instr)
                 else:
                     self._arch_ret(state, instr)
-            elif instr.load:
-                self._arch_load(state, instr)
             elif instr.store:
                 self._arch_store(state, instr)
-            elif opcode is Opcode.CLFLUSH:
-                addr = mem_addr(instr, state)
-                state.flush(as_int(addr.val))
-                state.pc += INSTR_BYTES
-            elif opcode is Opcode.HALT:
-                break
-            elif opcode is Opcode.NOP or opcode is Opcode.FENCE:
-                state.pc += INSTR_BYTES
             else:
                 value = alu_result(instr, state, self.arch_steps)
-                if instr.dest is not None:
-                    state.write_reg(instr.dest, value)
+                if dest is not None:
+                    state.regs[dest] = value
                 state.pc += INSTR_BYTES
         reports = merge_reports(self.reports)
         return VerifyResult(
@@ -366,7 +432,14 @@ class Checker:
 
     def _explore(self, state: PathState, mode: str, fork_pc: int,
                  fork_index: int, crossed: bool) -> None:
-        """Interpret one window path; recurses on INV-branch forks."""
+        """Interpret one window path; recurses on INV-branch forks.
+
+        Integer ops, ``rdtsc``, ``nop``/``fence``, ``jmp``, non-INV
+        conditionals, loads and ``clflush`` finish inline from the
+        decoded table; an integer op with an annotated source (taint,
+        INV or slow) takes the :func:`~repro.verify.taint.combine` join.
+        Every other step goes through :meth:`_window_step`.
+        """
         # Fills do not settle inside a window: warmth is judged at the
         # clock the window opened on (a real fill outlasts the window).
         now = self.arch_steps
@@ -380,92 +453,174 @@ class Checker:
         # runahead cache / store-queue forwarding).
         stored = set()
         work = [(state, crossed)]
-        instructions = self.program.instructions
-        count = len(instructions)
+        table = self._table
+        count = len(table)
         steps = 0
         while work:
             state, crossed = work.pop()
-            while state.steps < budget:
-                pc = state.pc
+            regs = state.regs
+            fills = state.fills
+            pc = state.pc
+            n = start = state.steps
+            while n < budget:
                 if pc & (INSTR_BYTES - 1):
                     raise ValueError(f"misaligned pc: {pc:#x}")
                 index = pc >> _PC_SHIFT
                 if not 0 <= index < count:
                     break
-                instr = instructions[index]
-                state.steps += 1
-                steps += 1
-                opcode = instr.opcode
-                if instr.branch:
-                    if instr.cond_branch:
-                        outcome = self._window_cond_branch(
-                            state, instr, forks, work)
-                        if outcome is None:
-                            break
-                        crossed = crossed or outcome
-                    elif opcode is Opcode.JMP:
-                        state.pc = instr.target
-                    elif opcode is Opcode.JR:
-                        src = state.read_reg(instr.srcs[0])
-                        if src.inv:
-                            if self.defense == "branch-skip":
-                                break   # stop fetch on INV indirect control
-                            predicted = self.btb.get(state.pc)
-                            if predicted is None:
-                                break
-                            crossed = True
-                            state.pc = predicted
+                n += 1
+                kind, fn, a, b, imm, dest, target, instr = table[index]
+                if kind == _ALU2 or kind == _ALU1:
+                    x = regs[a]
+                    v = x.val
+                    v = v & _MASK64 if type(v) is int else as_int(v)
+                    if kind == _ALU2:
+                        y = regs[b]
+                        w = y.val
+                        w = w & _MASK64 if type(w) is int else as_int(w)
+                        val = fn(v, w, imm)
+                        if x.taint or x.inv or x.slow or \
+                                y.taint or y.inv or y.slow:
+                            value = combine(val, (x, y), pc)
                         else:
-                            state.pc = as_int(src.val) & ~3
-                    elif opcode is Opcode.CALL:
-                        # The return-address store forwards through the
-                        # store queue in-window — no cache fill involved.
-                        sp = state.read_reg(REG_SP)
-                        new_sp = (as_int(sp.val) - WORD_BYTES) & \
-                            ~(WORD_BYTES - 1)
-                        state.write_word(new_sp,
-                                         clean(state.pc + INSTR_BYTES))
-                        stored.add(new_sp)
-                        state.write_reg(REG_SP, clean(new_sp))
-                        state.rsb.append(state.pc + INSTR_BYTES)
-                        state.pc = instr.target
+                            value = AbsValue(val)
                     else:
-                        outcome = self._window_ret(
-                            state, instr, mode, fork_pc, fork_index,
-                            crossed, stored, now)
-                        if outcome is None:
-                            break
-                        crossed = crossed or outcome
-                elif instr.load:
-                    self._window_load(state, instr, mode, fork_pc,
-                                      fork_index, crossed, stored, now)
-                elif instr.store:
-                    self._window_store(state, instr, stored)
-                elif opcode is Opcode.CLFLUSH:
-                    addr_v = mem_addr(instr, state)
-                    if not addr_v.inv:
-                        state.flush(as_int(addr_v.val))
-                    state.pc += INSTR_BYTES
-                elif opcode is Opcode.HALT:
+                        val = fn(v, None, imm)
+                        if x.taint or x.inv or x.slow:
+                            value = combine(val, (x,), pc)
+                        else:
+                            value = AbsValue(val)
+                    if dest is not None:
+                        regs[dest] = value
+                    pc += INSTR_BYTES
+                elif kind == _CONST:
+                    if dest is not None:
+                        regs[dest] = imm
+                    pc += INSTR_BYTES
+                elif kind == _COND and not (regs[a].inv or regs[b].inv):
+                    v = regs[a].val
+                    w = regs[b].val
+                    if fn(v & _MASK64 if type(v) is int else as_int(v),
+                          w & _MASK64 if type(w) is int else as_int(w)):
+                        pc = target
+                    else:
+                        pc += INSTR_BYTES
+                elif kind == _LOAD:
+                    base = regs[a]
+                    if base.inv:
+                        # INV address: the access is dropped entirely —
+                        # no fill, no footprint, no leak (the pipeline's
+                        # _issue_inv path).
+                        value = AbsValue(0, base.taint, True, False,
+                                         base.chain)
+                    else:
+                        addr = (as_int(base.val) + imm) & _ADDR_MASK
+                        state.pc = pc
+                        if base.taint:
+                            state.steps = n
+                            self._check_leak(
+                                state, AbsValue(addr, base.taint, False,
+                                                base.slow, base.chain),
+                                instr, mode, fork_pc, fork_index, crossed)
+                        line = addr & _LINE_MASK
+                        started = fills.get(line)
+                        if addr in stored or (
+                                started is not None
+                                and now - started >= FILL_SETTLE_STEPS
+                                and line not in state.pending):
+                            value = self._load_word(state, instr, addr,
+                                                    False)
+                        else:
+                            # In-window miss: the fill will not return
+                            # inside the window; the access still warms
+                            # the line (prefetch), which is exactly the
+                            # footprint the leak check just examined.
+                            state.pending.add(line)
+                            value = _INV_MISS
+                    if dest is not None:
+                        regs[dest] = value
+                    pc += INSTR_BYTES
+                elif kind == _NOP:
+                    pc += INSTR_BYTES
+                elif kind == _JMP:
+                    pc = target
+                elif kind == _RDTSC:
+                    if dest is not None:
+                        regs[dest] = AbsValue(n)
+                    pc += INSTR_BYTES
+                elif kind == _CLFLUSH:
+                    base = regs[a]
+                    if not base.inv:
+                        fills.pop((as_int(base.val) + imm) & _ADDR_MASK
+                                  & _LINE_MASK, None)
+                    pc += INSTR_BYTES
+                elif kind == _HALT:
                     break
-                elif opcode is Opcode.NOP or opcode is Opcode.FENCE:
-                    state.pc += INSTR_BYTES
                 else:
-                    value = alu_result(instr, state, state.steps)
-                    if instr.dest is not None:
-                        state.write_reg(instr.dest, value)
-                    state.pc += INSTR_BYTES
+                    state.pc = pc
+                    state.steps = n
+                    outcome = self._window_step(
+                        state, instr, mode, fork_pc, fork_index, crossed,
+                        stored, now, forks, work)
+                    pc = state.pc
+                    if outcome is None:
+                        break
+                    crossed = crossed or outcome
+            state.pc = pc
+            state.steps = n
+            steps += n - start
         self.window_steps += steps
 
-    def _window_cond_branch(self, state, instr, forks, work):
-        """Returns True if a prediction was crossed, None to stop."""
-        a = state.read_reg(instr.srcs[0])
-        b = state.read_reg(instr.srcs[1])
-        if not (a.inv or b.inv):
-            taken = branch_taken(instr, a, b)
-            state.pc = instr.target if taken else state.pc + INSTR_BYTES
+    def _window_step(self, state, instr, mode, fork_pc, fork_index,
+                     crossed, stored, now, forks, work):
+        """One window step the decoded walk does not finish inline.
+
+        Returns None to end the path, else whether a prediction was
+        crossed.
+        """
+        opcode = instr.opcode
+        if instr.cond_branch:
+            return self._window_cond_branch(state, instr, forks, work)
+        if opcode is Opcode.JR:
+            src = state.read_reg(instr.srcs[0])
+            if not src.inv:
+                state.pc = as_int(src.val) & ~3
+                return False
+            if self.defense == "branch-skip":
+                return None     # stop fetch on INV indirect control
+            predicted = self.btb.get(state.pc)
+            if predicted is None:
+                return None
+            state.pc = predicted
+            return True
+        if opcode is Opcode.CALL:
+            # The return-address store forwards through the store queue
+            # in-window — no cache fill involved.
+            sp = state.read_reg(REG_SP)
+            new_sp = (as_int(sp.val) - WORD_BYTES) & ~(WORD_BYTES - 1)
+            state.write_word(new_sp, clean(state.pc + INSTR_BYTES))
+            stored.add(new_sp)
+            state.write_reg(REG_SP, clean(new_sp))
+            state.rsb.append(state.pc + INSTR_BYTES)
+            state.pc = instr.target
             return False
-        # INV-source branch: never resolves inside the window.
+        if opcode is Opcode.RET:
+            return self._window_ret(state, instr, mode, fork_pc,
+                                    fork_index, crossed, stored, now)
+        if instr.store:
+            self._window_store(state, instr, stored)
+        else:
+            value = alu_result(instr, state, state.steps)
+            if instr.dest is not None:
+                state.write_reg(instr.dest, value)
+            state.pc += INSTR_BYTES
+        return False
+
+    def _window_cond_branch(self, state, instr, forks, work):
+        """An INV-source branch: it never resolves inside the window.
+
+        Returns True if a prediction was crossed, None to stop.
+        """
         if self.defense == "branch-skip":
             if instr.target > state.pc:
                 # Forward conditional: forced to skip its body.
@@ -512,35 +667,6 @@ class Checker:
             return None
         state.pc = state.rsb.pop()
         return True
-
-    def _window_load(self, state, instr, mode, fork_pc, fork_index,
-                     crossed, stored, now):
-        addr_v = mem_addr(instr, state)
-        if addr_v.inv:
-            # INV address: the access is dropped entirely — no fill, no
-            # footprint, no leak (the pipeline's _issue_inv path).
-            if instr.dest is not None:
-                state.write_reg(instr.dest,
-                                AbsValue(0, addr_v.taint, True, False,
-                                         addr_v.chain))
-            state.pc += INSTR_BYTES
-            return
-        addr = as_int(addr_v.val)
-        self._check_leak(state, addr_v, instr, mode, fork_pc, fork_index,
-                         crossed)
-        available = addr in stored or \
-            (state.is_warm(addr, now) and line_of(addr) not in state.pending)
-        if available:
-            value = self._load_word(state, instr, addr, slow=False)
-        else:
-            # In-window miss: the fill will not return inside the
-            # window; the access still warms the line (prefetch), which
-            # is exactly the footprint the leak check just examined.
-            state.pending.add(line_of(addr))
-            value = AbsValue(0, frozenset(), True, False, ())
-        if instr.dest is not None:
-            state.write_reg(instr.dest, value)
-        state.pc += INSTR_BYTES
 
     def _window_store(self, state, instr, stored):
         addr_v = mem_addr(instr, state)

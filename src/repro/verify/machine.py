@@ -135,31 +135,14 @@ def as_int(value) -> int:
 
 
 def alu_result(instr, state: PathState, step_count: int) -> AbsValue:
-    """Evaluate a non-memory, non-branch instruction with taint join.
-
-    Integer ops (at most two sources) read the register file directly —
-    ``regs[REG_ZERO]`` is never written, so it always holds ``ZERO`` —
-    and skip the join when no source carries an annotation.
-    """
+    """Evaluate a non-memory, non-branch instruction: the lattice join
+    of its sources' annotations (:func:`~repro.verify.taint.combine`)."""
+    sources = [state.read_reg(r) for r in instr.srcs]
     fn = ALU_EVAL[instr.op]
     if fn is not None:
-        n = instr.n_srcs
-        if not n:
-            return AbsValue(fn(0, None, instr.imm))
-        regs = state.regs
-        srcs = instr.srcs
-        x = regs[srcs[0]]
-        if n == 1:
-            val = fn(as_int(x.val), None, instr.imm)
-            if x.taint or x.inv or x.slow:
-                return combine(val, (x,), state.pc)
-            return AbsValue(val)
-        y = regs[srcs[1]]
-        val = fn(as_int(x.val), as_int(y.val), instr.imm)
-        if x.taint or x.inv or x.slow or y.taint or y.inv or y.slow:
-            return combine(val, (x, y), state.pc)
-        return AbsValue(val)
-    sources = [state.read_reg(r) for r in instr.srcs]
+        a = as_int(sources[0].val) if sources else 0
+        b = as_int(sources[1].val) if len(sources) > 1 else None
+        return combine(fn(a, b, instr.imm), sources, state.pc)
     opcode = instr.opcode
     if opcode is Opcode.RDTSC:
         return clean(step_count)

@@ -108,6 +108,22 @@ class TestVerifyCommand:
         assert main(["verify", "meltdown", "--no-cache"]) == 1
         assert "unknown verify target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "stale-store", "--runahead-len", "0"],
+        ["verify", "stale-store", "--spec-depth", "-3", "--cross-check"],
+        ["run", "verify", "target=stale-store", "runahead_len=-1"],
+        ["run", "verify", "target=stale-store", "runahead_len=x"],
+        ["run", "verify", "target=stale-store", "max_window_forks=-1"],
+    ])
+    def test_out_of_range_bound_errors(self, capsys, argv):
+        """stale-store leaks; a bound that shrinks the windows to
+        nothing must not print it clean."""
+        assert main(argv + ["--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "clean" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert " must be " in captured.err
+
     def test_defense_choices_match_the_checker(self):
         from repro.verify.engine import DEFENSES
         with pytest.raises(SystemExit):

@@ -20,7 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.verify import (DEFENSES, WINDOW_RUNAHEAD, WINDOW_SPECULATION,
-                          VerifyError, check_program, check_target)
+                          VerifyError, VerifyOptions, check_program,
+                          check_target)
 from repro.verify.targets import build_target
 
 
@@ -115,3 +116,29 @@ class TestCheckerValidation:
     def test_defense_names_match_the_harness_registry(self):
         from repro.harness.registry import CONTROLLERS
         assert set(DEFENSES) == set(CONTROLLERS)
+
+    @pytest.mark.parametrize("field,value", [
+        ("runahead_len", 0), ("runahead_len", -1), ("runahead_len", "x"),
+        ("runahead_len", True), ("spec_depth", 0), ("spec_depth", 1.5),
+        ("max_arch_steps", 0), ("max_arch_steps", None),
+        ("max_window_forks", -1), ("max_window_forks", False),
+        ("max_window_forks", "2"),
+    ])
+    def test_out_of_range_bound_is_rejected(self, field, value):
+        """A zero-length window would explore nothing and call a leaking
+        gadget clean; a bool or string bound is a caller's mistake."""
+        case = build_target("stale-store")
+        options = VerifyOptions(**{field: value})
+        with pytest.raises(VerifyError, match=f"^{field} must be"):
+            check_program(case.program, case.image,
+                          secret_addrs=case.secret_addrs,
+                          initial_sp=case.initial_sp, options=options)
+
+    def test_smallest_bounds_are_accepted(self):
+        case = build_target("stale-store")
+        options = VerifyOptions(spec_depth=1, runahead_len=1,
+                                max_arch_steps=1, max_window_forks=0)
+        result = check_program(case.program, case.image,
+                               secret_addrs=case.secret_addrs,
+                               initial_sp=case.initial_sp, options=options)
+        assert result.arch_steps == 1
