@@ -62,8 +62,8 @@ from ..harness.registry import CONTROLLERS
 from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
                                 WORD_BYTES, Opcode)
 from ..isa.registers import REG_SP, REG_ZERO
-from .machine import (FILL_SETTLE_STEPS, LINE_BYTES, PathState, alu_result,
-                      as_int, branch_taken, line_of, mem_addr)
+from .machine import (_MASK64, FILL_SETTLE_STEPS, LINE_BYTES, PathState,
+                      alu_result, as_int, branch_taken, line_of, mem_addr)
 from .report import (WINDOW_RUNAHEAD, WINDOW_SPECULATION, WINDOWS,
                      LeakReport, VerifyResult, merge_reports)
 from .taint import AbsValue, cap_chain, clean, combine
@@ -112,7 +112,6 @@ def _check_bounds(options: VerifyOptions) -> None:
 #: pc -> instruction-index shift (INSTR_BYTES is a power of two).
 _PC_SHIFT = INSTR_BYTES.bit_length() - 1
 
-_MASK64 = (1 << 64) - 1
 #: Effective address of ``base + imm``: wrapped to 64 bits, word-aligned.
 _ADDR_MASK = _MASK64 & ~(WORD_BYTES - 1)
 _LINE_MASK = ~(LINE_BYTES - 1)
