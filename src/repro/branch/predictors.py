@@ -103,24 +103,30 @@ class TwoLevelPredictor(DirectionPredictor):
         self._pht = [TwoBitCounter.WEAK_NOT_TAKEN] * \
             (1 << (history_bits + pc_bits))
 
-    def _indices(self, pc):
-        bht_index = (pc >> 2) & self._bht_mask
-        history = self._bht[bht_index]
-        pht_index = (history << self.pc_bits) | ((pc >> 2) & self._pc_mask)
-        return bht_index, pht_index
-
+    # predict/update run once per conditional branch fetched/resolved, so
+    # they index the tables and step the two-bit counter inline.
     def predict(self, pc):
-        bht_index, pht_index = self._indices(pc)
-        return TwoBitCounter.predict(self._pht[pht_index]), pht_index
+        index = pc >> 2
+        pht_index = (self._bht[index & self._bht_mask] << self.pc_bits) | \
+            (index & self._pc_mask)
+        return self._pht[pht_index] >= TwoBitCounter.WEAK_TAKEN, pht_index
 
     def update(self, pc, taken, meta=None):
-        bht_index, pht_index = self._indices(pc)
-        if meta is not None:
-            pht_index = meta
-        self._pht[pht_index] = TwoBitCounter.update(self._pht[pht_index],
-                                                    taken)
-        self._bht[bht_index] = \
-            ((self._bht[bht_index] << 1) | int(taken)) & self._history_mask
+        index = pc >> 2
+        bht_index = index & self._bht_mask
+        history = self._bht[bht_index]
+        pht_index = meta if meta is not None else \
+            (history << self.pc_bits) | (index & self._pc_mask)
+        pht = self._pht
+        state = pht[pht_index]
+        if taken:
+            if state < TwoBitCounter.STRONG_TAKEN:
+                pht[pht_index] = state + 1
+            self._bht[bht_index] = ((history << 1) | 1) & self._history_mask
+        else:
+            if state > TwoBitCounter.STRONG_NOT_TAKEN:
+                pht[pht_index] = state - 1
+            self._bht[bht_index] = (history << 1) & self._history_mask
 
     def reset(self):
         self._bht = [0] * (1 << self.bht_bits)

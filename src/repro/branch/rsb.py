@@ -6,8 +6,10 @@ return address while the architectural ``ret`` reads the in-memory stack —
 the divergence SpectreRSB exploits by overwriting (Fig. 4b) or flushing
 (Fig. 4c) the stack slot.
 
-The whole speculative state is tiny, so :meth:`snapshot` returns a full
-copy for misprediction recovery.
+The whole speculative state is one immutable tuple ``(entries, top,
+depth)``: a push builds a new one, a pop rebinds it.  :meth:`snapshot`
+is therefore the state itself — O(1) per predicted branch, and no later
+push or pop can change a snapshot already taken.
 """
 
 from __future__ import annotations
@@ -22,49 +24,43 @@ class ReturnStackBuffer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries = [None] * capacity
-        self._top = 0       # index of the next free slot
-        self._depth = 0     # valid entries (saturates at capacity)
-        self.underflows = 0
+        self.reset()
 
     def push(self, return_address):
         """Record a call's return address (wraps around when full)."""
-        self._entries[self._top] = return_address
-        self._top = (self._top + 1) % self.capacity
-        if self._depth < self.capacity:
-            self._depth += 1
+        entries, top, depth = self._state
+        self._state = (entries[:top] + (return_address,) + entries[top + 1:],
+                       (top + 1) % self.capacity,
+                       depth + 1 if depth < self.capacity else depth)
 
     def pop(self) -> Optional[int]:
         """Predict a return target; None on underflow."""
-        if self._depth == 0:
+        entries, top, depth = self._state
+        if depth == 0:
             self.underflows += 1
             return None
-        self._top = (self._top - 1) % self.capacity
-        self._depth -= 1
-        return self._entries[self._top]
+        top = (top - 1) % self.capacity
+        self._state = (entries, top, depth - 1)
+        return entries[top]
 
     def peek(self) -> Optional[int]:
         """Return the would-be prediction without popping."""
-        if self._depth == 0:
+        entries, top, depth = self._state
+        if depth == 0:
             return None
-        return self._entries[(self._top - 1) % self.capacity]
+        return entries[(top - 1) % self.capacity]
 
     @property
     def depth(self):
-        return self._depth
+        return self._state[2]
 
     def snapshot(self) -> Tuple:
-        """Full copy of the speculative state."""
-        return (tuple(self._entries), self._top, self._depth)
+        """The speculative state (immutable, so no copy is needed)."""
+        return self._state
 
     def restore(self, snap):
-        entries, top, depth = snap
-        self._entries = list(entries)
-        self._top = top
-        self._depth = depth
+        self._state = snap
 
     def reset(self):
-        self._entries = [None] * self.capacity
-        self._top = 0
-        self._depth = 0
+        self._state = ((None,) * self.capacity, 0, 0)
         self.underflows = 0

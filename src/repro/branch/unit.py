@@ -107,7 +107,7 @@ class BranchUnit:
         """Re-apply speculative updates for the *actual* outcome after a
         misprediction restored the snapshot."""
         op = instr.opcode
-        if instr.is_conditional_branch():
+        if instr.cond_branch:
             self.direction.spec_update(pc, taken)
         elif op is Opcode.CALL:
             self.rsb.push(pc + INSTR_BYTES)
@@ -130,7 +130,7 @@ class BranchUnit:
             if instr.opcode is Opcode.RET:
                 self.stats.rsb_mispredicts += 1
         if train:
-            if instr.is_conditional_branch():
+            if instr.cond_branch:
                 self.direction.update(pc, actual_taken, prediction.meta)
             if actual_taken and instr.opcode in (Opcode.JR, Opcode.JMP,
                                                  Opcode.CALL):

@@ -51,12 +51,8 @@ def signal_indices(vector: ProbeVector,
 
 def median_vector(rows: Sequence[Sequence[int]]) -> List[int]:
     """Element-wise (lower) median across trials."""
-    n_trials = len(rows)
-    out = []
-    for index in range(len(rows[0])):
-        column = sorted(row[index] for row in rows)
-        out.append(column[(n_trials - 1) // 2])
-    return out
+    middle = (len(rows) - 1) // 2
+    return [sorted(column)[middle] for column in zip(*rows)]
 
 
 @dataclass

@@ -37,8 +37,9 @@ class Program:
         self.instructions: List[Instruction] = list(instructions)
         self.labels: Dict[str, int] = dict(labels or {})
         self.symbols: Dict[str, int] = dict(symbols or {})
-        # Fetch is on the simulator's per-cycle hot path: cache the
-        # bounds once instead of recomputing len() per call.
+        # The reference interpreter fetches once per step: cache the
+        # bounds once instead of recomputing len() per call.  (The core
+        # indexes ``instructions`` itself.)
         self._count = len(self.instructions)
 
     def __len__(self):

@@ -319,7 +319,7 @@ class MemoryHierarchy:
         self.shared = shared
         self.config = shared.config
         self.phys_base = phys_base
-        self._line_mask = ~(self.config.line_bytes - 1)
+        self.line_mask = ~(self.config.line_bytes - 1)
         self.view_id = len(shared.views)
         if smt_with is not None:
             if smt_with.shared is not shared:
@@ -348,7 +348,7 @@ class MemoryHierarchy:
 
     def line_of(self, addr):
         """Physical line address of ``addr`` in this view's window."""
-        return (addr + self.phys_base) & self._line_mask
+        return (addr + self.phys_base) & self.line_mask
 
     def apply_completed(self, now):
         """Install every pending fill whose completion has passed."""

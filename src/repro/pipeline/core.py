@@ -29,6 +29,16 @@ actually issue — the behaviour (issue order, FU arbitration, stats) is
 bit-identical to the scan it replaced, which the golden-stats tests
 (``tests/pipeline/test_golden_stats.py``) pin down.
 
+One :class:`~repro.pipeline.rob.RobEntry` carries an instruction from
+fetch to retire: fetch builds it, dispatch stamps its ``seq``.  The
+issue queue is an occupancy count (the ROB entries still
+``DISPATCHED``), and loads and stores leave the LQ/SQ from the head.
+The common case of every stage runs inline — fetch indexes the
+instruction list, issue reads operands and claims the unit for integer
+ALU ops and conditional branches, normal-mode commit retires — and the
+rest goes through one helper per stage.  The cost of a simulated cycle
+is Python calls, so ``tests/pipeline/test_call_budget.py`` bounds them.
+
 Cycle skipping: after an *idle* step (no stage made progress) at cycle
 ``c`` the run loops jump to the earliest wake-up event, but never to
 less than ``floor = c + 2`` — the stride-2 floor.  A front-end head that
@@ -52,8 +62,8 @@ from ..branch.btb import BranchTargetBuffer
 from ..branch.predictors import make_direction_predictor
 from ..branch.rsb import ReturnStackBuffer
 from ..branch.unit import BranchUnit
-from ..isa.instructions import (ALU_EVAL, INSTR_BYTES, WORD_BYTES, FuKind,
-                                Opcode, eval_branch, to_signed64,
+from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
+                                WORD_BYTES, FuKind, Opcode, to_signed64,
                                 to_unsigned64)
 from ..isa.program import Program
 from ..isa.registers import (NUM_ARCH_REGS, REG_SP, REG_ZERO,
@@ -87,6 +97,8 @@ LEVEL_RUNAHEAD = "rac"    # runahead-cache hit
 LEVEL_SL = "sl"           # SL-cache hit (secure runahead)
 
 _MASK64 = (1 << 64) - 1
+#: pc → instruction-index shift (INSTR_BYTES is a power of two).
+_PC_SHIFT = INSTR_BYTES.bit_length() - 1
 
 # Hot-path opcode/FU constants (module-level binding beats repeated
 # enum-class attribute lookups inside the per-cycle loops).
@@ -117,18 +129,6 @@ _WAIT = object()
 
 class SimulationError(RuntimeError):
     """Raised on internal inconsistencies (never on wrong-path garbage)."""
-
-
-class _Fetched:
-    """One front-end slot: instruction plus fetch-time prediction."""
-
-    __slots__ = ("pc", "instr", "prediction", "ready_cycle")
-
-    def __init__(self, pc, instr, prediction, ready_cycle):
-        self.pc = pc
-        self.instr = instr
-        self.prediction = prediction
-        self.ready_cycle = ready_cycle
 
 
 def next_step_cycle(floor, event, blocked=(), hold=False):
@@ -206,12 +206,16 @@ class Core:
                              "fp": self.config.rename_fp,
                              "vec": self.config.rename_vec}
 
-        self.iq: List[RobEntry] = []
-        self.lq: List[RobEntry] = []
-        self.sq: List[RobEntry] = []
-        # Front-end queue: deque because dispatch consumes from the left
-        # every cycle (O(1) popleft vs O(n) list.pop(0)).
-        self.frontend: Deque[_Fetched] = deque()
+        #: Issue-queue occupancy: the ROB entries still ``DISPATCHED``.
+        self.iq_count = 0
+        # Load/store queues in program order; entries retire from the
+        # head and squashes remove a tail.
+        self.lq: Deque[RobEntry] = deque()
+        self.sq: Deque[RobEntry] = deque()
+        # Front-end queue of fetched entries not yet dispatched.
+        self.frontend: Deque[RobEntry] = deque()
+        self._instructions = program.instructions
+        self._n_instructions = len(program.instructions)
         self.fetch_pc = 0
         self.fetch_stall_until = 0
         self.fetch_halted = False
@@ -247,9 +251,11 @@ class Core:
         #: are all available and which have not issued yet.
         self._ready = []
         self._activity = False
-        # Transient-window tracking (Fig. 10): base seq of the current
-        # memory-stall episode and the deepest younger dispatch seen.
+        # Transient-window tracking (Fig. 10): the seq of the load whose
+        # memory stall opened the current episode, ``self.seq`` when it
+        # opened, and the deepest window of the episodes closed so far.
         self._stall_base_seq = None
+        self._stall_open_seq = 0
         self._window_max = 0
 
     # ------------------------------------------------------------------ utils --
@@ -267,10 +273,6 @@ class Core:
             return self.reg_read(entry.instr.srcs[index])
         return producer.value, producer.inv
 
-    def _operand_ready(self, entry):
-        """All source producers have completed (wakeup counter is zero)."""
-        return entry.pending_srcs == 0
-
     def _mark_done(self, entry):
         """Complete ``entry`` and wake every consumer waiting on it."""
         entry.state = DONE
@@ -287,7 +289,18 @@ class Core:
 
     @property
     def transient_window_max(self):
+        """Deepest dispatch behind a memory-stalled load: the largest
+        ``seq - base`` of an instruction dispatched while a stall
+        episode was open.  Seqs only grow, so an episode's depth is the
+        seq watermark minus its base (counted only if it dispatched)."""
+        base = self._stall_base_seq
+        if base is not None and self.seq > self._stall_open_seq:
+            return max(self._window_max, self.seq - base)
         return self._window_max
+
+    def _close_stall_episode(self):
+        self._window_max = self.transient_window_max
+        self._stall_base_seq = None
 
     # ------------------------------------------------------------------- step --
 
@@ -296,8 +309,9 @@ class Core:
 
         Each stage call is gated on a cheap emptiness check here — with
         cycle skipping active most invocations run only one or two
-        stages, and the guards are exactly the stages' own first-line
-        early exits hoisted to the caller.
+        stages — and the stages assume their guard holds (``_issue``
+        has a ready entry, ``_dispatch`` an eligible front-end head,
+        ``_fetch`` room in the front-end queue and no stall).
         """
         now = self.cycle
         self._activity = False
@@ -318,7 +332,7 @@ class Core:
             self._complete(now)
         if self._ready:
             # The FU pool is read only by the issue stage.
-            self.fus.new_cycle(now)
+            self.fus.new_cycle()
             self._issue(now)
         frontend = self.frontend
         if frontend and frontend[0].ready_cycle <= now:
@@ -394,10 +408,10 @@ class Core:
                 best = stall
         return best, reason
 
-    def _stall_reason(self, slot):
-        """The structure holding back the eligible front-end ``slot``:
+    def _stall_reason(self, entry):
+        """The structure holding back the eligible front-end ``entry``:
         ``_dispatch``'s checks in its order, or None if none fails."""
-        instr = slot.instr
+        instr = entry.instr
         if instr.opcode is _FENCE and (self._rob or
                                        self.mode == MODE_RUNAHEAD):
             return "fence"
@@ -411,7 +425,7 @@ class Core:
             return "lq"
         if instr.pipe_store and len(self.sq) >= config.sq_size:
             return "sq"
-        if not instr.immediate and len(self.iq) >= config.iq_size:
+        if not instr.immediate and self.iq_count >= config.iq_size:
             return "iq"
         return None
 
@@ -429,6 +443,16 @@ class Core:
         committed = 0
         width = self.config.width
         rob = self._rob
+        # Normal-mode retirement of anything but HALT and stores runs
+        # inline; the rest (and everything under a trace sink) goes
+        # through _retire.
+        inline = self.mode == MODE_NORMAL and self.trace is None
+        arch_regs = self.arch_regs
+        arch_inv = self.arch_inv
+        rat = self.rat
+        rename_free = self._rename_free
+        lq = self.lq
+        stats = self.stats
         while committed < width and rob:
             head = rob[0]
             if head.state != DONE:
@@ -440,83 +464,90 @@ class Core:
                              head.mem_level == LEVEL_PENDING):
                         self._maybe_enter_runahead(head, now)
                         if self.mode == MODE_RUNAHEAD:
+                            inline = False
                             continue   # head was poisoned; pseudo-retire it
                 elif self._poison_stalled_head(head):
                     continue           # runahead never stalls on misses
                 break
-            if self.mode == MODE_RUNAHEAD:
-                self._pseudo_retire(head, now)
-                committed += 1
-                continue
-            self._commit_one(head, now)
             committed += 1
+            instr = head.instr
+            if inline and not head.is_store and instr.opcode is not _HALT:
+                rob.popleft()
+                rename = instr.rename_class
+                if rename is not None:       # dest is a real register
+                    dest = instr.dest
+                    arch_regs[dest] = head.value
+                    arch_inv[dest] = False
+                    rename_free[rename] += 1
+                    if rat[dest] is head:
+                        rat[dest] = None
+                if head.is_load:
+                    if lq and lq[0] is head:
+                        lq.popleft()
+                    # A stall episode ends when its stalling load commits.
+                    if self._stall_base_seq is not None:
+                        self._close_stall_episode()
+                stats.committed += 1
+                continue
+            self._retire(head, now)
             if self.halted:
                 break
         if committed:
             self._activity = True
 
-    def _commit_one(self, head, now):
-        instr = head.instr
-        if instr.opcode is _HALT:
-            self.halted = True
-            self._retire_entry(head)
-            self.stats.committed += 1
-            if self.trace is not None:
-                self.trace.emit(now, _EV_COMMIT, head.seq, head.pc)
-            return
-        if head.is_store and head.mem_addr is not None:
-            if instr.opcode is _VSTORE:
-                lanes = head.store_value
-                self.memory.write_word(head.mem_addr, lanes[0])
-                self.memory.write_word(head.mem_addr + WORD_BYTES, lanes[1])
-            else:
-                self.memory.write_word(head.mem_addr, head.store_value)
-            # Write-allocate at commit; latency absorbed by a write buffer.
-            self.hierarchy.access_data(head.mem_addr, now)
-        dest = instr.dest
-        if dest is not None and dest != REG_ZERO:
-            self.arch_regs[dest] = head.value
-            self.arch_inv[dest] = False
-        self._retire_entry(head)
-        self.stats.committed += 1
-        if self.trace is not None:
-            self.trace.emit(now, _EV_COMMIT, head.seq, head.pc)
-        # End of a stall episode once the stalling load itself commits.
-        if self._stall_base_seq is not None and head.is_load:
-            self._stall_base_seq = None
-
-    def _pseudo_retire(self, head, now):
-        """Runahead-mode commit: update the checkpointed state, never memory."""
+    def _retire(self, head, now):
+        """Retire the ROB head off the inline path: runahead-mode
+        pseudo-retirement (checkpointed state only, never memory), HALT,
+        stores, and any retirement while a trace sink is attached."""
         instr = head.instr
         dest = instr.dest
-        if head.is_store:
-            if head.mem_addr is not None:
+        stats = self.stats
+        if self.mode == MODE_RUNAHEAD:
+            if head.is_store and head.mem_addr is not None:
                 self.runahead_cache.write(head.mem_addr, head.store_value,
                                           inv=head.inv)
-        if dest is not None and dest != REG_ZERO:
-            self.arch_regs[dest] = head.value if not head.inv else 0
-            self.arch_inv[dest] = head.inv
-        self.runahead.on_pseudo_retire(self, head)
-        self._retire_entry(head)
-        self.stats.pseudo_retired += 1
-        self.stats.transient_executed += 1
-        if self.trace is not None:
-            self.trace.emit(now, _EV_PSEUDO_RETIRE, head.seq, head.pc)
-
-    def _retire_entry(self, head):
-        """Pop the head and release its resources."""
+            if dest is not None and dest != REG_ZERO:
+                self.arch_regs[dest] = head.value if not head.inv else 0
+                self.arch_inv[dest] = head.inv
+            self.runahead.on_pseudo_retire(self, head)
+            stats.pseudo_retired += 1
+            stats.transient_executed += 1
+            event = _EV_PSEUDO_RETIRE
+        else:
+            if instr.opcode is _HALT:
+                self.halted = True
+            elif head.is_store and head.mem_addr is not None:
+                if instr.opcode is _VSTORE:
+                    lanes = head.store_value
+                    self.memory.write_word(head.mem_addr, lanes[0])
+                    self.memory.write_word(head.mem_addr + WORD_BYTES,
+                                           lanes[1])
+                else:
+                    self.memory.write_word(head.mem_addr, head.store_value)
+                # Write-allocate at commit; latency absorbed by a write
+                # buffer.
+                self.hierarchy.access_data(head.mem_addr, now)
+            if dest is not None and dest != REG_ZERO:
+                self.arch_regs[dest] = head.value
+                self.arch_inv[dest] = False
+            stats.committed += 1
+            event = _EV_COMMIT
+            if head.is_load and self._stall_base_seq is not None:
+                self._close_stall_episode()
         self._rob.popleft()
-        instr = head.instr
         rename = instr.rename_class
         if rename is not None:
             self._rename_free[rename] += 1
-        dest = instr.dest
         if dest is not None and self.rat[dest] is head:
             self.rat[dest] = None
-        if head.is_load and head in self.lq:
-            self.lq.remove(head)
-        if head.is_store and head in self.sq:
-            self.sq.remove(head)
+        # A load or store still queued is the queue's oldest entry
+        # (filtered runahead entries never joined a queue).
+        if head.is_load and self.lq and self.lq[0] is head:
+            self.lq.popleft()
+        if head.is_store and self.sq and self.sq[0] is head:
+            self.sq.popleft()
+        if self.trace is not None:
+            self.trace.emit(now, event, head.seq, head.pc)
 
     def _poison_stalled_head(self, head):
         """Runahead mode: a memory-level load at the head is INV'd and
@@ -547,6 +578,7 @@ class Core:
         # Track the transient window for Fig. 10 even without runahead.
         if self._stall_base_seq is None:
             self._stall_base_seq = head.seq
+            self._stall_open_seq = self.seq
         if not self.runahead.should_enter(self, head):
             return
         self.checkpoint = Checkpoint(
@@ -589,7 +621,7 @@ class Core:
             self.trace.emit(now, _EV_RA_EXIT,
                             now - checkpoint.entry_cycle,
                             checkpoint.stalling_pc)
-        self.iq.clear()
+        self.iq_count = 0
         self.lq.clear()
         self.sq.clear()
         self.frontend.clear()
@@ -611,7 +643,8 @@ class Core:
         self.mode = MODE_NORMAL
         self.checkpoint = None
         self.stats.runahead_cycles += now - checkpoint.entry_cycle
-        self._stall_base_seq = None
+        if self._stall_base_seq is not None:
+            self._close_stall_episode()
         self._activity = True
 
     def extend_stall(self, completion):
@@ -676,7 +709,9 @@ class Core:
         squashed_in_heap = 0
         for victim in victims:
             state = victim.state
-            if state != DISPATCHED:
+            if state == DISPATCHED:
+                self.iq_count -= 1
+            else:
                 self.stats.transient_executed += 1
                 if state == ISSUED:
                     # Its completion record is still in the heap; it will
@@ -690,9 +725,12 @@ class Core:
             self.trace.emit(self.cycle, _EV_SQUASH, len(victims),
                             entry.pc)
         if victims:
-            self.iq = [e for e in self.iq if not e.squashed]
-            self.lq = [e for e in self.lq if not e.squashed]
-            self.sq = [e for e in self.sq if not e.squashed]
+            # The victims are the youngest entries: a tail of each queue.
+            lq, sq = self.lq, self.sq
+            while lq and lq[-1].squashed:
+                lq.pop()
+            while sq and sq[-1].squashed:
+                sq.pop()
             self._squashed_completions += squashed_in_heap
             self._compact_completions()
         # Rebuild the alias table from the surviving entries.
@@ -758,23 +796,71 @@ class Core:
         their last producer completes.  Entries that lose FU arbitration
         are deferred and re-queued for the next cycle, preserving the
         seq-order retry semantics of the scan this replaced.
+
+        Integer ALU ops and conditional branches (at most two sources
+        each) read their operands and claim their unit here; every
+        other instruction goes through :meth:`_try_issue`.
         """
         ready = self._ready
-        if not ready:
-            return
         issued = 0
         width = self.config.issue_width
-        stats = self.stats
         trace = self.trace
         fus = self.fus
-        normal_mode = self.mode == MODE_NORMAL
+        used = fus.used
+        counts = fus.counts
+        latencies = fus.latencies
+        arch_regs = self.arch_regs
+        arch_inv = self.arch_inv
+        runahead_mode = self.mode == MODE_RUNAHEAD
         deferred = None
         while ready and issued < width:
             record = _heappop(ready)
             entry = record[1]
             if entry.squashed or entry.state != DISPATCHED:
                 continue
-            if normal_mode and not fus.can_issue(entry.instr.fu):
+            instr = entry.instr
+            fu = instr.fu
+            alu = ALU_EVAL[instr.op]
+            if alu is not None or instr.cond_branch:
+                n_srcs = instr.n_srcs
+                a, a_inv, b, b_inv = 0, False, None, False
+                if n_srcs:
+                    producer = entry.src_producers[0]
+                    if producer is None:
+                        reg = instr.srcs[0]      # r0 reads 0, never INV
+                        a, a_inv = arch_regs[reg], arch_inv[reg]
+                    else:
+                        a, a_inv = producer.value, producer.inv
+                    if n_srcs > 1:
+                        producer = entry.src_producers[1]
+                        if producer is None:
+                            reg = instr.srcs[1]
+                            b, b_inv = arch_regs[reg], arch_inv[reg]
+                        else:
+                            b, b_inv = producer.value, producer.inv
+                if runahead_mode and (a_inv or b_inv):
+                    result = self._issue_inv(entry, now)
+                elif used[fu] >= counts[fu]:
+                    result = False
+                else:
+                    used[fu] += 1
+                    if n_srcs:
+                        a = a & _MASK64 if type(a) is int else _as_int(a)
+                        if n_srcs > 1:
+                            b = b & _MASK64 if type(b) is int \
+                                else _as_int(b)
+                    if alu is not None:
+                        entry.completion = now + latencies[fu]
+                        entry.value = alu(a, b, instr.imm)
+                    else:
+                        taken = BRANCH_EVAL[instr.op](a, b)
+                        entry.actual_taken = taken
+                        entry.actual_target = instr.target if taken \
+                            else entry.pc + INSTR_BYTES
+                        entry.completion = now + 1
+                        entry.value = None
+                    result = True
+            elif not runahead_mode and used[fu] >= counts[fu]:
                 # Cheap FU pre-check: every issue sub-path starts with
                 # exactly this test, so losing arbitration here is the
                 # same outcome for a fraction of the work.  (Runahead
@@ -791,16 +877,13 @@ class Core:
                 else:
                     deferred.append(record)
                 continue
-            self.iq.remove(entry)
+            self.iq_count -= 1
             entry.state = ISSUED
-            entry.issue_cycle = now
             _heappush(self._completions,
                       (entry.completion, entry.seq, entry))
             issued += 1
-            stats.issued += 1
             if trace is not None:
                 trace.emit(now, _EV_ISSUE, entry.seq, entry.pc)
-            self._activity = True
             if entry.is_store and entry.store_waiters is not None:
                 # This store's address is now known: re-queue the loads
                 # that were parked behind it.  Their seqs are larger, so
@@ -811,12 +894,19 @@ class Core:
                 for waiter in waiters:
                     if not waiter.squashed and waiter.state == DISPATCHED:
                         _heappush(ready, (waiter.seq, waiter))
+        if issued:
+            self.stats.issued += issued
+            self._activity = True
         if deferred is not None:
             for record in deferred:
                 _heappush(ready, record)
 
     def _try_issue(self, entry, now):
-        """Execute ``entry`` if resources allow; sets value/completion."""
+        """Execute ``entry`` if resources allow; sets value/completion.
+
+        The issue path of everything but integer ALU ops and
+        conditional branches (see :meth:`_issue`).
+        """
         instr = entry.instr
         fu = instr.fu
 
@@ -861,16 +951,9 @@ class Core:
         return True
 
     def _execute_alu(self, entry):
-        """Evaluate a non-memory, non-branch instruction."""
+        """Evaluate a non-memory, non-branch instruction other than an
+        integer ALU op (those execute inline in :meth:`_issue`)."""
         instr = entry.instr
-        alu = ALU_EVAL[instr.op]
-        if alu is not None:
-            # Integer ALU / MUL / DIV family — the common case, table-
-            # dispatched on the integer opcode.
-            n_srcs = instr.n_srcs
-            a = _as_int(self._operand(entry, 0)[0]) if n_srcs else 0
-            b = _as_int(self._operand(entry, 1)[0]) if n_srcs > 1 else None
-            return alu(a, b, instr.imm)
         opcode = instr.opcode
         if opcode is _NOP or opcode is _FENCE or opcode is _HALT:
             return None
@@ -918,13 +1001,7 @@ class Core:
             return self._issue_ret(entry, now)
 
         self.fus.issue(_FU_BRANCH)
-        if instr.cond_branch:
-            a = _as_int(self._operand(entry, 0)[0])
-            b = _as_int(self._operand(entry, 1)[0])
-            entry.actual_taken = eval_branch(opcode, a, b)
-            entry.actual_target = instr.target if entry.actual_taken \
-                else entry.pc + INSTR_BYTES
-        elif opcode is _JMP:
+        if opcode is _JMP:
             entry.actual_taken = True
             entry.actual_target = instr.target
         elif opcode is _JR:
@@ -1170,8 +1247,6 @@ class Core:
 
     def _dispatch(self, now):
         frontend = self.frontend
-        if not frontend or frontend[0].ready_cycle > now:
-            return
         dispatched = 0
         config = self.config
         width = config.width
@@ -1182,7 +1257,6 @@ class Core:
         rob_capacity = self.rob.capacity
         lq = self.lq
         sq = self.sq
-        iq = self.iq
         rat = self.rat
         rename_free = self._rename_free
         stats = self.stats
@@ -1190,13 +1264,13 @@ class Core:
         runahead_mode = self.mode == MODE_RUNAHEAD
         filtering = runahead_mode and not self._filter_is_default
         while dispatched < width and frontend:
-            slot = frontend[0]
-            if slot.ready_cycle > now:
+            entry = frontend[0]
+            if entry.ready_cycle > now:
                 break
-            instr = slot.instr
+            instr = entry.instr
             opcode = instr.opcode
 
-            if opcode is _FENCE and (len(rob) != 0 or runahead_mode):
+            if opcode is _FENCE and (rob or runahead_mode):
                 # A fence waits for all older loads — including, in
                 # runahead mode, the stalling load itself, which by
                 # definition completes only at exit: runahead cannot
@@ -1215,54 +1289,47 @@ class Core:
             if is_store and len(sq) >= sq_size:
                 break
             immediate = instr.immediate
-            if not immediate and len(iq) >= iq_size:
+            if not immediate and self.iq_count >= iq_size:
                 break
 
             frontend.popleft()
-            self.seq += 1
-            entry = RobEntry(self.seq, slot.pc, instr)
-            entry.prediction = slot.prediction
+            self.seq = entry.seq = self.seq + 1
             # Wakeup registration: count in-flight producers and hook
             # this entry onto their wakeup lists.
             pending = 0
             srcs = instr.srcs
-            if srcs:
-                producers = tuple(rat[s] for s in srcs)
-                entry.src_producers = producers
-                for producer in producers:
-                    if producer is not None and producer.state != DONE:
-                        pending += 1
-                        if producer.consumers is None:
-                            producer.consumers = [entry]
-                        else:
-                            producer.consumers.append(entry)
-                entry.pending_srcs = pending
+            n_srcs = instr.n_srcs
+            if n_srcs == 2:
+                producers = (rat[srcs[0]], rat[srcs[1]])
+            elif n_srcs == 1:
+                producers = (rat[srcs[0]],)
+            elif n_srcs:
+                producers = tuple([rat[src] for src in srcs])
             else:
-                entry.src_producers = ()
-            entry.is_fence = opcode is _FENCE
+                producers = ()
+            entry.src_producers = producers
+            for producer in producers:
+                if producer is not None and producer.state != DONE:
+                    pending += 1
+                    if producer.consumers is None:
+                        producer.consumers = [entry]
+                    else:
+                        producer.consumers.append(entry)
+            entry.pending_srcs = pending
             dest = instr.dest
-            if dest is not None and dest != REG_ZERO:
+            if rename is not None:           # dest is a real register
                 rat[dest] = entry
-            if rename is not None:
                 rename_free[rename] -= 1
             rob.append(entry)
-            stats.dispatched += 1
             dispatched += 1
             if trace is not None:
-                trace.emit(now, _EV_DISPATCH, entry.seq, slot.pc)
-            self._activity = True
-
-            if self._stall_base_seq is not None:
-                depth = entry.seq - self._stall_base_seq
-                if depth > self._window_max:
-                    self._window_max = depth
+                trace.emit(now, _EV_DISPATCH, entry.seq, entry.pc)
 
             if immediate:
                 entry.state = DONE
-                entry.value = None
                 continue
             if filtering and \
-                    not self.runahead.filter_dispatch(self, instr, slot.pc):
+                    not self.runahead.filter_dispatch(self, instr, entry.pc):
                 # Precise runahead: outside the stall slice — complete
                 # immediately with an INV result, using no backend resources.
                 entry.filtered = True
@@ -1274,62 +1341,72 @@ class Core:
                           (entry.completion, entry.seq, entry))
                 stats.filtered_instructions += 1
                 continue
-            iq.append(entry)
+            self.iq_count += 1
             if pending == 0:
                 _heappush(self._ready, (entry.seq, entry))
             if is_load:
                 lq.append(entry)
             if is_store:
                 sq.append(entry)
+        if dispatched:
+            stats.dispatched += dispatched
+            self._activity = True
 
     # ------------------------------------------------------------------- fetch --
 
     def _fetch(self, now):
-        if self.fetch_halted or now < self.fetch_stall_until:
-            return
+        """Fetch up to ``width`` instructions into the front-end queue,
+        each as the :class:`RobEntry` that will carry it to retire."""
         config = self.config
-        fetch_queue = config.fetch_queue
-        if len(self.frontend) >= fetch_queue:
-            return
-        fetched = 0
-        width = config.width
-        frontend_depth = config.frontend_depth
+        room = config.fetch_queue - len(self.frontend)
+        if room > config.width:
+            room = config.width
+        ready_cycle = now + config.frontend_depth
         frontend = self.frontend
-        program_fetch = self.program.fetch
+        instructions = self._instructions
+        n_instructions = self._n_instructions
         hierarchy = self.hierarchy
-        stats = self.stats
+        phys_base = hierarchy.phys_base
+        line_mask = hierarchy.line_mask
+        last_line = self._last_inst_line
         trace = self.trace
-        while fetched < width and len(frontend) < fetch_queue:
-            pc = self.fetch_pc
-            instr = program_fetch(pc)
-            if instr is None:
-                self.fetch_halted = True
+        pc = self.fetch_pc
+        fetched = 0
+        while fetched < room:
+            if pc & (INSTR_BYTES - 1):
+                raise ValueError(f"misaligned pc: {pc:#x}")
+            index = pc >> _PC_SHIFT
+            if not 0 <= index < n_instructions:
+                self.fetch_halted = True     # ran off the program
                 break
-            line = hierarchy.line_of(pc)
-            if line != self._last_inst_line:
+            instr = instructions[index]
+            line = (pc + phys_base) & line_mask
+            if line != last_line:
                 result = hierarchy.access_inst(pc, now)
                 if result.level != LEVEL_L1:
                     self.fetch_stall_until = result.completion
                     break
-                self._last_inst_line = line
+                last_line = line
             prediction = None
             if instr.branch:
                 prediction = self.branch_unit.predict(pc, instr)
-            frontend.append(
-                _Fetched(pc, instr, prediction, now + frontend_depth))
-            stats.fetched += 1
+            frontend.append(RobEntry(pc, instr, prediction, ready_cycle))
             fetched += 1
             if trace is not None:
                 trace.emit(now, _EV_FETCH, pc)
-            self._activity = True
             if instr.opcode is _HALT:
                 self.fetch_halted = True
                 break
             if prediction is not None and prediction.taken:
-                self.fetch_pc = prediction.target
-                self._last_inst_line = None
+                pc = prediction.target
+                last_line = None
                 break
-            self.fetch_pc = pc + INSTR_BYTES
+            pc += INSTR_BYTES
+        self.fetch_pc = pc
+        self._last_inst_line = last_line
+        if fetched:
+            self.stats.fetched += fetched
+            self._activity = True
 
     # ------------------------------------------------------------------ results --
 

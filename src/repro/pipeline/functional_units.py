@@ -5,10 +5,13 @@ produces its result ``latency`` cycles later.  (Real integer dividers are
 usually iterative; modeling them as pipelined slightly favours
 divide-heavy code and is irrelevant to every experiment in the paper.)
 
-``can_issue``/``issue`` are called for every issue attempt of every
-cycle, so the pool is three flat lists indexed by the integer
+The pool is three flat lists indexed by the integer
 :class:`~repro.isa.instructions.FuKind` value — no dict hashing on the
-hot path, and the per-cycle reset is a single list copy.
+hot path, and the per-cycle reset is a single list copy.  The core's
+issue stage claims units for integer ALU ops and conditional branches
+by reading ``used``/``counts``/``latencies`` directly (the list ``used``
+is replaced only by :meth:`new_cycle`); every other issue path goes
+through ``can_issue``/``issue``.
 """
 
 from __future__ import annotations
@@ -22,33 +25,32 @@ class FunctionalUnitPool:
     """Tracks per-cycle issue-slot availability for each unit kind."""
 
     def __init__(self, config: Dict[FuKind, Tuple[int, int]]):
-        self._counts = [0] * NUM_FU_KINDS
-        self._latencies = [0] * NUM_FU_KINDS
+        self.counts = [0] * NUM_FU_KINDS
+        self.latencies = [0] * NUM_FU_KINDS
         for kind, (count, latency) in config.items():
-            self._counts[kind] = count
-            self._latencies[kind] = latency
+            self.counts[kind] = count
+            self.latencies[kind] = latency
         self._zero = [0] * NUM_FU_KINDS
-        self._used = [0] * NUM_FU_KINDS
-        self._cycle = -1
+        #: Slots claimed this cycle, per unit kind.
+        self.used = [0] * NUM_FU_KINDS
 
-    def new_cycle(self, cycle):
+    def new_cycle(self):
         """Reset per-cycle slot usage."""
-        self._cycle = cycle
-        self._used = self._zero.copy()
+        self.used = self._zero.copy()
 
     def can_issue(self, kind) -> bool:
-        return self._used[kind] < self._counts[kind]
+        return self.used[kind] < self.counts[kind]
 
     def issue(self, kind) -> int:
         """Claim a slot; returns the operation latency."""
-        used = self._used[kind]
-        if used >= self._counts[kind]:
+        used = self.used[kind]
+        if used >= self.counts[kind]:
             raise RuntimeError(f"no free {FuKind(kind).label} unit")
-        self._used[kind] = used + 1
-        return self._latencies[kind]
+        self.used[kind] = used + 1
+        return self.latencies[kind]
 
     def latency(self, kind) -> int:
-        return self._latencies[kind]
+        return self.latencies[kind]
 
     def count(self, kind) -> int:
-        return self._counts[kind]
+        return self.counts[kind]

@@ -21,10 +21,10 @@ operands ready yet?".
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 # Entry lifecycle states.
 DISPATCHED = 0   # in the ROB + issue queue, waiting for operands/FU
+                 # (before dispatch it sits in the front-end queue)
 ISSUED = 1       # executing; result arrives at `completion`
 DONE = 2         # result available (or pseudo-value for stores)
 
@@ -35,35 +35,33 @@ class RobEntry:
     __slots__ = (
         "seq", "pc", "instr", "state", "value", "inv", "completion",
         "prediction", "resolved", "actual_taken", "actual_target",
-        "mem_addr", "store_value", "mem_level", "is_fence", "squashed",
-        "src_producers", "filtered", "taint", "btag", "issue_cycle",
-        "waiting_sl", "is_branch", "is_load", "is_store",
-        "pending_srcs", "consumers", "store_waiters",
+        "mem_addr", "store_value", "mem_level", "squashed",
+        "src_producers", "filtered", "taint", "btag",
+        "is_branch", "is_load", "is_store",
+        "pending_srcs", "consumers", "store_waiters", "ready_cycle",
     )
 
-    def __init__(self, seq, pc, instr):
-        self.seq = seq
+    def __init__(self, pc, instr, prediction=None, ready_cycle=0):
+        self.seq = 0                 # program-order number, set at dispatch
         self.pc = pc
         self.instr = instr
+        self.ready_cycle = ready_cycle   # first cycle dispatch may take it
         self.state = DISPATCHED
         self.value = None
         self.inv = False
         self.completion = 0
-        self.prediction = None       # branch Prediction from fetch
+        self.prediction = prediction     # branch Prediction from fetch
         self.resolved = False
         self.actual_taken = None
         self.actual_target = None
         self.mem_addr = None         # effective address once computed
         self.store_value = None
         self.mem_level = None        # hierarchy level that served a load
-        self.is_fence = False
         self.squashed = False
         self.src_producers = None    # tuple: RobEntry | None per source
         self.filtered = False        # precise runahead: dropped from slice
         self.taint = None            # defense: taint label set
         self.btag = None             # defense: (branch scope id, m) tag
-        self.issue_cycle = None
-        self.waiting_sl = None       # defense: blocked on SL-cache USL wait
         # Decode-time classification, copied from the instruction so the
         # commit/queue paths read one attribute instead of two.
         self.is_branch = instr.branch
@@ -80,7 +78,16 @@ class RobEntry:
 
 
 class ReorderBuffer:
-    """Bounded FIFO of :class:`RobEntry` (in program order)."""
+    """Bounded FIFO of :class:`RobEntry` (in program order).
+
+    The core appends, pops the head and checks the bound on ``_entries``
+    directly (its dispatch and commit loops); the methods here are the
+    bulk removals of misprediction recovery and runahead exit.  A
+    squashed entry wakes nobody, so both drop each victim's wakeup
+    list: that breaks the producer/consumer reference cycles a squash
+    would leave, and the victims are freed by reference counting
+    instead of waiting for the cyclic garbage collector.
+    """
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -92,25 +99,6 @@ class ReorderBuffer:
     def __iter__(self):
         return iter(self._entries)
 
-    @property
-    def full(self):
-        return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self):
-        return not self._entries
-
-    def head(self) -> Optional[RobEntry]:
-        return self._entries[0] if self._entries else None
-
-    def push(self, entry: RobEntry):
-        if self.full:
-            raise OverflowError("ROB overflow")
-        self._entries.append(entry)
-
-    def pop_head(self) -> RobEntry:
-        return self._entries.popleft()
-
     def squash_younger(self, seq):
         """Remove every entry younger than ``seq``; returns the victims."""
         victims = []
@@ -118,6 +106,7 @@ class ReorderBuffer:
         while entries and entries[-1].seq > seq:
             victim = entries.pop()
             victim.squashed = True
+            victim.consumers = None
             victims.append(victim)
         return victims
 
@@ -126,5 +115,6 @@ class ReorderBuffer:
         victims = list(self._entries)
         for victim in victims:
             victim.squashed = True
+            victim.consumers = None
         self._entries.clear()
         return victims

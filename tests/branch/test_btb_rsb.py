@@ -1,5 +1,7 @@
 """Unit tests for the BTB and the return stack buffer."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +85,46 @@ class TestRsb:
         rsb.restore(snap)
         assert rsb.pop() == 2
         assert rsb.pop() == 1
+
+    def test_snapshot_survives_interleaved_updates(self):
+        """A snapshot restores the exact predictions it was taken at,
+        after pushes, pops, an underflow and a wrap-around — and taking
+        a second snapshot leaves the first unchanged."""
+        capacity = 4
+
+        def predictions(rsb):
+            # Drains the stack one past underflow: (peek, pop) per step.
+            return [(rsb.peek(), rsb.pop()) for _ in range(capacity + 1)]
+
+        rsb = ReturnStackBuffer(capacity=capacity)
+        for value in (0x10, 0x20, 0x30):
+            rsb.push(value)
+        first = rsb.snapshot()
+        first_copy = copy.deepcopy(first)
+        expected_first = predictions(rsb)
+        rsb.restore(first)
+
+        assert rsb.pop() == 0x30
+        for value in (0x40, 0x50, 0x60, 0x70, 0x80):   # wraps twice
+            rsb.push(value)
+        assert rsb.pop() == 0x80
+        second = rsb.snapshot()
+        expected_second = predictions(rsb)             # ends in underflow
+        rsb.restore(second)
+        rsb.push(0x90)
+        for _ in range(capacity + 2):
+            rsb.pop()
+        assert rsb.underflows >= 3
+
+        assert first == first_copy
+        rsb.restore(first)
+        assert predictions(rsb) == expected_first
+        rsb.restore(second)
+        assert predictions(rsb) == expected_second
+        assert expected_second[:3] == [(0x70, 0x70), (0x60, 0x60),
+                                       (0x50, 0x50)]
+        assert expected_first[:4] == [(0x30, 0x30), (0x20, 0x20),
+                                      (0x10, 0x10), (None, None)]
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Multi-trial statistical decoding tests."""
 
+import random
+
 import pytest
 
 from repro.analysis import analyze_probe
 from repro.channel import (ProbeVector, decode_trials, dip_space,
                            signal_indices)
+from repro.channel.decode import median_vector
 
 
 def vec(latencies, signal_low=True, trial=0):
@@ -16,6 +19,28 @@ def clean(dip_at, n=32, hit=2, miss=242):
     lats = [miss] * n
     lats[dip_at] = hit
     return lats
+
+
+def per_index_median(rows):
+    """The per-index loop ``median_vector`` replaced."""
+    out = []
+    for index in range(len(rows[0])):
+        column = sorted(row[index] for row in rows)
+        out.append(column[(len(rows) - 1) // 2])
+    return out
+
+
+class TestMedianVector:
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 4, 7, 8])
+    def test_matches_per_index_loop(self, n_trials):
+        rng = random.Random(n_trials)
+        rows = [tuple(rng.randrange(300) for _ in range(33))
+                for _ in range(n_trials)]
+        assert median_vector(rows) == per_index_median(rows)
+
+    def test_even_count_takes_the_lower_median(self):
+        assert median_vector([[1, 40], [9, 10], [5, 30], [7, 20]]) == \
+            [5, 20]
 
 
 class TestDipSpace:

@@ -10,58 +10,59 @@ from repro.pipeline.rob import RobEntry
 
 
 def entry(seq, opcode=Opcode.NOP):
-    return RobEntry(seq, seq * 4, Instruction(opcode))
+    made = RobEntry(seq * 4, Instruction(opcode))
+    made.seq = seq
+    return made
+
+
+def filled(capacity, seqs):
+    """A ROB holding entries ``seqs`` (the core appends to the deque)."""
+    rob = ReorderBuffer(capacity)
+    rob._entries.extend(entry(seq) for seq in seqs)
+    return rob
 
 
 class TestReorderBuffer:
-    def test_fifo_order(self):
-        rob = ReorderBuffer(4)
-        for seq in range(1, 4):
-            rob.push(entry(seq))
-        assert rob.head().seq == 1
-        assert rob.pop_head().seq == 1
-        assert rob.head().seq == 2
-
-    def test_capacity_enforced(self):
-        rob = ReorderBuffer(2)
-        rob.push(entry(1))
-        rob.push(entry(2))
-        assert rob.full
-        with pytest.raises(OverflowError):
-            rob.push(entry(3))
+    def test_len_and_program_order(self):
+        rob = filled(4, range(1, 4))
+        assert len(rob) == 3
+        assert [e.seq for e in rob] == [1, 2, 3]
 
     def test_squash_younger_marks_victims(self):
-        rob = ReorderBuffer(8)
-        entries = [entry(seq) for seq in range(1, 6)]
-        for e in entries:
-            rob.push(e)
+        rob = filled(8, range(1, 6))
+        entries = list(rob)
+        entries[3].consumers = [entries[4]]
         victims = rob.squash_younger(3)
         assert [v.seq for v in victims] == [5, 4]
         assert all(v.squashed for v in victims)
+        assert all(v.consumers is None for v in victims)
         assert len(rob) == 3
+        assert [e.seq for e in rob] == [1, 2, 3]
+        assert not any(e.squashed for e in rob)
 
     def test_squash_younger_none_when_youngest(self):
-        rob = ReorderBuffer(4)
-        rob.push(entry(1))
+        rob = filled(4, [1])
         assert rob.squash_younger(1) == []
+        assert len(rob) == 1
 
     def test_clear_squashes_everything(self):
-        rob = ReorderBuffer(4)
-        for seq in range(1, 4):
-            rob.push(entry(seq))
+        rob = filled(4, range(1, 4))
+        first, second, _ = rob
+        first.consumers = [second]
         victims = rob.clear()
         assert len(victims) == 3
-        assert rob.empty
+        assert len(rob) == 0
         assert all(v.squashed for v in victims)
+        assert all(v.consumers is None for v in victims)
 
     def test_entry_role_predicates(self):
-        load = RobEntry(1, 0, Instruction(Opcode.LOAD, dest=int_reg(1),
-                                          srcs=(int_reg(2),), imm=0))
-        store = RobEntry(2, 4, Instruction(
+        load = RobEntry(0, Instruction(Opcode.LOAD, dest=int_reg(1),
+                                       srcs=(int_reg(2),), imm=0))
+        store = RobEntry(4, Instruction(
             Opcode.STORE, srcs=(int_reg(1), int_reg(2)), imm=0))
-        ret = RobEntry(3, 8, Instruction(Opcode.RET, dest=29, srcs=(29,)))
-        call = RobEntry(4, 12, Instruction(Opcode.CALL, dest=29, srcs=(29,),
-                                           target=0))
+        ret = RobEntry(8, Instruction(Opcode.RET, dest=29, srcs=(29,)))
+        call = RobEntry(12, Instruction(Opcode.CALL, dest=29, srcs=(29,),
+                                        target=0))
         assert load.is_load and not load.is_store
         assert store.is_store and not store.is_load
         assert ret.is_load and ret.is_branch      # ret pops via a load
@@ -71,7 +72,7 @@ class TestReorderBuffer:
 class TestFunctionalUnits:
     def test_per_cycle_slots(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        pool.new_cycle(0)
+        pool.new_cycle()
         for _ in range(4):
             assert pool.can_issue(FuKind.INT_ALU)
             assert pool.issue(FuKind.INT_ALU) == 1
@@ -79,10 +80,10 @@ class TestFunctionalUnits:
 
     def test_slots_reset_each_cycle(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        pool.new_cycle(0)
+        pool.new_cycle()
         pool.issue(FuKind.FP_DIV)
         assert not pool.can_issue(FuKind.FP_DIV)   # only one unit
-        pool.new_cycle(1)
+        pool.new_cycle()
         assert pool.can_issue(FuKind.FP_DIV)       # pipelined
 
     def test_latencies_match_table1(self):
@@ -96,7 +97,7 @@ class TestFunctionalUnits:
 
     def test_overissue_raises(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        pool.new_cycle(0)
+        pool.new_cycle()
         pool.issue(FuKind.INT_DIV)
         with pytest.raises(RuntimeError):
             pool.issue(FuKind.INT_DIV)
