@@ -14,7 +14,12 @@ from __future__ import annotations
 
 
 class TwoBitCounter:
-    """Classic saturating counter: 0,1 predict not-taken; 2,3 taken."""
+    """Classic saturating counter: 0,1 predict not-taken; 2,3 taken.
+
+    :class:`~repro.branch.predictors.TwoLevelPredictor` (the default
+    predictor) steps its counters inline with this same rule; a change
+    here must be made there too.
+    """
 
     STRONG_NOT_TAKEN = 0
     WEAK_NOT_TAKEN = 1

@@ -104,7 +104,8 @@ class TwoLevelPredictor(DirectionPredictor):
             (1 << (history_bits + pc_bits))
 
     # predict/update run once per conditional branch fetched/resolved, so
-    # they index the tables and step the two-bit counter inline.
+    # they index the tables and step the two-bit counter inline (the rule
+    # of TwoBitCounter.predict/update).
     def predict(self, pc):
         index = pc >> 2
         pht_index = (self._bht[index & self._bht_mask] << self.pc_bits) | \

@@ -33,6 +33,8 @@ import enum
 from .registers import reg_class
 
 INSTR_BYTES = 4
+#: pc -> instruction-index shift (INSTR_BYTES is a power of two).
+PC_SHIFT = INSTR_BYTES.bit_length() - 1
 WORD_BYTES = 8
 
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .instructions import INSTR_BYTES, Instruction
-
-#: pc → instruction-index shift (INSTR_BYTES is a power of two).
-_PC_SHIFT = INSTR_BYTES.bit_length() - 1
+from .instructions import INSTR_BYTES, PC_SHIFT, Instruction
 
 
 class Program:
@@ -54,10 +51,12 @@ class Program:
         return len(self.instructions) * INSTR_BYTES
 
     def fetch(self, pc) -> Optional[Instruction]:
-        """Return the instruction at ``pc``, or None past the end."""
+        """Return the instruction at ``pc``, or None past the end.
+
+        ``Core._fetch`` runs this lookup inline; keep the two alike."""
         if pc & (INSTR_BYTES - 1):
             raise ValueError(f"misaligned pc: {pc:#x}")
-        index = pc >> _PC_SHIFT
+        index = pc >> PC_SHIFT
         if 0 <= index < self._count:
             return self.instructions[index]
         return None

@@ -347,7 +347,9 @@ class MemoryHierarchy:
     # -- helpers -----------------------------------------------------------------
 
     def line_of(self, addr):
-        """Physical line address of ``addr`` in this view's window."""
+        """Physical line address of ``addr`` in this view's window.
+
+        ``Core._fetch`` computes this inline; keep the two alike."""
         return (addr + self.phys_base) & self.line_mask
 
     def apply_completed(self, now):

@@ -63,8 +63,8 @@ from ..branch.predictors import make_direction_predictor
 from ..branch.rsb import ReturnStackBuffer
 from ..branch.unit import BranchUnit
 from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
-                                WORD_BYTES, FuKind, Opcode, to_signed64,
-                                to_unsigned64)
+                                PC_SHIFT, WORD_BYTES, FuKind, Opcode,
+                                to_signed64, to_unsigned64)
 from ..isa.program import Program
 from ..isa.registers import (NUM_ARCH_REGS, REG_SP, REG_ZERO,
                              make_register_file)
@@ -97,8 +97,6 @@ LEVEL_RUNAHEAD = "rac"    # runahead-cache hit
 LEVEL_SL = "sl"           # SL-cache hit (secure runahead)
 
 _MASK64 = (1 << 64) - 1
-#: pc → instruction-index shift (INSTR_BYTES is a power of two).
-_PC_SHIFT = INSTR_BYTES.bit_length() - 1
 
 # Hot-path opcode/FU constants (module-level binding beats repeated
 # enum-class attribute lookups inside the per-cycle loops).
@@ -444,9 +442,9 @@ class Core:
         width = self.config.width
         rob = self._rob
         # Normal-mode retirement of anything but HALT and stores runs
-        # inline; the rest (and everything under a trace sink) goes
-        # through _retire.
-        inline = self.mode == MODE_NORMAL and self.trace is None
+        # inline; the rest goes through _retire.
+        inline = self.mode == MODE_NORMAL
+        trace = self.trace
         arch_regs = self.arch_regs
         arch_inv = self.arch_inv
         rat = self.rat
@@ -488,6 +486,8 @@ class Core:
                     if self._stall_base_seq is not None:
                         self._close_stall_episode()
                 stats.committed += 1
+                if trace is not None:
+                    trace.emit(now, _EV_COMMIT, head.seq, head.pc)
                 continue
             self._retire(head, now)
             if self.halted:
@@ -497,8 +497,8 @@ class Core:
 
     def _retire(self, head, now):
         """Retire the ROB head off the inline path: runahead-mode
-        pseudo-retirement (checkpointed state only, never memory), HALT,
-        stores, and any retirement while a trace sink is attached."""
+        pseudo-retirement (checkpointed state only, never memory), HALT
+        and stores."""
         instr = head.instr
         dest = instr.dest
         stats = self.stats
@@ -532,8 +532,6 @@ class Core:
                 self.arch_inv[dest] = False
             stats.committed += 1
             event = _EV_COMMIT
-            if head.is_load and self._stall_base_seq is not None:
-                self._close_stall_episode()
         self._rob.popleft()
         rename = instr.rename_class
         if rename is not None:
@@ -1373,9 +1371,10 @@ class Core:
         pc = self.fetch_pc
         fetched = 0
         while fetched < room:
+            # Program.fetch and MemoryHierarchy.line_of, inline.
             if pc & (INSTR_BYTES - 1):
                 raise ValueError(f"misaligned pc: {pc:#x}")
-            index = pc >> _PC_SHIFT
+            index = pc >> PC_SHIFT
             if not 0 <= index < n_instructions:
                 self.fetch_halted = True     # ran off the program
                 break

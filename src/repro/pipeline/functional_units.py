@@ -7,11 +7,16 @@ divide-heavy code and is irrelevant to every experiment in the paper.)
 
 The pool is three flat lists indexed by the integer
 :class:`~repro.isa.instructions.FuKind` value — no dict hashing on the
-hot path, and the per-cycle reset is a single list copy.  The core's
-issue stage claims units for integer ALU ops and conditional branches
-by reading ``used``/``counts``/``latencies`` directly (the list ``used``
-is replaced only by :meth:`new_cycle`); every other issue path goes
-through ``can_issue``/``issue``.
+hot path, and the per-cycle reset is a single list copy.
+
+Slot accounting is this contract, which the core's issue stage follows
+inline for integer ALU ops and conditional branches (every other issue
+path goes through :meth:`can_issue`/:meth:`issue`):
+
+* ``used`` is replaced only by :meth:`new_cycle`, once per cycle;
+* a kind has a free slot while ``used[kind] < counts[kind]``;
+* a claim is ``used[kind] += 1`` and its result arrives
+  ``latencies[kind]`` cycles later.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..harness.registry import CONTROLLERS
 from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
-                                WORD_BYTES, Opcode)
+                                PC_SHIFT, WORD_BYTES, Opcode)
 from ..isa.registers import REG_SP, REG_ZERO
 from .machine import (_MASK64, FILL_SETTLE_STEPS, LINE_BYTES, PathState,
                       alu_result, as_int, branch_taken, line_of, mem_addr)
@@ -108,9 +108,6 @@ def _check_bounds(options: VerifyOptions) -> None:
             kind = "a positive int" if least else "an int >= 0"
             raise VerifyError(f"{field} must be {kind}, got {value!r}")
 
-
-#: pc -> instruction-index shift (INSTR_BYTES is a power of two).
-_PC_SHIFT = INSTR_BYTES.bit_length() - 1
 
 #: Effective address of ``base + imm``: wrapped to 64 bits, word-aligned.
 _ADDR_MASK = _MASK64 & ~(WORD_BYTES - 1)
@@ -240,7 +237,7 @@ class Checker:
             pc = state.pc
             if pc & (INSTR_BYTES - 1):
                 raise ValueError(f"misaligned pc: {pc:#x}")
-            index = pc >> _PC_SHIFT
+            index = pc >> PC_SHIFT
             if not 0 <= index < count:
                 break
             kind, _, _, _, _, dest, target, instr = table[index]
@@ -464,7 +461,7 @@ class Checker:
             while n < budget:
                 if pc & (INSTR_BYTES - 1):
                     raise ValueError(f"misaligned pc: {pc:#x}")
-                index = pc >> _PC_SHIFT
+                index = pc >> PC_SHIFT
                 if not 0 <= index < count:
                     break
                 n += 1

@@ -1,8 +1,9 @@
 """The tracing determinism contract.
 
 Attaching any sink must not change simulated behaviour by one bit:
-``CoreStats`` with tracing on equals ``CoreStats`` with tracing off,
-for every machine the golden-stats suite pins.  This is what keeps the
+``CoreStats``, the architectural state and the transient-window depth
+with tracing on equal those with tracing off, for every machine the
+golden-stats suite pins.  This is what keeps the
 golden fixtures and the 1-vs-N byte-identity gate valid with
 observability enabled.
 """
@@ -24,7 +25,10 @@ def run_stats(workload_name, controller_name, trace=None):
     controller = make_controller(controller_name) \
         if controller_name != "none" else None
     core = workload.run(runahead=controller, trace=trace)
-    return dataclasses.asdict(core.stats)
+    stats = dataclasses.asdict(core.stats)
+    stats["architectural_state"] = core.architectural_state()
+    stats["transient_window_max"] = core.transient_window_max
+    return stats
 
 
 class TestDeterminism:

@@ -8,10 +8,15 @@ bound recorded when the core's stages were inlined.  A change that puts
 a helper call back on a per-instruction path fails here even though
 every statistic still matches the golden fixtures.
 
-The bounds were recorded on CPython 3.11.  Before the stages were
-inlined, the core made 28.3 (sled), 65.0 (wait loop) and 5.04 (pht)
-calls per cycle on the same runs.  CPython 3.12 inlines comprehensions
-(PEP 709), so it should count no more than 3.11.
+The counts were measured on CPython 3.11 only: 9.36 (sled), 29.35
+(wait loop) and 2.77 (pht) calls per cycle, against 28.3, 65.0 and 5.04
+before the stages were inlined.  On 3.11 the bound is the measured
+count plus half a call per fetched instruction, so one helper call put
+back on the fetch-to-retire path fails.  Other versions count calls
+differently (3.12 inlines comprehensions, PEP 709, and runs
+``sys.setprofile`` on ``sys.monitoring``) and were not measured, so
+there the bound is halfway between the counts before and after the
+inlining: it still fails if most of the inlining is undone.
 """
 
 from __future__ import annotations
@@ -71,17 +76,19 @@ def counted_run(core):
     return calls
 
 
-#: (run, simulated cycles, calls-per-cycle bound)
+#: (run, simulated cycles, calls-per-cycle bound on CPython 3.11,
+#: bound on other versions)
 BUDGETS = {
-    "nop-sled": (nop_sled, 1081, 9.37),
-    "wait-loop": (wait_loop, 962, 29.36),
-    "pht-victim": (pht_victim, 71655, 2.77),
+    "nop-sled": (nop_sled, 1081, 11.3, 18.8),
+    "wait-loop": (wait_loop, 962, 30.3, 47.2),
+    "pht-victim": (pht_victim, 71655, 2.89, 3.9),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_calls_per_cycle_within_budget(name):
-    make, cycles, bound = BUDGETS[name]
+    make, cycles, bound_311, bound_other = BUDGETS[name]
+    bound = bound_311 if sys.version_info[:2] == (3, 11) else bound_other
     core = make()
     calls = counted_run(core)
     assert core.halted
