@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..isa.instructions import INSTR_BYTES, Opcode
+from .base import DirectionPredictor
 from .btb import BranchTargetBuffer
 from .predictors import TwoLevelPredictor, make_direction_predictor
 from .rsb import ReturnStackBuffer
@@ -55,6 +56,14 @@ class BranchUnit:
         self.btb = btb or BranchTargetBuffer()
         self.rsb = rsb or ReturnStackBuffer()
         self.stats = BranchStats()
+        # Per predicted branch, skip the direction hooks a predictor
+        # keeps as the base-class no-ops (the default two-level
+        # predictor keeps both): no history to snapshot or to shift.
+        kind = type(self.direction)
+        self._snapshots_history = (
+            kind.snapshot is not DirectionPredictor.snapshot)
+        self._shifts_history = (
+            kind.spec_update is not DirectionPredictor.spec_update)
 
     @classmethod
     def with_predictor(cls, name, **kwargs):
@@ -66,13 +75,15 @@ class BranchUnit:
     def predict(self, pc, instr) -> Prediction:
         """Predict direction and target; applies speculative updates."""
         self.stats.predictions += 1
-        snapshot = self.snapshot()
+        snapshot = (self.direction.snapshot() if self._snapshots_history
+                    else None, self.rsb.snapshot())
         fallthrough = pc + INSTR_BYTES
         op = instr.opcode
 
         if instr.cond_branch:
             taken, meta = self.direction.predict(pc)
-            self.direction.spec_update(pc, taken)
+            if self._shifts_history:
+                self.direction.spec_update(pc, taken)
             target = instr.target if taken else fallthrough
             return Prediction(taken, target, meta=meta, snapshot=snapshot)
         if op is Opcode.JMP:
@@ -95,7 +106,9 @@ class BranchUnit:
     # -- recovery -----------------------------------------------------------------
 
     def snapshot(self):
-        """Capture all speculative state (direction history + RSB)."""
+        """Capture all speculative state (direction history + RSB).
+
+        :meth:`predict` takes the same snapshot inline."""
         return (self.direction.snapshot(), self.rsb.snapshot())
 
     def restore(self, snap):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
@@ -76,16 +76,18 @@ class SplitMix64:
         span = high - low + 1
         return [low + z % span for z in self._u64s(n)]
 
-    def _u64s(self, n: int) -> Iterator[int]:
-        """``n`` :meth:`next_u64` outputs; consume it whole (the state
-        is stored back once, after the last output)."""
+    def _u64s(self, n: int) -> List[int]:
+        """``n`` :meth:`next_u64` outputs, drawn in one plain loop (the
+        state is stored back once, after the last output)."""
+        out = [0] * n
         state = self._state
-        for _ in range(n):
+        for index in range(n):
             state = (state + 0x9E3779B97F4A7C15) & _MASK64
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            yield z ^ (z >> 31)
+            out[index] = z ^ (z >> 31)
         self._state = state
+        return out
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ The hierarchy is split along the boundary real multi-core parts share:
   resources every core (and SMT thread) on the socket contends for.
 * :class:`MemoryHierarchy` (alias :data:`CoreView`) is one core's
   **private slice** — L1I/L1D/L2, its MSHRs (pending fills) and its
-  statistics — plus references to the shared level.  It preserves the
+  statistics — plus references to the shared level.  The view owns the
+  shared level, never the other way round: the shared level reaches its
+  views through weak references, so nothing in a core's simulator forms
+  a reference cycle.  It preserves the
   exact single-core API the pipeline, the runahead controllers and the
   covert-channel receivers bind to; a standalone ``MemoryHierarchy()``
   transparently builds its own single-view shared level, so single-core
@@ -47,7 +50,8 @@ The design decisions that the SPECRUN experiments depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.events import (EV_CACHE_EVICT as _EV_EVICT,
@@ -175,63 +179,91 @@ class HierarchyStats:
 class _SharedL3(SetAssociativeCache):
     """The shared last-level cache.
 
-    Identical to :class:`SetAssociativeCache` except that, when the
-    owning :class:`SharedHierarchy` is inclusive (two or more views),
-    every eviction **back-invalidates** the victim line from every
-    core's private caches.  Routing this through the cache object itself
-    (rather than the hierarchy walk) means direct fills — notably the
-    receivers' priming/eviction-set construction — uphold inclusion
-    too.
+    Identical to :class:`SetAssociativeCache` except that, when
+    ``inclusive`` (two or more views attached), every eviction
+    **back-invalidates** the victim line from every core's private
+    caches.  Routing this through the cache object itself (rather than
+    the hierarchy walk) means direct fills — notably the receivers'
+    priming/eviction-set construction — uphold inclusion too.
+
+    ``views`` is the shared level's view registry (weak references, in
+    attach order): neither the L3 nor its :class:`SharedHierarchy`
+    owns a view.
     """
 
-    def __init__(self, config: CacheConfig, shared: "SharedHierarchy"):
+    def __init__(self, config: CacheConfig, views: List[weakref.ref],
+                 inclusive: bool):
         super().__init__(config)
-        self._shared = shared
+        self._views = views
+        self.inclusive = inclusive
 
     def fill(self, addr):
         evicted = super().fill(addr)
-        if evicted is not None and self._shared.inclusive:
-            self._shared._back_invalidate(evicted)
+        if evicted is not None and self.inclusive:
+            self.back_invalidate(evicted)
         return evicted
+
+    def back_invalidate(self, line):
+        """Clear every private copy of ``line``, on every live view."""
+        for ref in self._views:
+            view = ref()
+            if view is not None:
+                view.l1d.invalidate(line)
+                view.l1i.invalidate(line)
+                view.l2.invalidate(line)
 
 
 class SharedHierarchy:
     """The socket-level shared slice: L3, memory channel, core views.
 
-    Build one and attach views::
+    Ownership points one way — core → its view → this shared level →
+    L3/channel — so a trial's whole simulator is freed by reference
+    counting the moment the trial drops it.  The view registry
+    therefore holds weak references, in attach order: the shared level
+    reaches every live view (for back-invalidation, flushes and due
+    fills) without owning one, and the caller holds each view it
+    attaches::
 
-        shared = SharedHierarchy(config, cores=0)
+        shared = SharedHierarchy(config)
         victim = shared.add_core()                  # phys window 0
         noisy  = shared.add_core(phys_base=PHYS_WINDOW_STRIDE)
         smt    = shared.add_smt_thread(victim,
                                        phys_base=2 * PHYS_WINDOW_STRIDE)
 
-    or ask for ``cores=N`` uniform views up front.  ``inclusive``
-    defaults to "two or more views attached" — a single-view hierarchy
-    behaves exactly like the historical monolithic ``MemoryHierarchy``
-    (no back-invalidation), which the golden-stats fixtures pin down.
+    ``inclusive`` defaults to "two or more views attached" — a
+    single-view hierarchy behaves exactly like the historical monolithic
+    ``MemoryHierarchy`` (no back-invalidation), which the golden-stats
+    fixtures pin down.
     """
 
-    def __init__(self, config: Optional[HierarchyConfig] = None,
-                 cores: int = 1, inclusive: Optional[bool] = None):
+    def __init__(self, config: Optional[HierarchyConfig] = None, *,
+                 inclusive: Optional[bool] = None):
         self.config = config or HierarchyConfig.paper()
         self._inclusive = inclusive
-        self.l3 = _SharedL3(self.config.l3, self)
+        self._views: List[weakref.ref] = []
+        self.l3 = _SharedL3(self.config.l3, self._views, bool(inclusive))
         self.channel = MemoryChannel(self.config.mem_latency,
                                      self.config.mem_occupancy)
-        self.views: List["MemoryHierarchy"] = []
-        for _ in range(cores):
-            MemoryHierarchy(shared=self)   # registers itself
 
     @property
     def inclusive(self) -> bool:
         """Whether L3 evictions back-invalidate private copies."""
-        if self._inclusive is not None:
-            return self._inclusive
-        return len(self.views) > 1
+        return self.l3.inclusive
 
-    def core(self, index: int) -> "MemoryHierarchy":
-        return self.views[index]
+    @property
+    def views(self) -> List["MemoryHierarchy"]:
+        """The attached views still alive, in attach order."""
+        return [view for ref in self._views if (view := ref()) is not None]
+
+    def _attach(self, view: "MemoryHierarchy") -> int:
+        """Register ``view`` (its constructor calls this); returns its
+        attach index.  Inclusion counts views *attached*, so a view
+        dropped later never turns back-invalidation off mid-run."""
+        index = len(self._views)
+        self._views.append(weakref.ref(view))
+        if self._inclusive is None:
+            self.l3.inclusive = index > 0
+        return index
 
     def add_core(self, phys_base: int = 0) -> "MemoryHierarchy":
         """Attach a new core view with its own private L1I/L1D/L2."""
@@ -250,18 +282,11 @@ class SharedHierarchy:
 
     # -- shared-level operations ------------------------------------------------
 
-    def _back_invalidate(self, line):
-        """Inclusive L3 evicted ``line``: clear every private copy."""
-        for view in self.views:
-            view.l1d.invalidate(line)
-            view.l1i.invalidate(line)
-            view.l2.invalidate(line)
-
     def flush_phys_line(self, line):
         """``clflush`` a physical line everywhere: every view's private
         caches, the shared L3, and any in-flight fill on any view (the
         waiting loads still complete — only the install is dropped)."""
-        self._back_invalidate(line)
+        self.l3.back_invalidate(line)
         self.l3.invalidate(line)
         for view in self.views:
             pending = view._pending.get(line)
@@ -271,8 +296,9 @@ class SharedHierarchy:
 
     def apply_completed(self, now):
         """Install every view's pending fills whose completion passed."""
-        for view in self.views:
-            if now >= view.next_fill:
+        for ref in self._views:
+            view = ref()
+            if view is not None and now >= view.next_fill:
                 view.apply_completed(now)
 
     def next_event(self):
@@ -312,7 +338,7 @@ class MemoryHierarchy:
                  phys_base: int = 0,
                  smt_with: Optional["MemoryHierarchy"] = None):
         if shared is None:
-            shared = SharedHierarchy(config, cores=0)
+            shared = SharedHierarchy(config)
         elif config is not None and config != shared.config:
             raise ValueError(
                 "config disagrees with the shared hierarchy's config")
@@ -320,7 +346,6 @@ class MemoryHierarchy:
         self.config = shared.config
         self.phys_base = phys_base
         self.line_mask = ~(self.config.line_bytes - 1)
-        self.view_id = len(shared.views)
         if smt_with is not None:
             if smt_with.shared is not shared:
                 raise ValueError("SMT sibling belongs to another hierarchy")
@@ -342,7 +367,7 @@ class MemoryHierarchy:
         #: Observability sink (repro.obs.sink) — ``None`` means tracing
         #: is off; sinks never influence timing, fills, or stats.
         self.trace = None
-        shared.views.append(self)
+        self.view_id = shared._attach(self)
 
     # -- helpers -----------------------------------------------------------------
 

@@ -162,7 +162,7 @@ def build_attack_system(attack, runahead, config: CoreConfig,
     """
     from ..harness.registry import get_workload, make_controller
 
-    shared = SharedHierarchy(config.hierarchy, cores=0)
+    shared = SharedHierarchy(config.hierarchy)
     victim_view = shared.add_core(phys_base=0)
     system = MultiCoreSystem(shared)
 

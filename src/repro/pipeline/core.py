@@ -232,6 +232,11 @@ class Core:
         self._filter_is_default = (
             type(self.runahead).filter_dispatch
             is RunaheadController.filter_dispatch)
+        #: Likewise for the resolved-branch hook (only the secure
+        #: controller overrides it): skips a call per resolved branch.
+        self._resolve_hook_is_default = (
+            type(self.runahead).on_branch_resolved
+            is RunaheadController.on_branch_resolved)
         self.runahead_cache = RunaheadCache(self.config.runahead.cache_entries)
 
         self.stats = CoreStats()
@@ -693,7 +698,8 @@ class Core:
         mispredicted = self.branch_unit.resolve(
             entry.pc, instr, entry.actual_taken, entry.actual_target,
             entry.prediction, train=train)
-        self.runahead.on_branch_resolved(self, entry, mispredicted)
+        if not self._resolve_hook_is_default:
+            self.runahead.on_branch_resolved(self, entry, mispredicted)
         if not mispredicted:
             return
         self.stats.branch_mispredicts += 1

@@ -19,12 +19,9 @@ class RunaheadController:
 
     name = "base"
 
-    def __init__(self):
-        self.core = None
-
     def attach(self, core):
-        """Called once by the core during construction."""
-        self.core = core
+        """Called once by the core during construction.  A controller
+        keeps no reference to ``core``: every hook is handed it."""
 
     # -- entry / exit ------------------------------------------------------------
 

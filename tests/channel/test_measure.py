@@ -55,8 +55,8 @@ def build_channel(name, config, cross_core, victim_lines, in_flight):
     probe entries are real misses whose fills complete at cycle 242.
     """
     if cross_core:
-        shared = SharedHierarchy(config, cores=2)
-        victim, attacker = shared.views
+        shared = SharedHierarchy(config)
+        victim, attacker = shared.add_core(), shared.add_core()
     else:
         victim = attacker = MemoryHierarchy(config)
     layout = ProbeLayout(base=1 << 20, entries=16, stride=512)

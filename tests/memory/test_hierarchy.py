@@ -160,7 +160,7 @@ class TestFacade:
         assert not hierarchy.shared.inclusive
 
     def test_explicit_single_view_behaves_identically(self):
-        explicit = SharedHierarchy(HierarchyConfig.paper(), cores=1).core(0)
+        explicit = SharedHierarchy(HierarchyConfig.paper()).add_core()
         implicit = MemoryHierarchy(HierarchyConfig.paper())
         for h in (explicit, implicit):
             first = h.access_data(0x1000, now=0)

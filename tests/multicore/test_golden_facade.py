@@ -12,7 +12,7 @@ single-core runs:
   workload × controller records and every quick-tier preset
   unmodified;
 * the *explicit* facade — these tests build the shared level by hand
-  (``SharedHierarchy(cores=1)``), hand its view to
+  (``SharedHierarchy().add_core()``), hand its view to
   ``Core(hierarchy=...)``, and assert the exact same fixture records,
   proving the multi-core construction path itself introduces no drift.
 """
@@ -34,11 +34,11 @@ def facade_core_record(workload_name, controller_name):
     """The recorder's core_record, but through an explicit CoreView."""
     workload = get_workload(workload_name)
     config = CoreConfig.paper()
-    shared = SharedHierarchy(config.hierarchy, cores=1)
+    view = SharedHierarchy(config.hierarchy).add_core()
     program, image, sp = workload.materialize()
     core = Core(program, memory_image=image, config=config,
                 runahead=make_controller(controller_name), initial_sp=sp,
-                warm_icache=True, hierarchy=shared.core(0))
+                warm_icache=True, hierarchy=view)
     core.run(max_cycles=5_000_000)
     assert core.halted, f"{workload_name} did not halt"
     return recorder.distill_core(core)

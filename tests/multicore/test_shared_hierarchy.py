@@ -12,13 +12,16 @@ The multi-core refactor's contracts, pinned as tests:
   the shared L3 copy, every other core's private copies, and drops
   in-flight fills on any core (whose stalled loads still complete);
 * ``probe_latency`` is read-only — stats, residency and LRU state are
-  unchanged — under arbitrary multi-core state.
+  unchanged — under arbitrary multi-core state;
+* the shared level holds its views weakly, visits them in attach order
+  and turns inclusion on at the second attached view.
 
 The invariant checks run under randomized multi-core access sequences
 driven by the repo's own SplitMix64 (deterministic across platforms).
 """
 
 import dataclasses
+import weakref
 
 import pytest
 
@@ -29,7 +32,10 @@ from repro.memory import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
 
 
 def make_shared(cores=2, config=None):
-    return SharedHierarchy(config or HierarchyConfig.small(), cores=cores)
+    """A shared level and its ``cores`` views.  The shared level holds
+    its views weakly: the caller keeps them alive by holding the list."""
+    shared = SharedHierarchy(config or HierarchyConfig.small())
+    return shared, [shared.add_core() for _ in range(cores)]
 
 
 def private_lines(view):
@@ -72,11 +78,11 @@ class TestInclusion:
     @pytest.mark.parametrize("cores", [2, 3])
     @pytest.mark.parametrize("seed", [1, 7, 1234])
     def test_inclusive_under_random_multicore_traffic(self, cores, seed):
-        shared = make_shared(cores=cores)
+        shared, views = make_shared(cores=cores)
         rng = SplitMix64(seed)
         now = 0
         for round_ in range(8):
-            view = shared.views[rng.next_u64() % cores]
+            view = views[rng.next_u64() % cores]
             for _ in range(80):
                 addr = rng.next_u64() % (1 << 15)
                 view.access_data(addr, now)
@@ -88,8 +94,7 @@ class TestInclusion:
         assert_inclusive(shared)
 
     def test_l3_eviction_back_invalidates_every_core(self):
-        shared = make_shared(cores=2)
-        a, b = shared.views
+        shared, (a, b) = make_shared(cores=2)
         config = shared.l3.config
         set_span = config.n_sets * config.line_bytes
         target = 0x1000
@@ -119,18 +124,39 @@ class TestInclusion:
         assert hierarchy.present_in(target, LEVEL_L1)   # survives
 
     def test_inclusive_override_flag(self):
-        shared = SharedHierarchy(HierarchyConfig.small(), cores=1,
-                                 inclusive=True)
+        shared = SharedHierarchy(HierarchyConfig.small(), inclusive=True)
         assert shared.inclusive
-        shared = SharedHierarchy(HierarchyConfig.small(), cores=3,
-                                 inclusive=False)
+        shared.add_core()
+        assert shared.inclusive
+        shared = SharedHierarchy(HierarchyConfig.small(), inclusive=False)
+        for _ in range(3):
+            shared.add_core()
         assert not shared.inclusive
+
+    def test_inclusive_turns_on_at_the_second_attached_view(self):
+        shared = SharedHierarchy(HierarchyConfig.small())
+        assert not shared.inclusive
+        victim = shared.add_core()
+        assert not shared.inclusive
+        smt = shared.add_smt_thread(victim)
+        assert shared.inclusive
+        corunner = shared.add_core(phys_base=PHYS_WINDOW_STRIDE)
+        assert shared.inclusive
+        assert [victim.view_id, smt.view_id, corunner.view_id] == [0, 1, 2]
+
+    def test_dropping_a_view_keeps_inclusion_on(self):
+        """The rule counts views attached, not views alive: a view freed
+        mid-experiment never turns back-invalidation off."""
+        shared, (victim, attacker) = make_shared(cores=2)
+        del attacker
+        assert shared.views == [victim]
+        assert shared.inclusive
+
 
 
 class TestCrossCoreFlush:
     def test_flush_from_one_core_clears_all_copies(self):
-        shared = make_shared(cores=3)
-        a, b, c = shared.views
+        shared, (a, b, c) = make_shared(cores=3)
         for view in (a, b):
             view.warm(0x2000)
         c.flush_line(0x2000)
@@ -145,8 +171,7 @@ class TestCrossCoreFlush:
         """Fig. 10 case ③ across cores: B flushes while A's fill is in
         flight — the fill is dropped, A's waiter still completes, and a
         later access restarts a real memory request."""
-        shared = make_shared(cores=2)
-        a, b = shared.views
+        shared, (a, b) = make_shared(cores=2)
         first = a.access_data(0x3000, now=0)
         assert first.level == LEVEL_MEM
         b.flush_line(0x3000)
@@ -160,8 +185,7 @@ class TestCrossCoreFlush:
         assert a.stats.mem_requests == 2
 
     def test_flush_mid_pending_does_not_drop_twice(self):
-        shared = make_shared(cores=2)
-        a, b = shared.views
+        shared, (a, b) = make_shared(cores=2)
         a.access_data(0x3000, now=0)
         b.flush_line(0x3000)
         a.flush_line(0x3000)             # second flush: already dropped
@@ -170,8 +194,7 @@ class TestCrossCoreFlush:
         assert b.stats.flushes == 1
 
     def test_new_fill_after_drop_installs_normally(self):
-        shared = make_shared(cores=2)
-        a, b = shared.views
+        shared, (a, b) = make_shared(cores=2)
         first = a.access_data(0x4000, now=0)
         b.flush_line(0x4000)
         second = a.access_data(0x4000, now=first.completion + 1)
@@ -183,8 +206,7 @@ class TestCrossCoreFlush:
 
 class TestCrossCoreVisibility:
     def test_fill_by_one_core_is_llc_visible_to_another(self):
-        shared = make_shared(cores=2)
-        victim, attacker = shared.views
+        shared, (victim, attacker) = make_shared(cores=2)
         result = victim.access_data(0x5000, now=0)
         shared.apply_completed(result.completion + 1)
         assert attacker.present_in(0x5000, LEVEL_L3)
@@ -198,15 +220,14 @@ class TestCrossCoreVisibility:
         """A cross-core receiver probing at ``now`` must observe the
         victim's fills whose completion has passed, even if the victim
         never accessed the hierarchy again."""
-        shared = make_shared(cores=2)
-        victim, attacker = shared.views
+        shared, (victim, attacker) = make_shared(cores=2)
         result = victim.access_data(0x6000, now=0)
         latency, level = attacker.probe_latency(0x6000,
                                                 result.completion + 1)
         assert level == LEVEL_L3
 
     def test_phys_windows_do_not_alias(self):
-        shared = SharedHierarchy(HierarchyConfig.small(), cores=0)
+        shared = SharedHierarchy(HierarchyConfig.small())
         victim = shared.add_core(phys_base=0)
         corunner = shared.add_core(phys_base=PHYS_WINDOW_STRIDE)
         result = corunner.access_data(0x7000, now=0)
@@ -218,7 +239,7 @@ class TestCrossCoreVisibility:
             == LEVEL_MEM
 
     def test_smt_thread_shares_private_caches(self):
-        shared = SharedHierarchy(HierarchyConfig.small(), cores=0)
+        shared = SharedHierarchy(HierarchyConfig.small())
         victim = shared.add_core()
         smt = shared.add_smt_thread(victim, phys_base=PHYS_WINDOW_STRIDE)
         assert smt.l1d is victim.l1d and smt.l2 is victim.l2
@@ -232,15 +253,55 @@ class TestCrossCoreVisibility:
         assert victim.stats.mem_requests == 0
 
     def test_smt_thread_rejects_foreign_sibling(self):
-        shared = make_shared(cores=1)
-        other = make_shared(cores=1)
+        shared, _ = make_shared(cores=1)
+        _, (foreign,) = make_shared(cores=1)
         with pytest.raises(ValueError, match="another hierarchy"):
-            shared.add_smt_thread(other.views[0])
+            shared.add_smt_thread(foreign)
 
     def test_view_config_mismatch_rejected(self):
-        shared = make_shared(cores=0)
+        shared, _ = make_shared(cores=0)
         with pytest.raises(ValueError, match="config disagrees"):
             MemoryHierarchy(HierarchyConfig.paper(), shared=shared)
+
+
+class TestViewRegistry:
+    """The shared level holds its views weakly, in attach order."""
+
+    def test_views_are_visited_in_attach_order(self):
+        shared, views = make_shared(cores=3)
+        assert shared.views == views
+        config = shared.l3.config
+        set_span = config.n_sets * config.line_bytes
+        # Three misses to one L3 set, issued in reverse attach order and
+        # installed by one apply_completed: the views are visited in
+        # attach order, so the last view's line is the MRU way.
+        lines = [0x1000 + index * set_span for index in range(3)]
+        completions = {view.access_data(line, now=0).completion
+                       for view, line in zip(reversed(views),
+                                             reversed(lines))}
+        shared.apply_completed(max(completions))
+        ordered = [line for line in shared.l3.resident_lines()
+                   if line in lines]
+        assert ordered == lines
+
+    def test_a_dropped_view_is_freed_and_skipped(self):
+        shared, views = make_shared(cores=3)
+        dropped = weakref.ref(views[1])
+        del views[1]
+        assert dropped() is None       # freed by reference counting
+        assert shared.views == views
+        views[0].access_data(0x2000, now=0)
+        assert shared.next_event() == views[0].next_fill
+        views[1].flush_line(0x2000)
+        assert views[0].stats.dropped_fills == 1
+
+    def test_the_shared_level_lives_as_long_as_a_view(self):
+        shared, (view,) = make_shared(cores=1)
+        alive = weakref.ref(shared)
+        del shared
+        assert alive() is view.shared
+        del view
+        assert alive() is None
 
 
 def hierarchy_snapshot(shared):
@@ -260,21 +321,21 @@ def hierarchy_snapshot(shared):
 class TestProbeReadOnly:
     @pytest.mark.parametrize("seed", [3, 99])
     def test_probe_latency_has_no_side_effects(self, seed):
-        shared = make_shared(cores=2)
+        shared, views = make_shared(cores=2)
         rng = SplitMix64(seed)
         now = random_walk(shared, rng, steps=150)
         before = hierarchy_snapshot(shared)
-        for view in shared.views:
+        for view in views:
             for _ in range(200):
                 view.probe_latency(rng.next_u64() % (1 << 15), now)
         assert hierarchy_snapshot(shared) == before
 
     def test_present_in_has_no_side_effects(self):
-        shared = make_shared(cores=2)
+        shared, views = make_shared(cores=2)
         rng = SplitMix64(11)
         random_walk(shared, rng, steps=100)
         before = hierarchy_snapshot(shared)
-        for view in shared.views:
+        for view in views:
             for level in (LEVEL_L1, LEVEL_L2, LEVEL_L3):
                 for _ in range(50):
                     view.present_in(rng.next_u64() % (1 << 15), level)
@@ -283,12 +344,12 @@ class TestProbeReadOnly:
 
 class TestSharedReset:
     def test_shared_reset_clears_every_view(self):
-        shared = make_shared(cores=2)
+        shared, views = make_shared(cores=2)
         rng = SplitMix64(5)
         random_walk(shared, rng, steps=60)
         shared.reset()
         assert shared.l3.occupancy() == 0
-        for view in shared.views:
+        for view in views:
             assert not view._pending
             assert view.l1d.occupancy() == 0
             assert view.stats.data_accesses == 0

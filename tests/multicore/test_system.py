@@ -15,7 +15,7 @@ CONFIG = CoreConfig.small()
 
 
 def make_system(n_workloads, restart=False, max_runs=None):
-    shared = SharedHierarchy(CONFIG.hierarchy, cores=0)
+    shared = SharedHierarchy(CONFIG.hierarchy)
     system = MultiCoreSystem(shared)
     for index, name in enumerate(n_workloads):
         workload = get_workload(name)
@@ -99,13 +99,13 @@ def test_foreign_core_rejected():
 
 
 def test_empty_system_rejected():
-    shared = SharedHierarchy(CONFIG.hierarchy, cores=0)
+    shared = SharedHierarchy(CONFIG.hierarchy)
     with pytest.raises(ValueError, match="no cores"):
         MultiCoreSystem(shared).run()
 
 
 def test_max_cycles_bounds_a_spinning_system():
-    shared = SharedHierarchy(CONFIG.hierarchy, cores=0)
+    shared = SharedHierarchy(CONFIG.hierarchy)
     view = shared.add_core()
     program = assemble("""
     loop:

@@ -217,7 +217,7 @@ def test_secure_blocked_load_keeps_retrying_on_the_stride(steps):
 
 def corunner_system(config):
     """gems as the primary, two restarting lbm co-runners."""
-    shared = SharedHierarchy(config.hierarchy, cores=0)
+    shared = SharedHierarchy(config.hierarchy)
     system = MultiCoreSystem(shared)
     for index, name in enumerate(("gems", "lbm", "lbm")):
         view = shared.add_core(phys_base=index * PHYS_WINDOW_STRIDE)
