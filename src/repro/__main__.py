@@ -42,7 +42,7 @@ Subcommands
     synthetic family (``mcf``/``stream``/``gcc``/``zipf``) or a
     ``trace-*`` workload.  Recorded files run anywhere a workload name
     is accepted via ``trace:<path>``.
-``repro campaign run|resume|status|serve|coordinate|worker``
+``repro campaign run|resume|status|serve``
     Journaled, resumable campaigns (:mod:`repro.campaign`):
     ``run <preset...>`` lays down a self-contained campaign directory
     (manifest + write-ahead journal + its own result store) and
@@ -53,11 +53,7 @@ Subcommands
     run; ``status <dir>`` reports live progress (trials done/cached/
     retried, cache hit rate, trials/s, ETA, hosts/leases) from the
     journal only; ``serve <dir>`` exposes the same read-only view
-    over HTTP.  ``coordinate <dir>`` shards the campaign across
-    hosts: it serves the same leases over HTTP (heartbeat-renewed;
-    expired leases are re-enqueued with the usual bounded retries);
-    ``worker <url>`` pulls and computes trials from a coordinator on
-    any number of hosts.
+    over HTTP.
 ``repro report <file.json | preset>``
     Render a previously saved sweep result, or re-render a preset from
     the cache without recomputing anything that is already stored;
@@ -523,29 +519,6 @@ def _cmd_campaign_serve(args) -> int:
     return 0
 
 
-def _cmd_campaign_coordinate(args) -> int:
-    from .campaign import coordinate
-
-    return coordinate(
-        args.dir, host=args.host, port=args.port,
-        lease_seconds=args.lease, until_done=args.until_done,
-        announce=lambda line: print(line, file=sys.stderr),
-        progress=lambda line: print(line, file=sys.stderr),
-        dashboard=args.dashboard)
-
-
-def _cmd_worker(args) -> int:
-    from .campaign import run_worker
-    from .campaign.netretry import RetryPolicy
-
-    policy = RetryPolicy(attempts=args.net_retries,
-                         timeout=args.net_timeout)
-    return run_worker(
-        args.url, host=args.host, policy=policy,
-        poll=args.poll, max_trials=args.max_trials,
-        announce=lambda line: print(line, file=sys.stderr))
-
-
 def _cmd_campaign_help(args) -> int:
     args.campaign_parser.print_help()
     return 2
@@ -730,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign = sub.add_parser(
         "campaign",
         help="journaled, resumable multi-sweep campaigns "
-             "(run/resume/status/serve/coordinate/worker)")
+             "(run/resume/status/serve)")
     csub = p_campaign.add_subparsers(dest="campaign_command")
     p_campaign.set_defaults(func=_cmd_campaign_help,
                             campaign_parser=p_campaign)
@@ -747,9 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: $REPRO_WORKERS)")
     p_crun.add_argument("--cache", default=None, metavar="URI",
-                        help="campaign result store: dir:<path> or "
-                             "http://host:port, relative paths inside "
-                             "the campaign dir (default: dir:cache)")
+                        help="campaign result store: dir:<path>, "
+                             "relative paths inside the campaign dir "
+                             "(default: dir:cache)")
     p_crun.add_argument("--timeout", type=float, default=None,
                         help="per-trial timeout in seconds "
                              "(default: none)")
@@ -792,51 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also serve the single-file HTML "
                                "dashboard (/dashboard, /timeline)")
     p_cserve.set_defaults(func=_cmd_campaign_serve)
-
-    p_ccoord = csub.add_parser(
-        "coordinate",
-        help="read-write coordinator: shard this campaign across "
-             "worker hosts under journaled leases")
-    p_ccoord.add_argument("dir", help="campaign directory")
-    p_ccoord.add_argument("--host", default="127.0.0.1",
-                          help="bind address (default 127.0.0.1; "
-                               "0.0.0.0 for real multi-host runs)")
-    p_ccoord.add_argument("--port", type=int, default=8008,
-                          help="TCP port, 0 picks a free one "
-                               "(default 8008)")
-    p_ccoord.add_argument("--lease", type=float, default=30.0,
-                          metavar="SECONDS",
-                          help="lease lifetime; workers heartbeat at a "
-                               "third of this, dead hosts' trials are "
-                               "re-enqueued after it (default 30)")
-    p_ccoord.add_argument("--until-done", action="store_true",
-                          help="exit when the campaign finishes or "
-                               "fails instead of serving forever")
-    p_ccoord.add_argument("--dashboard", action="store_true",
-                          help="also serve the single-file HTML "
-                               "dashboard (/dashboard, /timeline)")
-    p_ccoord.set_defaults(func=_cmd_campaign_coordinate)
-
-    p_cworker = csub.add_parser(
-        "worker", help="pull and compute trials from a coordinator")
-    p_cworker.add_argument("url", help="coordinator URL "
-                                       "(http://host:port)")
-    p_cworker.add_argument("--host", default=None,
-                           help="host identity in journal/status "
-                                "(default: hostname:pid)")
-    p_cworker.add_argument("--poll", type=float, default=0.5,
-                           help="idle poll interval when no trial is "
-                                "ready (default 0.5s)")
-    p_cworker.add_argument("--max-trials", type=int, default=None,
-                           help="stop after computing N trials "
-                                "(default: run to completion)")
-    p_cworker.add_argument("--net-timeout", type=float, default=10.0,
-                           help="per-request network timeout "
-                                "(default 10s)")
-    p_cworker.add_argument("--net-retries", type=int, default=5,
-                           help="attempts per network call before "
-                                "giving up (default 5)")
-    p_cworker.set_defaults(func=_cmd_worker)
 
     p_report = sub.add_parser(
         "report", help="render a saved sweep result or cached preset")

@@ -3,14 +3,14 @@
 A *campaign* is one or more :class:`~repro.harness.spec.Sweep`\\ s run
 as a journaled job in a self-contained directory (see
 :mod:`repro.campaign.journal`).  :meth:`Campaign.run` schedules it
-with the same lease state machine the multi-host coordinator serves
+with the lease state machine
 (:class:`~repro.campaign.coordinator.CoordinatorState`), and computes
-it with the same worker loop (:func:`repro.campaign.worker.work`):
+it with the worker loop (:func:`repro.campaign.worker.work`):
 
 * **Local workers** — with ``workers >= 2`` the engine forks that many
   processes, each running the worker loop over a pipe to the parent.
   The parent is the only caller of the state machine: it answers
-  claims, renewals, completions and failures, so workers pull the next
+  claims, completions and failures, so workers pull the next
   trial the moment they finish the last one.  Journaled ``lease``
   events carry ``local-<n>`` host ids.
 * **Fault tolerance** — a worker that dies (SIGKILL, OOM) or hangs
@@ -38,7 +38,6 @@ as a throwaway campaign, so this is the only multi-process scheduler.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 import time
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -49,24 +48,19 @@ from ..harness.runner import TrialError
 from ..harness.spec import Sweep
 from .coordinator import DEFAULT_BACKOFF, DEFAULT_RETRIES, CoordinatorState
 from .journal import CampaignDir, CampaignError
-from .netretry import Unreachable
 from .worker import TrialRunner, work
 
 
 def _pipe_worker(conn, host: str, runner: Optional[TrialRunner]) -> None:
     """Body of a forked local worker: the worker loop over its end of
-    a pipe.  The heartbeat thread shares the pipe, so the lock keeps
-    each request paired with its reply."""
-    lock = threading.Lock()
-
-    def call(endpoint: str, payload: Dict[str, Any]) -> Tuple[int, Any]:
-        with lock:
-            try:
-                conn.send((endpoint, payload))
-                return conn.recv()
-            except (EOFError, OSError) as exc:
-                raise Unreachable(f"campaign parent gone: {exc}") from exc
-    work(call, host, runner=runner)
+    a pipe."""
+    def call(endpoint: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        conn.send((endpoint, payload))
+        return conn.recv()
+    try:
+        work(call, host, runner=runner)
+    except (EOFError, OSError):
+        pass                        # the campaign parent is gone
 
 
 class _LocalWorkers:
@@ -155,21 +149,20 @@ class _LocalWorkers:
         if endpoint == "claim":
             self._claim(conn, payload["host"])
             return True
-        if endpoint != "renew":
-            self.leases.pop(conn, None)
+        self.leases.pop(conn, None)
         self._send(conn, self.state.handle(endpoint, payload))
         return True
 
     def _claim(self, conn, host: str) -> bool:
         """Answer a claim; park it (False) while nothing is ready."""
-        code, body = self.state.claim(host)
+        body = self.state.claim(host)
         if "retry_after" in body:
             self.parked[conn] = host
             return False
         self.parked.pop(conn, None)
         if "lease" in body:
             self.leases[conn] = (body["lease"], time.monotonic())
-        self._send(conn, (code, body))
+        self._send(conn, body)
         return True
 
     def _serve_parked(self) -> None:
@@ -218,20 +211,17 @@ class _LocalWorkers:
 
 def _resolve_campaign_cache(spec: Any, base: CampaignDir) -> CacheBackend:
     """Backend from a manifest cache URI, relative paths anchored at
-    the campaign directory (so a campaign dir can be moved around).
-    Remote ``http:``/``https:`` URIs pass through untouched — there is
-    nothing to anchor."""
+    the campaign directory (so a campaign dir can be moved around)."""
     if isinstance(spec, str) and ":" in spec:
         scheme, _, location = spec.partition(":")
-        if scheme not in ("http", "https") \
-                and not location.startswith("/"):
+        if not location.startswith("/"):
             spec = f"{scheme}:{base.path / location}"
         try:
             return resolve_cache(spec)
         except ValueError as exc:
             raise CampaignError(str(exc)) from None
-    raise CampaignError(f"campaign cache must be a dir:/http: "
-                        f"URI or a CacheBackend, got {spec!r}")
+    raise CampaignError(f"campaign cache must be a dir: URI or a "
+                        f"CacheBackend, got {spec!r}")
 
 
 class Campaign:
@@ -254,7 +244,7 @@ class Campaign:
                name: Optional[str] = None) -> "Campaign":
         """Lay down a new campaign directory for these sweeps.
 
-        ``cache`` is a ``dir:``/``http:`` URI (relative paths live
+        ``cache`` is a ``dir:`` URI (relative paths live
         inside the campaign directory) or a :class:`CacheBackend`,
         which this campaign then runs on as given (the manifest keeps
         its URI for a later :meth:`open`); the default is
@@ -371,8 +361,8 @@ class Campaign:
         workers = self.manifest.get("workers") if workers is None \
             else workers
         workers = default_workers() if workers is None else max(1, workers)
-        state = CoordinatorState(self, progress=progress, force=force,
-                                 workers=workers)
+        state = CoordinatorState(self, workers, progress=progress,
+                                 force=force)
         if workers > 1 and len(state.unfinished) > 1:
             failure = _LocalWorkers(state, workers, runner).run()
             if failure is not None:

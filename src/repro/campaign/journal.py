@@ -6,13 +6,13 @@ A campaign directory is fully self-describing::
                            cache URI, engine settings, signatures
     <dir>/journal.jsonl    append-only event log, one JSON object per
                            line (trial completions, retries, run
-                           start/finish markers, and the ``lease`` /
-                           ``renew`` / ``lease-expired`` records of
-                           the scheduler carrying host identities —
-                           ``local-<n>`` for a local run's workers)
+                           start/finish markers, and the ``lease``
+                           records of the scheduler carrying host
+                           identities — ``local-<n>`` for a run's
+                           workers)
     <dir>/cache/           the campaign's result store (a ``dir:``
-                           or ``http:`` CacheBackend URI; defaults to
-                           ``dir:cache`` inside the campaign dir)
+                           CacheBackend URI; defaults to ``dir:cache``
+                           inside the campaign dir)
     <dir>/<sweep>.result.json
                            canonical SweepResult.to_json per completed
                            sweep (name percent-encoded) — byte-identical

@@ -15,11 +15,9 @@ a byte to the campaign directory.  Endpoints:
                    sweep (404 until that sweep has finished once)
 ``GET /healthz``   liveness probe: 200 with manifest/journal
                    readability figures, 503 when the campaign state
-                   cannot be read — what supervisors (and the chaos
-                   proxy in the test suite) poll
+                   cannot be read — what supervisors poll
 ``GET /metrics``   Prometheus text: campaign gauges derived from the
-                   journal (plus the live queue gauges on a
-                   coordinator)
+                   journal
 ``GET /dashboard`` (``--dashboard`` only) the single-file HTML
                    dashboard — static page, all data via JSON polling
 ``GET /timeline``  (``--dashboard`` only) per-trial timeline rows
@@ -27,11 +25,7 @@ a byte to the campaign directory.  Endpoints:
 
 Responses are JSON unless the payload carries its own content type
 (``/metrics`` is Prometheus text, ``/dashboard`` is HTML); the server
-answers GET/HEAD only.  :class:`StatusHandler` and
-:func:`serve_until_stopped` are the one handler base and the one
-serve loop of the package: the read-write coordinator
-(:mod:`repro.campaign.coordinator`) subclasses the handler with its
-write endpoints and runs the same SIGTERM-clean loop.
+answers GET/HEAD only.  It is the package's one HTTP server.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ import json
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 from ..obs.campaign import dashboard_html, journal_timeline, \
     status_metrics
@@ -60,11 +54,8 @@ class HtmlText(str):
     content_type = "text/html; charset=utf-8"
 
 
-def read_routes(directory, dashboard: bool = False,
-                snapshot: Optional[Callable[[], dict]] = None):
-    """Route table: path -> () -> (http status, payload object/text).
-    ``snapshot`` (a coordinator's live state view) adds its queue
-    gauges to ``/metrics``."""
+def read_routes(directory, dashboard: bool = False):
+    """Route table: path -> () -> (http status, payload object/text)."""
     cdir = CampaignDir(directory)
 
     def index() -> Tuple[int, object]:
@@ -128,8 +119,7 @@ def read_routes(directory, dashboard: bool = False,
             status = campaign_status(directory)
         except CampaignError as exc:
             return 500, {"error": str(exc)}
-        return 200, PlainText(status_metrics(
-            status, snapshot() if snapshot is not None else None))
+        return 200, PlainText(status_metrics(status))
 
     def timeline() -> Tuple[int, object]:
         try:
@@ -155,10 +145,10 @@ class StatusHandler(BaseHTTPRequestHandler):
     """GET/HEAD-only JSON handler over one campaign directory."""
 
     server_version = "repro-campaign/1"
-    #: Listed in the 404 body; subclasses extend it with their routes.
+    #: Listed in the 404 body.
     endpoints = ["/", "/status", "/manifest", "/healthz", "/metrics",
                  "/result/<sweep>"]
-    #: Set by make_server() / make_coordinator().
+    #: Set by make_server().
     routes = None
 
     def log_message(self, fmt, *args):   # keep CLI output clean
@@ -215,18 +205,20 @@ def _terminate(signum, frame):
     raise KeyboardInterrupt
 
 
-def serve_until_stopped(server: ThreadingHTTPServer, banner: str,
-                        announce=None,
-                        helper: Optional[threading.Thread] = None) -> None:
-    """Serve until SIGINT/SIGTERM (or ``server.shutdown()``), then
-    close the socket.  ``helper`` is a daemon thread started once the
-    TERM handler is in place.
+def serve(directory, host: str = "127.0.0.1", port: int = 8008,
+          announce=None, dashboard: bool = False) -> None:
+    """Run the status server until SIGINT or SIGTERM, then close the
+    socket (CLI entry point).
 
     SIGTERM is routed onto the KeyboardInterrupt path — without that
     the stdlib HTTP loop ignores a supervisor's TERM until the process
     is killed hard.  Only the main thread can install it; servers
     driven from other threads (tests) skip it.
     """
+    server = make_server(directory, host=host, port=port,
+                         dashboard=dashboard)
+    bound_host, bound_port = server.server_address[:2]
+    extra = " /dashboard /timeline" if dashboard else ""
     if threading.current_thread() is threading.main_thread():
         try:
             signal.signal(signal.SIGTERM, _terminate)
@@ -236,27 +228,12 @@ def serve_until_stopped(server: ThreadingHTTPServer, banner: str,
     # TERM landing before serve_forever() still takes the clean path.
     try:
         if announce:
-            announce(banner)
-        if helper is not None:
-            helper.start()
+            announce(f"serving campaign {directory} on "
+                     f"http://{bound_host}:{bound_port} "
+                     f"(endpoints: /status /manifest /healthz "
+                     f"/metrics{extra} /result/<sweep>)")
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
-
-
-def serve(directory, host: str = "127.0.0.1", port: int = 8008,
-          announce=None, dashboard: bool = False) -> None:
-    """Run the status server until interrupted — SIGINT or SIGTERM
-    both shut it down cleanly (CLI entry point)."""
-    server = make_server(directory, host=host, port=port,
-                         dashboard=dashboard)
-    bound_host, bound_port = server.server_address[:2]
-    extra = " /dashboard /timeline" if dashboard else ""
-    serve_until_stopped(
-        server, f"serving campaign {directory} on "
-                f"http://{bound_host}:{bound_port} "
-                f"(endpoints: /status /manifest /healthz "
-                f"/metrics{extra} /result/<sweep>)",
-        announce=announce)

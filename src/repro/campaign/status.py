@@ -11,9 +11,8 @@ do).  All figures derive from journal events:
 * cache hit rate — journaled ``cached`` completions over completions;
 * throughput (trials/s) over the most recent run's computed trials and
   an ETA for the remainder at that rate;
-* lease figures (hosts seen, leases issued / renewed / expired) from
-  the scheduler's journal records
-  (:mod:`repro.campaign.coordinator`); a local run's worker
+* lease figures (hosts seen, leases issued) from the scheduler's
+  journal records (:mod:`repro.campaign.coordinator`); a run's worker
   processes appear as ``local-<n>`` hosts;
 * ``state`` — ``failed`` only for an error journalled since the
   latest ``start`` (a resume is ``in-progress``); ``errors`` keeps
@@ -44,7 +43,7 @@ def campaign_status(directory) -> Dict[str, Any]:
     failed = False                        # an error since the last start
     finished = False
     hosts: set = set()
-    leases = {"issued": 0, "renewed": 0, "expired": 0}
+    leases = {"issued": 0}
     compute_times = []                    # (wall time, elapsed) of "done"
     per_sweep: Dict[str, Dict[str, int]] = {
         s["name"]: {"trials": len(s.get("trials", [])), "done": 0,
@@ -86,10 +85,6 @@ def campaign_status(directory) -> Dict[str, Any]:
             leases["issued"] += 1
             if event.get("host"):
                 hosts.add(event["host"])
-        elif kind == "renew":
-            leases["renewed"] += 1
-        elif kind == "lease-expired":
-            leases["expired"] += 1
 
     done = sum(1 for s in completed.values() if s == "done")
     cached = sum(1 for s in completed.values() if s == "cached")
@@ -164,9 +159,7 @@ def render_status(status: Dict[str, Any]) -> str:
         leases = status["leases"]
         lines.append(f"hosts      : {len(status['hosts'])} "
                      f"({', '.join(status['hosts'])}) — "
-                     f"{leases['issued']} lease(s), "
-                     f"{leases['renewed']} renewed, "
-                     f"{leases['expired']} expired")
+                     f"{leases['issued']} lease(s)")
     for sweep, counts in status["sweeps"].items():
         lines.append(f"  sweep {sweep}: "
                      f"{counts['done'] + counts['cached']}"

@@ -21,15 +21,10 @@ Storage is a :class:`CacheBackend`:
   ``~/.cache/repro-specrun``.  Each write goes to a temp file unique
   to the writer and is renamed into place, so concurrent writers —
   even of the same key — never expose a half-written record.
-* :class:`repro.campaign.httpcache.HttpCacheBackend` (URI =
-  ``http://host:port``) stores records behind a campaign coordinator
-  on another host — the multi-host remote store.  It lives with the
-  campaign network stack; ``resolve_cache`` loads it lazily so this
-  module stays free of network code.
 
 ``resolve_cache`` turns user-facing cache arguments into backends and
-understands ``dir:<path>`` / ``http://<url>`` URIs; every backend
-reports its own URI via :meth:`CacheBackend.uri`.
+understands ``dir:<path>`` URIs; every backend reports its own URI via
+:meth:`CacheBackend.uri`.
 """
 
 from __future__ import annotations
@@ -114,7 +109,7 @@ class CacheBackend(abc.ABC):
     none of which may raise.
     """
 
-    #: URI scheme of the backend (``dir`` / ``http``).
+    #: URI scheme of the backend (``dir``).
     scheme = "?"
 
     def __init__(self, code_version: Optional[str] = None):
@@ -264,6 +259,9 @@ class DirectoryCacheBackend(CacheBackend):
 #: Historical name of the directory backend (public API since PR 1).
 ResultCache = DirectoryCacheBackend
 
+#: URI schemes of result stores that no longer exist.
+_REMOVED_STORES = ("sqlite:", "http:", "https:")
+
 
 def resolve_cache(cache="auto") -> Optional[CacheBackend]:
     """Turn a user-facing ``cache`` argument into a backend or None.
@@ -273,13 +271,12 @@ def resolve_cache(cache="auto") -> Optional[CacheBackend]:
     * ``"auto"`` builds the default directory backend unless
       ``$REPRO_NO_CACHE=1``;
     * ``"dir:<path>"`` picks the directory backend explicitly;
-      ``"http://host:port"`` builds the remote backend talking to a
-      campaign coordinator;
     * any other path-like builds a directory backend rooted there
       (the historical behaviour).
 
-    A URI of the removed single-file store raises ValueError instead
-    of silently becoming a directory of that name.
+    A URI of a removed store (``sqlite:``, ``http:``, ``https:``)
+    raises ValueError instead of silently becoming a directory of
+    that name.
     """
     if cache is None or cache is False:
         return None
@@ -293,12 +290,8 @@ def resolve_cache(cache="auto") -> Optional[CacheBackend]:
         if cache.startswith("dir:"):
             return DirectoryCacheBackend(
                 root=pathlib.Path(cache[len("dir:"):]))
-        if cache.startswith("sqlite:"):
-            raise ValueError(f"the sqlite: result store was removed; "
+        if cache.startswith(_REMOVED_STORES):
+            scheme = cache.partition(":")[0]
+            raise ValueError(f"the {scheme}: result store was removed; "
                              f"use dir:<path> instead of {cache!r}")
-        if cache.startswith(("http://", "https://")):
-            # Lazy import: the remote backend lives with the campaign
-            # network stack, keeping this module free of network code.
-            from ..campaign.httpcache import HttpCacheBackend
-            return HttpCacheBackend(cache)
     return DirectoryCacheBackend(root=pathlib.Path(cache))

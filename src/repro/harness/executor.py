@@ -18,9 +18,8 @@ A sweep runs one of two ways; the second is the only multi-process path:
   :class:`repro.campaign.Campaign`: the campaign's lease state machine
   (:mod:`repro.campaign.coordinator`) hands trials to local worker
   processes, retries a trial whose worker died, and seals the result
-  exactly as a serial run would.  Journaled, resumable runs and worker
-  hosts on other machines use the same scheduler directly
-  (``repro campaign``).
+  exactly as a serial run would.  Journaled, resumable runs use the
+  same scheduler directly (``repro campaign``).
 
 ``run_sweep`` is the convenience entry point (and what ``repro sweep``
 calls).  All cache I/O happens in the calling process: workers only
@@ -247,7 +246,7 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
     cache:
         "auto" (default on-disk cache, honouring ``$REPRO_NO_CACHE``),
         ``None`` to disable, a :class:`CacheBackend`, a directory path,
-        or a ``dir:<path>`` / ``http://host:port`` URI.
+        or a ``dir:<path>`` URI.
     force:
         Recompute every trial even on a cache hit (fresh results are
         still written back).

@@ -1,26 +1,23 @@
 """Campaign-facing observability adapters.
 
 Everything here derives strictly from read-only campaign state (the
-journal, the status dict and a coordinator's snapshot dict) — same
-contract as ``campaign serve``:
+journal and the status dict) — same contract as ``campaign serve``:
 no simulator imports, never writes a byte into the campaign directory.
 
 ``journal_timeline``   per-trial timeline rows (start/end/host/status)
                        reconstructed from journal ``trial``/``lease``
                        events, plus a per-host rollup — the data model
                        behind the dashboard's timeline explorer.
-``status_metrics``     render the ``campaign_status`` dict (plus, on a
-                       coordinator, its live queue snapshot) as
+``status_metrics``     render the ``campaign_status`` dict as
                        Prometheus gauges for the ``/metrics`` route.
 ``dashboard_html``     the single-file ``--dashboard`` page: inline
-                       CSS/JS, polls ``/status`` + ``/timeline`` (and
-                       ``/coordinator`` when present), no external
-                       assets.
+                       CSS/JS, polls ``/status`` + ``/timeline``, no
+                       external assets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 
 def journal_timeline(directory, limit: int = 500) -> Dict:
@@ -49,7 +46,7 @@ def journal_timeline(directory, limit: int = 500) -> Dict:
         row = hosts.get(name)
         if row is None:
             row = hosts[name] = {"done": 0, "active_leases": 0,
-                                 "expired_leases": 0, "last_seen": None}
+                                 "last_seen": None}
         return row
 
     for event in cdir.events():
@@ -63,13 +60,6 @@ def journal_timeline(directory, limit: int = 500) -> Dict:
             active[key] = event.get("host")
             row = host_row(event.get("host") or "?")
             row["last_seen"] = stamp
-        elif kind == "renew":
-            row = host_row(event.get("host") or "?")
-            row["last_seen"] = stamp
-        elif kind == "lease-expired":
-            host = active.pop(key, None) or event.get("host")
-            if host:
-                host_row(host)["expired_leases"] += 1
         elif kind == "retry":
             retries[key] = event.get("attempt", 0)
         elif kind == "trial":
@@ -138,10 +128,6 @@ _STATUS_GAUGES = (
      "hosts"),
     ("repro_campaign_leases_issued", "Journalled lease events",
      "leases_issued"),
-    ("repro_campaign_leases_renewed", "Journalled renew events",
-     "leases_renewed"),
-    ("repro_campaign_leases_expired", "Journalled lease-expired events",
-     "leases_expired"),
     ("repro_campaign_retries", "Journalled retry events", "retries"),
     ("repro_campaign_trials_retried", "Trials retried at least once",
      "trials_retried"),
@@ -150,44 +136,25 @@ _STATUS_GAUGES = (
     ("repro_campaign_eta_seconds", "Remaining / recent rate",
      "eta_seconds"),
 )
-#: Live queue gauges read from a coordinator's ``snapshot()``.
-_SNAPSHOT_GAUGES = (
-    ("repro_coordinator_queued", "Trials ready to lease", "queued"),
-    ("repro_coordinator_delayed", "Retries waiting out their backoff",
-     "delayed"),
-    ("repro_coordinator_leased", "Trials currently leased out",
-     "leased"),
-    ("repro_coordinator_unfinished", "Trials not yet completed",
-     "unfinished"),
-)
-
-
 def _format(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
 
 
-def status_metrics(status: Dict, snapshot: Optional[Dict] = None) -> str:
+def status_metrics(status: Dict) -> str:
     """Render the status dict as Prometheus gauges, sorted by name.
 
-    Every ``repro_campaign_*`` gauge derives from the journal, so it
-    is correct in a process that computes nothing and survives a
-    restart.  A coordinator passes its live ``snapshot()`` to add the
-    ``repro_coordinator_*`` queue gauges.  A ``None`` figure (a rate
-    that is not yet estimable) is left out."""
-    leases = status.get("leases") or {}
+    Every gauge derives from the journal, so it is correct in a
+    process that computes nothing and survives a restart.  A ``None``
+    figure (a rate that is not yet estimable) is left out."""
     figures = dict(status,
                    errors=len(status.get("errors") or ()),
                    finished=int(status.get("state") == "finished"),
                    hosts=len(status.get("hosts") or ()),
-                   **{f"leases_{kind}": count
-                      for kind, count in leases.items()})
+                   leases_issued=(status.get("leases") or {}).get("issued"))
     gauges = [(name, text, figures.get(field))
               for name, text, field in _STATUS_GAUGES]
-    if snapshot is not None:
-        gauges += [(name, text, snapshot[field])
-                   for name, text, field in _SNAPSHOT_GAUGES]
     lines = []
     for name, text, value in sorted(gauges):
         if value is not None:
@@ -269,7 +236,7 @@ footer { color:var(--dim); font-size:.75rem; padding:0 1.2rem 1rem;
 </section>
 <section id="hostbox" hidden><h2>Hosts</h2>
   <table><thead><tr><th>host</th><th>trials done</th>
-  <th>active leases</th><th>expired leases</th><th>last seen</th></tr>
+  <th>active leases</th><th>last seen</th></tr>
   </thead><tbody id="hosts"></tbody></table>
 </section>
 <section><h2>Trial timeline</h2>
@@ -325,8 +292,7 @@ function renderHosts(hosts) {
     const h = hosts[name], tr = document.createElement("tr");
     const age = h.last_seen
         ? fmt(Date.now() / 1000 - h.last_seen, 0) + " s ago" : "\\u2013";
-    for (const cell of [name, h.done, h.active_leases,
-                        h.expired_leases, age]) {
+    for (const cell of [name, h.done, h.active_leases, age]) {
       const td = document.createElement("td");
       td.textContent = cell;
       tr.appendChild(td);

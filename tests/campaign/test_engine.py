@@ -1,8 +1,12 @@
 """Campaign engine: byte-identity, retries, failure taxonomy, resume."""
 
+import time
+
 import pytest
 
 from repro.campaign import Campaign, CampaignError, campaign_status
+from repro.campaign.coordinator import (DEFAULT_MAX_DELAY,
+                                        CoordinatorState, backoff_delay)
 from repro.harness.cache import ResultCache
 from repro.harness.executor import run_sweep
 from repro.harness.spec import Sweep
@@ -45,6 +49,12 @@ def fault_dir(tmp_path, monkeypatch):
 
 def journal_events(campaign, kind):
     return [e for e in campaign.cdir.events() if e.get("event") == kind]
+
+
+#: Cache URIs of result stores that no longer exist.
+REMOVED_STORES = pytest.mark.parametrize(
+    "uri", ["sqlite:results.sqlite", "http://127.0.0.1:1"],
+    ids=["sqlite", "http"])
 
 
 class TestByteIdentity:
@@ -233,15 +243,11 @@ class TestRetryBackoff:
     that fail together stop retrying in lockstep."""
 
     def _state(self, tmp_path, backoff):
-        from repro.campaign.coordinator import CoordinatorState
         campaign = Campaign.create(tmp_path / "camp", window_sweep(n=8),
                                    max_retries=10, backoff=backoff)
         return CoordinatorState(campaign, workers=1)
 
     def test_delay_is_capped(self, tmp_path):
-        import time
-
-        from repro.campaign.netretry import DEFAULT_MAX_DELAY
         state = self._state(tmp_path, backoff=1000.0)
         state._schedule_retry(("win", 0), "boom")
         ready_time, key = state.delayed[0]
@@ -257,10 +263,47 @@ class TestRetryBackoff:
         assert len(delays) > 1
 
     def test_same_trial_same_attempt_is_reproducible(self):
-        from repro.campaign.netretry import backoff_delay
         key = ("coordinator", "win", 3)
         assert backoff_delay(0.25, 2, key=key) \
             == backoff_delay(0.25, 2, key=key)
+
+
+class TestBackoffDelay:
+    def test_never_exceeds_cap(self):
+        for attempt in range(1, 40):
+            delay = backoff_delay(0.25, attempt, cap=5.0,
+                                  key=("t", attempt))
+            assert 0.0 <= delay <= 5.0
+
+    def test_default_cap_bounds_huge_bases(self):
+        # The uncapped formula would be 1000 * 2**19 seconds here.
+        assert backoff_delay(1000.0, 20, key=("t", 1)) \
+            <= DEFAULT_MAX_DELAY
+
+    def test_keyed_draws_are_deterministic(self):
+        a = backoff_delay(0.25, 3, key=("pool", 7))
+        b = backoff_delay(0.25, 3, key=("pool", 7))
+        assert a == b
+
+    def test_distinct_keys_desynchronize(self):
+        # Full jitter exists to break retry lockstep: trials failing
+        # together must not sleep identically.
+        delays = {backoff_delay(0.25, 2, key=("pool", i))
+                  for i in range(16)}
+        assert len(delays) > 1
+
+    def test_attempts_share_the_exponential_ceiling(self):
+        base = 0.25
+        for attempt in (1, 2, 3, 4):
+            ceiling = min(DEFAULT_MAX_DELAY, base * 2 ** (attempt - 1))
+            assert backoff_delay(base, attempt,
+                                 key=("x", attempt)) <= ceiling
+
+    def test_zero_base_is_zero(self):
+        assert backoff_delay(0.0, 5, key=("t", 1)) == 0.0
+
+    def test_unkeyed_draw_is_bounded(self):
+        assert 0.0 <= backoff_delay(0.25, 2) <= 0.5
 
 
 class TestLocalLeases:
@@ -278,6 +321,22 @@ class TestLocalLeases:
         assert not journal_events(campaign, "lease-expired")
         status = campaign_status(tmp_path / "camp")
         assert status["leases"]["issued"] >= status["computed"]
+
+    def test_a_lease_is_never_expired_by_the_clock(self, tmp_path,
+                                                   monkeypatch):
+        """A local lease ends only by completion or failure: the
+        engine watches its workers itself, so no amount of elapsed
+        time expires one."""
+        campaign = Campaign.create(tmp_path / "camp", window_sweep(n=2))
+        state = CoordinatorState(campaign, workers=1)
+        lease = state.claim("local-0")["lease"]
+        now = time.monotonic()
+        monkeypatch.setattr(time, "monotonic", lambda: now + 1e6)
+        state.reconcile()
+        assert not journal_events(campaign, "lease-expired")
+        assert not journal_events(campaign, "retry")
+        assert lease in state.leases
+        assert state.leases[lease].key in state.unfinished
 
 
 class TestCacheHits:
@@ -317,23 +376,25 @@ class TestManifestDefaults:
             Campaign.create(tmp_path / "camp",
                             [window_sweep("a"), window_sweep("a")])
 
-    def test_removed_sqlite_store_is_rejected_at_create(self, tmp_path):
+    @REMOVED_STORES
+    def test_removed_store_is_rejected_at_create(self, tmp_path, uri):
         with pytest.raises(CampaignError, match="dir:<path>"):
-            Campaign.create(tmp_path / "camp", window_sweep(),
-                            cache="sqlite:results.sqlite")
+            Campaign.create(tmp_path / "camp", window_sweep(), cache=uri)
         assert not (tmp_path / "camp").exists()
 
-    def test_removed_sqlite_store_is_rejected_at_open(self, tmp_path):
-        """A campaign made when ``sqlite:`` existed cannot be resumed;
-        the error points at a fresh directory (results recompute
-        byte-identically there)."""
+    @REMOVED_STORES
+    def test_removed_store_is_rejected_at_open(self, tmp_path, uri):
+        """A campaign made when ``sqlite:`` or ``http:`` stores existed
+        cannot be resumed; the error points at a fresh directory
+        (results recompute byte-identically there)."""
         campaign = Campaign.create(tmp_path / "camp", window_sweep())
         manifest = campaign.cdir.read_manifest()
-        manifest["cache"] = "sqlite:results.sqlite"
+        manifest["cache"] = uri
         campaign.cdir.write_manifest(manifest)
         with pytest.raises(CampaignError, match="fresh --dir"):
             Campaign.open(tmp_path / "camp")
-        assert not (tmp_path / "camp" / "sqlite:results.sqlite").exists()
+        assert not (tmp_path / "camp" / uri.partition(":")[0]).exists()
+        assert not (tmp_path / "camp" / uri).exists()
 
     def test_multi_sweep_campaign_writes_every_result(self, tmp_path):
         sweeps = [window_sweep("first", n=3),

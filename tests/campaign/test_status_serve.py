@@ -212,7 +212,10 @@ class TestSigterm:
         import sys
         import time
 
-        from ._chaos import SRC, child_env
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+            .rstrip(os.pathsep))
         campaign = Campaign.create(tmp_path / "camp", small_sweep())
         campaign.run(workers=1)
         child = (
@@ -223,7 +226,7 @@ class TestSigterm:
             "print('clean-exit', flush=True)\n")
         proc = subprocess.Popen(
             [sys.executable, "-c", child, str(tmp_path / "camp")],
-            env=child_env(), stdout=subprocess.PIPE,
+            env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
         try:
             assert "serving campaign" in proc.stdout.readline()

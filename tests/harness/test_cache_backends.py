@@ -1,24 +1,20 @@
 """Backend-conformance suite: every CacheBackend behaves identically.
 
-The same battery runs against the directory and http backends —
-anything observable through the public surface (get/put/stats/count/
-clear/uri) must not depend on the storage scheme.  The http backend
-talks to a real loopback campaign coordinator (the one server that
-mounts the ``/cache`` routes), so every conformance assertion also
-exercises the wire protocol.
+The battery is parametrized by backend — anything observable through
+the public surface (get/put/stats/count/clear/uri) must not depend on
+the storage scheme.  The directory backend is the one there is.
 """
 
 import json
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
 from repro.harness.cache import (CacheBackend, DirectoryCacheBackend,
                                  ResultCache, resolve_cache)
-from repro.harness.spec import Sweep, Trial
+from repro.harness.spec import Trial
 
 
 def make_trial(sled=64) -> Trial:
@@ -26,40 +22,10 @@ def make_trial(sled=64) -> Trial:
                             "config_base": "small"})
 
 
-def start_coordinator(campaign_dir, host="127.0.0.1", port=0):
-    """Serve a one-trial campaign (created on first use) over HTTP; its
-    ``/cache`` routes front the campaign's ``dir:cache`` store."""
-    from repro.campaign import Campaign, make_coordinator
-    if not campaign_dir.exists():
-        sweep = Sweep("tiny")
-        sweep.add("window", runahead="none", sled=8, config_base="small")
-        Campaign.create(campaign_dir, sweep)
-    server, _, _ = make_coordinator(campaign_dir, host=host, port=port)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
-
-
-def stop(server):
-    server.shutdown()
-    server.server_close()
-
-
-@pytest.fixture(params=["dir", "http"])
-def backend(request, tmp_path) -> CacheBackend:
-    if request.param == "dir":
-        yield DirectoryCacheBackend(root=tmp_path / "cache",
-                                    code_version="v1")
-        return
-    from repro.campaign.httpcache import HttpCacheBackend
-    from repro.campaign.netretry import RetryPolicy
-    server = start_coordinator(tmp_path / "camp")
-    host, port = server.server_address[:2]
-    yield HttpCacheBackend(f"http://{host}:{port}", code_version="v1",
-                           policy=RetryPolicy(attempts=3,
-                                              base_delay=0.01,
-                                              max_delay=0.05,
-                                              timeout=5.0))
-    stop(server)
+@pytest.fixture(params=["dir"])
+def backend(tmp_path) -> CacheBackend:
+    return DirectoryCacheBackend(root=tmp_path / "cache",
+                                 code_version="v1")
 
 
 class TestConformance:
@@ -143,66 +109,6 @@ class TestCorruptionResilience:
         record["version"] = 999
         path.write_text(json.dumps(record), encoding="utf-8")
         assert backend.get(trial) is None
-
-
-class TestHttpDegradation:
-    """The remote backend must never change experiment outcomes: an
-    unreachable or flaky server degrades to a cache miss."""
-
-    def _offline_backend(self):
-        from repro.campaign.httpcache import HttpCacheBackend
-        from repro.campaign.netretry import RetryPolicy
-        from tests.campaign._chaos import free_port
-        return HttpCacheBackend(
-            f"http://127.0.0.1:{free_port()}", code_version="v1",
-            policy=RetryPolicy(attempts=2, base_delay=0.0,
-                               max_delay=0.0, timeout=0.5))
-
-    def test_unreachable_server_degrades_to_miss(self):
-        backend = self._offline_backend()
-        trial = make_trial()
-        assert backend.get(trial) is None
-        backend.put(trial, {"ok": True})        # swallowed, no raise
-        assert backend.get(trial) is None
-        assert backend.count() == 0
-        assert backend.clear() == 0
-        assert backend.stats()["misses"] == 2
-
-    def test_server_restart_recovers(self, tmp_path):
-        from repro.campaign.httpcache import HttpCacheBackend
-        from repro.campaign.netretry import RetryPolicy
-        server = start_coordinator(tmp_path / "camp")
-        host, port = server.server_address[:2]
-        backend = HttpCacheBackend(
-            f"http://{host}:{port}", code_version="v1",
-            policy=RetryPolicy(attempts=2, base_delay=0.0,
-                               max_delay=0.0, timeout=0.5))
-        trial = make_trial()
-        backend.put(trial, {"ok": True})
-        stop(server)
-        assert backend.get(trial) is None       # down: miss, no raise
-        # Same port, same campaign store — the record survived.
-        server = start_coordinator(tmp_path / "camp", host=host,
-                                   port=port)
-        try:
-            assert backend.get(trial) == {"ok": True}
-        finally:
-            stop(server)
-
-    def test_server_rejects_traversal_keys(self, tmp_path):
-        import urllib.error
-        import urllib.request
-
-        server = start_coordinator(tmp_path / "camp")
-        host, port = server.server_address[:2]
-        try:
-            for ugly in ("..%2f..%2fsecrets", "UPPER", "zz!", "a" * 200):
-                with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    urllib.request.urlopen(
-                        f"http://{host}:{port}/cache/{ugly}", timeout=5)
-                assert excinfo.value.code == 404
-        finally:
-            stop(server)
 
 
 _WRITER = """
@@ -295,18 +201,19 @@ class TestResolveCache:
         assert isinstance(backend, DirectoryCacheBackend)
         assert backend.root == tmp_path / "store"
 
-    def test_sqlite_uri(self, tmp_path):
-        """The removed single-file store is rejected by name instead of
-        silently becoming a directory called ``sqlite:…``."""
+    @pytest.mark.parametrize("uri", [
+        "sqlite:{tmp}/store.sqlite", "http://127.0.0.1:1"],
+        ids=["sqlite", "http"])
+    def test_removed_store_uri_is_refused(self, tmp_path, monkeypatch,
+                                          uri):
+        """A removed store (the single-file ``sqlite:`` one, the
+        ``http:`` one behind a campaign coordinator) is rejected by
+        name instead of silently becoming a directory called
+        ``sqlite:…`` / ``http:``."""
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError, match="dir:<path>"):
-            resolve_cache(f"sqlite:{tmp_path / 'store.sqlite'}")
+            resolve_cache(uri.format(tmp=tmp_path))
         assert not list(tmp_path.iterdir())
-
-    def test_http_uri(self):
-        from repro.campaign.httpcache import HttpCacheBackend
-        backend = resolve_cache("http://127.0.0.1:9999")
-        assert isinstance(backend, HttpCacheBackend)
-        assert backend.uri() == "http://127.0.0.1:9999"
 
     def test_plain_path_is_directory_backend(self, tmp_path):
         backend = resolve_cache(str(tmp_path / "legacy"))

@@ -9,8 +9,8 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import Campaign, make_server
-from repro.campaign.coordinator import make_coordinator
+from repro.campaign import Campaign, campaign_status, make_server, \
+    render_status
 from repro.harness.runner import run_trial
 from repro.harness.spec import Sweep
 from repro.obs.campaign import (dashboard_html, journal_timeline,
@@ -98,7 +98,6 @@ class TestMetricsEndpoint:
         values = gauges(body)
         assert values["repro_campaign_hosts"] == 2
         assert values["repro_campaign_leases_issued"] == 4
-        assert values["repro_campaign_leases_expired"] == 0
         assert values["repro_campaign_retries"] == 0
         assert values["repro_campaign_trials_computed"] == 4
         assert not any(name.startswith("repro_coordinator_")
@@ -180,62 +179,70 @@ class TestLibraryAdapters:
         assert "__TITLE__" not in html
 
 
-class TestCoordinatorMetrics:
-    def test_coordinator_serves_metrics_and_dashboard(self,
-                                                      campaign_dir):
-        server, state, loop = make_coordinator(campaign_dir,
-                                               dashboard=True)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            code, ctype, body = fetch_raw(
-                f"http://{host}:{port}/metrics")
-            assert code == 200
-            assert ctype.startswith("text/plain")
-            values = gauges(body)
-            # The local run's leases come from the journal, though
-            # this coordinator granted none of them.
-            assert values["repro_campaign_leases_issued"] == 4
-            assert values["repro_coordinator_queued"] == 0
-            assert values["repro_coordinator_unfinished"] == 0
-            code, ctype, _ = fetch_raw(
-                f"http://{host}:{port}/dashboard")
-            assert code == 200
-            assert ctype.startswith("text/html")
-        finally:
-            loop.stop()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+class TestJournalWithLeaseClockEvents:
+    """A journal written while leases could be renewed and expired
+    (``renew`` / ``lease-expired`` events, ``ttl_seconds`` fields)
+    still renders; those events no longer feed any figure."""
 
-    def test_lease_retry_and_queue_gauges(self, tmp_path):
-        Campaign.create(tmp_path / "camp", small_sweep(), backoff=60.0)
-        server, state, loop = make_coordinator(tmp_path / "camp")
+    @pytest.fixture
+    def old_journal(self, tmp_path):
+        sweep = small_sweep(n=1)
+        campaign = Campaign.create(tmp_path / "camp", sweep)
+        key = {"sweep": "demo", "index": 0}
+        for event in (
+                {"event": "start", "run": 1, "workers": None,
+                 "mode": "coordinator", "pending": 1, "cached": 0},
+                {"event": "lease", "run": 1, **key, "host": "a:1",
+                 "lease": "l1", "ttl_seconds": 30.0},
+                {"event": "renew", "run": 1, **key, "host": "a:1",
+                 "lease": "l1"},
+                {"event": "lease-expired", "run": 1, **key,
+                 "host": "a:1", "lease": "l1"},
+                {"event": "retry", "run": 1, **key, "attempt": 1,
+                 "reason": "lease expired (host a:1 dead, hung, or "
+                           "partitioned)"},
+                {"event": "lease", "run": 1, **key, "host": "b:2",
+                 "lease": "l2", "ttl_seconds": 30.0},
+                {"event": "renew", "run": 1, **key, "host": "b:2",
+                 "lease": "l2"},
+                {"event": "trial", "run": 1, **key,
+                 "spec_hash": sweep.trials[0].spec_hash(),
+                 "status": "done", "retries": 1, "host": "b:2",
+                 "elapsed": 0.01}):
+            campaign.cdir.append_event(event)
+        return tmp_path / "camp"
+
+    def test_status_counts_leases_issued_only(self, old_journal):
+        status = campaign_status(old_journal)
+        assert status["leases"] == {"issued": 2}
+        assert status["hosts"] == ["a:1", "b:2"]
+        assert status["retries"] == 1
+        assert "2 lease(s)" in render_status(status)
+        assert "renewed" not in render_status(status)
+
+    def test_metrics_and_timeline_endpoints(self, old_journal):
+        server = make_server(old_journal, dashboard=True)
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         try:
-            _, first = state.claim("host-a")
-            _, second = state.claim("host-b")
-            assert state.renew(second["lease"])[1]["ok"]
-            state.fail({"lease": first["lease"], "kind": "worker-error",
-                        "reason": "injected"})
-            _, _, body = fetch_raw(f"http://{host}:{port}/metrics")
+            code, _, body = fetch_raw(f"http://{host}:{port}/metrics")
+            tcode, _, timeline = fetch_raw(
+                f"http://{host}:{port}/timeline")
         finally:
-            loop.stop()
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+        assert code == 200 and tcode == 200
         values = gauges(body)
-        assert values["repro_campaign_hosts"] == 2
         assert values["repro_campaign_leases_issued"] == 2
-        assert values["repro_campaign_leases_renewed"] == 1
-        assert values["repro_campaign_retries"] == 1
-        assert values["repro_campaign_trials_retried"] == 1
-        assert values["repro_coordinator_queued"] == 2
-        assert values["repro_coordinator_delayed"] == 1
-        assert values["repro_coordinator_leased"] == 1
-        assert values["repro_coordinator_unfinished"] == 4
+        assert values["repro_campaign_hosts"] == 2
+        assert not any("renewed" in name or "expired" in name
+                       for name in values)
+        payload = json.loads(timeline)
+        (row,) = payload["trials"]
+        assert (row["host"], row["status"]) == ("b:2", "done")
+        assert payload["hosts"]["b:2"]["done"] == 1
+        assert all("expired_leases" not in h
+                   for h in payload["hosts"].values())
