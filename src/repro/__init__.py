@@ -22,23 +22,27 @@ See :mod:`repro.attack` for the SPECRUN proof of concept and
 :mod:`repro.defense` for the §6 secure-runahead scheme.
 """
 
-from .isa import (AssemblyError, Instruction, Interpreter, MemoryImage,
-                  Opcode, Program, ProgramBuilder, assemble, run_program)
-from .memory import (CacheConfig, HierarchyConfig, MemoryHierarchy,
-                     SetAssociativeCache)
-from .branch import (BranchTargetBuffer, BranchUnit, ReturnStackBuffer,
-                     make_direction_predictor)
-from .pipeline import Core, CoreConfig, CoreStats, RunaheadConfig, run_on_core
-from .runahead import NoRunahead, OriginalRunahead, RunaheadController
+from ._lazy import surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AssemblyError", "Instruction", "Interpreter", "MemoryImage", "Opcode",
-    "Program", "ProgramBuilder", "assemble", "run_program", "CacheConfig",
-    "HierarchyConfig", "MemoryHierarchy", "SetAssociativeCache",
-    "BranchTargetBuffer", "BranchUnit", "ReturnStackBuffer",
-    "make_direction_predictor", "Core", "CoreConfig", "CoreStats",
-    "RunaheadConfig", "run_on_core", "NoRunahead", "OriginalRunahead",
-    "RunaheadController", "__version__",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "isa.assembler": ("AssemblyError", "assemble"),
+    "isa.instructions": ("Instruction", "Opcode"),
+    "isa.interpreter": ("Interpreter", "run_program"),
+    "isa.memory_image": ("MemoryImage",),
+    "isa.program": ("Program",),
+    "isa.builder": ("ProgramBuilder",),
+    "memory.cache": ("CacheConfig", "SetAssociativeCache"),
+    "memory.hierarchy": ("HierarchyConfig", "MemoryHierarchy"),
+    "branch.btb": ("BranchTargetBuffer",),
+    "branch.unit": ("BranchUnit",),
+    "branch.rsb": ("ReturnStackBuffer",),
+    "branch.predictors": ("make_direction_predictor",),
+    "pipeline.core": ("Core", "run_on_core"),
+    "pipeline.config": ("CoreConfig", "RunaheadConfig"),
+    "pipeline.stats": ("CoreStats",),
+    "runahead.base": ("NoRunahead", "RunaheadController"),
+    "runahead.original": ("OriginalRunahead",),
+})
+__all__.append("__version__")

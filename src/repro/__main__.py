@@ -77,12 +77,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from .harness import presets
-from .harness.cache import ResultCache
-from .harness.executor import (SerialExecutor, SweepResult,
-                               default_workers, run_sweep)
-from .harness.runner import TrialError
-from .harness.spec import Sweep, Trial
+from .harness.spec import Sweep, Trial, TrialError
 
 
 def _parse_value(text: str) -> Any:
@@ -122,6 +117,8 @@ def _run_cached(args, trial: Trial) -> Tuple[Dict[str, Any], bool]:
     """Run ``trial`` as a one-trial sweep, so it is served from and
     written to the result cache exactly as sweep trials are.  Returns
     ``(result, cached)``."""
+    from .harness.executor import SerialExecutor
+
     result = SerialExecutor().execute(Sweep(trial.kind, [trial]),
                                       cache=_cache_arg(args),
                                       force=args.force)
@@ -129,6 +126,9 @@ def _run_cached(args, trial: Trial) -> Tuple[Dict[str, Any], bool]:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import presets
+    from .harness.executor import run_sweep
+
     if args.list or not args.preset:
         for name in sorted(presets.PRESETS):
             preset = presets.PRESETS[name]
@@ -151,7 +151,7 @@ def _cmd_sweep(args) -> int:
     return status
 
 
-def _render_and_check(preset, result: SweepResult, as_json: bool) -> int:
+def _render_and_check(preset, result, as_json: bool) -> int:
     """Print ``result`` (the preset's report, or the canonical JSON with
     ``as_json``), then the preset's claims: ``claims: all hold`` or each
     failing one, on stderr under ``as_json``.  Returns 1 if any claim
@@ -190,7 +190,7 @@ def _cmd_attack(args) -> int:
         print("error: --corunner-trace and --victim-trace are mutually "
               "exclusive (dedicated core vs SMT thread)", file=sys.stderr)
         return 2
-    from .trace import trace_workload_name
+    from .trace.suite import trace_workload_name
     if args.corunner_trace:
         args.corunner = trace_workload_name(args.corunner_trace)
         args.cores = max(args.cores, 3)
@@ -279,6 +279,17 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _verify_defense(name: str) -> str:
+    """``--defense`` type: a defense model the checker knows."""
+    from .verify.engine import DEFENSES
+
+    if name not in DEFENSES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(map(repr, DEFENSES))})")
+    return name
+
+
 def _cmd_verify(args) -> int:
     from .analysis.report import format_table
     from .harness.runner import resolve_verify_target
@@ -355,7 +366,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace_record(args) -> int:
     from .harness.registry import get_workload
-    from .trace import record_trace
+    from .trace.record import record_trace
 
     workload = get_workload(args.workload)
     trace = record_trace(workload, max_steps=args.max_steps,
@@ -369,7 +380,8 @@ def _cmd_trace_record(args) -> int:
 
 def _cmd_trace_info(args) -> int:
     from .harness.registry import make_config
-    from .trace import TraceReplayWorkload, resolve_trace_source
+    from .trace.replay import TraceReplayWorkload
+    from .trace.suite import resolve_trace_source
 
     trace = resolve_trace_source(args.source)
     print(trace.summary())
@@ -392,7 +404,7 @@ def _cmd_trace_help(args) -> int:
 
 def _cmd_obs_record(args) -> int:
     from .harness.registry import get_workload, make_controller
-    from .obs import FileSink
+    from .obs.sink import FileSink
 
     workload = get_workload(args.workload)
     controller = make_controller(args.runahead) if args.runahead else None
@@ -412,8 +424,8 @@ def _cmd_obs_record(args) -> int:
 
 
 def _cmd_obs_view(args) -> int:
-    from .obs import load_events, render_html, render_text, \
-        summarize_events
+    from .obs.events import load_events
+    from .obs.view import render_html, render_text, summarize_events
 
     events = load_events(args.trace)
     summary = summarize_events(events, bins=args.bins)
@@ -431,6 +443,9 @@ def _cmd_obs_help(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .harness import presets
+    from .harness.executor import SerialExecutor, SweepResult
+
     source = args.source
     if source.endswith(".json"):
         with open(source, encoding="utf-8") as handle:
@@ -445,6 +460,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .harness.cache import ResultCache
+
     cache = ResultCache(root=args.cache_dir) if args.cache_dir \
         else ResultCache()
     if args.clear:
@@ -459,6 +476,8 @@ def _cmd_cache(args) -> int:
 
 def _campaign_report(results, as_json: bool) -> int:
     """Render and check every campaign sweep; 1 if any claim fails."""
+    from .harness import presets
+
     status = 0
     for result in results:
         preset = presets.PRESETS.get(result.name)
@@ -473,7 +492,8 @@ def _campaign_report(results, as_json: bool) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    from .campaign import Campaign
+    from .campaign.engine import Campaign
+    from .harness import presets
 
     sweeps = [presets.get(name).build(quick=args.quick)
               for name in args.presets]
@@ -491,7 +511,7 @@ def _cmd_campaign_run(args) -> int:
 
 
 def _cmd_campaign_resume(args) -> int:
-    from .campaign import Campaign
+    from .campaign.engine import Campaign
 
     campaign = Campaign.open(args.dir)
     progress = lambda line: print(line, file=sys.stderr)   # noqa: E731
@@ -500,7 +520,7 @@ def _cmd_campaign_resume(args) -> int:
 
 
 def _cmd_campaign_status(args) -> int:
-    from .campaign import campaign_status, render_status
+    from .campaign.status import campaign_status, render_status
 
     status = campaign_status(args.dir)
     if args.json:
@@ -511,7 +531,7 @@ def _cmd_campaign_status(args) -> int:
 
 
 def _cmd_campaign_serve(args) -> int:
-    from .campaign import serve
+    from .campaign.server import serve
 
     serve(args.dir, host=args.host, port=args.port,
           announce=lambda line: print(line, file=sys.stderr),
@@ -545,9 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--quick", action="store_true",
                          help="reduced smoke-tier grid")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help=f"worker processes "
-                              f"(default: $REPRO_WORKERS or "
-                              f"{default_workers()})")
+                         help="worker processes "
+                              "(default: $REPRO_WORKERS or min(4, CPUs))")
     p_sweep.add_argument("--out", help="write canonical result JSON here")
     p_sweep.add_argument("--json", action="store_true",
                          help="print canonical JSON instead of the report")
@@ -622,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_attack)
     p_attack.set_defaults(func=_cmd_attack)
 
-    from .verify.engine import DEFENSES as verify_defenses
     p_verify = sub.add_parser(
         "verify",
         help="static speculative-leak check of a gadget program")
@@ -632,9 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--list", action="store_true",
                           help="list registered verify targets")
     p_verify.add_argument("--defense", default="original",
-                          choices=verify_defenses,
-                          help="defense model to check under "
-                               "(default: original)")
+                          type=_verify_defense,
+                          help="defense model to check under: a runahead "
+                               "controller name (default: original)")
     p_verify.add_argument("--windows", default="both",
                           choices=("both", "speculation", "runahead"),
                           help="window kinds to explore (default: both)")

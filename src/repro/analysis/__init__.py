@@ -1,11 +1,10 @@
 """Measurement analysis: thresholds, leak detection, report rendering."""
 
-from .leak import ProbeVerdict, analyze_probe
-from .report import (format_bars, format_latency_plot, format_table,
-                     normalized)
-from .thresholds import classify_hits, largest_gap_threshold
+from .._lazy import surface
 
-__all__ = [
-    "ProbeVerdict", "analyze_probe", "format_bars", "format_latency_plot",
-    "format_table", "normalized", "classify_hits", "largest_gap_threshold",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "leak": ("ProbeVerdict", "analyze_probe"),
+    "report": ("format_bars", "format_latency_plot", "format_table",
+               "normalized"),
+    "thresholds": ("classify_hits", "largest_gap_threshold"),
+})

@@ -1,17 +1,13 @@
 """The SPECRUN attack: gadgets, orchestration, baselines, window probes."""
 
-from .gadgets import (AttackProgram, build_attack, build_btb_attack,
-                      build_pht_attack, build_rsb_flush_attack,
-                      build_rsb_overwrite_attack, DEFAULT_SECRET,
-                      PROBE_ENTRIES)
-from .specrun import AttackResult, SpecRunAttack, run_specrun
-from .spectre import rob_limit_comparison, run_classic_spectre
-from .window import (WindowMeasurement, measure_fig10, measure_window)
+from .._lazy import surface
 
-__all__ = [
-    "AttackProgram", "build_attack", "build_btb_attack", "build_pht_attack",
-    "build_rsb_flush_attack", "build_rsb_overwrite_attack", "DEFAULT_SECRET",
-    "PROBE_ENTRIES", "AttackResult", "SpecRunAttack", "run_specrun",
-    "rob_limit_comparison", "run_classic_spectre", "WindowMeasurement",
-    "measure_fig10", "measure_window",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "gadgets": ("AttackProgram", "build_attack", "build_btb_attack",
+                "build_pht_attack", "build_rsb_flush_attack",
+                "build_rsb_overwrite_attack", "DEFAULT_SECRET",
+                "PROBE_ENTRIES"),
+    "specrun": ("AttackResult", "SpecRunAttack", "run_specrun"),
+    "spectre": ("rob_limit_comparison", "run_classic_spectre"),
+    "window": ("WindowMeasurement", "measure_fig10", "measure_window"),
+})

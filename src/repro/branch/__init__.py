@@ -1,15 +1,12 @@
 """Branch prediction: direction predictors, BTB, RSB, combined unit."""
 
-from .base import DirectionPredictor, TwoBitCounter
-from .btb import BranchTargetBuffer
-from .predictors import (BimodalPredictor, GSharePredictor,
-                         TwoLevelPredictor, make_direction_predictor)
-from .rsb import ReturnStackBuffer
-from .unit import BranchStats, BranchUnit, Prediction
+from .._lazy import surface
 
-__all__ = [
-    "DirectionPredictor", "TwoBitCounter", "BranchTargetBuffer",
-    "BimodalPredictor", "GSharePredictor", "TwoLevelPredictor",
-    "make_direction_predictor", "ReturnStackBuffer", "BranchStats",
-    "BranchUnit", "Prediction",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "base": ("DirectionPredictor", "TwoBitCounter"),
+    "btb": ("BranchTargetBuffer",),
+    "predictors": ("BimodalPredictor", "GSharePredictor",
+                   "TwoLevelPredictor", "make_direction_predictor"),
+    "rsb": ("ReturnStackBuffer",),
+    "unit": ("BranchStats", "BranchUnit", "Prediction"),
+})

@@ -22,14 +22,12 @@ Typical use::
 The CLI surface is ``repro campaign run|resume|status|serve``.
 """
 
-from .coordinator import DEFAULT_BACKOFF, DEFAULT_RETRIES, backoff_delay
-from .engine import Campaign
-from .journal import CampaignDir, CampaignError
-from .server import make_server, serve
-from .status import campaign_status, render_status
+from .._lazy import surface
 
-__all__ = [
-    "DEFAULT_BACKOFF", "DEFAULT_RETRIES",
-    "Campaign", "CampaignDir", "CampaignError", "backoff_delay",
-    "campaign_status", "make_server", "render_status", "serve",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "coordinator": ("DEFAULT_BACKOFF", "DEFAULT_RETRIES", "backoff_delay"),
+    "engine": ("Campaign",),
+    "journal": ("CampaignDir", "CampaignError"),
+    "server": ("make_server", "serve"),
+    "status": ("campaign_status", "render_status"),
+})

@@ -27,9 +27,9 @@ only code that writes the campaign directory or its result store:
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import time
-import uuid
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -175,7 +175,7 @@ class CoordinatorState:
         if not self.queue:
             return {"retry_after": self._poll_hint()}
         key = self.queue.popleft()
-        lease_id = uuid.uuid4().hex
+        lease_id = os.urandom(16).hex()
         self.leases[lease_id] = _Lease(host, key, time.monotonic())
         sweep, index = key
         self.cdir.append_event({

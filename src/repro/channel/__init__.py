@@ -7,25 +7,19 @@ deterministic injectable noise, multi-trial statistical decoding, and
 multi-byte secret extraction with channel-bandwidth metrics.
 """
 
-from .decode import ChannelDecode, decode_trials, dip_space, signal_indices
-from .extract import (DEFAULT_CLOCK_HZ, ByteResult, ExtractionResult,
-                      extract_secret, render_byte_text)
-from .noise import (NO_NOISE, NoiseDraw, NoiseModel, SplitMix64,
-                    derive_seed)
-from .receiver import (RECEIVERS, EvictReloadReceiver, FlushReloadReceiver,
-                       PrimeProbeReceiver, ProbeLayout, ProbeVector,
-                       Receiver, eviction_set, make_receiver,
-                       receiver_class)
-from .session import (ChannelOutcome, calibrate_receiver,
-                      run_channel_attack)
+from .._lazy import surface
 
-__all__ = [
-    "ChannelDecode", "decode_trials", "dip_space", "signal_indices",
-    "DEFAULT_CLOCK_HZ", "ByteResult", "ExtractionResult", "extract_secret",
-    "render_byte_text",
-    "NO_NOISE", "NoiseDraw", "NoiseModel", "SplitMix64", "derive_seed",
-    "RECEIVERS", "EvictReloadReceiver", "FlushReloadReceiver",
-    "PrimeProbeReceiver", "ProbeLayout", "ProbeVector", "Receiver",
-    "eviction_set", "make_receiver", "receiver_class",
-    "ChannelOutcome", "calibrate_receiver", "run_channel_attack",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "decode": ("ChannelDecode", "decode_trials", "dip_space",
+               "signal_indices"),
+    "extract": ("DEFAULT_CLOCK_HZ", "ByteResult", "ExtractionResult",
+                "extract_secret", "render_byte_text"),
+    "noise": ("NO_NOISE", "NoiseDraw", "NoiseModel", "SplitMix64",
+              "derive_seed"),
+    "receiver": ("RECEIVERS", "EvictReloadReceiver", "FlushReloadReceiver",
+                 "PrimeProbeReceiver", "ProbeLayout", "ProbeVector",
+                 "Receiver", "eviction_set", "make_receiver",
+                 "receiver_class"),
+    "session": ("ChannelOutcome", "calibrate_receiver",
+                "run_channel_attack"),
+})

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
+from ..attack.gadgets import build_attack
+from ..multicore.scenario import Topology
 from ..pipeline.config import CoreConfig
 from ..runahead.base import RunaheadController
 from .decode import ChannelDecode, decode_trials
@@ -218,9 +220,6 @@ def extract_secret(secret: Union[bytes, str, Sequence[int]],
     thread of the victim's core with ``smt=True``).  The defaults are
     exactly the PR 3 single-core path.
     """
-    from ..attack.gadgets import build_attack
-    from ..multicore.scenario import Topology
-
     values = _as_values(secret)
     model = NoiseModel.from_spec(noise)
     cls = receiver_class(receiver)

@@ -50,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+from ..multicore.scenario import Topology, build_attack_system
 from ..pipeline.config import CoreConfig
 from ..pipeline.core import Core
 from .decode import ChannelDecode, decode_trials, signal_indices
@@ -157,7 +158,6 @@ def run_victim(attack, runahead, config: CoreConfig, max_cycles: int,
             receiver.prepare()
         core.run(max_cycles=max_cycles)
     else:
-        from ..multicore.scenario import build_attack_system
         system, receiver = build_attack_system(attack, runahead, config,
                                                receiver_name, topology)
         receiver.prepare()
@@ -187,7 +187,6 @@ def calibrate_receiver(calibration_attack, runahead, config: CoreConfig,
     deterministic co-runner's interference is then part of the
     baseline too.
     """
-    from ..multicore.scenario import Topology
     core, receiver = run_victim(calibration_attack, runahead, config,
                                 max_cycles, receiver_name,
                                 Topology.from_params(topology))
@@ -228,7 +227,6 @@ def run_channel_attack(attack, runahead, config: Optional[CoreConfig],
         :func:`run_victim`); ``None``/single-core keeps the one-core
         path.
     """
-    from ..multicore.scenario import Topology
     topology = Topology.from_params(topology)
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -1,11 +1,10 @@
 """The §6 defenses: SL cache + taint tracking, and branch-skip restriction."""
 
-from .restrictions import BranchRestrictedRunahead
-from .secure import SecureRunahead
-from .sl_cache import SLCache, SLCacheStats, SLEntry
-from .taint import UNTRUSTED, Scope, TaintInfo, TaintTracker
+from .._lazy import surface
 
-__all__ = [
-    "BranchRestrictedRunahead", "SecureRunahead", "SLCache", "SLCacheStats",
-    "SLEntry", "UNTRUSTED", "Scope", "TaintInfo", "TaintTracker",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "restrictions": ("BranchRestrictedRunahead",),
+    "secure": ("SecureRunahead",),
+    "sl_cache": ("SLCache", "SLCacheStats", "SLEntry"),
+    "taint": ("UNTRUSTED", "Scope", "TaintInfo", "TaintTracker"),
+})

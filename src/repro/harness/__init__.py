@@ -15,27 +15,19 @@ cached on disk keyed by trial spec + code fingerprint
 (:mod:`repro.harness.cache`).
 """
 
-from . import presets
-from .aggregate import (attack_cell, attack_matrix, geomean,
-                        geometric_mean_speedup, ipc_table, speedup_bars)
-from .cache import (CACHE_DIR_ENV, CACHE_DISABLE_ENV, CacheBackend,
-                    DirectoryCacheBackend, ResultCache, code_fingerprint,
-                    default_cache_dir, resolve_cache)
-from .executor import (SerialExecutor, SweepResult, default_workers,
-                       make_record, run_sweep)
-from .registry import (CONTROLLERS, get_workload, make_config,
-                       make_controller, workloads)
-from .runner import TrialError, run_trial
-from .spec import Sweep, Trial, canonical_json, stable_seed
+from .._lazy import surface
 
-__all__ = [
-    "presets", "attack_cell", "attack_matrix", "geomean",
-    "geometric_mean_speedup", "ipc_table", "speedup_bars",
-    "CACHE_DIR_ENV", "CACHE_DISABLE_ENV", "CacheBackend",
-    "DirectoryCacheBackend", "ResultCache", "code_fingerprint", "default_cache_dir", "resolve_cache",
-    "SerialExecutor", "SweepResult",
-    "default_workers", "make_record", "run_sweep", "CONTROLLERS",
-    "get_workload", "make_config", "make_controller", "workloads",
-    "TrialError", "run_trial", "Sweep", "Trial", "canonical_json",
-    "stable_seed",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "aggregate": ("attack_cell", "attack_matrix", "geomean",
+                  "geometric_mean_speedup", "ipc_table", "speedup_bars"),
+    "cache": ("CACHE_DIR_ENV", "CACHE_DISABLE_ENV", "CacheBackend",
+              "DirectoryCacheBackend", "ResultCache", "code_fingerprint",
+              "default_cache_dir", "resolve_cache"),
+    "executor": ("SerialExecutor", "SweepResult", "default_workers",
+                 "make_record", "run_sweep"),
+    "registry": ("CONTROLLERS", "get_workload", "make_config",
+                 "make_controller", "workloads"),
+    "runner": ("run_trial",),
+    "spec": ("Sweep", "Trial", "TrialError", "canonical_json",
+             "stable_seed"),
+}, modules=("presets",))

@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import pathlib
-import uuid
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
@@ -226,7 +225,7 @@ class DirectoryCacheBackend(CacheBackend):
         # two writers of one key each rename a complete file into place
         # (last write wins), never each other's half-written one.
         path = self._path(key)
-        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
+        tmp = path.with_name(f"{key}.{os.urandom(16).hex()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text(json.dumps(record, sort_keys=True, indent=1),

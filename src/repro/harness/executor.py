@@ -258,7 +258,7 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
         return SerialExecutor().execute(sweep, cache=cache, force=force,
                                         progress=progress)
     # Lazy import: the campaign package is built on this module.
-    from ..campaign import Campaign
+    from ..campaign.engine import Campaign
     with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
         # With caching off the campaign computes into its own store,
         # which is deleted with the directory.

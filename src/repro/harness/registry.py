@@ -135,7 +135,7 @@ def workloads() -> Dict[str, Workload]:
     """All named workloads: the Fig. 7 suite, the reference kernel, and
     the synthetic trace-replay suite (``trace-mcf``/``trace-stream``/
     ``trace-gcc``/``trace-zipf``)."""
-    from ..trace import trace_suite
+    from ..trace.suite import trace_suite
 
     table = dict(spec_like_suite())
     ref = _build_reference()
@@ -153,7 +153,7 @@ def get_workload(name: str) -> Workload:
     plain string, so such trials stay JSON-serializable.
     """
     if name.startswith("trace:"):
-        from ..trace import replay_workload_from_file
+        from ..trace.replay import replay_workload_from_file
         try:
             return replay_workload_from_file(name[len("trace:"):])
         except OSError as exc:

@@ -61,12 +61,7 @@ from ..attack.window import measure_window
 from ..channel.extract import extract_secret
 from ..defense.taint_demo import run_fig12
 from .registry import get_workload, make_config, make_controller
-from .spec import TRIAL_KINDS, Trial
-
-
-class TrialError(RuntimeError):
-    """A trial failed; carries the trial label for diagnostics."""
-
+from .spec import TRIAL_KINDS, Trial, TrialError
 
 #: Multi-core placement params of the extract kind.
 _TOPOLOGY_KEYS = ("cores", "corunner", "smt", "corunner_runahead")
@@ -230,7 +225,7 @@ def verify_record(case, result) -> Dict[str, Any]:
 
 
 def _run_verify(trial: Trial) -> Dict[str, Any]:
-    from ..verify import VerifyOptions, check_program
+    from ..verify.engine import VerifyOptions, check_program
     from ..verify.crosscheck import DEFAULT_MAX_CYCLES, cross_check_case
     from ..verify.report import WINDOWS
 

@@ -42,6 +42,18 @@ def stable_seed(*parts: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+class TrialError(RuntimeError):
+    """A trial failed; carries the trial label for diagnostics."""
+
+
+def _load_checker() -> None:
+    """Import the static checker a ``verify`` trial runs.  It loads with
+    the first verify trial a process builds, so neither a timed trial
+    nor a forked campaign worker pays for the import, and a process
+    whose sweeps hold no verify trial never loads ``repro.verify``."""
+    from ..verify import crosscheck, gen  # noqa: F401
+
+
 @dataclass
 class Trial:
     """One reproducible experiment, described by data only.
@@ -71,6 +83,8 @@ class Trial:
             self.seed = stable_seed(self.kind, encoded)
         if self.label is None:
             self.label = self._default_label()
+        if self.kind == "verify":
+            _load_checker()
 
     def _default_label(self) -> str:
         bits = [self.kind]

@@ -1,21 +1,17 @@
 """Instruction set, assembler, program representation and golden model."""
 
-from .assembler import AssemblyError, assemble
-from .builder import ProgramBuilder
-from .instructions import (INSTR_BYTES, WORD_BYTES, FuKind, Instruction,
-                           Opcode, to_signed64, to_unsigned64)
-from .interpreter import (Interpreter, InterpreterError, InterpreterResult,
-                          run_program)
-from .memory_image import MemoryImage
-from .program import Program
-from .registers import (NUM_ARCH_REGS, REG_SP, REG_ZERO, fp_reg, int_reg,
-                        parse_reg, reg_class, reg_name, vec_reg)
+from .._lazy import surface
 
-__all__ = [
-    "AssemblyError", "assemble", "ProgramBuilder", "INSTR_BYTES",
-    "WORD_BYTES", "FuKind", "Instruction", "Opcode", "to_signed64",
-    "to_unsigned64", "Interpreter", "InterpreterError", "InterpreterResult",
-    "run_program", "MemoryImage", "Program", "NUM_ARCH_REGS", "REG_SP",
-    "REG_ZERO", "fp_reg", "int_reg", "parse_reg", "reg_class", "reg_name",
-    "vec_reg",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "assembler": ("AssemblyError", "assemble"),
+    "builder": ("ProgramBuilder",),
+    "instructions": ("INSTR_BYTES", "WORD_BYTES", "FuKind", "Instruction",
+                     "Opcode", "to_signed64", "to_unsigned64"),
+    "interpreter": ("Interpreter", "InterpreterError", "InterpreterResult",
+                    "run_program"),
+    "memory_image": ("MemoryImage",),
+    "program": ("Program",),
+    "registers": ("NUM_ARCH_REGS", "REG_SP", "REG_ZERO", "fp_reg",
+                  "int_reg", "parse_reg", "reg_class", "reg_name",
+                  "vec_reg"),
+})

@@ -30,9 +30,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .instructions import INSTR_BYTES, Instruction, Opcode
 from .program import Program
-from .registers import parse_reg
+from .registers import REG_SP, parse_reg
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+#: ``@name[+-offset]``, matched from just after the ``@``.
+_SYMBOL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)([+-].+)?$")
 
 # Operand signatures: d = dest reg, s = src reg, i = immediate, t = target
 # label, o = optional immediate (defaults to 0).
@@ -61,7 +63,13 @@ _SIGNATURES = {
     Opcode.RDTSC: "d", Opcode.FENCE: "", Opcode.NOP: "", Opcode.HALT: "",
 }
 
-_OPCODES_BY_NAME = {op.mnemonic: op for op in Opcode}
+#: mnemonic -> (opcode, signature, min operands, max operands).
+_FORMS = {op.mnemonic: (op, sig, len(sig.rstrip("o")), len(sig))
+          for op, sig in _SIGNATURES.items()}
+
+#: call/ret implicitly push/pop the return address through the stack
+#: pointer (the SpectreRSB attack surface).
+_STACK_OPS = (Opcode.CALL, Opcode.RET)
 
 
 class AssemblyError(ValueError):
@@ -77,9 +85,8 @@ def _parse_imm(token, symbols, lineno):
     if token.startswith("@"):
         if symbols is None:
             raise AssemblyError(lineno, f"no symbol table for {token!r}")
-        body = token[1:]
         offset = 0
-        match = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)([+-].+)?$", body)
+        match = _SYMBOL_RE.match(token, 1)
         if not match:
             raise AssemblyError(lineno, f"bad symbol expression: {token!r}")
         name, tail = match.group(1), match.group(2)
@@ -93,14 +100,16 @@ def _parse_imm(token, symbols, lineno):
                     lineno, f"bad symbol offset: {token!r}") from None
         return symbols[name] + offset
     try:
-        if "." in token or "e" in token.lower() and not token.lower().startswith("0x"):
-            try:
-                return int(token, 0)
-            except ValueError:
-                return float(token)
         return int(token, 0)
     except ValueError:
-        raise AssemblyError(lineno, f"bad immediate: {token!r}") from None
+        pass
+    lower = token.lower()
+    if "." in token or "e" in lower and not lower.startswith("0x"):
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise AssemblyError(lineno, f"bad immediate: {token!r}")
 
 
 def _split_statements(line):
@@ -121,16 +130,14 @@ def _parse_instruction(text, symbols, lineno):
     """Parse one instruction; branch targets stay as label strings."""
     parts = text.split(None, 1)
     mnemonic = parts[0].lower()
-    if mnemonic not in _OPCODES_BY_NAME:
+    form = _FORMS.get(mnemonic)
+    if form is None:
         raise AssemblyError(lineno, f"unknown mnemonic: {mnemonic!r}")
-    opcode = _OPCODES_BY_NAME[mnemonic]
-    signature = _SIGNATURES[opcode]
+    opcode, signature, min_operands, max_operands = form
     operands = []
     if len(parts) > 1 and parts[1].strip():
         operands = [tok.strip() for tok in parts[1].split(",")]
 
-    min_operands = len(signature.rstrip("o"))
-    max_operands = len(signature)
     if not min_operands <= len(operands) <= max_operands:
         raise AssemblyError(
             lineno,
@@ -226,27 +233,28 @@ def assemble(source, symbols=None, memory_image=None):
     symbols = dict(symbols or {})
     statements, label_table = _pass1(source)
 
-    # Pass 2: parse and resolve.  A ``.repeat`` body is parsed once and
-    # its one (immutable) Instruction emitted ``count`` times.
-    from .registers import REG_SP
-
+    # Pass 2: parse and resolve.  Each distinct instruction text (a
+    # ``.repeat`` body too) is parsed once and its one (immutable)
+    # Instruction fills every slot that spells it.
     instructions = []
+    parsed: Dict[str, Instruction] = {}
     for lineno, text, count in statements:
         if not count:
             continue
-        opcode, dest, srcs, imm, target_label = _parse_instruction(
-            text, symbols, lineno)
-        if opcode in (Opcode.CALL, Opcode.RET):
-            # call/ret implicitly push/pop the return address through the
-            # stack pointer (the SpectreRSB attack surface).
-            dest = REG_SP
-            srcs = (REG_SP,)
-        target = None
-        if target_label is not None:
-            if target_label not in label_table:
-                raise AssemblyError(lineno, f"unknown label: {target_label!r}")
-            target = label_table[target_label]
-        instructions.extend(
-            [Instruction(opcode=opcode, dest=dest, srcs=srcs, imm=imm,
-                         target=target)] * count)
+        instruction = parsed.get(text)
+        if instruction is None:
+            opcode, dest, srcs, imm, target_label = _parse_instruction(
+                text, symbols, lineno)
+            if opcode in _STACK_OPS:
+                dest = REG_SP
+                srcs = (REG_SP,)
+            target = None
+            if target_label is not None:
+                if target_label not in label_table:
+                    raise AssemblyError(lineno,
+                                        f"unknown label: {target_label!r}")
+                target = label_table[target_label]
+            instruction = parsed[text] = Instruction(
+                opcode=opcode, dest=dest, srcs=srcs, imm=imm, target=target)
+        instructions.extend([instruction] * count)
     return Program(instructions, labels=label_table, symbols=symbols)

@@ -85,13 +85,6 @@ class ProgramBuilder:
         self._lines.append(line)
         return self
 
-    def __getattr__(self, name):
-        if name in _MNEMONICS:
-            def emitter(*operands):
-                return self.emit(name, *operands)
-            return emitter
-        raise AttributeError(name)
-
     # Named wrappers for mnemonics that shadow keywords/builtins, so call
     # sites can avoid getattr tricks.
     def and_(self, *operands):
@@ -109,3 +102,15 @@ class ProgramBuilder:
     def build(self):
         """Assemble the accumulated program."""
         return assemble(self.source(), memory_image=self.memory_image)
+
+
+def _emitter(mnemonic):
+    """The :class:`ProgramBuilder` method that emits ``mnemonic``."""
+    def method(self, *operands):
+        return self.emit(mnemonic, *operands)
+    method.__name__ = method.__qualname__ = mnemonic
+    return method
+
+
+for _mnemonic in _MNEMONICS:
+    setattr(ProgramBuilder, _mnemonic, _emitter(_mnemonic))

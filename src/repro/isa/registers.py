@@ -78,24 +78,21 @@ def reg_name(reg):
     return f"x{reg - VEC_BASE}"
 
 
+#: Every register name -> flat index, the one table ``parse_reg`` reads.
+_REG_INDEX = {**{f"r{n}": INT_BASE + n for n in range(NUM_INT_REGS)},
+              **{f"f{n}": FP_BASE + n for n in range(NUM_FP_REGS)},
+              **{f"x{n}": VEC_BASE + n for n in range(NUM_VEC_REGS)},
+              "sp": REG_SP, "lr": REG_LINK}
+
+
 def parse_reg(name):
     """Parse an assembly register name ("r5", "f3", "x1", "sp") to an index."""
-    text = name.strip().lower()
-    if text == "sp":
-        return REG_SP
-    if text == "lr":
-        return REG_LINK
-    if len(text) < 2 or text[0] not in "rfx":
-        raise ValueError(f"not a register name: {name!r}")
-    try:
-        index = int(text[1:])
-    except ValueError:
-        raise ValueError(f"not a register name: {name!r}") from None
-    if text[0] == "r":
-        return int_reg(index)
-    if text[0] == "f":
-        return fp_reg(index)
-    return vec_reg(index)
+    index = _REG_INDEX.get(name)
+    if index is None:
+        index = _REG_INDEX.get(name.strip().lower())
+        if index is None:
+            raise ValueError(f"not a register name: {name!r}")
+    return index
 
 
 def zero_value(reg):

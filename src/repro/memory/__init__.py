@@ -1,19 +1,14 @@
 """Memory subsystem: caches, replacement, main memory, hierarchy."""
 
-from .cache import CacheConfig, CacheStats, SetAssociativeCache
-from .hierarchy import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
-                        LEVEL_PENDING, PHYS_WINDOW_STRIDE, AccessResult,
-                        CoreView, HierarchyConfig, HierarchyStats,
-                        MemoryHierarchy, SharedHierarchy)
-from .main_memory import ChannelStats, MainMemory, MemoryChannel
-from .replacement import (FifoPolicy, LruPolicy, RandomPolicy,
-                          ReplacementPolicy, make_policy)
+from .._lazy import surface
 
-__all__ = [
-    "CacheConfig", "CacheStats", "SetAssociativeCache", "LEVEL_L1",
-    "LEVEL_L2", "LEVEL_L3", "LEVEL_MEM", "LEVEL_PENDING", "AccessResult",
-    "HierarchyConfig", "HierarchyStats", "MemoryHierarchy", "SharedHierarchy",
-    "CoreView", "PHYS_WINDOW_STRIDE", "ChannelStats",
-    "MainMemory", "MemoryChannel", "FifoPolicy", "LruPolicy", "RandomPolicy",
-    "ReplacementPolicy", "make_policy",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "cache": ("CacheConfig", "CacheStats", "SetAssociativeCache"),
+    "hierarchy": ("LEVEL_L1", "LEVEL_L2", "LEVEL_L3", "LEVEL_MEM",
+                  "LEVEL_PENDING", "PHYS_WINDOW_STRIDE", "AccessResult",
+                  "CoreView", "HierarchyConfig", "HierarchyStats",
+                  "MemoryHierarchy", "SharedHierarchy"),
+    "main_memory": ("ChannelStats", "MainMemory", "MemoryChannel"),
+    "replacement": ("FifoPolicy", "LruPolicy", "RandomPolicy",
+                    "ReplacementPolicy", "make_policy"),
+})

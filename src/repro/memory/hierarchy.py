@@ -50,6 +50,7 @@ The design decisions that the SPECRUN experiments depend on:
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -162,6 +163,7 @@ class _PendingFill:
     completion: int
     fill_data: bool       # install into the data-side caches on completion
     fill_inst: bool       # install into L1I on completion
+    order: int            # the line's place in install (``_pending``) order
     dropped: bool = False # clflush arrived while in flight
 
 
@@ -244,6 +246,10 @@ class SharedHierarchy:
         self.l3 = _SharedL3(self.config.l3, self._views, bool(inclusive))
         self.channel = MemoryChannel(self.config.mem_latency,
                                      self.config.mem_occupancy)
+        #: Never above any view's ``next_fill`` (views lower it when
+        #: they start a fill), so ``apply_completed`` before it is a
+        #: no-op and costs one compare.
+        self.next_fill = _NO_FILL
 
     @property
     def inclusive(self) -> bool:
@@ -296,16 +302,25 @@ class SharedHierarchy:
 
     def apply_completed(self, now):
         """Install every view's pending fills whose completion passed."""
+        if now < self.next_fill:
+            return
+        best = _NO_FILL
         for ref in self._views:
             view = ref()
-            if view is not None and now >= view.next_fill:
-                view.apply_completed(now)
+            if view is not None:
+                if now >= view.next_fill:
+                    view.apply_completed(now)
+                if view.next_fill < best:
+                    best = view.next_fill
+        self.next_fill = best
 
     def next_event(self):
         """Earliest pending-fill completion across all views, or None."""
         best = None
-        for view in self.views:
-            if view._pending and (best is None or view.next_fill < best):
+        for ref in self._views:
+            view = ref()
+            if view is not None and view._pending and (
+                    best is None or view.next_fill < best):
                 best = view.next_fill
         return best
 
@@ -318,8 +333,10 @@ class SharedHierarchy:
             view.l1d.reset()
             view.l2.reset()
             view._pending.clear()
+            view._fills.clear()
             view.next_fill = _NO_FILL
             view.stats = HierarchyStats()
+        self.next_fill = _NO_FILL
 
 
 class MemoryHierarchy:
@@ -359,9 +376,15 @@ class MemoryHierarchy:
         self.l3 = shared.l3
         self.channel = shared.channel
         self._pending: Dict[int, _PendingFill] = {}
-        #: Earliest completion among this view's pending fills (kept
-        #: exact; public so the core can gate its per-cycle
-        #: ``apply_completed`` call on one integer compare).
+        #: Min-heap of ``(completion, order, line)``, one entry per fill
+        #: started; an entry whose fill was installed or replaced since
+        #: is stale and skipped (see :meth:`_current`).
+        self._fills: List[Tuple[int, int, int]] = []
+        #: ``order`` of the next line new to ``_pending``.
+        self._next_order = 0
+        #: Earliest completion among this view's pending fills (public
+        #: so the core can gate its per-cycle ``apply_completed`` call
+        #: on one integer compare).
         self.next_fill = _NO_FILL
         self.stats = HierarchyStats()
         #: Observability sink (repro.obs.sink) — ``None`` means tracing
@@ -377,15 +400,46 @@ class MemoryHierarchy:
         ``Core._fetch`` computes this inline; keep the two alike."""
         return (addr + self.phys_base) & self.line_mask
 
+    def _current(self, entry) -> bool:
+        """Whether a ``_fills`` entry is the line's pending fill."""
+        completion, order, line = entry
+        pending = self._pending.get(line)
+        return pending is not None and pending.completion == completion \
+            and pending.order == order
+
+    def _start_fill(self, line, completion, replaced, *, fill_data,
+                    fill_inst):
+        """Register a fill of ``line`` due at ``completion``.  A fill
+        that replaces a ``replaced`` (dropped) one keeps its place in
+        install order, as a dict keeps an overwritten key's place."""
+        if replaced is None:
+            order = self._next_order
+            self._next_order += 1
+        else:
+            order = replaced.order
+        self._pending[line] = _PendingFill(completion, fill_data, fill_inst,
+                                           order)
+        heapq.heappush(self._fills, (completion, order, line))
+        if completion < self.next_fill:
+            self.next_fill = completion
+            if completion < self.shared.next_fill:
+                self.shared.next_fill = completion
+
     def apply_completed(self, now):
-        """Install every pending fill whose completion has passed."""
+        """Install every pending fill whose completion has passed, in the
+        order their lines entered ``_pending``."""
         if now < self.next_fill:
             return
         pending_map = self._pending
-        done = [line for line, p in pending_map.items()
-                if p.completion <= now]
+        fills = self._fills
+        due = {}
+        while fills and fills[0][0] <= now:
+            entry = heapq.heappop(fills)
+            if self._current(entry):
+                due[entry[1]] = entry[2]
         trace = self.trace
-        for line in done:
+        for order in sorted(due):
+            line = due[order]
             pending = pending_map.pop(line)
             if pending.dropped:
                 continue
@@ -415,9 +469,9 @@ class MemoryHierarchy:
                 trace.emit(now, _EV_FILL, line, level_id)
                 if evicted is not None:
                     trace.emit(now, _EV_EVICT, evicted, level_id)
-        self.next_fill = min(
-            (p.completion for p in pending_map.values()),
-            default=_NO_FILL)
+        while fills and not self._current(fills[0]):
+            heapq.heappop(fills)
+        self.next_fill = fills[0][0] if fills else _NO_FILL
 
     def next_event(self):
         """Earliest pending-fill completion, or None (for cycle skipping)."""
@@ -484,10 +538,8 @@ class MemoryHierarchy:
 
         completion = self.channel.request(now) + l3_latency
         self.stats.mem_requests += 1
-        self._pending[line] = _PendingFill(completion, fill_data=fill,
-                                           fill_inst=False)
-        if completion < self.next_fill:
-            self.next_fill = completion
+        self._start_fill(line, completion, pending, fill_data=fill,
+                         fill_inst=False)
         if trace is not None:
             trace.emit(now, _EV_ACCESS, line, _LID_MEM)
         return AccessResult(completion - now, LEVEL_MEM, completion, line)
@@ -525,10 +577,8 @@ class MemoryHierarchy:
 
         completion = self.channel.request(now) + l3_latency
         self.stats.mem_requests += 1
-        self._pending[line] = _PendingFill(completion, fill_data=False,
-                                           fill_inst=True)
-        if completion < self.next_fill:
-            self.next_fill = completion
+        self._start_fill(line, completion, pending, fill_data=False,
+                         fill_inst=True)
         return AccessResult(completion - now, LEVEL_MEM, completion, line)
 
     # -- maintenance -----------------------------------------------------------------
@@ -638,6 +688,7 @@ class MemoryHierarchy:
             cache.reset()
         self.channel.reset()
         self._pending.clear()
+        self._fills.clear()
         self.next_fill = _NO_FILL
         self.stats = HierarchyStats()
 

@@ -1,8 +1,8 @@
 """Multi-core simulation: lockstep scheduling and cross-core channels."""
 
-from .scenario import Topology, build_attack_system
-from .system import CoreSlot, MultiCoreSystem
+from .._lazy import surface
 
-__all__ = [
-    "Topology", "build_attack_system", "CoreSlot", "MultiCoreSystem",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "scenario": ("Topology", "build_attack_system"),
+    "system": ("CoreSlot", "MultiCoreSystem"),
+})

@@ -16,24 +16,16 @@ cache keys):
                        HTML page.
 """
 
-from .events import (EV_CACHE_EVICT, EV_CACHE_FILL, EV_CACHE_PROBE,
-                     EV_COMMIT, EV_DISPATCH, EV_FETCH, EV_FLUSH,
-                     EV_INV, EV_ISSUE, EV_MEM_ACCESS, EV_MISPREDICT,
-                     EV_PSEUDO_RETIRE, EV_RA_ENTER, EV_RA_EXIT,
-                     EV_SQUASH, EVENT_NAMES, EVENT_SCHEMA, LEVEL_IDS,
-                     LEVEL_NAMES, decode_events, encode_events,
-                     event_name, load_events, save_events)
-from .sink import FileSink, MemorySink, TraceSink, attach_sink
-from .view import render_html, render_text, summarize_events
+from .._lazy import surface
 
-__all__ = [
-    "EV_CACHE_EVICT", "EV_CACHE_FILL", "EV_CACHE_PROBE", "EV_COMMIT",
-    "EV_DISPATCH", "EV_FETCH", "EV_FLUSH", "EV_INV", "EV_ISSUE",
-    "EV_MEM_ACCESS", "EV_MISPREDICT", "EV_PSEUDO_RETIRE", "EV_RA_ENTER",
-    "EV_RA_EXIT", "EV_SQUASH",
-    "EVENT_NAMES", "EVENT_SCHEMA", "LEVEL_IDS", "LEVEL_NAMES",
-    "decode_events", "encode_events", "event_name", "load_events",
-    "save_events",
-    "FileSink", "MemorySink", "TraceSink", "attach_sink",
-    "render_html", "render_text", "summarize_events",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "events": ("EV_CACHE_EVICT", "EV_CACHE_FILL", "EV_CACHE_PROBE",
+               "EV_COMMIT", "EV_DISPATCH", "EV_FETCH", "EV_FLUSH", "EV_INV",
+               "EV_ISSUE", "EV_MEM_ACCESS", "EV_MISPREDICT",
+               "EV_PSEUDO_RETIRE", "EV_RA_ENTER", "EV_RA_EXIT", "EV_SQUASH",
+               "EVENT_NAMES", "EVENT_SCHEMA", "LEVEL_IDS", "LEVEL_NAMES",
+               "decode_events", "encode_events", "event_name",
+               "load_events", "save_events"),
+    "sink": ("FileSink", "MemorySink", "TraceSink", "attach_sink"),
+    "view": ("render_html", "render_text", "summarize_events"),
+})

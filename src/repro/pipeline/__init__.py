@@ -1,15 +1,12 @@
 """Out-of-order core: configuration, ROB, functional units, the simulator."""
 
-from .config import CoreConfig, RunaheadConfig, PAPER_FUNCTIONAL_UNITS
-from .core import (BLOCKED, Core, MODE_NORMAL, MODE_RUNAHEAD,
-                   SimulationError, run_on_core)
-from .functional_units import FunctionalUnitPool
-from .rob import DISPATCHED, DONE, ISSUED, ReorderBuffer, RobEntry
-from .stats import CoreStats
+from .._lazy import surface
 
-__all__ = [
-    "CoreConfig", "RunaheadConfig", "PAPER_FUNCTIONAL_UNITS", "BLOCKED",
-    "Core", "MODE_NORMAL", "MODE_RUNAHEAD", "SimulationError", "run_on_core",
-    "FunctionalUnitPool", "DISPATCHED", "DONE", "ISSUED", "ReorderBuffer",
-    "RobEntry", "CoreStats",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "config": ("CoreConfig", "RunaheadConfig", "PAPER_FUNCTIONAL_UNITS"),
+    "core": ("BLOCKED", "Core", "MODE_NORMAL", "MODE_RUNAHEAD",
+             "SimulationError", "run_on_core"),
+    "functional_units": ("FunctionalUnitPool",),
+    "rob": ("DISPATCHED", "DONE", "ISSUED", "ReorderBuffer", "RobEntry"),
+    "stats": ("CoreStats",),
+})

@@ -1,14 +1,12 @@
 """Runahead execution variants: original, precise, vector."""
 
-from .base import NoRunahead, RunaheadController
-from .checkpoint import Checkpoint
-from .original import OriginalRunahead
-from .precise import PreciseRunahead, compute_stall_slices
-from .runahead_cache import RunaheadCache
-from .vector import VectorRunahead
+from .._lazy import surface
 
-__all__ = [
-    "NoRunahead", "RunaheadController", "Checkpoint", "OriginalRunahead",
-    "PreciseRunahead", "compute_stall_slices", "RunaheadCache",
-    "VectorRunahead",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "base": ("NoRunahead", "RunaheadController"),
+    "checkpoint": ("Checkpoint",),
+    "original": ("OriginalRunahead",),
+    "precise": ("PreciseRunahead", "compute_stall_slices"),
+    "runahead_cache": ("RunaheadCache",),
+    "vector": ("VectorRunahead",),
+})

@@ -9,35 +9,13 @@ simulator by :mod:`repro.verify.crosscheck`: flagged gadgets must leak
 empirically; defense-clean verdicts must extract nothing.
 """
 
-from .engine import (DEFENSES, Checker, VerifyError, VerifyOptions,
-                     check_program)
-from .report import (WINDOW_RUNAHEAD, WINDOW_SPECULATION, WINDOWS,
-                     LeakReport, VerifyResult, merge_reports)
-from .targets import (ATTACK_TARGETS, GadgetCase, build_target,
-                      target_names)
+from .._lazy import surface
 
-__all__ = [
-    "ATTACK_TARGETS",
-    "Checker",
-    "DEFENSES",
-    "GadgetCase",
-    "LeakReport",
-    "VerifyError",
-    "VerifyOptions",
-    "VerifyResult",
-    "WINDOWS",
-    "WINDOW_RUNAHEAD",
-    "WINDOW_SPECULATION",
-    "build_target",
-    "check_program",
-    "merge_reports",
-    "target_names",
-]
-
-
-def check_target(name, **kwargs):
-    """Build a registered target and run :func:`check_program` on it."""
-    case = build_target(name)
-    return case, check_program(case.program, case.image,
-                               secret_addrs=case.secret_addrs,
-                               initial_sp=case.initial_sp, **kwargs)
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "engine": ("DEFENSES", "Checker", "VerifyError", "VerifyOptions",
+               "check_program", "check_target"),
+    "report": ("WINDOW_RUNAHEAD", "WINDOW_SPECULATION", "WINDOWS",
+               "LeakReport", "VerifyResult", "merge_reports"),
+    "targets": ("ATTACK_TARGETS", "GadgetCase", "build_target",
+                "target_names"),
+})

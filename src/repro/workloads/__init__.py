@@ -1,14 +1,11 @@
 """SPEC2006-shaped synthetic workloads for the Fig. 7 evaluation."""
 
-from .base import Workload, ipc_comparison
-from .generators import (build_bwaves_like, build_gems_like, build_lbm_like,
-                         build_mcf_like, build_wrf_like, build_zeusmp_like)
-from .suite import (FIG7_ORDER, geometric_mean_speedup, run_fig7,
-                    spec_like_suite)
+from .._lazy import surface
 
-__all__ = [
-    "Workload", "ipc_comparison", "build_bwaves_like", "build_gems_like",
-    "build_lbm_like", "build_mcf_like", "build_wrf_like",
-    "build_zeusmp_like", "FIG7_ORDER", "geometric_mean_speedup", "run_fig7",
-    "spec_like_suite",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "base": ("Workload", "ipc_comparison"),
+    "generators": ("build_bwaves_like", "build_gems_like", "build_lbm_like",
+                   "build_mcf_like", "build_wrf_like", "build_zeusmp_like"),
+    "suite": ("FIG7_ORDER", "geometric_mean_speedup", "run_fig7",
+              "spec_like_suite"),
+})

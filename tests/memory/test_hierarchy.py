@@ -182,6 +182,23 @@ class TestFacade:
         assert hierarchy.stats.dropped_fills == 1
         assert hierarchy.stats.flushes == 2
 
+    def test_refill_of_dropped_line_keeps_its_install_order(self, hierarchy):
+        """Due fills install in the order their lines entered the pending
+        map; a fill that replaces a dropped one keeps that line's place,
+        though it now completes after fills started later."""
+        first = 0x1000
+        l1d = hierarchy.l1d
+        second = first + l1d.config.n_sets * l1d.config.line_bytes
+        hierarchy.access_data(first, now=0)
+        later = hierarchy.access_data(second, now=1)
+        hierarchy.flush_line(first)
+        refill = hierarchy.access_data(first, now=2)
+        assert refill.level == LEVEL_MEM
+        assert refill.completion > later.completion
+        hierarchy.apply_completed(refill.completion)
+        # One L1D set, eviction candidate first: first installed first.
+        assert l1d.resident_lines() == [first, second]
+
 
 class TestMainMemory:
     def test_read_write(self):
