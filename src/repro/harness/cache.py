@@ -228,7 +228,11 @@ class DirectoryCacheBackend(CacheBackend):
         tmp = path.with_name(f"{key}.{os.urandom(16).hex()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(record, sort_keys=True, indent=1),
+            # Compact separators keep the C encoder (``indent=`` runs the
+            # pure-Python one, whose closures leave a reference cycle
+            # per call); ``_load`` reads either layout.
+            tmp.write_text(json.dumps(record, sort_keys=True,
+                                      separators=(",", ":")),
                            encoding="utf-8")
             os.replace(tmp, path)
         except OSError:

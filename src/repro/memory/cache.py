@@ -77,6 +77,11 @@ class SetAssociativeCache:
         if config.n_sets & self._set_mask:
             raise ValueError(f"{config.name}: set count must be a power of 2")
         self.stats = CacheStats()
+        #: Bumped by every change to contents or recency (fill,
+        #: invalidate, reset, recency-updating hit): while it holds, a
+        #: line last hit here is still resident and most recent in its
+        #: set, so ``Core._fetch`` re-hits it without a lookup.
+        self.mutations = 0
 
     # -- address mapping -------------------------------------------------------
 
@@ -106,6 +111,7 @@ class SetAssociativeCache:
         if ways is not None and tag in ways:
             if update:
                 self._policy.on_hit(ways, tag)
+                self.mutations += 1
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -116,6 +122,7 @@ class SetAssociativeCache:
         tag = addr >> self._set_shift
         index = tag & self._set_mask
         ways = self._sets[index]
+        self.mutations += 1
         if ways is None:
             ways = self._sets[index] = OrderedDict()
         elif tag in ways:
@@ -136,6 +143,7 @@ class SetAssociativeCache:
         ways, tag = self._set_and_tag(addr)
         if ways is not None and tag in ways:
             del ways[tag]
+            self.mutations += 1
             self.stats.invalidations += 1
             return True
         return False
@@ -162,3 +170,4 @@ class SetAssociativeCache:
         self._policy = make_policy(self.config.replacement,
                                    seed=self._rng_seed)
         self.stats = CacheStats()
+        self.mutations += 1

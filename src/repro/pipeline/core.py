@@ -34,10 +34,15 @@ fetch to retire: fetch builds it, dispatch stamps its ``seq``.  The
 issue queue is an occupancy count (the ROB entries still
 ``DISPATCHED``), and loads and stores leave the LQ/SQ from the head.
 The common case of every stage runs inline — fetch indexes the
-instruction list, issue reads operands and claims the unit for integer
-ALU ops and conditional branches, normal-mode commit retires — and the
-rest goes through one helper per stage.  The cost of a simulated cycle
-is Python calls, so ``tests/pipeline/test_call_budget.py`` bounds them.
+instruction list, re-hits its last L1I line and predicts conditional
+branches, issue reads operands and claims the unit for integer ALU ops
+and conditional branches, complete wakes consumers and resolves
+correctly predicted conditional branches, commit retires and
+pseudo-retires — and the rest goes through one helper per stage.  An
+inline path that stands in for a controller or predictor hook runs
+only while that hook is the default (:data:`HOOK_FLAGS`).  The cost of
+a simulated cycle is Python calls, so
+``tests/pipeline/test_call_budget.py`` bounds them.
 
 Cycle skipping: after an *idle* step (no stage made progress) at cycle
 ``c`` the run loops jump to the earliest wake-up event, but never to
@@ -58,10 +63,11 @@ import heapq
 from collections import deque
 from typing import Deque, List, Optional
 
+from ..branch.base import DirectionPredictor
 from ..branch.btb import BranchTargetBuffer
 from ..branch.predictors import make_direction_predictor
 from ..branch.rsb import ReturnStackBuffer
-from ..branch.unit import BranchUnit
+from ..branch.unit import BranchUnit, Prediction
 from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
                                 PC_SHIFT, WORD_BYTES, FuKind, Opcode,
                                 to_signed64, to_unsigned64)
@@ -109,6 +115,7 @@ _NOP = Opcode.NOP
 _FENCE = Opcode.FENCE
 _RDTSC = Opcode.RDTSC
 _CLFLUSH = Opcode.CLFLUSH
+_LOAD = Opcode.LOAD
 _VSTORE = Opcode.VSTORE
 _FSTORE = Opcode.FSTORE
 _FU_MEM = FuKind.MEM
@@ -118,6 +125,35 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 _RENAME_STALL = {"int": "rename-int", "fp": "rename-fp", "vec": "rename-vec"}
+
+#: The inline fast paths' guards.  A core sets each flag when it is
+#: built: True when its ``runahead`` controller (or its branch unit's
+#: ``direction`` predictor) keeps every listed hook as the interface
+#: defines it, so the inline path does what the hooks would.  Overriding
+#: any listed hook sends that path back through the general helper.
+HOOK_FLAGS = {
+    # Runahead-mode dispatch skips the slice filter.
+    "_filter_is_default":
+        ("runahead", RunaheadController, ("filter_dispatch",)),
+    # A resolved branch skips the resolve hook (``secure`` overrides it).
+    "_resolve_hook_is_default":
+        ("runahead", RunaheadController, ("on_branch_resolved",)),
+    # ``step`` tests the stalling load's return inline.
+    "_exit_is_default":
+        ("runahead", RunaheadController, ("should_exit",)),
+    # ``_issue`` issues normal-mode integer loads inline.
+    "_load_hooks_are_default":
+        ("runahead", RunaheadController,
+         ("normal_load_override", "on_normal_load")),
+    # ``_commit`` pseudo-retires non-stores inline.
+    "_pseudo_retire_is_default":
+        ("runahead", RunaheadController, ("on_pseudo_retire",)),
+    # ``_fetch`` predicts conditional branches inline: no speculative
+    # history to snapshot or shift.
+    "_history_free":
+        ("direction", DirectionPredictor, ("snapshot", "spec_update")),
+}
+
 
 #: Sentinel returned through the issue path when an entry parked itself
 #: on a store's wakeup list: it neither issued nor needs a retry — the
@@ -218,6 +254,10 @@ class Core:
         self.fetch_stall_until = 0
         self.fetch_halted = False
         self._last_inst_line = None
+        # The line fetch last hit in L1I, and L1I's ``mutations`` just
+        # after that hit (see ``_fetch``).
+        self._rehit_line = None
+        self._rehit_mutations = 0
 
         self.cycle = 0
         self.seq = 0
@@ -226,17 +266,13 @@ class Core:
         self.checkpoint: Optional[Checkpoint] = None
         self.runahead = runahead or NoRunahead()
         self.runahead.attach(self)
-        #: True when the controller keeps the base-class (accept-all)
-        #: dispatch filter — lets runahead-mode dispatch skip a virtual
-        #: call per instruction.
-        self._filter_is_default = (
-            type(self.runahead).filter_dispatch
-            is RunaheadController.filter_dispatch)
-        #: Likewise for the resolved-branch hook (only the secure
-        #: controller overrides it): skips a call per resolved branch.
-        self._resolve_hook_is_default = (
-            type(self.runahead).on_branch_resolved
-            is RunaheadController.on_branch_resolved)
+        hooked = {"runahead": self.runahead,
+                  "direction": self.branch_unit.direction}
+        for flag, (owner, interface, hooks) in HOOK_FLAGS.items():
+            kind = type(hooked[owner])
+            setattr(self, flag, all(getattr(kind, hook) is
+                                    getattr(interface, hook)
+                                    for hook in hooks))
         self.runahead_cache = RunaheadCache(self.config.runahead.cache_entries)
 
         self.stats = CoreStats()
@@ -322,8 +358,16 @@ class Core:
         if now >= hierarchy.next_fill:
             hierarchy.apply_completed(now)
 
-        if self.mode == MODE_RUNAHEAD and self.runahead.should_exit(self, now):
-            self._exit_runahead(now)
+        if self.mode == MODE_RUNAHEAD:
+            if self._exit_is_default:
+                # RunaheadController.should_exit, inline.
+                checkpoint = self.checkpoint
+                leave = checkpoint is not None and \
+                    now >= checkpoint.stalling_completion
+            else:
+                leave = self.runahead.should_exit(self, now)
+            if leave:
+                self._exit_runahead(now)
 
         if self._rob:
             self._commit(now)
@@ -335,7 +379,9 @@ class Core:
             self._complete(now)
         if self._ready:
             # The FU pool is read only by the issue stage.
-            self.fus.new_cycle()
+            # FunctionalUnitPool.new_cycle, inline.
+            fus = self.fus
+            fus.used = fus._zero.copy()
             self._issue(now)
         frontend = self.frontend
         if frontend and frontend[0].ready_cycle <= now:
@@ -447,8 +493,11 @@ class Core:
         width = self.config.width
         rob = self._rob
         # Normal-mode retirement of anything but HALT and stores runs
-        # inline; the rest goes through _retire.
+        # inline, and so does runahead-mode pseudo-retirement of
+        # non-stores when the controller keeps the default
+        # ``on_pseudo_retire``; the rest goes through _retire.
         inline = self.mode == MODE_NORMAL
+        pseudo = not inline and self._pseudo_retire_is_default
         trace = self.trace
         arch_regs = self.arch_regs
         arch_inv = self.arch_inv
@@ -468,8 +517,12 @@ class Core:
                         self._maybe_enter_runahead(head, now)
                         if self.mode == MODE_RUNAHEAD:
                             inline = False
+                            pseudo = self._pseudo_retire_is_default
+                            # The hooks may have squashed (new alias table).
+                            rat = self.rat
                             continue   # head was poisoned; pseudo-retire it
                 elif self._poison_stalled_head(head):
+                    rat = self.rat
                     continue           # runahead never stalls on misses
                 break
             committed += 1
@@ -493,6 +546,26 @@ class Core:
                 stats.committed += 1
                 if trace is not None:
                     trace.emit(now, _EV_COMMIT, head.seq, head.pc)
+                continue
+            if pseudo and not head.is_store:
+                # _retire's runahead branch, inline (HALT too: a
+                # pseudo-retired HALT does not halt).
+                rob.popleft()
+                rename = instr.rename_class
+                if rename is not None:
+                    dest = instr.dest
+                    inv = head.inv
+                    arch_regs[dest] = 0 if inv else head.value
+                    arch_inv[dest] = inv
+                    rename_free[rename] += 1
+                    if rat[dest] is head:
+                        rat[dest] = None
+                if head.is_load and lq and lq[0] is head:
+                    lq.popleft()
+                stats.pseudo_retired += 1
+                stats.transient_executed += 1
+                if trace is not None:
+                    trace.emit(now, _EV_PSEUDO_RETIRE, head.seq, head.pc)
                 continue
             self._retire(head, now)
             if self.halted:
@@ -660,7 +733,14 @@ class Core:
     # ---------------------------------------------------------------- complete --
 
     def _complete(self, now):
+        """Complete every entry due by ``now``: mark it done and wake
+        its consumers (:meth:`_mark_done`, inline), then resolve it if
+        it is a branch.  A correctly predicted conditional branch
+        resolves inline; the rest go through :meth:`_resolve_branch`."""
         completions = self._completions
+        ready = self._ready
+        train = self.mode == MODE_NORMAL or \
+            self.config.runahead.train_in_runahead
         while completions and completions[0][0] <= now:
             entry = _heappop(completions)[2]
             if entry.squashed:
@@ -668,12 +748,39 @@ class Core:
                 continue
             if entry.state != ISSUED:
                 continue
-            self._mark_done(entry)
+            entry.state = DONE
+            consumers = entry.consumers
+            if consumers:
+                entry.consumers = None
+                for consumer in consumers:
+                    pending = consumer.pending_srcs - 1
+                    consumer.pending_srcs = pending
+                    if pending == 0 and not consumer.squashed and \
+                            consumer.state == DISPATCHED:
+                        _heappush(ready, (consumer.seq, consumer))
             self._activity = True
-            if entry.is_branch and not entry.resolved:
-                self._resolve_branch(entry, now)
-                if self.halted:
-                    return
+            if not entry.is_branch or entry.resolved:
+                continue
+            if entry.instr.cond_branch and not entry.inv:
+                prediction = entry.prediction
+                taken = entry.actual_taken
+                if taken == prediction.taken and \
+                        (not taken or entry.actual_target == prediction.target):
+                    # _resolve_branch and BranchUnit.resolve of a correct
+                    # prediction, inline.
+                    entry.resolved = True
+                    if train:
+                        self.branch_unit.direction.update(
+                            entry.pc, taken, prediction.meta)
+                    if not self._resolve_hook_is_default:
+                        self.runahead.on_branch_resolved(self, entry, False)
+                    continue
+            self._resolve_branch(entry, now)
+            if self.halted:
+                return
+            # A misprediction's squash may have compacted the heap into
+            # a new list.
+            completions = self._completions
 
     def _resolve_branch(self, entry, now):
         instr = entry.instr
@@ -796,14 +903,17 @@ class Core:
         """Issue from the wakeup-driven ready heap, oldest first.
 
         Entries land in ``_ready`` exactly once — at dispatch when their
-        operands are already available, or in :meth:`_mark_done` when
-        their last producer completes.  Entries that lose FU arbitration
-        are deferred and re-queued for the next cycle, preserving the
-        seq-order retry semantics of the scan this replaced.
+        operands are already available, or when their last producer
+        completes (:meth:`_complete`, :meth:`_mark_done`).  Entries that
+        lose FU arbitration are deferred and re-queued for the next
+        cycle, preserving the seq-order retry semantics of the scan this
+        replaced.
 
         Integer ALU ops and conditional branches (at most two sources
-        each) read their operands and claim their unit here; every
-        other instruction goes through :meth:`_try_issue`.
+        each) read their operands and claim their unit here, and so do
+        normal-mode integer loads when the controller keeps the default
+        load hooks; every other instruction goes through
+        :meth:`_try_issue`.
         """
         ready = self._ready
         issued = 0
@@ -816,6 +926,7 @@ class Core:
         arch_regs = self.arch_regs
         arch_inv = self.arch_inv
         runahead_mode = self.mode == MODE_RUNAHEAD
+        loads_inline = not runahead_mode and self._load_hooks_are_default
         deferred = None
         while ready and issued < width:
             record = _heappop(ready)
@@ -871,6 +982,8 @@ class Core:
                 # mode must not pre-check — INV-source instructions
                 # issue without consuming any unit.)
                 result = False
+            elif loads_inline and instr.opcode is _LOAD:
+                result = self._issue_int_load(entry, now)
             else:
                 result = self._try_issue(entry, now)
             if result is _WAIT:
@@ -1096,6 +1209,48 @@ class Core:
         entry.value = value
         entry.inv = entry.inv or poisoned
         entry.completion = completion
+        return True
+
+    def _issue_int_load(self, entry, now):
+        """Normal-mode integer load with the default load hooks, its
+        FU slot known free: :meth:`_issue_mem` and :meth:`_load_value`
+        in one, with one store-queue walk for both disambiguation
+        (:meth:`_blocking_store`) and forwarding
+        (:meth:`_forward_from_store`)."""
+        instr = entry.instr
+        producer = entry.src_producers[0]
+        base = self.arch_regs[instr.srcs[0]] if producer is None \
+            else producer.value
+        base = base & _MASK64 if type(base) is int else _as_int(base)
+        addr = (base + instr.imm) & _MASK64 & ~(WORD_BYTES - 1)
+        seq = entry.seq
+        store = None
+        for older in self.sq:
+            if older.seq >= seq:
+                break
+            if older.state == DISPATCHED:
+                return self._wait_on_store(entry, older)
+            mem_addr = older.mem_addr
+            if mem_addr is not None and (
+                    addr == mem_addr or older.instr.opcode is _VSTORE
+                    and addr == mem_addr + WORD_BYTES):
+                store = older
+        self.fus.used[_FU_MEM] += 1
+        entry.mem_addr = addr
+        if store is not None:
+            entry.mem_level = LEVEL_FORWARD
+            entry.completion = now + 1
+            if store.inv:
+                entry.value = 0
+                entry.inv = True
+            else:
+                entry.value = self._forwarded_value(store, addr, "int")
+            return True
+        result = self.hierarchy.access_data(addr, now)
+        entry.mem_level = result.level
+        word = self.memory.read_word(addr)
+        entry.value = word & _MASK64 if type(word) is int else _as_int(word)
+        entry.completion = now + result.latency
         return True
 
     def _blocking_store(self, entry):
@@ -1360,7 +1515,18 @@ class Core:
 
     def _fetch(self, now):
         """Fetch up to ``width`` instructions into the front-end queue,
-        each as the :class:`RobEntry` that will carry it to retire."""
+        each as the :class:`RobEntry` that will carry it to retire.
+
+        Instructions after the first in a line cost no access.  A
+        re-access of the line last hit in L1I (after a taken branch)
+        counts that hit inline while L1I's ``mutations`` are unchanged
+        — the line is still resident and most recent in its set, so
+        the lookup would hit and its recency update do nothing — and
+        the view has no live pending fill for the line.  ``step``
+        installed the fills due by ``now`` before fetch, so
+        :meth:`MemoryHierarchy.access_inst`'s ``apply_completed`` would
+        do nothing either.
+        """
         config = self.config
         room = config.fetch_queue - len(self.frontend)
         if room > config.width:
@@ -1372,7 +1538,10 @@ class Core:
         hierarchy = self.hierarchy
         phys_base = hierarchy.phys_base
         line_mask = hierarchy.line_mask
+        l1i = hierarchy.l1i
         last_line = self._last_inst_line
+        rehit_line = self._rehit_line
+        branch_unit = self.branch_unit
         trace = self.trace
         pc = self.fetch_pc
         fetched = 0
@@ -1387,14 +1556,33 @@ class Core:
             instr = instructions[index]
             line = (pc + phys_base) & line_mask
             if line != last_line:
-                result = hierarchy.access_inst(pc, now)
-                if result.level != LEVEL_L1:
-                    self.fetch_stall_until = result.completion
-                    break
+                if line == rehit_line and \
+                        l1i.mutations == self._rehit_mutations and \
+                        ((fill := hierarchy._pending.get(line)) is None
+                         or fill.dropped):
+                    hierarchy.stats.inst_accesses += 1
+                    l1i.stats.hits += 1
+                else:
+                    result = hierarchy.access_inst(pc, now)
+                    if result.level != LEVEL_L1:
+                        self.fetch_stall_until = result.completion
+                        break
+                    rehit_line = line
+                    self._rehit_mutations = l1i.mutations
                 last_line = line
             prediction = None
             if instr.branch:
-                prediction = self.branch_unit.predict(pc, instr)
+                if instr.cond_branch and self._history_free:
+                    # BranchUnit.predict of a conditional branch, inline;
+                    # the snapshot's RSB half is the RSB's immutable
+                    # state (ReturnStackBuffer.snapshot).
+                    branch_unit.stats.predictions += 1
+                    taken, meta = branch_unit.direction.predict(pc)
+                    prediction = Prediction(
+                        taken, instr.target if taken else pc + INSTR_BYTES,
+                        meta, (None, branch_unit.rsb._state))
+                else:
+                    prediction = branch_unit.predict(pc, instr)
             frontend.append(RobEntry(pc, instr, prediction, ready_cycle))
             fetched += 1
             if trace is not None:
@@ -1409,6 +1597,7 @@ class Core:
             pc += INSTR_BYTES
         self.fetch_pc = pc
         self._last_inst_line = last_line
+        self._rehit_line = rehit_line
         if fetched:
             self.stats.fetched += fetched
             self._activity = True

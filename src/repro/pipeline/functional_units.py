@@ -13,7 +13,8 @@ Slot accounting is this contract, which the core's issue stage follows
 inline for integer ALU ops and conditional branches (every other issue
 path goes through :meth:`can_issue`/:meth:`issue`):
 
-* ``used`` is replaced only by :meth:`new_cycle`, once per cycle;
+* ``used`` is replaced only by :meth:`new_cycle` (the core's ``step``
+  runs its one line inline), once per cycle;
 * a kind has a free slot while ``used[kind] < counts[kind]``;
 * a claim is ``used[kind] += 1`` and its result arrives
   ``latencies[kind]`` cycles later.

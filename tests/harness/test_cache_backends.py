@@ -5,6 +5,7 @@ the public surface (get/put/stats/count/clear/uri) must not depend on
 the storage scheme.  The directory backend is the one there is.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -244,3 +245,40 @@ class TestDirectoryLayout:
         assert record["key"] == key
         assert record["result"] == {"ok": True}
         assert record["trial"] == trial.to_dict()
+
+    def test_records_are_compact_json(self, tmp_path):
+        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        trial = make_trial()
+        backend.put(trial, {"ok": True})
+        text = backend._path(backend.key(trial)).read_text()
+        assert "\n" not in text and ": " not in text and ", " not in text
+        record = json.loads(text)
+        assert text == json.dumps(record, sort_keys=True,
+                                  separators=(",", ":"))
+
+    def test_indented_record_still_loads(self, tmp_path):
+        """A record written with ``indent=1`` (the earlier layout) is a
+        hit."""
+        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        trial = make_trial()
+        backend.put(trial, {"window": 42})
+        path = backend._path(backend.key(trial))
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(record, sort_keys=True, indent=1),
+                        encoding="utf-8")
+        assert backend.get(trial) == {"window": 42}
+
+    def test_put_leaves_no_reference_cycle(self, tmp_path):
+        """``json.dumps(indent=...)`` runs the pure-Python encoder,
+        whose closures form a cycle per call; a put must not."""
+        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        trial = make_trial()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            backend.put(trial, {"window": 42})
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()

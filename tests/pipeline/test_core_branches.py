@@ -173,3 +173,30 @@ class TestCallRet:
         assert core.arch_regs[int_reg(2)] == 0
         assert core.arch_regs[int_reg(3)] == 3
         assert core.branch_unit.stats.rsb_mispredicts >= 1
+
+
+def test_squashed_completion_count_stays_exact():
+    """``_squashed_completions`` counts the squashed records left in
+    the completion heap, also when a misprediction resolved inside
+    ``_complete`` compacts the heap into a new list mid-loop."""
+    from repro.attack.gadgets import build_attack
+    from repro.runahead.original import OriginalRunahead
+
+    attack = build_attack("pht")
+    core = Core(attack.program, memory_image=attack.image,
+                config=CoreConfig.paper(), runahead=OriginalRunahead(),
+                initial_sp=attack.initial_sp, warm_icache=True)
+    compactions = 0
+    compact = core._compact_completions
+
+    def counting_compact():
+        nonlocal compactions
+        before = core._completions
+        compact()
+        compactions += core._completions is not before
+    core._compact_completions = counting_compact
+    while not core.halted and core.cycle < 200_000:
+        core.step()
+        dead = sum(1 for record in core._completions if record[2].squashed)
+        assert core._squashed_completions == dead, core.cycle
+    assert core.halted and compactions
