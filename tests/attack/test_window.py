@@ -75,3 +75,35 @@ class TestLivelock:
     def test_async_flusher_is_bounded(self):
         m = measure_window(OriginalRunahead(), async_flushes=3, sled=8192)
         assert m.runahead_episodes == 1   # one long episode, not a loop
+
+
+#: ``(window, pseudo_retired, runahead_episodes, cycles)`` per
+#: ``(async_flushes, sled)``, recorded before the flusher joined the
+#: shared run loop.  The flusher polls at every value the clock takes —
+#: once after every step and once more at each skip landing, both before
+#: that cycle's fills install — so a flusher polled once per stepped
+#: cycle reads 2992 / 2989 / 1 / 2167 at ``(3, 4200)``.
+FLUSHER_SCHEDULE = {
+    (1, 1024): (1025, 1026, 1, 757),
+    (1, 2048): (1906, 1900, 1, 1013),
+    (1, 4096): (1864, 1861, 1, 1562),
+    (1, 4200): (1400, 1397, 1, 1768),
+    (1, 8192): (556, 557, 1, 7326),
+    (2, 1024): (1025, 1026, 1, 999),
+    (2, 2048): (2049, 2050, 1, 1247),
+    (2, 4096): (2760, 2757, 1, 1786),
+    (2, 4200): (2124, 2125, 1, 1942),
+    (2, 8192): (816, 813, 1, 7390),
+    (3, 1024): (1025, 1026, 1, 1241),
+    (3, 2048): (2049, 2050, 1, 1489),
+    (3, 4096): (3656, 3653, 1, 2010),
+    (3, 4200): (2988, 2985, 1, 2166),
+    (3, 8192): (1084, 1085, 1, 7465),
+}
+
+
+@pytest.mark.parametrize("flushes,sled", sorted(FLUSHER_SCHEDULE))
+def test_async_flusher_poll_schedule_is_exact(flushes, sled):
+    m = measure_window(OriginalRunahead(), async_flushes=flushes, sled=sled)
+    assert (m.window, m.pseudo_retired, m.runahead_episodes, m.cycles) == \
+        FLUSHER_SCHEDULE[(flushes, sled)]
