@@ -14,13 +14,14 @@ Scenario ③ is driven by a co-resident attacker thread in the paper
 ("the attacker must wait until all instructions in the ROB have retired
 before immediately flushing x and repeating this process ... a
 probabilistic event").  The harness models that second thread as an
-*asynchronous flusher*: while the core is in runahead mode it flushes the
-stalling line (and restarts its fetch) a bounded number of times.  An
-**unbounded** self-flushing program genuinely livelocks a runahead
-machine — `clflush` younger than the stalling load re-executes after
-every exit and re-drops the fill; see
-``tests/attack/test_window.py::test_self_flush_livelocks`` — which is why
-the paper calls case ③ probabilistic.
+*asynchronous flusher*, a poller on the core's clock
+(:mod:`repro.pipeline.clock`): while the core is in runahead mode it
+flushes the stalling line (and restarts its fetch) a bounded number of
+times.  An **unbounded** self-flushing program genuinely livelocks a
+runahead machine — `clflush` younger than the stalling load re-executes
+after every exit and re-drops the fill; see
+``tests/attack/test_window.py::test_self_flush_livelocks`` — which is
+why the paper calls case ③ probabilistic.
 
 The measured quantity is the deepest younger instruction (in program
 order, counted from the stalling load) that entered the window before the
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 from ..isa.assembler import assemble
 from ..isa.memory_image import MemoryImage
+from ..pipeline.clock import run_core
 from ..pipeline.config import CoreConfig
 from ..pipeline.core import MODE_RUNAHEAD, Core
 from ..runahead.base import NoRunahead
@@ -88,25 +90,22 @@ class AsyncFlusher:
         self.line = line_addr
         self.budget = budget
         self.margin = margin
-        self.flushes = 0
 
-    def poll(self):
+    def poll(self, now):
+        """Act at clock value ``now``, before that cycle's fills install."""
         core = self.core
         if self.budget <= 0 or core.mode != MODE_RUNAHEAD:
             return
         checkpoint = core.checkpoint
         if checkpoint is None or \
-                checkpoint.stalling_completion - core.cycle > self.margin:
+                checkpoint.stalling_completion - now > self.margin:
             return
         core.hierarchy.flush_line(self.line)
-        refetch = core.hierarchy.access_data(self.line, core.cycle,
-                                             prefetch=True)
+        refetch = core.hierarchy.access_data(self.line, now, prefetch=True)
         core.extend_stall(refetch.completion)
         self.budget -= 1
-        self.flushes += 1
 
-    @property
-    def armed(self):
+    def wake_up(self):
         """True while a later :meth:`poll` may still fire."""
         return self.budget > 0 and self.core.mode == MODE_RUNAHEAD
 
@@ -121,22 +120,9 @@ def measure_window(runahead=None, async_flushes=0, sled=4096, config=None) \
                 warm_icache=True)
     flusher = AsyncFlusher(core, image.address_of("x_word"),
                            budget=async_flushes)
-    max_cycles = 2_000_000
-    while not core.halted and core.cycle < max_cycles:
-        core.step()
-        flusher.poll()
-        if not core._activity and not core.halted:
-            # An armed flusher polls every cycle, so a blocked core
-            # keeps its stride instead of jumping over a poll.
-            skip_to = core._next_event(hold=flusher.armed)
-            if skip_to is None:
-                break
-            if skip_to > core.cycle:
-                core.cycle = skip_to
-                flusher.poll()   # cycle skips may land inside its window
+    run_core(core, 2_000_000, (flusher,))
     if not core.halted:
         raise RuntimeError("window probe did not halt")
-    core.stats.cycles = core.cycle
     name = controller.name
     if async_flushes:
         name += f"+{async_flushes}async-flush"

@@ -97,7 +97,9 @@ class SetAssociativeCache:
 
     def probe(self, addr):
         """Presence check with no side effects (no recency update, no stats)."""
-        ways, tag = self._set_and_tag(addr)
+        # _set_and_tag, inline: a receiver's walk probes every level.
+        tag = addr >> self._set_shift
+        ways = self._sets[tag & self._set_mask]
         return ways is not None and tag in ways
 
     def lookup(self, addr, update=True):

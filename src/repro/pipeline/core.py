@@ -44,17 +44,9 @@ only while that hook is the default (:data:`HOOK_FLAGS`).  The cost of
 a simulated cycle is Python calls, so
 ``tests/pipeline/test_call_budget.py`` bounds them.
 
-Cycle skipping: after an *idle* step (no stage made progress) at cycle
-``c`` the run loops jump to the earliest wake-up event, but never to
-less than ``floor = c + 2`` — the stride-2 floor.  A front-end head that
-dispatch already tried and a full structure held back (a *blocked*
-head: ROB, rename registers, LQ/SQ/IQ or a fence) is not a wake-up
-source: only a completion, a fill, a fetch resume or the runahead exit
-can free it.  Under the stride-2 floor such a core would step at
-``c+2, c+4, …`` doing nothing, so :func:`next_step_cycle` jumps straight
-to the first of those stride steps at or after the next event — the
-same cycle, the same stats, fewer steps.  The golden fixtures pin the
-stride, so an event due at an odd offset is still seen one cycle late.
+``Core.run`` steps the core alone on the one clock of
+:mod:`repro.pipeline.clock`, which skips the cycles where nothing can
+happen (:meth:`Core._wake_up` names the next event).
 """
 
 from __future__ import annotations
@@ -89,6 +81,7 @@ from ..obs.events import (EV_COMMIT as _EV_COMMIT,
 from ..runahead.base import NoRunahead, RunaheadController
 from ..runahead.checkpoint import Checkpoint
 from ..runahead.runahead_cache import RunaheadCache
+from .clock import run_core
 from .config import CoreConfig
 from .functional_units import FunctionalUnitPool
 from .rob import DISPATCHED, DONE, ISSUED, ReorderBuffer, RobEntry
@@ -163,36 +156,6 @@ _WAIT = object()
 
 class SimulationError(RuntimeError):
     """Raised on internal inconsistencies (never on wrong-path garbage)."""
-
-
-def next_step_cycle(floor, event, blocked=(), hold=False):
-    """Cycle of the next step after an all-idle step, or None.
-
-    The one skip rule of every run loop (``Core.run``,
-    ``measure_window``, ``MultiCoreSystem.run``).  ``floor`` is the
-    stride-2 floor (the idle step's cycle + 2); ``event`` is the
-    earliest wake-up over the cores, not counting blocked front-end
-    heads; ``blocked`` lists ``(core, reason)`` for each core whose head
-    is blocked.  Without a blocked head the loop jumps to ``event`` (None:
-    quiescent).  With one, it lands on the first stride step
-    ``floor + 2k`` at or after ``event`` — where stepping every second
-    cycle would first see it — or stays on ``floor`` if there is no
-    other event (a wedged core spins to its ceiling) or ``hold`` is set
-    (a core with a ready instruction retries issue on every stride
-    step).  Each blocked core is credited the stride steps jumped over.
-    """
-    if not blocked:
-        if event is None:
-            return None
-        return event if event > floor else floor
-    if hold or event is None or event <= floor:
-        target = floor
-    else:
-        target = event + ((event - floor) & 1)
-    skipped = (target - floor) >> 1
-    for core, reason in blocked:
-        core._record_stall(reason, skipped)
-    return target
 
 
 class Core:
@@ -392,28 +355,10 @@ class Core:
         self.cycle = now + 1
 
     def run(self, max_cycles=5_000_000):
-        """Run to HALT (or quiescence/ceiling); returns the stats object."""
-        step = self.step
-        while not self.halted and self.cycle < max_cycles:
-            step()
-            if not self._activity and not self.halted:
-                skip_to = self._next_event()
-                if skip_to is None:
-                    break                      # quiescent: nothing can happen
-                if skip_to > self.cycle:
-                    self.cycle = skip_to
-        self.stats.cycles = self.cycle
+        """Run to HALT (or quiescence/ceiling) on a one-slot clock;
+        returns the stats object."""
+        run_core(self, max_cycles)
         return self.stats
-
-    def _next_event(self, hold=False):
-        """Cycle of the next step after an idle step, or None if nothing
-        can ever happen (see :func:`next_step_cycle`).  ``hold`` keeps a
-        blocked core on the stride (a caller polling every cycle)."""
-        event, reason = self._wake_up()
-        if reason is None:
-            return next_step_cycle(self.cycle + 1, event)
-        return next_step_cycle(self.cycle + 1, event, ((self, reason),),
-                               hold or bool(self._ready))
 
     def _wake_up(self):
         """After an idle step: ``(event, reason)``.

@@ -11,6 +11,8 @@ from repro.multicore.system import MultiCoreSystem
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 
+from ..pipeline.test_idle_skip import observed, reference_run
+
 CONFIG = CoreConfig.small()
 
 
@@ -33,15 +35,20 @@ def make_system(n_workloads, restart=False, max_runs=None):
 
 
 def test_single_core_system_matches_plain_run():
-    """One core in the scheduler == the core's own run loop, cycle for
-    cycle (the lockstep loop preserves single-core cycle skipping)."""
-    workload = get_workload("gems")
-    solo = workload.run(runahead=make_controller("none"), config=CONFIG)
+    """One core in the scheduler, and one run by itself, each match the
+    independent reference loop cycle for cycle (the clock preserves
+    single-core cycle skipping)."""
+    reference = make_system(["gems"]).slots[0].core
+    reference_run(reference, 5_000_000)
+    assert reference.halted
     system = make_system(["gems"])
     primary = system.run(max_cycles=5_000_000)
     assert primary.halted
-    assert dataclasses.asdict(primary.stats) == \
-        dataclasses.asdict(solo.stats)
+    assert observed(primary) == observed(reference)
+    solo = get_workload("gems").run(runahead=make_controller("none"),
+                                    config=CONFIG)
+    assert dataclasses.asdict(solo.stats) == \
+        dataclasses.asdict(reference.stats)
 
 
 def test_lockstep_is_deterministic():

@@ -26,7 +26,8 @@ from repro.isa.memory_image import MemoryImage
 from repro.memory.hierarchy import PHYS_WINDOW_STRIDE, SharedHierarchy
 from repro.multicore.system import MultiCoreSystem
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import MODE_RUNAHEAD, Core, next_step_cycle
+from repro.pipeline.clock import next_step_cycle
+from repro.pipeline.core import MODE_RUNAHEAD, Core
 from repro.pipeline.stats import STALL_REASONS, CoreStats
 from repro.runahead.original import OriginalRunahead
 
