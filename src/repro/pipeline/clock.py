@@ -6,9 +6,9 @@ and a core with a polling attacker thread
 (:func:`~repro.attack.window.measure_window`).  Each cycle it installs
 every due fill of the shared hierarchy (so one core's fill is visible
 to another core's L3 lookup in the same cycle, whatever the step
-order), then steps each non-halted core once in slot order.  After a
-cycle in which no core made progress it jumps to the next wake-up
-event (:func:`next_step_cycle`).
+order; a lone core's step installs its own), then steps each
+non-halted core once in slot order.  After a cycle in which no core
+made progress it jumps to the next wake-up (:func:`next_step_cycle`).
 
 A *poller* acts on the cores from outside, like scenario ③'s thread
 re-flushing the stalling line.  Its ``poll(now)`` runs at every value
