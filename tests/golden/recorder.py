@@ -37,8 +37,9 @@ from repro.harness.spec import Trial, canonical_json
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_stats.json")
 
-#: Quick-tier Fig. 7 kernels — the workloads the differential cores run.
-CORE_WORKLOADS = ("zeusmp", "mcf", "gems")
+#: Fig. 7 kernels the differential cores run: the quick tier's three
+#: plus the ``fload``-heavy lbm, wrf and bwaves.
+CORE_WORKLOADS = ("zeusmp", "mcf", "gems", "lbm", "wrf", "bwaves")
 
 #: Every runahead controller, including the defenses (which are
 #: controllers too): the refactor must preserve all of them.

@@ -30,6 +30,7 @@ import sys
 import pytest
 
 from repro.attack.gadgets import DEFAULT_DELAY_ITERS, build_attack
+from repro.harness.registry import get_workload
 from repro.isa.assembler import assemble
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
@@ -62,6 +63,15 @@ def pht_victim():
                 initial_sp=attack.initial_sp, warm_icache=True)
 
 
+def lbm_original():
+    """A sim-sweep ``ipc`` trial's contender run: the ``fload``-heavy,
+    memory-bound lbm kernel under original runahead."""
+    program, image, sp = get_workload("lbm").materialize()
+    return Core(program, memory_image=image, config=CoreConfig.paper(),
+                runahead=OriginalRunahead(), initial_sp=sp,
+                warm_icache=True)
+
+
 def counted_run(core):
     """Run ``core``; returns the Python calls the run made."""
     calls = 0
@@ -86,6 +96,7 @@ BUDGETS = {
     "nop-sled": (nop_sled, 1081, 11.3, 18.8),
     "wait-loop": (wait_loop, 962, 13.4, 38.7),
     "pht-victim": (pht_victim, 71655, 2.02, 3.46),
+    "lbm-original": (lbm_original, 37289, 6.30, 6.30),
 }
 
 
