@@ -39,7 +39,7 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "branch.unit": ("BranchUnit",),
     "branch.rsb": ("ReturnStackBuffer",),
     "branch.predictors": ("make_direction_predictor",),
-    "pipeline.core": ("Core", "run_on_core"),
+    "pipeline.core": ("Core",),
     "pipeline.config": ("CoreConfig", "RunaheadConfig"),
     "pipeline.stats": ("CoreStats",),
     "runahead.base": ("NoRunahead", "RunaheadController"),

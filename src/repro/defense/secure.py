@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..isa.instructions import Opcode
-from ..pipeline import core as core_mod
+from ..pipeline.issue import BLOCKED
 from ..runahead.original import OriginalRunahead
 from .sl_cache import SLCache
 from .taint import TaintTracker
@@ -151,7 +151,7 @@ class SecureRunahead(OriginalRunahead):
             self.sl.remove(line)
             self.sl.stats.timeouts += 1
             return None
-        return core_mod.BLOCKED
+        return BLOCKED
 
     def _promote(self, core, line, sl_entry, now):
         ready = max(sl_entry.ready_cycle - now, 0)

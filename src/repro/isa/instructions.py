@@ -380,6 +380,23 @@ ALU_EVAL[Opcode.DIV] = lambda a, b, imm: _div64(a, b)
 ALU_EVAL[Opcode.REM] = lambda a, b, imm: _rem64(a, b)
 
 
+def _fdiv(a, b):
+    a, b = float(a), float(b)
+    return a / b if b else float("inf")
+
+
+#: Floating-point dispatch table: ``fn(a, b) -> float`` of the raw source
+#: values (``b`` is None for ``fmov``).  Indexed by integer opcode; None
+#: marks the rest, ``fcvt`` included: each caller coerces its integer
+#: source its own way.
+FLOAT_EVAL = [None] * NUM_OPCODES
+FLOAT_EVAL[Opcode.FADD] = lambda a, b: float(a) + float(b)
+FLOAT_EVAL[Opcode.FSUB] = lambda a, b: float(a) - float(b)
+FLOAT_EVAL[Opcode.FMUL] = lambda a, b: float(a) * float(b)
+FLOAT_EVAL[Opcode.FDIV] = _fdiv
+FLOAT_EVAL[Opcode.FMOV] = lambda a, b: float(a)
+
+
 def eval_int_alu(opcode, a, b, imm):
     """Evaluate an integer ALU/MUL/DIV opcode.
 

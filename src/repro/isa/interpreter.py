@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .instructions import (ALU_EVAL, INSTR_BYTES, NUM_OPCODES, WORD_BYTES,
-                           Instruction, Opcode, eval_branch, eval_int_alu,
-                           to_signed64, to_unsigned64)
+from .instructions import (ALU_EVAL, FLOAT_EVAL, INSTR_BYTES, NUM_OPCODES,
+                           WORD_BYTES, Instruction, Opcode, eval_branch,
+                           eval_int_alu, to_signed64, to_unsigned64)
 from .program import Program
 from .registers import (FP_CLASS, INT_CLASS, NUM_ARCH_REGS, REG_SP, REG_ZERO,
                         VEC_CLASS, make_register_file, reg_class)
@@ -213,42 +213,9 @@ def _op_vstore(interp, instr):
     return interp.pc + INSTR_BYTES
 
 
-def _op_fadd(interp, instr):
-    a = _as_float(interp.read_reg(instr.srcs[0]))
-    b = _as_float(interp.read_reg(instr.srcs[1]))
-    interp.write_reg(instr.dest, a + b)
-    return interp.pc + INSTR_BYTES
-
-
-def _op_fsub(interp, instr):
-    a = _as_float(interp.read_reg(instr.srcs[0]))
-    b = _as_float(interp.read_reg(instr.srcs[1]))
-    interp.write_reg(instr.dest, a - b)
-    return interp.pc + INSTR_BYTES
-
-
-def _op_fmul(interp, instr):
-    a = _as_float(interp.read_reg(instr.srcs[0]))
-    b = _as_float(interp.read_reg(instr.srcs[1]))
-    interp.write_reg(instr.dest, a * b)
-    return interp.pc + INSTR_BYTES
-
-
-def _op_fdiv(interp, instr):
-    a = _as_float(interp.read_reg(instr.srcs[0]))
-    b = _as_float(interp.read_reg(instr.srcs[1]))
-    interp.write_reg(instr.dest, a / b if b else float("inf"))
-    return interp.pc + INSTR_BYTES
-
-
 def _op_fcvt(interp, instr):
     interp.write_reg(instr.dest,
                      float(to_signed64(interp.read_reg(instr.srcs[0]))))
-    return interp.pc + INSTR_BYTES
-
-
-def _op_fmov(interp, instr):
-    interp.write_reg(instr.dest, _as_float(interp.read_reg(instr.srcs[0])))
     return interp.pc + INSTR_BYTES
 
 
@@ -314,6 +281,14 @@ def _op_ret(interp, instr):
     return next_pc
 
 
+def _op_float(interp, instr):
+    srcs = instr.srcs
+    a = interp.read_reg(srcs[0])
+    b = interp.read_reg(srcs[1]) if len(srcs) > 1 else None
+    interp.write_reg(instr.dest, FLOAT_EVAL[instr.op](a, b))
+    return interp.pc + INSTR_BYTES
+
+
 def _op_int_alu(interp, instr):
     srcs = instr.srcs
     a = _as_int(interp.read_reg(srcs[0])) if srcs else 0
@@ -326,6 +301,8 @@ _HANDLERS = [None] * NUM_OPCODES
 for _op in Opcode:
     if ALU_EVAL[_op] is not None:
         _HANDLERS[_op] = _op_int_alu
+    elif FLOAT_EVAL[_op] is not None:
+        _HANDLERS[_op] = _op_float
 _HANDLERS[Opcode.NOP] = _op_nop
 _HANDLERS[Opcode.FENCE] = _op_nop
 _HANDLERS[Opcode.CLFLUSH] = _op_nop
@@ -336,12 +313,7 @@ _HANDLERS[Opcode.VLOAD] = _op_vload
 _HANDLERS[Opcode.STORE] = _op_store
 _HANDLERS[Opcode.FSTORE] = _op_fstore
 _HANDLERS[Opcode.VSTORE] = _op_vstore
-_HANDLERS[Opcode.FADD] = _op_fadd
-_HANDLERS[Opcode.FSUB] = _op_fsub
-_HANDLERS[Opcode.FMUL] = _op_fmul
-_HANDLERS[Opcode.FDIV] = _op_fdiv
 _HANDLERS[Opcode.FCVT] = _op_fcvt
-_HANDLERS[Opcode.FMOV] = _op_fmov
 _HANDLERS[Opcode.VADD] = _op_vadd
 _HANDLERS[Opcode.VMUL] = _op_vmul
 _HANDLERS[Opcode.VSPLAT] = _op_vsplat

@@ -35,14 +35,23 @@ issue queue is an occupancy count (the ROB entries still
 ``DISPATCHED``), and loads and stores leave the LQ/SQ from the head.
 The common case of every stage runs inline — fetch indexes the
 instruction list, re-hits its last L1I line and predicts conditional
-branches, issue reads operands and claims the unit for integer ALU ops
-and conditional branches, complete wakes consumers and resolves
-correctly predicted conditional branches, commit retires and
-pseudo-retires — and the rest goes through one helper per stage.  An
-inline path that stands in for a controller or predictor hook runs
+branches; issue tests INV sources and the unit, executes integer ALU
+ops, conditional branches and floating-point arithmetic, and issues
+``load``/``fload`` in one store-queue walk; complete wakes consumers
+and resolves correctly predicted conditional branches; commit retires
+and pseudo-retires — and the rest goes through one helper per stage.
+An inline path that stands in for a controller or predictor hook runs
 only while that hook is the default (:data:`HOOK_FLAGS`).  The cost of
 a simulated cycle is Python calls, so
 ``tests/pipeline/test_call_budget.py`` bounds them.
+
+The issue stage's general path — stores, ``clflush``, vector loads,
+other control flow, ``fcvt``/vector ops and loads under overridden
+hooks — is :class:`~repro.pipeline.issue.IssuePaths`, a base class of
+:class:`Core` in its own module.  Without a bytecode cache every
+process compiles this module from source, and the compiler's peak
+stays in its RSS, so this module keeps only the per-cycle stages
+(``tests/test_parse_peak.py`` bounds that peak).
 
 ``Core.run`` steps the core alone on the one clock of
 :mod:`repro.pipeline.clock`, which skips the cycles where nothing can
@@ -60,9 +69,9 @@ from ..branch.btb import BranchTargetBuffer
 from ..branch.predictors import make_direction_predictor
 from ..branch.rsb import ReturnStackBuffer
 from ..branch.unit import BranchUnit, Prediction
-from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, INSTR_BYTES,
-                                PC_SHIFT, WORD_BYTES, FuKind, Opcode,
-                                to_signed64, to_unsigned64)
+from ..isa.instructions import (ALU_EVAL, BRANCH_EVAL, FLOAT_EVAL,
+                                INSTR_BYTES, PC_SHIFT, WORD_BYTES, FuKind,
+                                Opcode, to_unsigned64)
 from ..isa.program import Program
 from ..isa.registers import (NUM_ARCH_REGS, REG_SP, REG_ZERO,
                              make_register_file)
@@ -84,16 +93,11 @@ from ..runahead.runahead_cache import RunaheadCache
 from .clock import run_core
 from .config import CoreConfig
 from .functional_units import FunctionalUnitPool
+from .issue import (LEVEL_FORWARD, LEVEL_RUNAHEAD, MODE_NORMAL,
+                    MODE_RUNAHEAD, _WAIT, IssuePaths, SimulationError,
+                    _as_int, _typed_load_value)
 from .rob import DISPATCHED, DONE, ISSUED, ReorderBuffer, RobEntry
 from .stats import CoreStats, DispatchStalls
-
-MODE_NORMAL = "normal"
-MODE_RUNAHEAD = "runahead"
-
-#: Pseudo-levels recorded on load entries.
-LEVEL_FORWARD = "fwd"     # store-to-load forwarding
-LEVEL_RUNAHEAD = "rac"    # runahead-cache hit
-LEVEL_SL = "sl"           # SL-cache hit (secure runahead)
 
 _MASK64 = (1 << 64) - 1
 
@@ -101,18 +105,12 @@ _MASK64 = (1 << 64) - 1
 # enum-class attribute lookups inside the per-cycle loops).
 _HALT = Opcode.HALT
 _RET = Opcode.RET
-_CALL = Opcode.CALL
-_JMP = Opcode.JMP
 _JR = Opcode.JR
-_NOP = Opcode.NOP
 _FENCE = Opcode.FENCE
-_RDTSC = Opcode.RDTSC
-_CLFLUSH = Opcode.CLFLUSH
 _LOAD = Opcode.LOAD
+_FLOAD = Opcode.FLOAD
 _VSTORE = Opcode.VSTORE
-_FSTORE = Opcode.FSTORE
 _FU_MEM = FuKind.MEM
-_FU_BRANCH = FuKind.BRANCH
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -134,10 +132,15 @@ HOOK_FLAGS = {
     # ``step`` tests the stalling load's return inline.
     "_exit_is_default":
         ("runahead", RunaheadController, ("should_exit",)),
-    # ``_issue`` issues normal-mode integer loads inline.
+    # ``_issue`` issues normal-mode ``load``/``fload`` inline...
     "_load_hooks_are_default":
         ("runahead", RunaheadController,
          ("normal_load_override", "on_normal_load")),
+    # ... and runahead-mode ones.
+    "_runahead_load_hooks_are_default":
+        ("runahead", RunaheadController,
+         ("runahead_load_override", "runahead_load_fill",
+          "on_runahead_load")),
     # ``_commit`` pseudo-retires non-stores inline.
     "_pseudo_retire_is_default":
         ("runahead", RunaheadController, ("on_pseudo_retire",)),
@@ -148,17 +151,7 @@ HOOK_FLAGS = {
 }
 
 
-#: Sentinel returned through the issue path when an entry parked itself
-#: on a store's wakeup list: it neither issued nor needs a retry — the
-#: store's issue will re-queue it.
-_WAIT = object()
-
-
-class SimulationError(RuntimeError):
-    """Raised on internal inconsistencies (never on wrong-path garbage)."""
-
-
-class Core:
+class Core(IssuePaths):
     """The simulated processor."""
 
     def __init__(self, program: Program, memory_image=None,
@@ -267,13 +260,6 @@ class Core:
         if reg == REG_ZERO:
             return 0, False
         return self.arch_regs[reg], self.arch_inv[reg]
-
-    def _operand(self, entry, index):
-        """Read source ``index`` of ``entry``: (value, inv)."""
-        producer = entry.src_producers[index]
-        if producer is None:
-            return self.reg_read(entry.instr.srcs[index])
-        return producer.value, producer.inv
 
     def _mark_done(self, entry):
         """Complete ``entry`` and wake every consumer waiting on it."""
@@ -854,11 +840,15 @@ class Core:
         cycle, preserving the seq-order retry semantics of the scan this
         replaced.
 
-        Integer ALU ops and conditional branches (at most two sources
-        each) read their operands and claim their unit here, and so do
-        normal-mode integer loads when the controller keeps the default
-        load hooks; every other instruction goes through
-        :meth:`_try_issue`.
+        Integer ALU ops, conditional branches and ``fadd``/``fsub``/
+        ``fmul``/``fdiv``/``fmov`` (at most two sources each) read their
+        operands and claim their unit here.  Every other instruction is
+        tested here for INV sources (runahead mode) and then for a free
+        unit; ``load`` and ``fload`` then issue through
+        :meth:`_issue_load` while the controller keeps the current
+        mode's default load hooks, stores through
+        :meth:`~repro.pipeline.issue.IssuePaths._issue_store`, and the
+        rest through :meth:`~repro.pipeline.issue.IssuePaths._try_issue`.
         """
         ready = self._ready
         issued = 0
@@ -871,7 +861,8 @@ class Core:
         arch_regs = self.arch_regs
         arch_inv = self.arch_inv
         runahead_mode = self.mode == MODE_RUNAHEAD
-        loads_inline = not runahead_mode and self._load_hooks_are_default
+        loads_inline = self._runahead_load_hooks_are_default \
+            if runahead_mode else self._load_hooks_are_default
         deferred = None
         while ready and issued < width:
             record = _heappop(ready)
@@ -920,17 +911,43 @@ class Core:
                         entry.completion = now + 1
                         entry.value = None
                     result = True
-            elif not runahead_mode and used[fu] >= counts[fu]:
-                # Cheap FU pre-check: every issue sub-path starts with
-                # exactly this test, so losing arbitration here is the
-                # same outcome for a fraction of the work.  (Runahead
-                # mode must not pre-check — INV-source instructions
-                # issue without consuming any unit.)
-                result = False
-            elif loads_inline and instr.opcode is _LOAD:
-                result = self._issue_int_load(entry, now)
             else:
-                result = self._try_issue(entry, now)
+                # In runahead mode an INV-source instruction issues as a
+                # one-cycle INV move that claims no unit (Mutlu'03), so
+                # that test comes first; every path past the unit test
+                # below claims a slot of ``fu``.
+                inv = False
+                if runahead_mode:
+                    srcs = instr.srcs
+                    for index, producer in enumerate(entry.src_producers):
+                        if producer.inv if producer is not None \
+                                else arch_inv[srcs[index]]:
+                            inv = True
+                            break
+                if inv:
+                    result = self._issue_inv(entry, now)
+                elif used[fu] >= counts[fu]:
+                    result = False
+                elif (evaluate := FLOAT_EVAL[instr.op]) is not None:
+                    used[fu] += 1
+                    producer = entry.src_producers[0]
+                    a = arch_regs[instr.srcs[0]] if producer is None \
+                        else producer.value
+                    b = None
+                    if instr.n_srcs > 1:
+                        producer = entry.src_producers[1]
+                        b = arch_regs[instr.srcs[1]] if producer is None \
+                            else producer.value
+                    entry.completion = now + latencies[fu]
+                    entry.value = evaluate(a, b)
+                    result = True
+                elif loads_inline and (instr.opcode is _LOAD or
+                                       instr.opcode is _FLOAD):
+                    result = self._issue_load(entry, now)
+                elif instr.store:
+                    result = self._issue_store(entry, now)
+                else:
+                    result = self._try_issue(entry, now)
             if result is _WAIT:
                 continue    # parked on a store's wakeup list
             if result is False:
@@ -963,205 +980,12 @@ class Core:
             for record in deferred:
                 _heappush(ready, record)
 
-    def _try_issue(self, entry, now):
-        """Execute ``entry`` if resources allow; sets value/completion.
-
-        The issue path of everything but integer ALU ops and
-        conditional branches (see :meth:`_issue`).
-        """
-        instr = entry.instr
-        fu = instr.fu
-
-        # INV-source instructions consume no functional unit (they are
-        # dropped into a 1-cycle INV move, per Mutlu'03).
-        if self.mode == MODE_RUNAHEAD and not entry.filtered:
-            arch_inv = self.arch_inv
-            srcs = instr.srcs
-            for index, producer in enumerate(entry.src_producers):
-                if (producer.inv if producer is not None
-                        else arch_inv[srcs[index]]):
-                    return self._issue_inv(entry, now)
-
-        if fu is _FU_MEM:
-            return self._issue_mem(entry, now)
-        if fu is _FU_BRANCH:
-            return self._issue_branch(entry, now)
-
-        fus = self.fus
-        if not fus.can_issue(fu):
-            return False
-        latency = fus.issue(fu)
-        entry.completion = now + latency
-        entry.value = self._execute_alu(entry)
-        return True
-
-    def _issue_inv(self, entry, now):
-        """Poisoned instruction: propagate INV in one cycle, no FU."""
-        entry.inv = True
-        self.stats.inv_instructions += 1
-        if self.trace is not None:
-            self.trace.emit(now, _EV_INV, entry.seq, entry.pc)
-        instr = entry.instr
-        opcode = instr.opcode
-        if opcode is _CALL or opcode is _RET:
-            entry.value = 0
-            entry.actual_target = None
-        elif instr.store:
-            entry.mem_addr = None
-        entry.value = entry.value if entry.value is not None else 0
-        entry.completion = now + 1
-        return True
-
-    def _execute_alu(self, entry):
-        """Evaluate a non-memory, non-branch instruction other than an
-        integer ALU op (those execute inline in :meth:`_issue`)."""
-        instr = entry.instr
-        opcode = instr.opcode
-        if opcode is _NOP or opcode is _FENCE or opcode is _HALT:
-            return None
-        if opcode is _RDTSC:
-            return self.cycle
-        values = [self._operand(entry, i)[0]
-                  for i in range(instr.n_srcs)]
-        if opcode in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV):
-            a, b = float(values[0]), float(values[1])
-            if opcode is Opcode.FADD:
-                return a + b
-            if opcode is Opcode.FSUB:
-                return a - b
-            if opcode is Opcode.FMUL:
-                return a * b
-            return a / b if b else float("inf")
-        if opcode is Opcode.FCVT:
-            return float(to_signed64(_as_int(values[0])))
-        if opcode is Opcode.FMOV:
-            return float(values[0])
-        if opcode in (Opcode.VADD, Opcode.VMUL):
-            a, b = _as_vec(values[0]), _as_vec(values[1])
-            if opcode is Opcode.VADD:
-                return (to_unsigned64(a[0] + b[0]),
-                        to_unsigned64(a[1] + b[1]))
-            return (to_unsigned64(a[0] * b[0]), to_unsigned64(a[1] * b[1]))
-        if opcode is Opcode.VSPLAT:
-            value = _as_int(values[0])
-            return (value, value)
-        if opcode is Opcode.VEXTRACT:
-            return _as_vec(values[0])[instr.imm & 1]
-        raise SimulationError(f"unexpected ALU opcode: {opcode!r}")
-
-    # -- branches -------------------------------------------------------------------
-
-    def _issue_branch(self, entry, now):
-        instr = entry.instr
-        opcode = instr.opcode
-        if not self.fus.can_issue(_FU_BRANCH):
-            return False
-
-        if opcode is _CALL:
-            return self._issue_call(entry, now)
-        if opcode is _RET:
-            return self._issue_ret(entry, now)
-
-        self.fus.issue(_FU_BRANCH)
-        if opcode is _JMP:
-            entry.actual_taken = True
-            entry.actual_target = instr.target
-        elif opcode is _JR:
-            entry.actual_taken = True
-            entry.actual_target = _as_int(self._operand(entry, 0)[0]) & ~3
-        entry.completion = now + 1
-        entry.value = None
-        return True
-
-    def _issue_call(self, entry, now):
-        """call = push return address (store) + direct jump."""
-        blocker = self._blocking_store(entry)
-        if blocker is not None:
-            return self._wait_on_store(entry, blocker)
-        self.fus.issue(_FU_BRANCH)
-        sp, _ = self._operand(entry, 0)
-        new_sp = to_unsigned64(_as_int(sp) - WORD_BYTES)
-        entry.mem_addr = new_sp & ~(WORD_BYTES - 1)
-        entry.store_value = entry.pc + INSTR_BYTES
-        entry.value = new_sp
-        entry.actual_taken = True
-        entry.actual_target = entry.instr.target
-        entry.completion = now + 1
-        return True
-
-    def _issue_ret(self, entry, now):
-        """ret = pop return address (load) + indirect jump."""
-        sp, _ = self._operand(entry, 0)
-        addr = _as_int(sp) & ~(WORD_BYTES - 1)
-        outcome = self._load_value(entry, addr, now, as_type="int")
-        if outcome is None:
-            return False
-        if outcome is _WAIT:
-            return _WAIT
-        value, completion, poisoned = outcome
-        entry.value = to_unsigned64(_as_int(sp) + WORD_BYTES)
-        entry.actual_taken = True
-        entry.actual_target = None if poisoned else value & ~3
-        entry.completion = completion
-        return True
-
-    # -- memory ------------------------------------------------------------------------
-
-    def _issue_mem(self, entry, now):
-        instr = entry.instr
-        opcode = instr.opcode
-        fus = self.fus
-        if not fus.can_issue(_FU_MEM):
-            return False
-
-        if opcode is _CLFLUSH:
-            base, _ = self._operand(entry, 0)
-            addr = to_unsigned64(_as_int(base) + instr.imm)
-            fus.issue(_FU_MEM)
-            self.hierarchy.flush_line(addr)
-            if self.mode == MODE_RUNAHEAD and self.checkpoint is not None \
-                    and self.hierarchy.line_of(addr) == \
-                    self.checkpoint.stalling_line:
-                # Flushing the stalling line drops its in-flight fill; the
-                # data must be re-fetched, prolonging runahead (Fig. 10 ③).
-                refetch = self.hierarchy.access_data(addr, now, prefetch=True)
-                self.extend_stall(refetch.completion)
-            entry.completion = now + 1
-            return True
-
-        if instr.store:
-            if len(self.sq) > self.config.sq_size:
-                raise SimulationError("store queue overflow")
-            value, _ = self._operand(entry, 0)
-            base, _ = self._operand(entry, 1)
-            addr = to_unsigned64(_as_int(base) + instr.imm) & \
-                ~(WORD_BYTES - 1)
-            fus.issue(_FU_MEM)
-            entry.mem_addr = addr
-            entry.store_value = _typed_store_value(opcode, value)
-            entry.completion = now + 1
-            return True
-
-        # Loads.
-        base, _ = self._operand(entry, 0)
-        addr = to_unsigned64(_as_int(base) + instr.imm) & ~(WORD_BYTES - 1)
-        outcome = self._load_value(entry, addr, now, as_type=instr.load_type)
-        if outcome is None:
-            return False
-        if outcome is _WAIT:
-            return _WAIT
-        value, completion, poisoned = outcome
-        entry.value = value
-        entry.inv = entry.inv or poisoned
-        entry.completion = completion
-        return True
-
-    def _issue_int_load(self, entry, now):
-        """Normal-mode integer load with the default load hooks, its
-        FU slot known free: :meth:`_issue_mem` and :meth:`_load_value`
-        in one, with one store-queue walk for both disambiguation
-        (:meth:`_blocking_store`) and forwarding
-        (:meth:`_forward_from_store`)."""
+    def _issue_load(self, entry, now):
+        """A ``load`` or ``fload`` with the current mode's default load
+        hooks, its sources valid and its FU slot free: ``_issue_mem``
+        and ``_load_value`` in one, with one store-queue walk for both
+        disambiguation (``_blocking_store``) and forwarding
+        (``_forward_from_store``)."""
         instr = entry.instr
         producer = entry.src_producers[0]
         base = self.arch_regs[instr.srcs[0]] if producer is None \
@@ -1174,7 +998,12 @@ class Core:
             if older.seq >= seq:
                 break
             if older.state == DISPATCHED:
-                return self._wait_on_store(entry, older)
+                # _wait_on_store, inline.
+                if older.store_waiters is None:
+                    older.store_waiters = [entry]
+                else:
+                    older.store_waiters.append(entry)
+                return _WAIT
             mem_addr = older.mem_addr
             if mem_addr is not None and (
                     addr == mem_addr or older.instr.opcode is _VSTORE
@@ -1189,163 +1018,43 @@ class Core:
                 entry.value = 0
                 entry.inv = True
             else:
-                entry.value = self._forwarded_value(store, addr, "int")
+                entry.value = self._forwarded_value(store, addr,
+                                                    instr.load_type)
             return True
-        result = self.hierarchy.access_data(addr, now)
-        entry.mem_level = result.level
-        word = self.memory.read_word(addr)
-        entry.value = word & _MASK64 if type(word) is int else _as_int(word)
-        entry.completion = now + result.latency
-        return True
-
-    def _blocking_store(self, entry):
-        """Oldest older store whose address is still unknown, or None.
-
-        Conservative disambiguation: a load (or call) may not issue
-        until every older store has computed its address.
-        """
-        seq = entry.seq
-        for store in self.sq:
-            if store.seq >= seq:
-                break
-            if store.state == DISPATCHED:
-                return store
-        return None
-
-    def _wait_on_store(self, entry, blocker):
-        """Park ``entry`` on ``blocker``'s wakeup list; returns ``_WAIT``.
-
-        The entry leaves the ready heap entirely — it is re-queued the
-        moment the blocking store issues (same cycle, in seq order)
-        instead of being re-attempted every cycle.
-        """
-        if blocker.store_waiters is None:
-            blocker.store_waiters = [entry]
-        else:
-            blocker.store_waiters.append(entry)
-        return _WAIT
-
-    @staticmethod
-    def _store_covers(store, addr):
-        """True if ``store`` writes the word at ``addr``."""
-        mem_addr = store.mem_addr
-        if mem_addr is None:
-            return False
-        if store.instr.opcode is _VSTORE:
-            return addr == mem_addr or addr == mem_addr + WORD_BYTES
-        return addr == mem_addr
-
-    def _forward_from_store(self, entry, addr):
-        """Youngest older store covering the same word, if any."""
-        best = None
-        seq = entry.seq
-        for store in self.sq:
-            if store.seq >= seq:
-                break
-            if self._store_covers(store, addr):
-                best = store
-        return best
-
-    def _forwarded_value(self, store, addr, as_type):
-        value = store.store_value
-        if store.instr.opcode is _VSTORE:
-            value = value[1] if addr == store.mem_addr + WORD_BYTES \
-                else value[0]
-        return _typed_load_value(as_type, value)
-
-    def _load_value(self, entry, addr, now, as_type):
-        """Common load path (loads and ret).
-
-        Returns ``(value, completion, poisoned)`` or None if the load
-        cannot issue yet.  Claims the MEM port on success.
-        """
-        fus = self.fus
-        if not fus.can_issue(_FU_MEM):
-            return None
-        blocker = self._blocking_store(entry)
-        if blocker is not None:
-            return self._wait_on_store(entry, blocker)
-        entry.mem_addr = addr
-
-        if as_type == "vec":
-            # A vector load overlapping any in-flight store waits for the
-            # store to drain (conservative; avoids partial forwarding).
-            seq = entry.seq
-            for store in self.sq:
-                if store.seq >= seq:
-                    break
-                if self._store_covers(store, addr) or \
-                        self._store_covers(store, addr + WORD_BYTES):
-                    return None
-        else:
-            store = self._forward_from_store(entry, addr)
-            if store is not None:
-                fus.issue(_FU_MEM)
-                entry.mem_level = LEVEL_FORWARD
-                if store.inv:
-                    return 0, now + 1, True
-                return self._forwarded_value(store, addr, as_type), \
-                    now + 1, False
-
         if self.mode == MODE_RUNAHEAD:
+            latency = self.config.hierarchy.l1d.latency
             cached = self.runahead_cache.read(addr)
             if cached is not None:
-                fus.issue(_FU_MEM)
                 entry.mem_level = LEVEL_RUNAHEAD
+                entry.completion = now + latency
                 value, inv = cached
-                latency = self.config.hierarchy.l1d.latency
                 if inv:
-                    return 0, now + latency, True
-                return _typed_load_value(as_type, value), now + latency, False
-            override = self.runahead.runahead_load_override(self, entry,
-                                                            addr, now)
-            if override is not None:
-                fus.issue(_FU_MEM)
-                entry.mem_level = LEVEL_SL
-                value = self._read_memory_word(addr, as_type)
-                return value, now + override, False
-
-        if self.mode == MODE_NORMAL:
-            override = self.runahead.normal_load_override(self, entry, addr,
-                                                          now)
-            if override is not None:
-                if override is BLOCKED:
-                    return None
-                fus.issue(_FU_MEM)
-                entry.mem_level = LEVEL_SL
-                value = self._read_memory_word(addr, as_type)
-                return value, now + override, False
-
-        fus.issue(_FU_MEM)
-        fill = True
-        if self.mode == MODE_RUNAHEAD:
-            fill = self.runahead.runahead_load_fill(self, entry)
-        result = self.hierarchy.access_data(
-            addr, now, fill=fill, prefetch=self.mode == MODE_RUNAHEAD)
-        entry.mem_level = result.level
-
-        if self.mode == MODE_RUNAHEAD:
-            self.runahead.on_runahead_load(self, entry, result)
-            if result.is_memory_level:
-                # Mutlu'03: runahead loads that miss to memory launch the
-                # prefetch but return INV without waiting.
+                    entry.value = 0
+                    entry.inv = True
+                else:
+                    entry.value = _typed_load_value(instr.load_type, value)
+                return True
+            result = self.hierarchy.access_data(addr, now, prefetch=True)
+            entry.mem_level = result.level
+            if result.level == LEVEL_MEM or result.level == LEVEL_PENDING:
+                # Mutlu'03: the miss launches the prefetch and the load
+                # returns INV without waiting.
                 self.stats.runahead_prefetches += 1
-                latency = self.config.hierarchy.l1d.latency
-                return 0, now + latency, True
+                entry.value = 0
+                entry.inv = True
+                entry.completion = now + latency
+                return True
         else:
-            self.runahead.on_normal_load(self, entry, result)
-
-        value = self._read_memory_word(addr, as_type)
-        return value, now + result.latency, False
-
-    def _read_memory_word(self, addr, as_type):
+            result = self.hierarchy.access_data(addr, now)
+            entry.mem_level = result.level
         word = self.memory.read_word(addr)
-        if as_type == "vec":
-            second = self.memory.read_word(addr + WORD_BYTES)
-            return (_as_int(word), _as_int(second))
-        if as_type == "float":
-            return float(word)
-        return _as_int(word)
+        if instr.opcode is _LOAD:
+            entry.value = word & _MASK64 if type(word) is int \
+                else _as_int(word)
+        else:
+            entry.value = float(word)
+        entry.completion = now + result.latency
+        return True
 
     # ---------------------------------------------------------------- dispatch --
 
@@ -1552,48 +1261,3 @@ class Core:
     def architectural_state(self):
         """Return (registers, memory snapshot) for differential testing."""
         return list(self.arch_regs), self.memory.snapshot()
-
-
-#: Sentinel returned by ``normal_load_override`` to stall the load (the
-#: SL cache's "wait for branch resolution" in Algorithm 1).
-BLOCKED = object()
-
-
-def _as_int(value):
-    if type(value) is int:
-        return value & _MASK64
-    if isinstance(value, tuple):
-        return to_unsigned64(value[0])
-    return to_unsigned64(int(value))
-
-
-def _as_vec(value):
-    if isinstance(value, tuple):
-        return value
-    return (_as_int(value), _as_int(value))
-
-
-def _typed_store_value(opcode, value):
-    if opcode is _FSTORE:
-        return float(value)
-    if opcode is _VSTORE:
-        return value if isinstance(value, tuple) else (_as_int(value), 0)
-    return _as_int(value)
-
-
-def _typed_load_value(as_type, value):
-    if as_type == "float":
-        return float(value) if not isinstance(value, tuple) else \
-            float(value[0])
-    if as_type == "vec":
-        return value if isinstance(value, tuple) else (_as_int(value), 0)
-    return _as_int(value)
-
-
-def run_on_core(program, memory_image=None, config=None, runahead=None,
-                initial_sp=None, max_cycles=5_000_000):
-    """Build a core, run the program, return the core (stats inside)."""
-    core = Core(program, memory_image=memory_image, config=config,
-                runahead=runahead, initial_sp=initial_sp)
-    core.run(max_cycles=max_cycles)
-    return core

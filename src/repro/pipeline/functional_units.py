@@ -9,9 +9,11 @@ The pool is three flat lists indexed by the integer
 :class:`~repro.isa.instructions.FuKind` value — no dict hashing on the
 hot path, and the per-cycle reset is a single list copy.
 
-Slot accounting is this contract, which the core's issue stage follows
-inline for integer ALU ops and conditional branches (every other issue
-path goes through :meth:`can_issue`/:meth:`issue`):
+Slot accounting is this contract.  The core's issue stage tests every
+instruction's slot inline and claims it inline for integer ALU ops,
+conditional branches, floating-point arithmetic and its inline loads;
+the general issue path (:mod:`repro.pipeline.issue`) claims through
+:meth:`issue`, and ``ret`` tests its MEM port with :meth:`can_issue`:
 
 * ``used`` is replaced only by :meth:`new_cycle` (the core's ``step``
   runs its one line inline), once per cycle;

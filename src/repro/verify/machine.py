@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..isa.instructions import (ALU_EVAL, WORD_BYTES, Opcode, eval_branch,
-                                to_signed64, to_unsigned64)
+from ..isa.instructions import (ALU_EVAL, FLOAT_EVAL, WORD_BYTES, Opcode,
+                                eval_branch, to_signed64, to_unsigned64)
 from ..isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
 from .taint import AbsValue, ZERO, clean, combine
 
@@ -146,22 +146,14 @@ def alu_result(instr, state: PathState, step_count: int) -> AbsValue:
     opcode = instr.opcode
     if opcode is Opcode.RDTSC:
         return clean(step_count)
-    if opcode in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV):
-        a, b = float(sources[0].val or 0), float(sources[1].val or 0)
-        if opcode is Opcode.FADD:
-            val = a + b
-        elif opcode is Opcode.FSUB:
-            val = a - b
-        elif opcode is Opcode.FMUL:
-            val = a * b
-        else:
-            val = a / b if b else float("inf")
-        return combine(val, sources, state.pc)
+    fn = FLOAT_EVAL[instr.op]
+    if fn is not None:
+        a = sources[0].val or 0
+        b = (sources[1].val or 0) if len(sources) > 1 else None
+        return combine(fn(a, b), sources, state.pc)
     if opcode is Opcode.FCVT:
         return combine(float(to_signed64(as_int(sources[0].val))), sources,
                        state.pc)
-    if opcode is Opcode.FMOV:
-        return combine(float(sources[0].val or 0), sources, state.pc)
     if opcode in (Opcode.VADD, Opcode.VMUL):
         a = _as_vec(sources[0].val)
         b = _as_vec(sources[1].val)

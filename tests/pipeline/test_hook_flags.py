@@ -77,7 +77,11 @@ def test_known_overrides_turn_their_paths_off():
     assert flags["original"]._load_hooks_are_default
     assert flags["original"]._pseudo_retire_is_default
     assert not flags["precise"]._filter_is_default
+    assert flags["original"]._runahead_load_hooks_are_default
+    assert flags["precise"]._runahead_load_hooks_are_default
     assert not flags["vector"]._load_hooks_are_default
+    assert not flags["vector"]._runahead_load_hooks_are_default
+    assert not flags["secure"]._runahead_load_hooks_are_default
     assert not flags["secure"]._load_hooks_are_default
     assert not flags["secure"]._pseudo_retire_is_default
     assert not flags["secure"]._resolve_hook_is_default
@@ -114,6 +118,17 @@ class CountingRunahead(OriginalRunahead):
     def on_normal_load(self, core, entry, result):
         self._count("on_normal_load")
 
+    def runahead_load_override(self, core, entry, addr, now):
+        self._count("runahead_load_override")
+        return None
+
+    def runahead_load_fill(self, core, entry):
+        self._count("runahead_load_fill")
+        return True
+
+    def on_runahead_load(self, core, entry, result):
+        self._count("on_runahead_load")
+
     def on_pseudo_retire(self, core, entry):
         self._count("on_pseudo_retire")
 
@@ -147,7 +162,9 @@ def test_overridden_hooks_are_all_called():
     assert controller.calls == {
         "filter_dispatch": 222, "on_branch_resolved": 92,
         "should_exit": 171, "normal_load_override": 108,
-        "on_normal_load": 108, "on_pseudo_retire": 271}
+        "on_normal_load": 108, "runahead_load_override": 102,
+        "runahead_load_fill": 102, "on_runahead_load": 102,
+        "on_pseudo_retire": 271}
     assert core.stats.pseudo_retired == 271
     assert core.stats.runahead_episodes == 13
 

@@ -30,7 +30,7 @@ from repro.runahead.original import OriginalRunahead
 INF = float("inf")
 
 
-def observed(core, sink=None, pcs=()):
+def observed(core, sink, pcs):
     """Nonzero ``CoreStats`` fields and registers (-0.0 reads as zero),
     memory, and the issue cycles of the instructions at ``pcs``."""
     record = {
