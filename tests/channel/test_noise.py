@@ -7,6 +7,22 @@ from hypothesis import strategies as st
 from repro.channel import (NO_NOISE, NoiseDraw, NoiseModel, SplitMix64,
                            derive_seed, extract_secret)
 
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+BOUNDARY_SEEDS = (0, MASK64, GAMMA)
+BULK_LENGTHS = (255, 256, 257, 2048, 2304)
+
+
+def seed_whose_first_output_is(z):
+    """The seed whose first ``next_u64`` is ``z``: SplitMix64's output
+    mix is a bijection on 64-bit words, so undo it step by step."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - GAMMA) & MASK64
+
 
 def one_by_one_draw(model, rng, lines, n_indices):
     """``NoiseModel.draw`` with one rng call per sample, as first written."""
@@ -33,6 +49,33 @@ class TestSplitMix64:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
         assert rng.next_u64() == 0x06C45D188009454F
+
+    def test_known_stream_in_bulk(self):
+        rng = SplitMix64(0)
+        assert rng._u64s(3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                0x06C45D188009454F]
+        assert rng._state == (3 * GAMMA) & MASK64
+
+    def test_empty_bulk_draw_keeps_the_state(self):
+        rng = SplitMix64(7)
+        assert rng._u64s(0) == [] and rng._u64s(-3) == []
+        assert rng.randoms(0) == [] and rng.randints(0, 9, 0) == []
+        assert rng.next_u64() == SplitMix64(7).next_u64()
+
+    @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+    @pytest.mark.parametrize("n", BULK_LENGTHS)
+    def test_bulk_matches_one_by_one_at_long_lengths(self, seed, n):
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        assert bulk._u64s(n) == [single.next_u64() for _ in range(n)]
+        assert bulk._state == single._state == (seed + n * GAMMA) & MASK64
+        assert bulk.randoms(n) == [single.random() for _ in range(n)]
+        assert bulk.randints(-600, 600, n) == \
+            [single.randint(-600, 600) for _ in range(n)]
+        assert bulk.next_u64() == single.next_u64()
+
+    def test_inverse_mix_reaches_the_wanted_output(self):
+        for z in (0, 1, 2047, 2048, 1 << 63, MASK64, 0x06C45D188009454F):
+            assert SplitMix64(seed_whose_first_output_is(z)).next_u64() == z
 
     def test_same_seed_same_stream(self):
         a, b = SplitMix64(1234), SplitMix64(1234)
@@ -146,6 +189,44 @@ class TestNoiseModel:
         assert model.draw(bulk, lines, n_indices) == \
             one_by_one_draw(model, single, lines, n_indices)
         assert bulk.next_u64() == single.next_u64()
+
+    @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+    @pytest.mark.parametrize("n_lines", BULK_LENGTHS)
+    def test_long_draw_matches_one_by_one_stream(self, seed, n_lines):
+        model = NoiseModel(jitter=600, evict_rate=0.1, pollute_rate=0.3)
+        lines = [64 * i for i in range(n_lines)]
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        assert model.draw(bulk, lines, 256) == \
+            one_by_one_draw(model, single, lines, 256)
+        assert bulk.next_u64() == single.next_u64()
+
+    @pytest.mark.parametrize("evict_rate,pollute_rate", [
+        (0.5, 0.0), (0.25, 0.0), (1.0, 0.0), (2.0 ** -53, 0.0),
+        (0.0, 0.5), (0.25, 0.25), (0.25, 0.5), (2.0 ** -53, 2.0 ** -53),
+        (0.0, 1.0), (0.5, 0.5)])
+    def test_exact_rate_thresholds(self, evict_rate, pollute_rate):
+        """A sample lands exactly on, just below and just above each
+        rate: ``sample = (z >> 11) / 2**53``, and each rate here is a
+        multiple of ``2**-53``, so ``z`` is chosen to hit it."""
+        model = NoiseModel(evict_rate=evict_rate, pollute_rate=pollute_rate)
+        noisy_rate = evict_rate + pollute_rate
+        for rate in (evict_rate, noisy_rate):
+            step = int(rate * 2 ** 53)
+            for k in (step - 1, step, step + 1):
+                if not 0 <= k < 1 << 53:
+                    continue
+                for low_bits in (0, 2047):
+                    z = (k << 11) | low_bits
+                    seed = seed_whose_first_output_is(z)
+                    draw = model.draw(SplitMix64(seed), [64], 0)
+                    assert draw == one_by_one_draw(
+                        model, SplitMix64(seed), [64], 0)
+                    sample = k / 2 ** 53
+                    assert draw.evicted == (
+                        {64} if sample < evict_rate else set())
+                    assert draw.polluted == (
+                        {64} if evict_rate <= sample < noisy_rate
+                        else set())
 
     def test_evict_and_pollute_disjoint(self):
         model = NoiseModel(evict_rate=0.5, pollute_rate=0.5)
