@@ -294,11 +294,13 @@ class SharedHierarchy:
         waiting loads still complete — only the install is dropped)."""
         self.l3.back_invalidate(line)
         self.l3.invalidate(line)
-        for view in self.views:
-            pending = view._pending.get(line)
-            if pending is not None and not pending.dropped:
-                pending.dropped = True
-                view.stats.dropped_fills += 1
+        for ref in self._views:
+            view = ref()
+            if view is not None:
+                pending = view._pending.get(line)
+                if pending is not None and not pending.dropped:
+                    pending.dropped = True
+                    view.stats.dropped_fills += 1
 
     def apply_completed(self, now):
         """Install every view's pending fills whose completion passed."""
@@ -397,7 +399,8 @@ class MemoryHierarchy:
     def line_of(self, addr):
         """Physical line address of ``addr`` in this view's window.
 
-        ``Core._fetch`` computes this inline; keep the two alike."""
+        ``Core._fetch``, :meth:`access_data` and :meth:`access_inst`
+        compute this inline; keep them alike."""
         return (addr + self.phys_base) & self.line_mask
 
     def _current(self, entry) -> bool:
@@ -489,8 +492,9 @@ class MemoryHierarchy:
         receive the data without installing the line into any cache level.
         ``prefetch=True`` only affects statistics.
         """
-        self.apply_completed(now)
-        line = self.line_of(addr)
+        if now >= self.next_fill:
+            self.apply_completed(now)
+        line = (addr + self.phys_base) & self.line_mask
         self.stats.data_accesses += 1
         if prefetch:
             self.stats.prefetch_requests += 1
@@ -548,8 +552,9 @@ class MemoryHierarchy:
 
     def access_inst(self, addr, now):
         """Access the instruction side (L1I → L2 → L3 → memory)."""
-        self.apply_completed(now)
-        line = self.line_of(addr)
+        if now >= self.next_fill:
+            self.apply_completed(now)
+        line = (addr + self.phys_base) & self.line_mask
         self.stats.inst_accesses += 1
 
         pending = self._pending.get(line)
