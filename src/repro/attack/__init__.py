@@ -8,6 +8,5 @@ __all__, __getattr__, __dir__ = surface(__name__, {
                 "build_rsb_overwrite_attack", "DEFAULT_SECRET",
                 "PROBE_ENTRIES"),
     "specrun": ("AttackResult", "SpecRunAttack", "run_specrun"),
-    "spectre": ("rob_limit_comparison", "run_classic_spectre"),
-    "window": ("WindowMeasurement", "measure_fig10", "measure_window"),
+    "window": ("WindowMeasurement", "measure_window"),
 })

@@ -39,7 +39,6 @@ from ..pipeline.clock import run_core
 from ..pipeline.config import CoreConfig
 from ..pipeline.core import MODE_RUNAHEAD, Core
 from ..runahead.base import NoRunahead
-from ..runahead.original import OriginalRunahead
 
 
 @dataclass
@@ -132,12 +131,3 @@ def measure_window(runahead=None, async_flushes=0, sled=4096, config=None) \
         pseudo_retired=core.stats.pseudo_retired,
         runahead_episodes=core.stats.runahead_episodes,
         cycles=core.stats.cycles)
-
-
-def measure_fig10(config=None, sled=4096, n3_flushes=1):
-    """All three Fig. 10 scenarios; returns ``(n1, n2, n3)`` measurements."""
-    n1 = measure_window(NoRunahead(), sled=sled, config=config)
-    n2 = measure_window(OriginalRunahead(), sled=sled, config=config)
-    n3 = measure_window(OriginalRunahead(), async_flushes=n3_flushes,
-                        sled=sled, config=config)
-    return n1, n2, n3

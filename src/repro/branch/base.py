@@ -59,7 +59,3 @@ class DirectionPredictor:
 
     def restore(self, snap):
         """Restore speculative state saved by :meth:`snapshot`."""
-
-    def reset(self):
-        """Forget all training."""
-        raise NotImplementedError

@@ -63,9 +63,3 @@ class BranchTargetBuffer:
         if self.tag_bits:
             stride <<= self.tag_bits
         return pc + offset_slots * stride
-
-    def reset(self):
-        self._targets = [None] * (1 << self.index_bits)
-        self._tags = [None] * (1 << self.index_bits)
-        self.hits = 0
-        self.misses = 0

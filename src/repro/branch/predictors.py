@@ -31,9 +31,6 @@ class BimodalPredictor(DirectionPredictor):
         index = meta if meta is not None else self._index(pc)
         self._pht[index] = TwoBitCounter.update(self._pht[index], taken)
 
-    def reset(self):
-        self._pht = [TwoBitCounter.WEAK_NOT_TAKEN] * (1 << self.table_bits)
-
 
 class GSharePredictor(DirectionPredictor):
     """Global-history predictor: PHT indexed by ``pc ^ GHR``.
@@ -71,10 +68,6 @@ class GSharePredictor(DirectionPredictor):
 
     def restore(self, snap):
         self.ghr = snap
-
-    def reset(self):
-        self._pht = [TwoBitCounter.WEAK_NOT_TAKEN] * (1 << self.table_bits)
-        self.ghr = 0
 
 
 class TwoLevelPredictor(DirectionPredictor):
@@ -128,11 +121,6 @@ class TwoLevelPredictor(DirectionPredictor):
             if state > TwoBitCounter.STRONG_NOT_TAKEN:
                 pht[pht_index] = state - 1
             self._bht[bht_index] = (history << 1) & self._history_mask
-
-    def reset(self):
-        self._bht = [0] * (1 << self.bht_bits)
-        self._pht = [TwoBitCounter.WEAK_NOT_TAKEN] * \
-            (1 << (self.history_bits + self.pc_bits))
 
 
 _PREDICTORS = {

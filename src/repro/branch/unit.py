@@ -14,12 +14,11 @@ on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..isa.instructions import INSTR_BYTES, Opcode
 from .base import DirectionPredictor
 from .btb import BranchTargetBuffer
-from .predictors import TwoLevelPredictor, make_direction_predictor
+from .predictors import TwoLevelPredictor
 from .rsb import ReturnStackBuffer
 
 
@@ -41,12 +40,6 @@ class BranchStats:
     target_mispredicts: int = 0
     rsb_mispredicts: int = 0
 
-    @property
-    def accuracy(self):
-        if not self.predictions:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions
-
 
 class BranchUnit:
     """Front-end branch prediction with checkpoint/restore recovery."""
@@ -64,11 +57,6 @@ class BranchUnit:
             kind.snapshot is not DirectionPredictor.snapshot)
         self._shifts_history = (
             kind.spec_update is not DirectionPredictor.spec_update)
-
-    @classmethod
-    def with_predictor(cls, name, **kwargs):
-        """Build a unit around a named direction predictor."""
-        return cls(direction=make_direction_predictor(name, **kwargs))
 
     # -- prediction --------------------------------------------------------------
 
@@ -149,9 +137,3 @@ class BranchUnit:
                                                  Opcode.CALL):
                 self.btb.update(pc, actual_target)
         return mispredicted
-
-    def reset(self):
-        self.direction.reset()
-        self.btb.reset()
-        self.rsb.reset()
-        self.stats = BranchStats()

@@ -100,10 +100,6 @@ class SplitMix64:
             raise ValueError("empty range")
         return low + self.next_u64() % (high - low + 1)
 
-    def randoms(self, n: int) -> List[float]:
-        """``n`` successive :meth:`random` draws (same stream, inlined)."""
-        return [(z >> 11) / _TWO53 for z in self._u64s(n)]
-
     def randints(self, low: int, high: int, n: int) -> List[int]:
         """``n`` successive :meth:`randint` draws (same stream, inlined)."""
         if high < low:
@@ -151,9 +147,6 @@ class NoiseDraw:
     evicted: frozenset
     polluted: frozenset
     jitters: Tuple[int, ...]
-
-    def jitter(self, index: int) -> int:
-        return self.jitters[index] if self.jitters else 0
 
 
 #: The silent draw, used when no noise model is configured.

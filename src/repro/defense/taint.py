@@ -28,7 +28,7 @@ scheme, needed to cover SpectreBTB/RSB under the same defense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 #: Taint label for raw untrusted inputs not yet bound to a branch scope.
@@ -105,10 +105,6 @@ class TaintTracker:
         self.reg_taint = {reg: frozenset((UNTRUSTED,))
                           for reg in self._initial_untrusted}
         self.scope_stack = []
-
-    def mark_untrusted(self, reg):
-        self.reg_taint[reg] = self.reg_taint.get(reg, frozenset()) | \
-            {UNTRUSTED}
 
     # -- scope management ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Content-addressed result cache behind a pluggable backend API.
+"""Content-addressed result cache.
 
 Cache key = SHA-256 of (trial spec canonical JSON, code fingerprint,
 external-input digests).  The code fingerprint hashes every ``.py``
@@ -12,24 +12,21 @@ invalidation for free.  The one way a trial can reference data
 hashed into the key, so re-recording a trace invalidates exactly the
 trials that replay it.
 
-Storage is a :class:`CacheBackend`:
+Storage is a :class:`CacheBackend` (also exported under its historical
+name ``ResultCache``): one JSON file per record under
+``<root>/<key[:2]>/<key>.json``, so a CI cache restore is a plain
+directory copy.  The default root is ``$REPRO_CACHE_DIR`` or
+``~/.cache/repro-specrun``.  Each write goes to a temp file unique to
+the writer and is renamed into place, so concurrent writers — even of
+the same key — never expose a half-written record.
 
-* :class:`DirectoryCacheBackend` (the historical layout, also exported
-  as ``ResultCache``) keeps one JSON file per record under
-  ``<root>/<key[:2]>/<key>.json`` so a CI cache restore is a plain
-  directory copy.  The default root is ``$REPRO_CACHE_DIR`` or
-  ``~/.cache/repro-specrun``.  Each write goes to a temp file unique
-  to the writer and is renamed into place, so concurrent writers —
-  even of the same key — never expose a half-written record.
-
-``resolve_cache`` turns user-facing cache arguments into backends and
-understands ``dir:<path>`` URIs; every backend reports its own URI via
+``resolve_cache`` turns user-facing cache arguments into a store and
+understands ``dir:<path>`` URIs; a store reports its own URI via
 :meth:`CacheBackend.uri`.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import json
 import os
@@ -93,26 +90,22 @@ def _external_digests(paths) -> Dict[str, str]:
     return digests
 
 
-class CacheBackend(abc.ABC):
-    """Maps trial specs to stored result records.
+class CacheBackend:
+    """Maps trial specs to stored result records: one JSON file per
+    record under ``<root>/<key[:2]>/<key>.json``.
 
-    The public surface every backend implements identically:
-    ``get``/``put``/``stats``/``count``/``clear``/``uri``.
     ``get``/``put`` never raise on I/O problems — a broken record or an
     unwritable store degrades to a miss, because the cache must never
-    change experiment outcomes.  Keying is shared
-    (:meth:`key`): identical trials hit the same record in any backend.
-
-    Subclasses provide only the raw record storage:
-    :meth:`_load` / :meth:`_store` / :meth:`count` / :meth:`clear` —
-    none of which may raise.
+    change experiment outcomes.
     """
 
-    #: URI scheme of the backend (``dir``).
-    scheme = "?"
+    #: URI scheme of the store (``dir``).
+    scheme = "dir"
 
-    def __init__(self, code_version: Optional[str] = None):
+    def __init__(self, root: Optional[pathlib.Path] = None,
+                 code_version: Optional[str] = None):
         self.code_version = code_version or code_fingerprint()
+        self.root = pathlib.Path(root) if root else default_cache_dir()
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -169,46 +162,11 @@ class CacheBackend(abc.ABC):
         return (f"cache {self.uri()} (code {self.code_version[:12]}): "
                 f"{self.hits} hits, {self.misses} misses")
 
-    @abc.abstractmethod
     def uri(self) -> str:
-        """``<scheme>:<location>`` string accepted by resolve_cache."""
-
-    # ------------------------------------------------- storage hooks
-
-    @abc.abstractmethod
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Raw record for a key, or None (never raises)."""
-
-    @abc.abstractmethod
-    def _store(self, key: str, record: Dict[str, Any]) -> None:
-        """Persist a record (never raises; failure degrades to a miss)."""
-
-    @abc.abstractmethod
-    def count(self) -> int:
-        """Number of stored records (never raises)."""
-
-    @abc.abstractmethod
-    def clear(self) -> int:
-        """Delete every record; returns the count removed."""
-
-
-class DirectoryCacheBackend(CacheBackend):
-    """One JSON file per record under ``<root>/<key[:2]>/<key>.json``.
-
-    Byte-compatible with the historical ``ResultCache`` layout: records
-    written by either spelling are interchangeable, and a CI cache
-    restore stays a plain directory copy.
-    """
-
-    scheme = "dir"
-
-    def __init__(self, root: Optional[pathlib.Path] = None,
-                 code_version: Optional[str] = None):
-        super().__init__(code_version=code_version)
-        self.root = pathlib.Path(root) if root else default_cache_dir()
-
-    def uri(self) -> str:
+        """``dir:<root>``, accepted by :func:`resolve_cache`."""
         return f"dir:{self.root}"
+
+    # ------------------------------------------------------- storage
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
@@ -242,11 +200,13 @@ class DirectoryCacheBackend(CacheBackend):
                 pass
 
     def count(self) -> int:
+        """Number of stored records (never raises)."""
         if not self.root.exists():
             return 0
         return sum(1 for _ in self.root.rglob("*.json"))
 
     def clear(self) -> int:
+        """Delete every record; returns the count removed."""
         removed = 0
         if not self.root.exists():
             return removed
@@ -259,8 +219,8 @@ class DirectoryCacheBackend(CacheBackend):
         return removed
 
 
-#: Historical name of the directory backend (public API since PR 1).
-ResultCache = DirectoryCacheBackend
+#: Historical name of the result cache, kept for its existing callers.
+ResultCache = CacheBackend
 
 #: URI schemes of result stores that no longer exist.
 _REMOVED_STORES = ("sqlite:", "http:", "https:")
@@ -288,13 +248,12 @@ def resolve_cache(cache="auto") -> Optional[CacheBackend]:
     if cache == "auto":
         if os.environ.get(CACHE_DISABLE_ENV) == "1":
             return None
-        return DirectoryCacheBackend()
+        return CacheBackend()
     if isinstance(cache, str):
         if cache.startswith("dir:"):
-            return DirectoryCacheBackend(
-                root=pathlib.Path(cache[len("dir:"):]))
+            return CacheBackend(root=pathlib.Path(cache[len("dir:"):]))
         if cache.startswith(_REMOVED_STORES):
             scheme = cache.partition(":")[0]
             raise ValueError(f"the {scheme}: result store was removed; "
                              f"use dir:<path> instead of {cache!r}")
-    return DirectoryCacheBackend(root=pathlib.Path(cache))
+    return CacheBackend(root=pathlib.Path(cache))

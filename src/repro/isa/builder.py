@@ -85,14 +85,6 @@ class ProgramBuilder:
         self._lines.append(line)
         return self
 
-    # Named wrappers for mnemonics that shadow keywords/builtins, so call
-    # sites can avoid getattr tricks.
-    def and_(self, *operands):
-        return self.emit("and", *operands)
-
-    def or_(self, *operands):
-        return self.emit("or", *operands)
-
     # -- output ---------------------------------------------------------------
 
     def source(self):

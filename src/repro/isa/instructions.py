@@ -210,11 +210,6 @@ LOAD_TYPE[Opcode.FLOAD] = "float"
 LOAD_TYPE[Opcode.VLOAD] = "vec"
 
 
-def fu_kind(opcode):
-    """Return the functional-unit class an opcode executes on."""
-    return FU_OF[opcode]
-
-
 class Instruction:
     """One decoded instruction.
 
@@ -268,22 +263,11 @@ class Instruction:
     def is_conditional_branch(self):
         return self.cond_branch
 
-    def is_mem(self):
-        return self.mem
-
     def is_load(self):
         return self.load
 
     def is_store(self):
         return self.store
-
-    def reads(self):
-        """Registers read by this instruction (in operand order)."""
-        return self.srcs
-
-    def writes(self):
-        """Register written by this instruction, or None."""
-        return self.dest
 
     def __eq__(self, other):
         if not isinstance(other, Instruction):

@@ -1,4 +1,4 @@
-"""Memory subsystem: caches, replacement, main memory, hierarchy."""
+"""Memory subsystem: caches, main memory, hierarchy."""
 
 from .._lazy import surface
 
@@ -9,6 +9,4 @@ __all__, __getattr__, __dir__ = surface(__name__, {
                   "CoreView", "HierarchyConfig", "HierarchyStats",
                   "MemoryHierarchy", "SharedHierarchy"),
     "main_memory": ("ChannelStats", "MainMemory", "MemoryChannel"),
-    "replacement": ("FifoPolicy", "LruPolicy", "RandomPolicy",
-                    "ReplacementPolicy", "make_policy"),
 })

@@ -9,9 +9,7 @@ present in a cache level or not; ``clflush`` removes it from every level.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-
-from .replacement import make_policy
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,6 @@ class CacheConfig:
     assoc: int
     line_bytes: int = 64
     latency: int = 2
-    replacement: str = "lru"
 
     def __post_init__(self):
         if self.size_bytes % (self.assoc * self.line_bytes):
@@ -56,19 +53,17 @@ class CacheStats:
     def accesses(self):
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self):
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
 
 class SetAssociativeCache:
-    """One level of set-associative cache with pluggable replacement."""
+    """One level of set-associative cache with LRU replacement.
 
-    def __init__(self, config: CacheConfig, rng_seed=1):
+    A set's way list is an :class:`OrderedDict` of tags from least to
+    most recently used: a hit moves its tag to the end, and a full set
+    evicts its first tag.
+    """
+
+    def __init__(self, config: CacheConfig):
         self.config = config
-        self._rng_seed = rng_seed
-        self._policy = make_policy(config.replacement, seed=rng_seed)
         # A set's way list is created by its first fill; ``None`` is an
         # empty set, so building a cache costs nothing per set.
         self._sets = [None] * config.n_sets
@@ -78,7 +73,7 @@ class SetAssociativeCache:
             raise ValueError(f"{config.name}: set count must be a power of 2")
         self.stats = CacheStats()
         #: Bumped by every change to contents or recency (fill,
-        #: invalidate, reset, recency-updating hit): while it holds, a
+        #: invalidate, recency-updating hit): while it holds, a
         #: line last hit here is still resident and most recent in its
         #: set, so ``Core._fetch`` re-hits it without a lookup.
         self.mutations = 0
@@ -112,7 +107,7 @@ class SetAssociativeCache:
         ways, tag = self._set_and_tag(addr)
         if ways is not None and tag in ways:
             if update:
-                self._policy.on_hit(ways, tag)
+                ways.move_to_end(tag)
                 self.mutations += 1
             self.stats.hits += 1
             return True
@@ -128,15 +123,15 @@ class SetAssociativeCache:
         if ways is None:
             ways = self._sets[index] = OrderedDict()
         elif tag in ways:
-            self._policy.on_hit(ways, tag)
+            ways.move_to_end(tag)
             return None
         evicted = None
         if len(ways) >= self.config.assoc:
-            victim = self._policy.victim(ways)
+            victim = next(iter(ways))
             del ways[victim]
             evicted = victim << self._set_shift
             self.stats.evictions += 1
-        self._policy.on_fill(ways, tag)
+        ways[tag] = None
         self.stats.fills += 1
         return evicted
 
@@ -162,14 +157,3 @@ class SetAssociativeCache:
             if ways is not None:
                 lines.extend(tag << self._set_shift for tag in ways)
         return lines
-
-    def reset(self):
-        """Drop all contents and statistics and restart the replacement
-        policy, so a reset cache behaves exactly like a fresh one."""
-        for ways in self._sets:
-            if ways is not None:
-                ways.clear()
-        self._policy = make_policy(self.config.replacement,
-                                   seed=self._rng_seed)
-        self.stats = CacheStats()
-        self.mutations += 1

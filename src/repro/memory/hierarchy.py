@@ -326,20 +326,6 @@ class SharedHierarchy:
                 best = view.next_fill
         return best
 
-    def reset(self):
-        """Reset the shared level and every attached view."""
-        self.l3.reset()
-        self.channel.reset()
-        for view in self.views:
-            view.l1i.reset()
-            view.l1d.reset()
-            view.l2.reset()
-            view._pending.clear()
-            view._fills.clear()
-            view.next_fill = _NO_FILL
-            view.stats = HierarchyStats()
-        self.next_fill = _NO_FILL
-
 
 class MemoryHierarchy:
     """One core's view: private L1I/L1D + L2 over the shared L3.
@@ -600,17 +586,6 @@ class MemoryHierarchy:
             self.trace.emit(0, _EV_FLUSH, line)
         self.shared.flush_phys_line(line)
 
-    def warm(self, addr, level=LEVEL_L1, inst=False):
-        """Install a line directly (experiment setup, no timing charged)."""
-        line = self.line_of(addr)
-        self.l3.fill(line)
-        if level == LEVEL_L3:
-            return
-        self.l2.fill(line)
-        if level == LEVEL_L2:
-            return
-        (self.l1i if inst else self.l1d).fill(line)
-
     def warm_code_range(self, start, size_bytes):
         """Warm a code region into *both* L1 caches (plus L2/L3).
 
@@ -682,20 +657,6 @@ class MemoryHierarchy:
         line = self.line_of(addr)
         cache = {LEVEL_L1: self.l1d, LEVEL_L2: self.l2, LEVEL_L3: self.l3}[level]
         return cache.probe(line)
-
-    def reset(self):
-        """Reset this view *and* the shared level it references.
-
-        (Historical single-core semantics; with multiple views attached
-        prefer :meth:`SharedHierarchy.reset`, which resets every view.)
-        """
-        for cache in (self.l1i, self.l1d, self.l2, self.l3):
-            cache.reset()
-        self.channel.reset()
-        self._pending.clear()
-        self._fills.clear()
-        self.next_fill = _NO_FILL
-        self.stats = HierarchyStats()
 
 
 #: The per-core facade name used by the multi-core subsystem; a

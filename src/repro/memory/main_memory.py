@@ -9,7 +9,7 @@ the out-of-order window and runahead can actually extract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..isa.instructions import WORD_BYTES
@@ -49,10 +49,6 @@ class ChannelStats:
     requests: int = 0
     queued_cycles: int = 0
 
-    @property
-    def mean_queue_delay(self):
-        return self.queued_cycles / self.requests if self.requests else 0.0
-
 
 class MemoryChannel:
     """Single memory channel with fixed service latency plus occupancy.
@@ -77,7 +73,3 @@ class MemoryChannel:
         self.stats.requests += 1
         self.stats.queued_cycles += start - now
         return start + self.latency
-
-    def reset(self):
-        self._next_free = 0
-        self.stats = ChannelStats()

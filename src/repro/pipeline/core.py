@@ -129,9 +129,6 @@ HOOK_FLAGS = {
     # A resolved branch skips the resolve hook (``secure`` overrides it).
     "_resolve_hook_is_default":
         ("runahead", RunaheadController, ("on_branch_resolved",)),
-    # ``step`` tests the stalling load's return inline.
-    "_exit_is_default":
-        ("runahead", RunaheadController, ("should_exit",)),
     # ``_issue`` issues normal-mode ``load``/``fload`` inline...
     "_load_hooks_are_default":
         ("runahead", RunaheadController,
@@ -308,14 +305,10 @@ class Core(IssuePaths):
             hierarchy.apply_completed(now)
 
         if self.mode == MODE_RUNAHEAD:
-            if self._exit_is_default:
-                # RunaheadController.should_exit, inline.
-                checkpoint = self.checkpoint
-                leave = checkpoint is not None and \
-                    now >= checkpoint.stalling_completion
-            else:
-                leave = self.runahead.should_exit(self, now)
-            if leave:
+            # Runahead ends when the stalling load's data has returned.
+            checkpoint = self.checkpoint
+            if checkpoint is not None and \
+                    now >= checkpoint.stalling_completion:
                 self._exit_runahead(now)
 
         if self._rob:
@@ -1255,9 +1248,3 @@ class Core(IssuePaths):
         if fetched:
             self.stats.fetched += fetched
             self._activity = True
-
-    # ------------------------------------------------------------------ results --
-
-    def architectural_state(self):
-        """Return (registers, memory snapshot) for differential testing."""
-        return list(self.arch_regs), self.memory.snapshot()

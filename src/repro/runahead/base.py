@@ -1,9 +1,10 @@
 """Runahead controller interface.
 
 The core owns the mechanics (checkpoint, INV propagation, pseudo-retire,
-exit restore); a :class:`RunaheadController` decides the *policy*: when to
-enter and exit, which instructions execute in runahead mode (precise
-runahead filters to stall slices), what extra prefetches to issue (vector
+exit restore, and the exit itself once the stalling load's data has
+returned); a :class:`RunaheadController` decides the *policy*: when to
+enter, which instructions execute in runahead mode (precise runahead
+filters to stall slices), what extra prefetches to issue (vector
 runahead), and — for the secure variant of §6 — where runahead fills go
 and what happens when branches resolve after exit.
 
@@ -31,11 +32,6 @@ class RunaheadController:
 
     def on_enter(self, core):
         """Called after the core has checkpointed and switched modes."""
-
-    def should_exit(self, core, now) -> bool:
-        """Default: exit when the stalling load's data has returned."""
-        checkpoint = core.checkpoint
-        return checkpoint is not None and now >= checkpoint.stalling_completion
 
     def on_exit(self, core):
         """Called just before the core restores the checkpoint."""

@@ -85,7 +85,3 @@ class VectorRunahead(OriginalRunahead):
             issued_lines.add(line)
             core.hierarchy.access_data(addr, core.cycle, prefetch=True)
             core.stats.vector_prefetches += 1
-
-    @property
-    def table_size(self):
-        return len(self._table)

@@ -3,9 +3,8 @@
 from .._lazy import surface
 
 __all__, __getattr__, __dir__ = surface(__name__, {
-    "base": ("Workload", "ipc_comparison"),
+    "base": ("Workload",),
     "generators": ("build_bwaves_like", "build_gems_like", "build_lbm_like",
                    "build_mcf_like", "build_wrf_like", "build_zeusmp_like"),
-    "suite": ("FIG7_ORDER", "geometric_mean_speedup", "run_fig7",
-              "spec_like_suite"),
+    "suite": ("spec_like_suite",),
 })

@@ -78,12 +78,3 @@ class Workload:
             raise RuntimeError(f"workload {self.name} did not halt")
         return core
 
-
-def ipc_comparison(workload: Workload, baseline: RunaheadController,
-                   contender: RunaheadController,
-                   config: Optional[CoreConfig] = None):
-    """Return (baseline stats, contender stats, normalized IPC)."""
-    base = workload.run(runahead=baseline, config=config)
-    cont = workload.run(runahead=contender, config=config)
-    speedup = cont.stats.ipc / base.stats.ipc if base.stats.ipc else 0.0
-    return base.stats, cont.stats, speedup

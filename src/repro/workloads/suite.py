@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..pipeline.config import CoreConfig
-from ..runahead.base import NoRunahead
-from ..runahead.original import OriginalRunahead
-from .base import Workload, ipc_comparison
+from .base import Workload
 from .generators import (build_bwaves_like, build_gems_like, build_lbm_like,
                          build_mcf_like, build_wrf_like, build_zeusmp_like)
-
-#: Paper order (Fig. 7 x-axis): zeusm, wrf, bwave, lbm, mcf, Gems.
-FIG7_ORDER = ("zeusmp", "wrf", "bwaves", "lbm", "mcf", "gems")
-
 
 def spec_like_suite() -> Dict[str, Workload]:
     """All six Fig. 7 kernels, keyed by name, in paper order."""
@@ -27,35 +20,3 @@ def spec_like_suite() -> Dict[str, Workload]:
     ]
     return {w.name: w for w in workloads}
 
-
-def run_fig7(config: Optional[CoreConfig] = None, contender=None):
-    """Run the Fig. 7 comparison; returns a list of result dicts.
-
-    ``contender`` defaults to original runahead; pass any controller
-    (precise, vector, secure, ...) for ablations.
-    """
-    suite = spec_like_suite()
-    results = []
-    for name in FIG7_ORDER:
-        workload = suite[name]
-        controller = contender() if contender is not None \
-            else OriginalRunahead()
-        base, cont, speedup = ipc_comparison(
-            workload, NoRunahead(), controller, config=config)
-        results.append({
-            "name": name,
-            "memory_bound": workload.memory_bound,
-            "ipc_base": base.ipc,
-            "ipc_runahead": cont.ipc,
-            "speedup": speedup,
-            "episodes": cont.runahead_episodes,
-            "prefetches": cont.runahead_prefetches,
-        })
-    return results
-
-
-def geometric_mean_speedup(results):
-    product = 1.0
-    for row in results:
-        product *= row["speedup"]
-    return product ** (1.0 / len(results)) if results else 0.0

@@ -6,7 +6,7 @@ Table-1 machine.  Each takes on the order of a second of host time.
 
 import pytest
 
-from repro.attack import SpecRunAttack, run_classic_spectre, run_specrun
+from repro.attack import SpecRunAttack, run_specrun
 from repro.runahead import (NoRunahead, OriginalRunahead, PreciseRunahead,
                             VectorRunahead)
 from repro.pipeline import CoreConfig
@@ -90,7 +90,7 @@ class TestBaselines:
     def test_unpadded_gadget_also_leaks_classically(self):
         """Within the ROB window, plain speculation leaks too — SPECRUN's
         novelty is beyond-ROB reach, not the in-window leak."""
-        result = run_classic_spectre("pht")
+        result = run_specrun("pht", runahead=NoRunahead())
         assert result.succeeded
 
     def test_beyond_rob_only_runahead_leaks(self):

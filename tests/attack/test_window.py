@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.attack import measure_fig10, measure_window
+from repro.attack import measure_window
 from repro.attack.window import AsyncFlusher, window_program
 from repro.pipeline import Core, CoreConfig
 from repro.runahead import NoRunahead, OriginalRunahead
@@ -10,7 +10,11 @@ from repro.runahead import NoRunahead, OriginalRunahead
 
 @pytest.fixture(scope="module")
 def fig10():
-    return measure_fig10(sled=2048)
+    """The three Fig. 10 scenarios: ① no runahead, ② runahead, ③
+    runahead with the stalling line flushed once more in runahead."""
+    return (measure_window(NoRunahead(), sled=2048),
+            measure_window(OriginalRunahead(), sled=2048),
+            measure_window(OriginalRunahead(), async_flushes=1, sled=2048))
 
 
 class TestFig10:

@@ -39,12 +39,6 @@ class TestBtb:
         congruent = btb.congruent_pc(pc)
         assert btb.aliases(pc, congruent)
 
-    def test_reset(self):
-        btb = BranchTargetBuffer()
-        btb.update(0x100, 0x500)
-        btb.reset()
-        assert btb.lookup(0x100) is None
-
 
 class TestRsb:
     def test_push_pop_lifo(self):

@@ -45,16 +45,6 @@ class TestCommonBehaviour:
         taken, _ = predictor.predict(pc)
         assert taken
 
-    def test_reset_forgets_training(self, name):
-        predictor = make_direction_predictor(name)
-        pc = 0x100
-        for _ in range(8):
-            _, meta = predictor.predict(pc)
-            predictor.update(pc, True, meta)
-        predictor.reset()
-        taken, _ = predictor.predict(pc)
-        assert not taken
-
     def test_retraining_flips_back(self, name):
         predictor = make_direction_predictor(name)
         pc = 0x40

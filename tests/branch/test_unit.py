@@ -3,6 +3,7 @@
 import pytest
 
 from repro.branch import BranchUnit
+from repro.branch.predictors import make_direction_predictor
 from repro.isa import Instruction, Opcode, int_reg
 
 
@@ -95,7 +96,7 @@ class TestIndirect:
 
 class TestRecovery:
     def test_snapshot_restores_rsb_and_history(self):
-        unit = BranchUnit.with_predictor("gshare")
+        unit = BranchUnit(direction=make_direction_predictor("gshare"))
         call = Instruction(Opcode.CALL, dest=29, srcs=(29,), target=0x100)
         pred = unit.predict(0x10, cond_branch())
         snap = pred.snapshot
@@ -116,5 +117,5 @@ class TestRecovery:
 
     def test_predictor_swapping(self):
         for name in ("bimodal", "gshare", "twolevel"):
-            unit = BranchUnit.with_predictor(name)
+            unit = BranchUnit(direction=make_direction_predictor(name))
             assert unit.direction.name == name

@@ -20,6 +20,7 @@ from repro.harness.registry import make_controller
 from repro.memory.hierarchy import (HierarchyConfig, MemoryHierarchy,
                                     SharedHierarchy)
 from repro.pipeline.config import CoreConfig
+from tests.sim import warm
 
 RECEIVER_NAMES = ("flush-reload", "evict-reload", "prime-probe")
 CONFIGS = {"paper": HierarchyConfig.paper, "small": HierarchyConfig.small}
@@ -42,7 +43,8 @@ def reference_measure(receiver, now, draw, trial):
                 receiver.hierarchy.l3.config, layout.line(index), salt=7))
         else:
             latency = line_latency(layout.line(index))
-        latencies.append(max(1, latency + draw.jitter(index)))
+        jitter = draw.jitters[index] if draw.jitters else 0
+        latencies.append(max(1, latency + jitter))
     return ProbeVector(latencies=tuple(latencies),
                        signal_low=receiver.signal_low, trial=trial,
                        receiver=receiver.name)
@@ -65,7 +67,7 @@ def build_channel(name, config, cross_core, victim_lines, in_flight):
         receiver.cross_core()
     receiver.prepare()
     for index in victim_lines:
-        victim.warm(layout.line(index))
+        warm(victim, layout.line(index))
     for index in in_flight:
         victim.access_data(layout.line(index), 0)
     return receiver
@@ -131,7 +133,7 @@ class TestOneWalkEquivalence:
         receiver = build_channel("flush-reload", HierarchyConfig.paper(),
                                  False, (), ())
         before, = receiver.measure(0)
-        receiver.hierarchy.warm(receiver.layout.line(5))
+        warm(receiver.hierarchy, receiver.layout.line(5))
         after, = receiver.measure(0)
         assert before.latencies[5] == receiver.miss_latency
         assert after.latencies[5] == receiver.hit_latency

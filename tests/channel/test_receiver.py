@@ -12,6 +12,7 @@ from repro.channel import (NO_NOISE, EvictReloadReceiver,
 from repro.memory.hierarchy import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
                                     LEVEL_PENDING, HierarchyConfig,
                                     MemoryHierarchy)
+from tests.sim import warm
 
 LAYOUT = ProbeLayout(base=1 << 20, entries=16, stride=512)
 
@@ -27,11 +28,11 @@ class TestProbeLatency:
         h = paper_hierarchy()
         addr = LAYOUT.line(3)
         assert h.probe_latency(addr, 0) == (242, LEVEL_MEM)
-        h.warm(addr, level="l3")
+        warm(h, addr, level="l3")
         assert h.probe_latency(addr, 0) == (42, LEVEL_L3)
-        h.warm(addr, level="l2")
+        warm(h, addr, level="l2")
         assert h.probe_latency(addr, 0) == (10, LEVEL_L2)
-        h.warm(addr)
+        warm(h, addr)
         assert h.probe_latency(addr, 0) == (2, LEVEL_L1)
         assert h.config.data_hit_latency == 2
         assert h.config.data_miss_latency == 242
@@ -93,7 +94,7 @@ class TestReloadReceivers:
         h = paper_hierarchy()
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
-        h.warm(LAYOUT.line(7))                  # the "transmit"
+        warm(h, LAYOUT.line(7))                 # the "transmit"
         vector = receiver.measure(0)[0]
         assert vector.signal_low
         assert vector.latencies[7] == 2
@@ -102,14 +103,14 @@ class TestReloadReceivers:
 
     def test_flush_reload_prepare_flushes_stale_lines(self):
         h = paper_hierarchy()
-        h.warm(LAYOUT.line(2))
+        warm(h, LAYOUT.line(2))
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
         assert receiver.measure(0)[0].latencies[2] == 242
 
     def test_evict_reload_prepare_evicts_via_sets(self):
         h = paper_hierarchy()
-        h.warm(LAYOUT.line(2))                  # resident everywhere
+        warm(h, LAYOUT.line(2))                 # resident everywhere
         receiver = make_receiver("evict-reload", LAYOUT, h)
         receiver.prepare()                      # no clflush involved
         assert h.stats.flushes == 0
@@ -119,7 +120,7 @@ class TestReloadReceivers:
         h = paper_hierarchy()
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
-        h.warm(LAYOUT.line(3))
+        warm(h, LAYOUT.line(3))
         first = receiver.measure(0)[0]
         second = receiver.measure(0)[0]
         assert first.latencies == second.latencies
@@ -128,7 +129,7 @@ class TestReloadReceivers:
         h = paper_hierarchy()
         receiver = make_receiver("flush-reload", LAYOUT, h)
         receiver.prepare()
-        h.warm(LAYOUT.line(3))
+        warm(h, LAYOUT.line(3))
         model = NoiseModel(evict_rate=1.0)
         draw = model.draw(SplitMix64(1), receiver.noise_lines(),
                           LAYOUT.entries)

@@ -34,6 +34,7 @@ from repro.harness import presets
 from repro.harness.registry import get_workload, make_controller
 from repro.harness.runner import run_trial
 from repro.harness.spec import Trial, canonical_json
+from tests.sim import architectural_state
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_stats.json")
 
@@ -77,7 +78,7 @@ EXTRACT_PARAMS = tuple(dict(params, secret=[86])
 
 def _arch_state_digest(core) -> str:
     """Stable hash of the architectural end state (registers + memory)."""
-    regs, memory = core.architectural_state()
+    regs, memory = architectural_state(core)
     payload = repr((regs, sorted(memory.items())))
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -1,9 +1,5 @@
-"""Backend-conformance suite: every CacheBackend behaves identically.
-
-The battery is parametrized by backend — anything observable through
-the public surface (get/put/stats/count/clear/uri) must not depend on
-the storage scheme.  The directory backend is the one there is.
-"""
+"""The result store's public surface (get/put/stats/count/clear/uri)
+and its on-disk layout."""
 
 import gc
 import json
@@ -13,8 +9,7 @@ import sys
 
 import pytest
 
-from repro.harness.cache import (CacheBackend, DirectoryCacheBackend,
-                                 ResultCache, resolve_cache)
+from repro.harness.cache import CacheBackend, ResultCache, resolve_cache
 from repro.harness.spec import Trial
 
 
@@ -25,8 +20,7 @@ def make_trial(sled=64) -> Trial:
 
 @pytest.fixture(params=["dir"])
 def backend(tmp_path) -> CacheBackend:
-    return DirectoryCacheBackend(root=tmp_path / "cache",
-                                 code_version="v1")
+    return CacheBackend(root=tmp_path / "cache", code_version="v1")
 
 
 class TestConformance:
@@ -72,13 +66,11 @@ class TestConformance:
         assert backend.get(make_trial(16)) == {"sled": 16}
 
     def test_key_is_shared_across_backends(self, backend, tmp_path):
-        other = DirectoryCacheBackend(root=tmp_path / "other",
-                                      code_version="v1")
+        other = CacheBackend(root=tmp_path / "other", code_version="v1")
         assert backend.key(make_trial()) == other.key(make_trial())
 
     def test_code_version_partitions_keys(self, backend, tmp_path):
-        other = DirectoryCacheBackend(root=tmp_path / "other",
-                                      code_version="v2")
+        other = CacheBackend(root=tmp_path / "other", code_version="v2")
         assert backend.key(make_trial()) != other.key(make_trial())
 
     def test_uri_round_trips_through_resolve_cache(self, backend):
@@ -94,7 +86,7 @@ class TestCorruptionResilience:
     """A broken store degrades to a miss — never an exception."""
 
     def test_corrupt_directory_record(self, tmp_path):
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial()
         backend.put(trial, {"ok": True})
         backend._path(backend.key(trial)).write_text("{garbage",
@@ -102,7 +94,7 @@ class TestCorruptionResilience:
         assert backend.get(trial) is None
 
     def test_wrong_record_version_is_a_miss(self, tmp_path):
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial()
         backend.put(trial, {"ok": True})
         path = backend._path(backend.key(trial))
@@ -114,11 +106,11 @@ class TestCorruptionResilience:
 
 _WRITER = """
 import sys
-from repro.harness.cache import DirectoryCacheBackend
+from repro.harness.cache import CacheBackend
 from repro.harness.spec import Trial
 
 root, tag, first, count, rounds, pad = sys.argv[1:]
-backend = DirectoryCacheBackend(root=root, code_version="v1")
+backend = CacheBackend(root=root, code_version="v1")
 for round_ in range(int(rounds)):
     for sled in range(int(first), int(first) + int(count)):
         trial = Trial("window", {"runahead": "none", "sled": sled,
@@ -156,7 +148,7 @@ class TestDirectoryConcurrency:
             for w in range(writers)])
         for proc in procs:
             assert proc.wait(timeout=120) == 0
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         assert backend.count() == writers * per_writer
         for sled in range(writers * per_writer):
             assert backend.get(make_trial(sled))["sled"] == sled
@@ -166,7 +158,7 @@ class TestDirectoryConcurrency:
         """Two processes re-writing the SAME key while a reader polls
         it: no read is ever torn, and the surviving record is the
         final write of one of the writers."""
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial(0)
         backend.put(trial, {"sled": 0, "writer": "seed"})
         rounds = 300
@@ -193,13 +185,12 @@ class TestResolveCache:
         assert resolve_cache(False) is None
 
     def test_backend_passthrough(self, tmp_path):
-        backend = DirectoryCacheBackend(root=tmp_path / "x",
-                                        code_version="v1")
+        backend = CacheBackend(root=tmp_path / "x", code_version="v1")
         assert resolve_cache(backend) is backend
 
     def test_dir_uri(self, tmp_path):
         backend = resolve_cache(f"dir:{tmp_path / 'store'}")
-        assert isinstance(backend, DirectoryCacheBackend)
+        assert isinstance(backend, CacheBackend)
         assert backend.root == tmp_path / "store"
 
     @pytest.mark.parametrize("uri", [
@@ -218,7 +209,7 @@ class TestResolveCache:
 
     def test_plain_path_is_directory_backend(self, tmp_path):
         backend = resolve_cache(str(tmp_path / "legacy"))
-        assert isinstance(backend, DirectoryCacheBackend)
+        assert isinstance(backend, CacheBackend)
         assert backend.root == tmp_path / "legacy"
 
     def test_auto_honours_disable_env(self, monkeypatch):
@@ -226,7 +217,7 @@ class TestResolveCache:
         assert resolve_cache("auto") is None
 
     def test_result_cache_alias_is_the_directory_backend(self):
-        assert ResultCache is DirectoryCacheBackend
+        assert ResultCache is CacheBackend
 
 
 class TestDirectoryLayout:
@@ -234,7 +225,7 @@ class TestDirectoryLayout:
     (CI cache restores are plain directory copies)."""
 
     def test_record_path_shape(self, tmp_path):
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial()
         backend.put(trial, {"ok": True})
         key = backend.key(trial)
@@ -247,7 +238,7 @@ class TestDirectoryLayout:
         assert record["trial"] == trial.to_dict()
 
     def test_records_are_compact_json(self, tmp_path):
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial()
         backend.put(trial, {"ok": True})
         text = backend._path(backend.key(trial)).read_text()
@@ -259,7 +250,7 @@ class TestDirectoryLayout:
     def test_indented_record_still_loads(self, tmp_path):
         """A record written with ``indent=1`` (the earlier layout) is a
         hit."""
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial()
         backend.put(trial, {"window": 42})
         path = backend._path(backend.key(trial))
@@ -271,7 +262,7 @@ class TestDirectoryLayout:
     def test_put_leaves_no_reference_cycle(self, tmp_path):
         """``json.dumps(indent=...)`` runs the pure-Python encoder,
         whose closures form a cycle per call; a put must not."""
-        backend = DirectoryCacheBackend(root=tmp_path, code_version="v1")
+        backend = CacheBackend(root=tmp_path, code_version="v1")
         trial = make_trial()
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)

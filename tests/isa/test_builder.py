@@ -19,8 +19,8 @@ class TestEmission:
         b = ProgramBuilder()
         b.li("r1", 6)
         b.li("r2", 3)
-        b.and_("r3", "r1", "r2")
-        b.or_("r4", "r1", "r2")
+        b.emit("and", "r3", "r1", "r2")
+        b.emit("or", "r4", "r1", "r2")
         b.halt()
         result = run_program(b.build())
         assert result.reg(3) == 2

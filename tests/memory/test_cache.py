@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import CacheConfig, CacheStats, SetAssociativeCache
+from repro.memory import CacheConfig, SetAssociativeCache
 
 
-def make_cache(size=1024, assoc=2, line=64, replacement="lru"):
-    return SetAssociativeCache(
-        CacheConfig("test", size, assoc, line_bytes=line,
-                    replacement=replacement))
+def make_cache(size=1024, assoc=2, line=64):
+    return SetAssociativeCache(CacheConfig("test", size, assoc,
+                                           line_bytes=line))
 
 
 class TestGeometry:
@@ -73,48 +72,22 @@ class TestEviction:
         assert cache.probe(0x000)
         assert not cache.probe(0x100)
 
-    def test_fifo_ignores_hits(self):
-        cache = make_cache(size=256, assoc=2, line=64, replacement="fifo")
+    def test_refill_and_stealth_lookup_recency(self):
+        """A refill of a resident line refreshes it; a lookup with
+        ``update=False`` does not."""
+        cache = make_cache(size=256, assoc=2, line=64)  # 2 sets
         cache.fill(0x000)
         cache.fill(0x100)
-        cache.lookup(0x000)          # does not refresh under FIFO
-        evicted = cache.fill(0x200)
-        assert evicted == 0x000
+        cache.fill(0x000)                   # refresh line 0
+        assert cache.fill(0x200) == 0x100
+        assert cache.lookup(0x000, update=False)
+        assert cache.fill(0x300) == 0x000
 
     def test_refill_of_resident_line_evicts_nothing(self):
         cache = make_cache()
         cache.fill(0x1000)
         assert cache.fill(0x1000) is None
         assert cache.stats.evictions == 0
-
-    def test_random_policy_is_deterministic(self):
-        results = []
-        for _ in range(2):
-            cache = make_cache(size=256, assoc=2, replacement="random")
-            cache.fill(0x000)
-            cache.fill(0x100)
-            results.append(cache.fill(0x200))
-        assert results[0] == results[1]
-        assert results[0] in (0x000, 0x100)
-
-
-class TestReset:
-    def test_reset_cache_replays_a_fresh_one(self):
-        """Reset restarts the replacement PRNG: a reset random-policy
-        cache picks the same victims as a freshly built one."""
-        def victims(cache):
-            # 8 sets of 2 ways; stride 512 keeps every line in set 0.
-            return [cache.fill(i * 512) for i in range(40)]
-
-        config = CacheConfig("test", 1024, 2, replacement="random")
-        reset = SetAssociativeCache(config, rng_seed=7)
-        victims(reset)
-        reset.reset()
-        assert reset.occupancy() == 0
-        assert reset.stats == CacheStats()
-        fresh = SetAssociativeCache(config, rng_seed=7)
-        assert victims(reset) == victims(fresh)
-        assert reset.resident_lines() == fresh.resident_lines()
 
 
 class TestLazySets:
@@ -145,16 +118,14 @@ class TestLazySets:
         assert self.allocated(cache) == [1]
         assert cache.invalidate(0x1040)
         assert cache.occupancy() == 0
-        cache.reset()
         assert cache.resident_lines() == []
 
 
 class TestOccupancyInvariants:
-    @given(st.lists(st.integers(min_value=0, max_value=63), max_size=200),
-           st.sampled_from(["lru", "fifo", "random"]))
+    @given(st.lists(st.integers(min_value=0, max_value=63), max_size=200))
     @settings(max_examples=60, deadline=None)
-    def test_occupancy_never_exceeds_capacity(self, line_indices, policy):
-        cache = make_cache(size=512, assoc=2, line=64, replacement=policy)
+    def test_occupancy_never_exceeds_capacity(self, line_indices):
+        cache = make_cache(size=512, assoc=2, line=64)
         for index in line_indices:
             cache.fill(index * 64)
             assert cache.occupancy() <= cache.config.n_lines
@@ -185,11 +156,3 @@ class TestOccupancyInvariants:
         for addr in (0x0, 0x40, 0x80):
             cache.fill(addr)
         assert sorted(cache.resident_lines()) == [0x0, 0x40, 0x80]
-
-    def test_reset_clears_everything(self):
-        cache = make_cache()
-        cache.fill(0x1000)
-        cache.lookup(0x1000)
-        cache.reset()
-        assert cache.occupancy() == 0
-        assert cache.stats.accesses == 0

@@ -6,6 +6,7 @@ from repro.memory import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
                           LEVEL_PENDING, CoreView, HierarchyConfig,
                           MainMemory, MemoryChannel, MemoryHierarchy,
                           SharedHierarchy)
+from tests.sim import warm
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ class TestLatencies:
         assert result.latency == 42
 
     def test_warm_skips_timing(self, hierarchy):
-        hierarchy.warm(0x2000)
+        warm(hierarchy, 0x2000)
         result = hierarchy.access_data(0x2000, now=0)
         assert result.level == LEVEL_L1
 
@@ -88,7 +89,7 @@ class TestLazyFills:
 
 class TestClflush:
     def test_flush_evicts_all_levels(self, hierarchy):
-        hierarchy.warm(0x1000)
+        warm(hierarchy, 0x1000)
         hierarchy.flush_line(0x1000)
         for level in (LEVEL_L1, LEVEL_L2, LEVEL_L3):
             assert not hierarchy.present_in(0x1000, level)
@@ -105,7 +106,7 @@ class TestClflush:
 
     def test_flush_then_reload_timing_gap(self, hierarchy):
         """The covert-channel primitive: flushed lines are slow, cached fast."""
-        hierarchy.warm(0x8000)
+        warm(hierarchy, 0x8000)
         hit = hierarchy.access_data(0x8000, now=0)
         hierarchy.flush_line(0x8000)
         miss = hierarchy.access_data(0x8000, now=100)

@@ -29,6 +29,7 @@ from repro.channel.noise import SplitMix64
 from repro.memory import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
                           PHYS_WINDOW_STRIDE, HierarchyConfig,
                           MemoryHierarchy, SharedHierarchy)
+from tests.sim import warm
 
 
 def make_shared(cores=2, config=None):
@@ -66,7 +67,7 @@ def random_walk(shared, rng, steps, addr_space=1 << 15):
         elif op < 6:
             view.access_inst(addr, now)
         elif op == 6:
-            view.warm(addr)
+            warm(view, addr)
         else:
             view.flush_line(addr)
         now += 1 + rng.next_u64() % 40
@@ -98,8 +99,8 @@ class TestInclusion:
         config = shared.l3.config
         set_span = config.n_sets * config.line_bytes
         target = 0x1000
-        a.warm(target)                     # resident in a's L1D, L2, L3
-        b.warm(target)                     # and in b's private caches
+        warm(a, target)                    # resident in a's L1D, L2, L3
+        warm(b, target)                    # and in b's private caches
         # Fill the target's L3 set with `assoc` fresh conflicting lines,
         # evicting the target from L3.
         for way in range(config.assoc):
@@ -117,7 +118,7 @@ class TestInclusion:
         config = hierarchy.l3.config
         set_span = config.n_sets * config.line_bytes
         target = 0x1000
-        hierarchy.warm(target)
+        warm(hierarchy, target)
         for way in range(config.assoc):
             hierarchy.l3.fill(target + (way + 1) * set_span)
         assert not hierarchy.l3.probe(target)
@@ -158,7 +159,7 @@ class TestCrossCoreFlush:
     def test_flush_from_one_core_clears_all_copies(self):
         shared, (a, b, c) = make_shared(cores=3)
         for view in (a, b):
-            view.warm(0x2000)
+            warm(view, 0x2000)
         c.flush_line(0x2000)
         assert not shared.l3.probe(0x2000)
         for view in (a, b, c):
@@ -340,16 +341,3 @@ class TestProbeReadOnly:
                 for _ in range(50):
                     view.present_in(rng.next_u64() % (1 << 15), level)
         assert hierarchy_snapshot(shared) == before
-
-
-class TestSharedReset:
-    def test_shared_reset_clears_every_view(self):
-        shared, views = make_shared(cores=2)
-        rng = SplitMix64(5)
-        random_walk(shared, rng, steps=60)
-        shared.reset()
-        assert shared.l3.occupancy() == 0
-        for view in views:
-            assert not view._pending
-            assert view.l1d.occupancy() == 0
-            assert view.stats.data_accesses == 0

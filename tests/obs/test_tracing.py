@@ -16,6 +16,7 @@ from repro.harness.registry import get_workload, make_controller
 from repro.obs import (EV_COMMIT, EV_RA_ENTER, EV_RA_EXIT, FileSink,
                        MemorySink, attach_sink, load_events)
 from repro.obs.events import EVENT_SCHEMA
+from tests.sim import architectural_state
 
 MACHINES = ("none", "original", "secure")
 
@@ -26,7 +27,7 @@ def run_stats(workload_name, controller_name, trace=None):
         if controller_name != "none" else None
     core = workload.run(runahead=controller, trace=trace)
     stats = dataclasses.asdict(core.stats)
-    stats["architectural_state"] = core.architectural_state()
+    stats["architectural_state"] = architectural_state(core)
     stats["transient_window_max"] = core.transient_window_max
     return stats
 

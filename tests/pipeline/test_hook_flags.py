@@ -25,6 +25,7 @@ from repro.isa.assembler import assemble
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import HOOK_FLAGS, Core
 from repro.runahead.original import OriginalRunahead
+from tests.sim import architectural_state
 
 PROGRAM = assemble("halt")
 
@@ -107,10 +108,6 @@ class CountingRunahead(OriginalRunahead):
     def on_branch_resolved(self, core, entry, mispredicted):
         self._count("on_branch_resolved")
 
-    def should_exit(self, core, now):
-        self._count("should_exit")
-        return super().should_exit(core, now)
-
     def normal_load_override(self, core, entry, addr, now):
         self._count("normal_load_override")
         return None
@@ -161,7 +158,7 @@ def test_overridden_hooks_are_all_called():
     # Recorded from the simulator that called every hook.
     assert controller.calls == {
         "filter_dispatch": 222, "on_branch_resolved": 92,
-        "should_exit": 171, "normal_load_override": 108,
+        "normal_load_override": 108,
         "on_normal_load": 108, "runahead_load_override": 102,
         "runahead_load_fill": 102, "on_runahead_load": 102,
         "on_pseudo_retire": 271}
@@ -176,7 +173,7 @@ def observed(core):
             [dataclasses.asdict(cache.stats)
              for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)],
             dataclasses.asdict(core.branch_unit.stats),
-            core.architectural_state())
+            architectural_state(core))
 
 
 @pytest.mark.parametrize("source", [RUNAHEAD_LOADS, "pht"])

@@ -30,6 +30,7 @@ from repro.pipeline.clock import next_step_cycle
 from repro.pipeline.core import MODE_RUNAHEAD, Core
 from repro.pipeline.stats import STALL_REASONS, CoreStats
 from repro.runahead.original import OriginalRunahead
+from tests.sim import architectural_state
 
 CONTROLLERS = ("none", "original", "precise", "vector", "secure",
                "branch-skip")
@@ -129,7 +130,7 @@ def observed(core):
         "hierarchy": dataclasses.asdict(hierarchy.stats),
         "branch": dataclasses.asdict(core.branch_unit.stats),
         "window": core.transient_window_max,
-        "arch": core.architectural_state(),
+        "arch": architectural_state(core),
     }
     if isinstance(core.runahead, SecureRunahead) and \
             core.runahead.sl is not None:

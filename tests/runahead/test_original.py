@@ -5,6 +5,7 @@ import pytest
 from repro import Core, CoreConfig, MemoryImage, assemble
 from repro.isa import int_reg
 from repro.runahead import NoRunahead, OriginalRunahead
+from tests.sim import warm
 
 
 def run_core(source, image=None, config=None, runahead=None, **kwargs):
@@ -57,7 +58,7 @@ class TestEntryExit:
         program = assemble(source, memory_image=image)
         core = Core(program, memory_image=image, config=CoreConfig.small(),
                     runahead=OriginalRunahead(), warm_icache=True)
-        core.hierarchy.warm(addr)
+        warm(core.hierarchy, addr)
         core.run(max_cycles=100_000)
         assert core.stats.runahead_episodes == 0
 
