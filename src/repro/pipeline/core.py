@@ -320,8 +320,8 @@ class Core(IssuePaths):
         if completions and completions[0][0] <= now:
             self._complete(now)
         if self._ready:
-            # The FU pool is read only by the issue stage.
-            # FunctionalUnitPool.new_cycle, inline.
+            # The FU pool is read only by the issue stage: free every
+            # slot for this cycle.
             fus = self.fus
             fus.used = fus._zero.copy()
             self._issue(now)

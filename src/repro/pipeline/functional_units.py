@@ -15,8 +15,8 @@ conditional branches, floating-point arithmetic and its inline loads;
 the general issue path (:mod:`repro.pipeline.issue`) claims through
 :meth:`issue`, and ``ret`` tests its MEM port with :meth:`can_issue`:
 
-* ``used`` is replaced only by :meth:`new_cycle` (the core's ``step``
-  runs its one line inline), once per cycle;
+* ``used`` is replaced only by the core's ``step``, with a copy of
+  ``_zero``, once per cycle;
 * a kind has a free slot while ``used[kind] < counts[kind]``;
 * a claim is ``used[kind] += 1`` and its result arrives
   ``latencies[kind]`` cycles later.
@@ -41,10 +41,6 @@ class FunctionalUnitPool:
         self._zero = [0] * NUM_FU_KINDS
         #: Slots claimed this cycle, per unit kind.
         self.used = [0] * NUM_FU_KINDS
-
-    def new_cycle(self):
-        """Reset per-cycle slot usage."""
-        self.used = self._zero.copy()
 
     def can_issue(self, kind) -> bool:
         return self.used[kind] < self.counts[kind]

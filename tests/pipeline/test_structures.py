@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Core, assemble
 from repro.isa import Instruction, Opcode, int_reg
 from repro.isa.instructions import FuKind
 from repro.pipeline import CoreConfig, FunctionalUnitPool, ReorderBuffer
@@ -72,19 +73,26 @@ class TestReorderBuffer:
 class TestFunctionalUnits:
     def test_per_cycle_slots(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        pool.new_cycle()
         for _ in range(4):
             assert pool.can_issue(FuKind.INT_ALU)
             assert pool.issue(FuKind.INT_ALU) == 1
         assert not pool.can_issue(FuKind.INT_ALU)
 
     def test_slots_reset_each_cycle(self):
-        pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        pool.new_cycle()
-        pool.issue(FuKind.FP_DIV)
-        assert not pool.can_issue(FuKind.FP_DIV)   # only one unit
-        pool.new_cycle()
-        assert pool.can_issue(FuKind.FP_DIV)       # pipelined
+        def cycles(n_divs):
+            source = "li r1, 3\nfcvt f1, r1\n" + "".join(
+                f"fdiv f{2 + i}, f1, f1\n" for i in range(n_divs)) + "halt\n"
+            core = Core(assemble(source), config=CoreConfig.small(),
+                        warm_icache=True)
+            core.run(max_cycles=10_000)
+            assert core.halted
+            assert core.fus.counts[FuKind.FP_DIV] == 1    # only one unit
+            return core.stats.cycles
+
+        # Independent divides share the one pipelined unit: the core
+        # frees its slot every cycle, so each extra one costs a cycle.
+        one = cycles(1)
+        assert [cycles(n) - one for n in (2, 3, 4)] == [1, 2, 3]
 
     def test_latencies_match_table1(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
@@ -97,7 +105,6 @@ class TestFunctionalUnits:
 
     def test_overissue_raises(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        pool.new_cycle()
         pool.issue(FuKind.INT_DIV)
         with pytest.raises(RuntimeError):
             pool.issue(FuKind.INT_DIV)

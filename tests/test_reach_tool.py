@@ -62,6 +62,25 @@ def test_keep_line_without_a_reason_is_refused(reach, tmp_path):
         reach.load_keep(keep)
 
 
+@pytest.mark.parametrize("reason, refused", [
+    ("[no-root] read by tests", True),
+    ("[full-tier] the full tier runs it", True),
+    ("[reference] interpreter handlers", False),
+    ("[protocol] interface stubs", False),
+])
+def test_only_reference_and_protocol_entries_may_be_patterns(
+        reach, tmp_path, reason, refused):
+    """A pattern also keeps any function added later that matches it,
+    so an entry that is a candidate for deletion must name one function."""
+    keep = tmp_path / "keep.txt"
+    keep.write_text(f"repro.isa.registers:*_reg  {reason}\n")
+    if refused:
+        with pytest.raises(SystemExit, match="may be patterns"):
+            reach.load_keep(keep)
+    else:
+        assert reach.load_keep(keep) == {"repro.isa.registers:*_reg": reason}
+
+
 def test_hook_counts_a_forked_worker_that_is_killed(reach, tmp_path):
     """A campaign ends its workers with SIGKILL: what a forked worker
     entered must be on record before it dies."""

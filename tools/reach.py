@@ -29,15 +29,16 @@ its set of functions already written, so a campaign worker counts
 even though the campaign ends it with ``SIGKILL``.
 
 ``tools/reach_keep.txt`` names the unreached functions that stay on
-purpose, one pattern (``module:qualname``, ``fnmatch`` wildcards
-allowed) and a one-line reason per line.  Run from the repository
-root::
+purpose, one ``module:qualname`` and a one-line reason per line; only
+a ``[reference]`` or ``[protocol]`` entry may be an ``fnmatch``
+pattern.  Run from the repository root::
 
     python tools/reach.py                   # full tier, report only
     python tools/reach.py --quick --check   # CI: fail on an unkept function
 
-With ``--check`` the exit status is 1 when an unreached function matches
-no keep entry, or a keep entry matches no function at all.
+Each root's run time goes to stderr as it finishes.  With ``--check``
+the exit status is 1 when an unreached function matches no keep entry,
+or a keep entry matches no function at all.
 """
 
 from __future__ import annotations
@@ -219,18 +220,18 @@ def _env(scratch: pathlib.Path, *first: pathlib.Path) -> Dict[str, str]:
     return env
 
 
-def probe(quick: bool, verbose: bool) -> Set[Tuple[str, int, str]]:
+def probe(quick: bool) -> Set[Tuple[str, int, str]]:
     """Run every root under the hook; see :func:`record`."""
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         scratch = pathlib.Path(tmp)
-        return record(roots(quick, scratch), scratch, verbose)
+        return record(roots(quick, scratch), scratch)
 
 
-def record(commands, scratch: pathlib.Path,
-           verbose: bool = False) -> Set[Tuple[str, int, str]]:
+def record(commands, scratch: pathlib.Path) -> Set[Tuple[str, int, str]]:
     """Run ``commands`` from the repository root under the hook, with
-    the result cache in ``scratch``; return (path, first line, name) of
-    every ``src/repro`` code object a process entered."""
+    the result cache in ``scratch``, printing each one's run time to
+    stderr; return (path, first line, name) of every ``src/repro`` code
+    object a process entered."""
     hook_dir, out = scratch / "hook", scratch / "calls.tsv"
     hook_dir.mkdir()
     (hook_dir / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
@@ -245,9 +246,8 @@ def record(commands, scratch: pathlib.Path,
         done = subprocess.run(command, cwd=ROOT, env=env,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True)
-        if verbose:
-            print(f"  {time.perf_counter() - started:6.1f} s  {shown}",
-                  file=sys.stderr)
+        print(f"  {time.perf_counter() - started:6.1f} s  {shown}",
+              file=sys.stderr)
         # ``verify`` exits 1 on a reported leak: not a failure here.
         if done.returncode not in (0, 1) or (
                 done.returncode and command[3:4] != ["verify"]):
@@ -271,9 +271,15 @@ def load_keep(path: pathlib.Path) -> Dict[str, str]:
         if not line or line.startswith("#"):
             continue
         pattern, _, reason = line.partition(" ")
-        if not reason.strip():
+        reason = reason.strip()
+        if not reason:
             raise SystemExit(f"{path}:{number}: {pattern} has no reason")
-        keep[pattern] = reason.strip()
+        if any(c in pattern for c in "*?[") and not reason.startswith(
+                ("[reference]", "[protocol]")):
+            raise SystemExit(f"{path}:{number}: {pattern}: only "
+                             f"[reference] and [protocol] entries may be "
+                             f"patterns")
+        keep[pattern] = reason
     return keep
 
 
@@ -284,12 +290,10 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on an unreached function that "
                              "tools/reach_keep.txt does not name")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print each root's run time")
     args = parser.parse_args(argv)
 
     every = functions()
-    reached = probe(args.quick, args.verbose)
+    reached = probe(args.quick)
     unreached = [f for f in every
                  if (f.path, f.first, f.code_name) not in reached]
     lines = {(f.path, n) for f in unreached
