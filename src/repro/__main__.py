@@ -29,19 +29,6 @@ Subcommands
     ``--cores N`` moves the receiver to another core of a shared-L3
     multi-core topology; ``--corunner <workload>`` (with ``--cores 3``
     or ``--smt``) runs a real interfering instruction stream.
-    ``--corunner-trace <trace>`` puts a trace-replay workload on a
-    dedicated co-runner core (implies ``--cores 3``);
-    ``--victim-trace <trace>`` runs it as an SMT thread sharing the
-    victim's private caches — trace pressure inside the victim's slot.
-``repro trace record|info``
-    Work with trace-driven workloads (:mod:`repro.trace`):
-    ``record <workload>`` captures an access trace from any registry
-    workload through the reference interpreter and writes it to a
-    ``.trace`` file; ``info <name-or-file>`` prints event counts,
-    footprint, set coverage and replay size of a trace file, a
-    synthetic family (``mcf``/``stream``/``gcc``/``zipf``) or a
-    ``trace-*`` workload.  Recorded files run anywhere a workload name
-    is accepted via ``trace:<path>``.
 ``repro campaign run|resume|status|serve``
     Journaled, resumable campaigns (:mod:`repro.campaign`):
     ``run <preset...>`` lays down a self-contained campaign directory
@@ -181,22 +168,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_attack(args) -> int:
     from .analysis.report import format_table
-
-    if (args.corunner_trace or args.victim_trace) and args.corunner:
-        print("error: use either --corunner or one of "
-              "--corunner-trace/--victim-trace", file=sys.stderr)
-        return 2
-    if args.corunner_trace and args.victim_trace:
-        print("error: --corunner-trace and --victim-trace are mutually "
-              "exclusive (dedicated core vs SMT thread)", file=sys.stderr)
-        return 2
-    from .trace.suite import trace_workload_name
-    if args.corunner_trace:
-        args.corunner = trace_workload_name(args.corunner_trace)
-        args.cores = max(args.cores, 3)
-    elif args.victim_trace:
-        args.corunner = trace_workload_name(args.victim_trace)
-        args.smt = True
 
     noise = {"jitter": args.jitter, "evict_rate": args.evict_rate,
              "pollute_rate": args.pollute_rate}
@@ -364,44 +335,6 @@ def _cmd_verify(args) -> int:
     return 0 if result["clean"] else 1
 
 
-def _cmd_trace_record(args) -> int:
-    from .harness.registry import get_workload
-    from .trace.record import record_trace
-
-    workload = get_workload(args.workload)
-    trace = record_trace(workload, max_steps=args.max_steps,
-                         max_events=args.max_events)
-    out = args.out or f"{args.workload}.trace"
-    trace.save(out)
-    print(trace.summary())
-    print(f"wrote {out}  (replay with: workload=trace:{out})")
-    return 0
-
-
-def _cmd_trace_info(args) -> int:
-    from .harness.registry import make_config
-    from .trace.replay import TraceReplayWorkload
-    from .trace.suite import resolve_trace_source
-
-    trace = resolve_trace_source(args.source)
-    print(trace.summary())
-    hierarchy = make_config("paper").hierarchy
-    for level in ("l1d", "l2", "l3"):
-        config = getattr(hierarchy, level)
-        sets = len(set(trace.set_stream(config.n_sets, config.line_bytes)))
-        print(f"  {level:4s} set coverage: {sets}/{config.n_sets} sets")
-    workload = TraceReplayWorkload(trace)
-    program, _, _ = workload.materialize()
-    print(f"  replay   : {len(program.instructions)} instructions, "
-          f"pattern region {workload.internal_ranges or 'none'}")
-    return 0
-
-
-def _cmd_trace_help(args) -> int:
-    args.trace_parser.print_help()
-    return 2
-
-
 def _cmd_obs_record(args) -> int:
     from .harness.registry import get_workload, make_controller
     from .obs.sink import FileSink
@@ -409,12 +342,9 @@ def _cmd_obs_record(args) -> int:
     workload = get_workload(args.workload)
     controller = make_controller(args.runahead) if args.runahead else None
     out = args.out or f"{args.workload}.evt"
-    sink = FileSink(out)
-    try:
+    with FileSink(out) as sink:
         core = workload.run(runahead=controller, trace=sink,
                             max_cycles=args.max_cycles)
-    finally:
-        sink.close()
     stats = core.stats
     print(f"{args.workload}: {stats.cycles} cycles, "
           f"{stats.committed} committed, IPC {stats.ipc:.3f}")
@@ -619,16 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--corunner-runahead", default="none",
                           help="runahead controller for co-runner cores "
                                "(default: none)")
-    p_attack.add_argument("--corunner-trace", default=None,
-                          metavar="TRACE",
-                          help="run a trace replay (family, trace-* "
-                               "workload, or .trace file) on a dedicated "
-                               "co-runner core; implies --cores 3")
-    p_attack.add_argument("--victim-trace", default=None,
-                          metavar="TRACE",
-                          help="run a trace replay as an SMT thread of "
-                               "the victim's core (shared L1/L2: trace "
-                               "pressure in the victim slot)")
     p_attack.add_argument("--no-noise", action="store_true",
                           help="disable all measurement noise")
     p_attack.add_argument("--seed", type=int, default=7,
@@ -670,28 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the raw trial record as JSON")
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_trace = sub.add_parser(
-        "trace", help="record / inspect trace-driven workloads")
-    tsub = p_trace.add_subparsers(dest="trace_command")
-    p_trace.set_defaults(func=_cmd_trace_help, trace_parser=p_trace)
-    p_record = tsub.add_parser(
-        "record", help="capture a trace from a registry workload")
-    p_record.add_argument("workload",
-                          help="workload registry name (e.g. mcf, lbm)")
-    p_record.add_argument("--out", default=None,
-                          help="output file (default: <workload>.trace)")
-    p_record.add_argument("--max-events", type=int, default=None,
-                          help="truncate the trace after N events")
-    p_record.add_argument("--max-steps", type=int, default=2_000_000,
-                          help="interpreter step budget (default 2M)")
-    p_record.set_defaults(func=_cmd_trace_record)
-    p_info = tsub.add_parser(
-        "info", help="summarize a trace file or synthetic family")
-    p_info.add_argument("source",
-                        help="a .trace file, trace:<path>, or a family "
-                             "(mcf/stream/gcc/zipf or trace-<family>)")
-    p_info.set_defaults(func=_cmd_trace_info)
 
     p_obs = sub.add_parser(
         "obs", help="record / view micro-architectural event traces")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .thresholds import classify_hits
@@ -22,17 +22,6 @@ class ProbeVerdict:
     def leaked(self):
         return self.recovered is not None
 
-    @property
-    def hits_as_expected(self):
-        """Whether the hit count matches what the experiment planted."""
-        return len(self.hits) == self.expected_hits
-
-    def describe(self):
-        if not self.leaked:
-            return "no leak detected (probe latencies are unimodal)"
-        return (f"leak at index {self.recovered} "
-                f"(latency {self.latencies[self.recovered]} vs "
-                f"threshold {self.threshold})")
 
 
 def analyze_probe(latencies, expected_hits=1,
@@ -52,7 +41,7 @@ def analyze_probe(latencies, expected_hits=1,
       multi-hit transmission, and zero or multiple hits are ambiguous.
     * ``expected_hits`` never changes recovery; it is recorded on the
       report so experiments that transmit several indices (or expect
-      none) can check :attr:`ProbeVerdict.hits_as_expected` separately.
+      none) can compare it with ``len(hits)`` separately.
       Multi-trial channels needing more than this single-shot rule use
       :func:`repro.channel.decode.decode_trials` instead.
     """

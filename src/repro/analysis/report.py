@@ -8,7 +8,7 @@ CI logs and ``tee``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 _BAR = "#"
 
@@ -70,8 +70,3 @@ def format_latency_plot(latencies: Sequence[int], height=12, width=64,
     return "\n".join(out)
 
 
-def normalized(values: Sequence[float], base: float) -> List[float]:
-    """Normalize a series against a baseline value."""
-    if base == 0:
-        return [0.0 for _ in values]
-    return [value / base for value in values]

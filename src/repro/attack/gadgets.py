@@ -26,11 +26,10 @@ Word-sized arithmetic replaces byte arithmetic: ``array1[x]`` lives at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..isa.assembler import assemble, labels as code_labels
-from ..isa.instructions import INSTR_BYTES, WORD_BYTES
+from ..isa.instructions import WORD_BYTES
 from ..isa.memory_image import MemoryImage
 
 PROBE_ENTRIES = 256
@@ -79,10 +78,6 @@ class AttackProgram:
                 "measure through a repro.channel receiver instead")
         return [int(core.memory.read_word(self.results_addr + i * WORD_BYTES))
                 for i in range(self.probe_entries)]
-
-    def expected_probe_index(self):
-        """Index of the probe entry the transmit load touches."""
-        return self.secret_value
 
 
 def _base_image(array1_words, probe_entries, probe_stride, secret_value,

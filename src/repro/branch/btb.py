@@ -47,19 +47,3 @@ class BranchTargetBuffer:
         index = self._index(pc)
         self._targets[index] = target
         self._tags[index] = self._tag(pc)
-
-    def aliases(self, pc_a, pc_b):
-        """True if two PCs map to the same entry (attack-planning helper)."""
-        return (self._index(pc_a) == self._index(pc_b) and
-                self._tag(pc_a) == self._tag(pc_b))
-
-    def congruent_pc(self, pc, offset_slots=1):
-        """Return a different PC that aliases with ``pc``.
-
-        Used by the SpectreBTB gadget generator to place the attacker's
-        training branch at an address congruent with the victim's.
-        """
-        stride = 1 << (self.index_bits + 2)
-        if self.tag_bits:
-            stride <<= self.tag_bits
-        return pc + offset_slots * stride

@@ -43,17 +43,6 @@ class ReturnStackBuffer:
         self._state = (entries, top, depth - 1)
         return entries[top]
 
-    def peek(self) -> Optional[int]:
-        """Return the would-be prediction without popping."""
-        entries, top, depth = self._state
-        if depth == 0:
-            return None
-        return entries[(top - 1) % self.capacity]
-
-    @property
-    def depth(self):
-        return self._state[2]
-
     def snapshot(self) -> Tuple:
         """The speculative state (immutable, so no copy is needed)."""
         return self._state

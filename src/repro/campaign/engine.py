@@ -330,10 +330,6 @@ class Campaign:
     # --------------------------------------------------- properties
 
     @property
-    def name(self) -> str:
-        return self.manifest["name"]
-
-    @property
     def directory(self):
         return self.cdir.path
 

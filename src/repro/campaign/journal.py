@@ -131,16 +131,6 @@ class CampaignDir:
         except OSError:
             return
 
-    def completed_hashes(self, sweep_name: str) -> Dict[str, str]:
-        """spec_hash -> status for every journaled completion of a sweep."""
-        done: Dict[str, str] = {}
-        for event in self.events():
-            if event.get("event") == "trial" \
-                    and event.get("sweep") == sweep_name \
-                    and event.get("status") in ("done", "cached"):
-                done[event["spec_hash"]] = event["status"]
-        return done
-
     # ------------------------------------------------------- results
 
     def result_path(self, sweep_name: str) -> pathlib.Path:

@@ -69,23 +69,6 @@ class ChannelDecode:
     ignore_indices: Tuple[int, ...] = ()
     vectors: List[ProbeVector] = field(default_factory=list)
 
-    @property
-    def leaked(self) -> bool:
-        return self.recovered is not None
-
-    def latency_summary(self, index: int) -> Tuple[int, int, int]:
-        """(min, median, max) observed latency of one index."""
-        values = sorted(v.latencies[index] for v in self.vectors)
-        return values[0], values[(len(values) - 1) // 2], values[-1]
-
-    def describe(self) -> str:
-        if not self.leaked:
-            return (f"no value decoded from {self.trials} trial(s) "
-                    f"({len(self.votes)} indices received votes)")
-        return (f"decoded {self.recovered} with confidence "
-                f"{self.confidence:.2f} ({self.votes.get(self.recovered, 0)}"
-                f"/{self.trials} trials)")
-
 
 def decode_trials(vectors: Sequence[ProbeVector],
                   ignore_indices: Iterable[int] = ()) -> ChannelDecode:

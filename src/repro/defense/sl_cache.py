@@ -15,7 +15,7 @@ stops consulting the SL cache once it has drained.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 
@@ -102,9 +102,3 @@ class SLCache:
             del self._entries[line]
         self.stats.deletions += len(doomed)
         return len(doomed)
-
-    def lines(self):
-        return list(self._entries)
-
-    def clear(self):
-        self._entries.clear()

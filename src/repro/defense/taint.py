@@ -55,11 +55,6 @@ class TaintInfo:
     btag: Optional[Tuple[int, int]]      # (scope id, m) or None
     is_set: FrozenSet[int]               # scope ids feeding the address
 
-    @property
-    def is_usl(self):
-        """Unsafe speculative load: taint-related (paper's restriction)."""
-        return bool(self.is_set)
-
     def render_btag(self, names=None):
         if self.btag is None:
             return "0"

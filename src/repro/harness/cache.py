@@ -1,16 +1,12 @@
 """Content-addressed result cache.
 
-Cache key = SHA-256 of (trial spec canonical JSON, code fingerprint,
-external-input digests).  The code fingerprint hashes every ``.py``
-file of the installed ``repro`` package, so any change to the
-simulator invalidates every cached record automatically — no manual
-versioning, no stale results after a refactor.  Changing a trial's
-config changes its spec and therefore its key, giving per-trial
-invalidation for free.  The one way a trial can reference data
-*outside* its spec is a ``trace:<path>`` workload name
-(:mod:`repro.trace` file replays); the content of every such file is
-hashed into the key, so re-recording a trace invalidates exactly the
-trials that replay it.
+Cache key = SHA-256 of (trial spec canonical JSON, code fingerprint).
+The code fingerprint hashes every ``.py`` file of the installed
+``repro`` package, so any change to the simulator invalidates every
+cached record automatically — no manual versioning, no stale results
+after a refactor.  Changing a trial's config changes its spec and
+therefore its key, giving per-trial invalidation for free.  A trial
+references nothing outside its spec.
 
 Storage is a :class:`CacheBackend` (also exported under its historical
 name ``ResultCache``): one JSON file per record under
@@ -65,31 +61,6 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _external_trace_paths(value: Any) -> list:
-    """Collect ``trace:<path>`` workload references inside trial params."""
-    if isinstance(value, str):
-        return [value[len("trace:"):]] if value.startswith("trace:") else []
-    if isinstance(value, dict):
-        return [p for v in value.values() for p in _external_trace_paths(v)]
-    if isinstance(value, (list, tuple)):
-        return [p for v in value for p in _external_trace_paths(v)]
-    return []
-
-
-def _external_digests(paths) -> Dict[str, str]:
-    """Content digest per referenced file (sentinel when unreadable —
-    such trials fail at run time, so nothing wrong gets cached)."""
-    digests: Dict[str, str] = {}
-    for path in sorted(set(paths)):
-        try:
-            digest = hashlib.sha256(
-                pathlib.Path(path).read_bytes()).hexdigest()
-        except OSError:
-            digest = "unreadable"
-        digests[path] = digest
-    return digests
-
-
 class CacheBackend:
     """Maps trial specs to stored result records: one JSON file per
     record under ``<root>/<key[:2]>/<key>.json``.
@@ -113,12 +84,8 @@ class CacheBackend:
     # -------------------------------------------------------- keying
 
     def key(self, trial: Trial) -> str:
-        payload_dict = {"code": self.code_version,
-                        "trial": json.loads(trial.canonical())}
-        externals = _external_trace_paths(trial.params)
-        if externals:
-            payload_dict["externals"] = _external_digests(externals)
-        payload = canonical_json(payload_dict)
+        payload = canonical_json({"code": self.code_version,
+                                  "trial": json.loads(trial.canonical())})
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # ------------------------------------------------ public surface
@@ -157,10 +124,6 @@ class CacheBackend:
             "puts": self.puts,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
-
-    def describe(self) -> str:
-        return (f"cache {self.uri()} (code {self.code_version[:12]}): "
-                f"{self.hits} hits, {self.misses} misses")
 
     def uri(self) -> str:
         """``dir:<root>``, accepted by :func:`resolve_cache`."""

@@ -9,15 +9,12 @@ picklable and hashable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
-from ..channel.noise import NoiseModel
-from ..channel.receiver import RECEIVERS, receiver_class
 from ..defense.restrictions import BranchRestrictedRunahead
 from ..defense.secure import SecureRunahead
 from ..isa.assembler import assemble
 from ..isa.memory_image import MemoryImage
-from ..memory.hierarchy import HierarchyConfig
 from ..pipeline.config import CoreConfig, RunaheadConfig
 from ..runahead.base import NoRunahead, RunaheadController
 from ..runahead.original import OriginalRunahead
@@ -91,24 +88,6 @@ def make_config(base: str = "paper",
     return config
 
 
-def resolve_receiver(name: Optional[str]):
-    """Validate a covert-channel receiver name (see ``RECEIVERS``).
-
-    Returns the receiver class, or ``None`` for ``None`` (the in-program
-    probe path).  Raises ``KeyError`` with the known names otherwise —
-    trials carry receiver *names* only; instances are built per run
-    inside :mod:`repro.channel.session`.
-    """
-    if name is None:
-        return None
-    return receiver_class(name)
-
-
-def make_noise(spec) -> Optional[NoiseModel]:
-    """Validate a trial's noise spec (dict/None) into a NoiseModel."""
-    return NoiseModel.from_spec(spec)
-
-
 def _build_reference() -> Workload:
     """The Table-1 reference run: a 64-element cold-array walk."""
     def build():
@@ -145,20 +124,7 @@ def workloads() -> Dict[str, Workload]:
 
 
 def get_workload(name: str) -> Workload:
-    """Resolve a workload name.
-
-    Besides the :func:`workloads` table, names of the form
-    ``trace:<path>`` replay a recorded trace file
-    (:func:`repro.trace.replay.replay_workload_from_file`) — still a
-    plain string, so such trials stay JSON-serializable.
-    """
-    if name.startswith("trace:"):
-        from ..trace.replay import replay_workload_from_file
-        try:
-            return replay_workload_from_file(name[len("trace:"):])
-        except OSError as exc:
-            raise KeyError(f"cannot read trace workload {name!r}: "
-                           f"{exc}") from exc
+    """Resolve a workload name from the :func:`workloads` table."""
     table = workloads()
     try:
         return table[name]

@@ -31,8 +31,8 @@ Trial kinds and their parameters (all optional unless noted):
 
 Wherever a workload name is accepted (``workload``/``corunner``), the
 registry also resolves the synthetic trace suite (``trace-mcf``,
-``trace-stream``, ``trace-gcc``, ``trace-zipf``) and saved trace files
-(``trace:<path>``) — see :mod:`repro.trace`.
+``trace-stream``, ``trace-gcc``, ``trace-zipf``) — see
+:mod:`repro.trace`.
 ``window``
     ``runahead``, ``async_flushes``, ``sled``,
     ``config_base``/``config``.

@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 #: Trial kinds understood by :mod:`repro.harness.runner`.
 TRIAL_KINDS = ("attack", "ipc", "window", "run", "taint", "extract",
@@ -139,10 +139,6 @@ class Sweep:
         trial = Trial(kind=kind, params=params)
         self.trials.append(trial)
         return trial
-
-    def extend(self, trials: Iterable[Trial]) -> "Sweep":
-        self.trials.extend(trials)
-        return self
 
     @classmethod
     def grid(cls, name: str, kind: str, base: Optional[Mapping] = None,

@@ -11,7 +11,6 @@ __all__, __getattr__, __dir__ = surface(__name__, {
                     "run_program"),
     "memory_image": ("MemoryImage",),
     "program": ("Program",),
-    "registers": ("NUM_ARCH_REGS", "REG_SP", "REG_ZERO", "fp_reg",
-                  "int_reg", "parse_reg", "reg_class", "reg_name",
-                  "vec_reg"),
+    "registers": ("NUM_ARCH_REGS", "REG_SP", "REG_ZERO", "int_reg",
+                  "parse_reg", "reg_class", "reg_name"),
 })

@@ -6,10 +6,10 @@ assembler, so there is exactly one parsing/resolution path in the library::
 
     b = ProgramBuilder(image)
     b.li("r1", "@array1")
-    with b.label("loop"):
-        b.load("r2", "r1", 0)
-        b.addi("r1", "r1", 8)
-        b.bne("r2", "r0", "loop")
+    b.mark("loop")
+    b.load("r2", "r1", 0)
+    b.addi("r1", "r1", 8)
+    b.bne("r2", "r0", "loop")
     b.halt()
     program = b.build()
 
@@ -20,7 +20,6 @@ time.
 
 from __future__ import annotations
 
-import contextlib
 from typing import List, Optional
 
 from .assembler import assemble
@@ -40,11 +39,6 @@ class ProgramBuilder:
 
     # -- structural helpers -------------------------------------------------
 
-    def raw(self, line):
-        """Append a raw assembly line (instruction, label or directive)."""
-        self._lines.append(line)
-        return self
-
     def comment(self, text):
         self._lines.append(f"# {text}")
         return self
@@ -54,25 +48,10 @@ class ProgramBuilder:
         self._lines.append(f"{name}:")
         return self
 
-    @contextlib.contextmanager
-    def label(self, name):
-        """Context-manager form of :meth:`mark` for readable loop bodies."""
-        self.mark(name)
-        yield self
-
     def fresh_label(self, stem="L"):
         """Return a unique label name."""
         self._label_counter += 1
         return f"{stem}_{self._label_counter}"
-
-    def repeat(self, count, instruction_text):
-        """Emit ``count`` copies of one instruction (nop sleds etc.)."""
-        self._lines.append(f".repeat {count}, {instruction_text}")
-        return self
-
-    def nops(self, count):
-        """Emit a sled of ``count`` nop instructions."""
-        return self.repeat(count, "nop")
 
     # -- instruction emission ------------------------------------------------
 

@@ -266,9 +266,6 @@ class Instruction:
     def is_load(self):
         return self.load
 
-    def is_store(self):
-        return self.store
-
     def __eq__(self, other):
         if not isinstance(other, Instruction):
             return NotImplemented

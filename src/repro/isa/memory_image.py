@@ -31,7 +31,6 @@ class MemoryImage:
         if base % DEFAULT_ALIGN:
             raise ValueError("base address must be cache-line aligned")
         self.symbols: Dict[str, int] = {}
-        self._sizes: Dict[str, int] = {}
         self._next = base
         self._words: Dict[int, int] = {}
 
@@ -45,7 +44,6 @@ class MemoryImage:
             raise ValueError("alignment must be a positive multiple of 8")
         addr = -(-self._next // align) * align
         self.symbols[name] = addr
-        self._sizes[name] = size_bytes
         self._next = addr + size_bytes
         return addr
 
@@ -70,10 +68,6 @@ class MemoryImage:
         """Return the byte address of a symbol."""
         return self.symbols[name]
 
-    def size_of(self, name):
-        """Return the allocated size of a symbol in bytes."""
-        return self._sizes[name]
-
     def write_word(self, addr, value):
         """Set the initial value of the aligned word at ``addr``."""
         if addr % WORD_BYTES:
@@ -85,26 +79,6 @@ class MemoryImage:
         for i, value in enumerate(values):
             self.write_word(addr + i * WORD_BYTES, value)
 
-    def set_element(self, name, index, value):
-        """Set word ``index`` of array symbol ``name``."""
-        self.write_word(self.address_of(name) + index * WORD_BYTES, value)
-
     def initial_words(self):
         """Return the mapping of word address to initial value."""
         return dict(self._words)
-
-    def resolve(self, expr):
-        """Resolve an ``@symbol`` or ``@symbol+offset`` expression."""
-        if not expr.startswith("@"):
-            raise ValueError(f"not a symbol expression: {expr!r}")
-        body = expr[1:]
-        offset = 0
-        for sep in ("+", "-"):
-            if sep in body:
-                name, _, tail = body.partition(sep)
-                offset = int(tail, 0) * (1 if sep == "+" else -1)
-                body = name
-                break
-        if body not in self.symbols:
-            raise KeyError(f"unknown symbol: {body!r}")
-        return self.symbols[body] + offset

@@ -61,10 +61,6 @@ class Program:
             return self.instructions[index]
         return None
 
-    def address_of(self, label):
-        """Return the address of a label."""
-        return self.labels[label]
-
     def scope_end(self, pc):
         """Return the branch-scope end address for the branch at ``pc``.
 

@@ -43,20 +43,6 @@ def int_reg(n):
     return INT_BASE + n
 
 
-def fp_reg(n):
-    """Return the flat index of floating-point register ``f<n>``."""
-    if not 0 <= n < NUM_FP_REGS:
-        raise ValueError(f"fp register index out of range: {n}")
-    return FP_BASE + n
-
-
-def vec_reg(n):
-    """Return the flat index of vector register ``x<n>``."""
-    if not 0 <= n < NUM_VEC_REGS:
-        raise ValueError(f"vector register index out of range: {n}")
-    return VEC_BASE + n
-
-
 def reg_class(reg):
     """Return the register class ("int", "fp" or "vec") of a flat index."""
     if INT_BASE <= reg < FP_BASE:

@@ -36,10 +36,6 @@ class CacheConfig:
     def n_sets(self):
         return self.size_bytes // (self.assoc * self.line_bytes)
 
-    @property
-    def n_lines(self):
-        return self.size_bytes // self.line_bytes
-
 
 @dataclass
 class CacheStats:
@@ -48,10 +44,6 @@ class CacheStats:
     fills: int = 0
     evictions: int = 0
     invalidations: int = 0
-
-    @property
-    def accesses(self):
-        return self.hits + self.misses
 
 
 class SetAssociativeCache:
@@ -79,10 +71,6 @@ class SetAssociativeCache:
         self.mutations = 0
 
     # -- address mapping -------------------------------------------------------
-
-    def line_of(self, addr):
-        """Return the line (block-aligned) address containing ``addr``."""
-        return addr & ~(self.config.line_bytes - 1)
 
     def _set_and_tag(self, addr):
         line = addr >> self._set_shift
@@ -145,15 +133,3 @@ class SetAssociativeCache:
             return True
         return False
 
-    def occupancy(self):
-        """Total number of resident lines."""
-        return sum(len(ways) for ways in self._sets if ways is not None)
-
-    def resident_lines(self):
-        """Return all resident line addresses (for tests and analysis),
-        set by set, each set from eviction candidate to most protected."""
-        lines = []
-        for ways in self._sets:
-            if ways is not None:
-                lines.extend(tag << self._set_shift for tag in ways)
-        return lines

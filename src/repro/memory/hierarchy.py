@@ -251,16 +251,6 @@ class SharedHierarchy:
         #: no-op and costs one compare.
         self.next_fill = _NO_FILL
 
-    @property
-    def inclusive(self) -> bool:
-        """Whether L3 evictions back-invalidate private copies."""
-        return self.l3.inclusive
-
-    @property
-    def views(self) -> List["MemoryHierarchy"]:
-        """The attached views still alive, in attach order."""
-        return [view for ref in self._views if (view := ref()) is not None]
-
     def _attach(self, view: "MemoryHierarchy") -> int:
         """Register ``view`` (its constructor calls this); returns its
         attach index.  Inclusion counts views *attached*, so a view
@@ -651,12 +641,6 @@ class MemoryHierarchy:
         if trace is not None:
             trace.emit(now, _EV_PROBE, line, _LID_MEM)
         return latency + self.config.mem_latency, LEVEL_MEM
-
-    def present_in(self, addr, level):
-        """Presence probe for tests/analysis (no side effects)."""
-        line = self.line_of(addr)
-        cache = {LEVEL_L1: self.l1d, LEVEL_L2: self.l2, LEVEL_L3: self.l3}[level]
-        return cache.probe(line)
 
 
 #: The per-core facade name used by the multi-core subsystem; a

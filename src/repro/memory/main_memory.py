@@ -39,10 +39,6 @@ class MainMemory:
             raise ValueError(f"misaligned store address: {addr:#x}")
         self._words[addr] = value
 
-    def snapshot(self):
-        """Return a copy of all stored words (for differential tests)."""
-        return dict(self._words)
-
 
 @dataclass
 class ChannelStats:

@@ -38,7 +38,7 @@ Public contract
 Invariants: runs are pure functions of ``(attack spec, receiver,
 noise spec, seed, topology)`` — deterministic at any harness worker
 count — and a ``corunner`` is resolved by *registry name* (including
-``trace-*`` and ``trace:<path>`` trace replays), never by live object.
+the ``trace-*`` trace replays), never by live object.
 """
 
 from __future__ import annotations

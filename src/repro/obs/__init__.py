@@ -6,8 +6,8 @@ cache keys):
 
 ``repro.obs.events``   typed micro-architectural event schema plus the
                        compact varint-encoded ``.evt`` container.
-``repro.obs.sink``     pluggable :class:`TraceSink` implementations the
-                       simulator emits into (memory ring / binary file).
+``repro.obs.sink``     the :class:`TraceSink` interface the simulator
+                       emits into, and the binary-file sink.
 ``repro.obs.view``     cycle-level timeline rendering of one ``.evt``
                        trace (text sparkline or single-file HTML).
 ``repro.obs.campaign`` campaign-facing adapters: journal-derived trial
@@ -25,7 +25,7 @@ __all__, __getattr__, __dir__ = surface(__name__, {
                "EV_PSEUDO_RETIRE", "EV_RA_ENTER", "EV_RA_EXIT", "EV_SQUASH",
                "EVENT_NAMES", "EVENT_SCHEMA", "LEVEL_IDS", "LEVEL_NAMES",
                "decode_events", "encode_events", "event_name",
-               "load_events", "save_events"),
-    "sink": ("FileSink", "MemorySink", "TraceSink", "attach_sink"),
+               "load_events"),
+    "sink": ("FileSink", "TraceSink"),
     "view": ("render_html", "render_text", "summarize_events"),
 })

@@ -131,15 +131,6 @@ def decode_events(data: bytes, prev_cycle: int = 0) -> List[Event]:
     return events
 
 
-def save_events(path, events: Iterable[Event]) -> int:
-    """Write a complete ``.evt`` file; returns the event count."""
-    events = list(events)
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(encode_events(events))
-    return len(events)
-
-
 def load_events(path) -> List[Event]:
     """Read a ``.evt`` file back into ``(cycle, kind, a, b)`` tuples."""
     with open(path, "rb") as handle:

@@ -10,8 +10,7 @@ never touch simulator state — sinks observe, they do not participate.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional
+from typing import List
 
 from .events import MAGIC, Event, encode_events
 
@@ -42,26 +41,6 @@ class TraceSink:
         # turning into a double-close error here.
         if not self.closed:
             self.close()
-
-
-class MemorySink(TraceSink):
-    """Keep events in memory — unbounded list, or a ring of the last
-    ``capacity`` events (flight-recorder mode for long runs)."""
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._events = (deque(maxlen=capacity) if capacity
-                        else deque())
-
-    def emit(self, cycle: int, kind: int, a: int = 0,
-             b: int = 0) -> None:
-        self._events.append((cycle, kind, a, b))
-
-    @property
-    def events(self) -> List[Event]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
 
 
 class FileSink(TraceSink):
@@ -119,12 +98,3 @@ class FileSink(TraceSink):
                 self._pending.clear()
         finally:
             handle.close()      # the OS handle never leaks
-
-
-def attach_sink(core, sink: Optional[TraceSink]) -> None:
-    """Point a built ``Core`` (and its memory hierarchy, if any) at a
-    sink; pass ``None`` to detach."""
-    core.trace = sink
-    hierarchy = getattr(core, "hierarchy", None)
-    if hierarchy is not None:
-        hierarchy.trace = sink

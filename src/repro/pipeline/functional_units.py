@@ -52,9 +52,3 @@ class FunctionalUnitPool:
             raise RuntimeError(f"no free {FuKind(kind).label} unit")
         self.used[kind] = used + 1
         return self.latencies[kind]
-
-    def latency(self, kind) -> int:
-        return self.latencies[kind]
-
-    def count(self, kind) -> int:
-        return self.counts[kind]

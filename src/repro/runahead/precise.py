@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
-from .base import RunaheadController
 from .original import OriginalRunahead
 
 
@@ -73,8 +72,3 @@ class PreciseRunahead(OriginalRunahead):
         if instr.opcode is Opcode.CLFLUSH:
             return True
         return (pc >> 2) in self._slices
-
-    @property
-    def slice_size(self):
-        """Number of static instructions inside stall slices."""
-        return len(self._slices) if self._slices is not None else 0

@@ -1,60 +1,31 @@
-"""The trace format: events, the in-memory ``Trace``, and file I/O.
+"""The trace model: events and the in-memory ``Trace``.
 
 A trace is an ordered stream of :class:`TraceEvent` records — the
-dynamic loads, stores and conditional-branch outcomes one execution
-produced — plus a name and a free-form ``meta`` dict recording how it
-was obtained (generator parameters, source workload, truncation).  It
-is the interchange currency of :mod:`repro.trace`: the recorder
-(:func:`repro.trace.record.record_trace`) produces one from any program
-the interpreter can run, the synthetic generators
-(:mod:`repro.trace.synthetic`) fabricate SPEC-like ones directly, and
-:class:`repro.trace.replay.TraceReplayWorkload` lowers one back into a
+dynamic loads, stores and conditional-branch outcomes of one execution —
+plus a name and a free-form ``meta`` dict recording how it was obtained
+(generator parameters).  The synthetic generators
+(:mod:`repro.trace.synthetic`) fabricate SPEC-like ones, and
+:class:`repro.trace.replay.TraceReplayWorkload` lowers one into a
 runnable program.
 
-On disk a trace is a small line-oriented text file (version-tagged, hex
-addresses, one event per line) so recorded traces can be committed,
-diffed and shipped between machines::
-
-    #repro-trace v1
-    #name mcf
-    #meta {"source": "workload:mcf"}
-    L 9c 100040
-    S a0 108040
-    B a8 1
-
-``L``/``S`` rows carry ``pc address``, ``B`` rows ``pc taken``; a ``D``
-row is a load whose *address depended on an earlier load's value* in
-the source execution (a pointer chase) — replay re-serializes those
-behind the previous load so runahead sees them as unprefetchable, just
-like mcf's next-pointer walk.  The format stores *word-granular*
-accesses; cache-set geometry is derived, never stored, so one trace
-replays faithfully on any hierarchy whose line size divides the
-recorded alignment.
+A load with ``depends=True`` computed its address from an earlier
+load's value (a pointer chase): replay re-serializes it behind the
+previous load so runahead sees it as unprefetchable, just like mcf's
+next-pointer walk.  Accesses are *word-granular*; cache-set geometry is
+derived from the addresses, never stored.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
 LOAD = "load"
 STORE = "store"
 BRANCH = "branch"
 
 KINDS = (LOAD, STORE, BRANCH)
-
-#: One-letter file tags, bidirectional.  ``D`` is a dependent load.
-_TAG_OF = {LOAD: "L", STORE: "S", BRANCH: "B"}
-_KIND_OF = {tag: kind for kind, tag in _TAG_OF.items()}
-_KIND_OF["D"] = LOAD
-
-FORMAT_HEADER = "#repro-trace v1"
-
-
-class TraceFormatError(ValueError):
-    """Raised on malformed trace files or invalid events."""
 
 
 @dataclass(frozen=True)
@@ -78,12 +49,12 @@ class TraceEvent:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise TraceFormatError(f"unknown event kind {self.kind!r}")
+            raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind != BRANCH and self.address % 8:
-            raise TraceFormatError(
+            raise ValueError(
                 f"misaligned {self.kind} address {self.address:#x}")
         if self.depends and self.kind != LOAD:
-            raise TraceFormatError(
+            raise ValueError(
                 f"depends is only meaningful on loads, not {self.kind}")
 
     @property
@@ -99,52 +70,9 @@ class Trace:
     events: List[TraceEvent] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    # -- derived views ----------------------------------------------------
-
-    def memory_events(self) -> List[TraceEvent]:
-        return [e for e in self.events if e.is_memory]
-
-    def branch_events(self) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == BRANCH]
-
-    def address_stream(self) -> List[Tuple[str, int]]:
-        """The (kind, address) sequence of all memory events."""
-        return [(e.kind, e.address) for e in self.events if e.is_memory]
-
     def taken_stream(self) -> List[bool]:
         """The taken/not-taken outcome sequence of all branch events."""
         return [e.taken for e in self.events if e.kind == BRANCH]
-
-    def footprint_lines(self, line_bytes: int = 64) -> int:
-        """Number of distinct cache lines the memory events touch."""
-        return len({e.address // line_bytes for e in self.events
-                    if e.is_memory})
-
-    def set_stream(self, n_sets: int, line_bytes: int = 64) -> List[int]:
-        """Cache-set index per memory event for a given geometry."""
-        return [(e.address // line_bytes) & (n_sets - 1)
-                for e in self.events if e.is_memory]
-
-    def counts(self) -> Dict[str, int]:
-        out = {kind: 0 for kind in KINDS}
-        for event in self.events:
-            out[event.kind] += 1
-        return out
-
-    def dependent_load_count(self) -> int:
-        return sum(1 for e in self.events if e.depends)
-
-    def taken_rate(self) -> float:
-        branches = self.taken_stream()
-        if not branches:
-            return 0.0
-        return sum(branches) / len(branches)
 
     def max_address(self) -> int:
         """Highest byte address any memory event touches (0 if none)."""
@@ -163,97 +91,3 @@ class Trace:
                           f"{int(event.taken)};"
                           f"{int(event.depends)}\n".encode())
         return hasher.hexdigest()
-
-    def summary(self) -> str:
-        """One human-readable block (the ``repro trace info`` payload)."""
-        counts = self.counts()
-        lines = [
-            f"trace {self.name!r}: {len(self.events)} events",
-            f"  loads    : {counts[LOAD]} "
-            f"({self.dependent_load_count()} address-dependent)",
-            f"  stores   : {counts[STORE]}",
-            f"  branches : {counts[BRANCH]} "
-            f"(taken rate {self.taken_rate():.2f})",
-            f"  footprint: {self.footprint_lines()} distinct 64B lines "
-            f"({self.footprint_lines() * 64} bytes)",
-        ]
-        if self.meta:
-            lines.append(f"  meta     : "
-                         f"{json.dumps(self.meta, sort_keys=True)}")
-        return "\n".join(lines)
-
-    # -- file I/O ---------------------------------------------------------
-
-    def dumps(self) -> str:
-        """Serialize to the v1 text format."""
-        out = [FORMAT_HEADER, f"#name {self.name}"]
-        if self.meta:
-            out.append(f"#meta {json.dumps(self.meta, sort_keys=True)}")
-        for event in self.events:
-            if event.kind == BRANCH:
-                out.append(f"B {event.pc:x} {int(event.taken)}")
-            else:
-                tag = "D" if event.depends else _TAG_OF[event.kind]
-                out.append(f"{tag} {event.pc:x} {event.address:x}")
-        return "\n".join(out) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(self.dumps())
-
-    @classmethod
-    def loads(cls, text: str) -> "Trace":
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != FORMAT_HEADER:
-            raise TraceFormatError(
-                f"not a repro trace (expected {FORMAT_HEADER!r} header)")
-        name = "trace"
-        meta: Dict[str, object] = {}
-        events: List[TraceEvent] = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#name "):
-                name = line[len("#name "):].strip()
-                continue
-            if line.startswith("#meta "):
-                meta = json.loads(line[len("#meta "):])
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in _KIND_OF:
-                raise TraceFormatError(
-                    f"line {lineno}: malformed event {line!r}")
-            tag, pc_hex, payload = parts
-            try:
-                pc = int(pc_hex, 16)
-                kind = _KIND_OF[tag]
-                if kind == BRANCH:
-                    taken = bool(int(payload))
-                    events.append(TraceEvent(pc=pc, kind=kind, taken=taken))
-                else:
-                    events.append(TraceEvent(pc=pc, kind=kind,
-                                             address=int(payload, 16),
-                                             depends=tag == "D"))
-            except ValueError as exc:
-                raise TraceFormatError(
-                    f"line {lineno}: {exc}") from exc
-        return cls(name=name, events=events, meta=meta)
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        with open(path, encoding="ascii") as handle:
-            return cls.loads(handle.read())
-
-
-def load_trace(path) -> Trace:
-    """Read a trace file (the module-level spelling of ``Trace.load``)."""
-    return Trace.load(path)
-
-
-def make_trace(name: str, events: Iterable[TraceEvent],
-               meta: Optional[Dict[str, object]] = None) -> Trace:
-    """Build a trace from an event iterable (generator convenience)."""
-    return Trace(name=name, events=list(events), meta=dict(meta or {}))

@@ -23,8 +23,8 @@ whose ``build`` compiles a :class:`~repro.trace.format.Trace` into a
   branch resolves from loaded data and the direction predictor observes
   the source execution's exact outcome sequence.  The side array is the
   one address-space artifact of the lowering (a sequential ~8 B/branch
-  stream placed above the trace's own footprint); ``internal_ranges``
-  exposes it so re-recordings can exclude it — which is how the
+  stream placed above the trace's own footprint); :func:`pattern_region`
+  locates it so a re-recording can exclude it — which is how the
   round-trip test closes.
 * ``rounds > 1`` wraps the body in a counted loop (one extra
   always/last-not-taken branch per round) and replays the same event
@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 from ..isa.builder import ProgramBuilder
 from ..isa.memory_image import DEFAULT_BASE, MemoryImage
 from ..workloads.base import Workload
-from .format import BRANCH, LOAD, STORE, Trace, load_trace
+from .format import BRANCH, LOAD, STORE, Trace
 
 #: Symbol name of the branch-pattern side array.
 PATTERN_SYMBOL = "trace_pattern"
@@ -69,9 +69,8 @@ def pattern_region(trace: Trace) -> Optional[Tuple[int, int]]:
 
     A pure function of the trace: the array starts one cache line above
     the highest traced address (never below the default image base) and
-    holds one word per branch event.  Both the lowering and
-    ``internal_ranges`` derive the placement from here, so the region
-    is known without building the program.
+    holds one word per branch event.  The lowering places the array
+    here, so the region is known without building the program.
     """
     n_branches = sum(1 for e in trace.events if e.kind == BRANCH)
     if not n_branches:
@@ -133,8 +132,8 @@ def lower_trace(trace: Trace, rounds: int = 1):
         if n_instructions > MAX_REPLAY_INSTRUCTIONS:
             raise ValueError(
                 f"trace {trace.name!r} lowers to more than "
-                f"{MAX_REPLAY_INSTRUCTIONS} instructions; record or "
-                f"generate it with fewer events (max_events)")
+                f"{MAX_REPLAY_INSTRUCTIONS} instructions; generate it "
+                f"with fewer events")
 
     if rounds > 1:
         builder.addi(_ROUND_COUNT, _ROUND_COUNT, -1)
@@ -171,29 +170,3 @@ class TraceReplayWorkload(Workload):
 
     def _build_products(self):
         return lower_trace(self.trace, rounds=self.rounds)
-
-    @property
-    def internal_ranges(self) -> Tuple[Tuple[int, int], ...]:
-        """Address windows of replay bookkeeping (the pattern array).
-
-        Pass to :func:`repro.trace.record.record_trace` as
-        ``exclude_ranges`` when re-recording a replay program.
-        """
-        region = pattern_region(self.trace)
-        return (region,) if region else ()
-
-
-def replay_workload_from_file(path, rounds: int = 1) -> TraceReplayWorkload:
-    """Build a replay workload from a saved trace file.
-
-    Resolved by the harness registry for workload names of the form
-    ``trace:<path>`` — which makes recorded traces usable anywhere a
-    registry name is: ``--corunner trace:mcf.trace``, ``repro run ipc
-    workload=trace:mcf.trace``, or a harness trial spec (the name is a
-    plain string, so trials stay JSON-serializable; the cache key is
-    the file's *content* digest, so editing the file invalidates cached
-    results).
-    """
-    trace = load_trace(path)
-    return TraceReplayWorkload(trace, rounds=rounds,
-                               name=f"trace:{trace.name}")

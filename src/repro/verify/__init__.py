@@ -13,7 +13,7 @@ from .._lazy import surface
 
 __all__, __getattr__, __dir__ = surface(__name__, {
     "engine": ("DEFENSES", "Checker", "VerifyError", "VerifyOptions",
-               "check_program", "check_target"),
+               "check_program"),
     "report": ("WINDOW_RUNAHEAD", "WINDOW_SPECULATION", "WINDOWS",
                "LeakReport", "VerifyResult", "merge_reports"),
     "targets": ("ATTACK_TARGETS", "GadgetCase", "build_target",

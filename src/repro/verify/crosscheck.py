@@ -95,13 +95,6 @@ class CrossCheckResult:
     def ok(self) -> bool:
         return not self.disagreements
 
-    def to_dict(self) -> Dict:
-        return {
-            "ok": self.ok,
-            "cells": [c.to_dict() for c in self.cells],
-            "disagreements": list(self.disagreements),
-        }
-
 
 def make_defense_controller(defense: str):
     """Fresh controller instance for a defense name (controllers carry

@@ -66,7 +66,6 @@ from .machine import (_MASK64, FILL_SETTLE_STEPS, LINE_BYTES, PathState,
                       alu_result, as_int, branch_taken, line_of, mem_addr)
 from .report import (WINDOW_RUNAHEAD, WINDOW_SPECULATION, WINDOWS,
                      LeakReport, VerifyResult, merge_reports)
-from .targets import build_target
 from .taint import AbsValue, cap_chain, clean, combine
 
 #: Defense models: the controller names of
@@ -725,10 +724,3 @@ def check_program(program, image=None, *, secret_addrs,
                       windows=windows, options=options)
     return checker.run()
 
-
-def check_target(name, **kwargs):
-    """Build a registered target and run :func:`check_program` on it."""
-    case = build_target(name)
-    return case, check_program(case.program, case.image,
-                               secret_addrs=case.secret_addrs,
-                               initial_sp=case.initial_sp, **kwargs)

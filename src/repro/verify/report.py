@@ -27,7 +27,7 @@ golden fixtures and diffed across checker refactors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 WINDOW_SPECULATION = "speculation"
 WINDOW_RUNAHEAD = "runahead"
@@ -72,13 +72,6 @@ class LeakReport:
             "addr": self.addr,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LeakReport":
-        return cls(pc=data["pc"], window=data["window"],
-                   taint=tuple(data["taint"]), chain=tuple(data["chain"]),
-                   fork_pc=data["fork_pc"], fork_index=data["fork_index"],
-                   depth=data["depth"], addr=data.get("addr"))
-
 
 @dataclass
 class VerifyResult:
@@ -100,19 +93,6 @@ class VerifyResult:
     @property
     def clean(self) -> bool:
         return not self.reports
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "defense": self.defense,
-            "windows": list(self.windows),
-            "clean": self.clean,
-            "reports": [r.to_dict() for r in self.reports],
-            "arch_steps": self.arch_steps,
-            "window_steps": self.window_steps,
-            "spec_forks": self.spec_forks,
-            "runahead_forks": self.runahead_forks,
-            "suppressed": self.suppressed,
-        }
 
 
 def merge_reports(*groups) -> List[LeakReport]:

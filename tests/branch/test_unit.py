@@ -5,6 +5,7 @@ import pytest
 from repro.branch import BranchUnit
 from repro.branch.predictors import make_direction_predictor
 from repro.isa import Instruction, Opcode, int_reg
+from tests.sim import rsb_depth, rsb_peek
 
 
 def cond_branch(target=0x40):
@@ -103,7 +104,7 @@ class TestRecovery:
         unit.predict(0x20, call)             # speculative push
         unit.predict(0x30, cond_branch())    # speculative history shift
         unit.restore(snap)
-        assert unit.rsb.depth == 0
+        assert rsb_depth(unit.rsb) == 0
         ret = Instruction(Opcode.RET, dest=29, srcs=(29,))
         assert unit.predict(0x50, ret).target == 0x54  # nothing to pop
 
@@ -113,7 +114,7 @@ class TestRecovery:
         pred = unit.predict(0x10, call)
         unit.restore(pred.snapshot)
         unit.reapply(0x10, call, True)
-        assert unit.rsb.peek() == 0x14
+        assert rsb_peek(unit.rsb) == 0x14
 
     def test_predictor_swapping(self):
         for name in ("bimodal", "gshare", "twolevel"):

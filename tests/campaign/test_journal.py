@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign.journal import (CampaignDir, CampaignError,
                                     MANIFEST_VERSION)
+from repro.campaign.status import campaign_status
 from repro.harness.spec import Sweep
 
 
@@ -70,8 +71,12 @@ class TestJournal:
         assert list(CampaignDir(tmp_path / "void").events()) == []
 
     def test_completed_hashes_filters_by_sweep_and_status(self, tmp_path):
+        """``campaign status`` counts a sweep's journaled completions."""
         cdir = CampaignDir(tmp_path)
         cdir.path.mkdir(exist_ok=True)
+        cdir.write_manifest({"version": MANIFEST_VERSION,
+                             "sweeps": [{"name": "a", "trials": [{}] * 3},
+                                        {"name": "b", "trials": [{}]}]})
         cdir.append_event({"event": "trial", "sweep": "a",
                            "spec_hash": "h1", "status": "done"})
         cdir.append_event({"event": "trial", "sweep": "a",
@@ -79,8 +84,9 @@ class TestJournal:
         cdir.append_event({"event": "trial", "sweep": "b",
                            "spec_hash": "h3", "status": "done"})
         cdir.append_event({"event": "retry", "sweep": "a", "index": 0})
-        done = cdir.completed_hashes("a")
-        assert done == {"h1": "done", "h2": "cached"}
+        sweeps = campaign_status(tmp_path)["sweeps"]
+        assert sweeps["a"] == {"trials": 3, "done": 1, "cached": 1}
+        assert sweeps["b"] == {"trials": 1, "done": 1, "cached": 0}
 
 
 class TestResults:

@@ -78,7 +78,7 @@ class TestSingleTrial:
         decoded = decode_trials([vec([242] * 32)])
         assert decoded.recovered is None
         assert decoded.confidence == 0.0
-        assert "no value" in decoded.describe()
+        assert decoded.votes == {}
 
     def test_empty_vectors_rejected(self):
         with pytest.raises(ValueError):
@@ -150,7 +150,8 @@ class TestAggregation:
         decoded = decode_trials([vec(clean(4, hit=2)),
                                  vec(clean(4, hit=6)),
                                  vec(clean(4, hit=4))])
-        assert decoded.latency_summary(4) == (2, 4, 6)
+        assert sorted(v.latencies[4] for v in decoded.vectors) == [2, 4, 6]
+        assert decoded.aggregated[4] == 4              # the median
 
     def test_median_only_decode_has_positive_confidence(self):
         """Per-trial spread can defeat every trial's own threshold

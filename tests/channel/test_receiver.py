@@ -40,11 +40,11 @@ class TestProbeLatency:
     def test_read_only(self):
         h = paper_hierarchy()
         addr = LAYOUT.line(0)
-        before = h.l1d.stats.accesses
+        before = h.l1d.stats.hits + h.l1d.stats.misses
         for _ in range(5):
             h.probe_latency(addr, 0)
         assert not h.l1d.probe(addr)            # probe did not fill
-        assert h.l1d.stats.accesses == before   # nor count stats
+        assert h.l1d.stats.hits + h.l1d.stats.misses == before   # nor stats
 
     def test_pending_fill_visibility(self):
         h = paper_hierarchy()

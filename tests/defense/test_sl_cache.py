@@ -88,5 +88,6 @@ class TestScopeDeletion:
         sl = SLCache(capacity=16)
         for line_slot, scope in inserts:
             sl.insert(line_slot * 64, (scope, 1), {scope}, 0)
-            assert sl.counter == len(sl.lines())
+            assert sl.counter == sum(sl.lookup(slot * 64) is not None
+                                     for slot in range(32))
             assert sl.counter <= 16

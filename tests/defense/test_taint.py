@@ -39,7 +39,7 @@ class TestBasics:
         tracker.open_scope(0x0, 0x100, predicted_taken=False)
         info = tracker.on_instruction(0x4, load(2, 3))
         assert info.btag == (1, 0)
-        assert not info.is_usl
+        assert not info.is_set
 
     def test_tainted_load_in_scope_is_usl(self):
         tracker = TaintTracker(untrusted_regs=(int_reg(3),))
@@ -47,7 +47,6 @@ class TestBasics:
         info = tracker.on_instruction(0x4, load(2, 3))
         assert info.btag == (scope.scope_id, 1)
         assert info.is_set == {scope.scope_id}
-        assert info.is_usl
 
     def test_scope_pops_at_end_address(self):
         tracker = TaintTracker()
@@ -59,7 +58,7 @@ class TestBasics:
         tracker = TaintTracker(conservative=True)
         tracker.open_scope(0x0, 0x100, predicted_taken=False)
         info = tracker.on_instruction(0x4, load(2, 3))
-        assert info.is_usl
+        assert info.is_set
 
     def test_descendants_follow_nesting(self):
         tracker = TaintTracker()

@@ -1,5 +1,6 @@
 """Result-cache semantics: hit/miss, invalidation, resilience."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.harness.cache import (CACHE_DIR_ENV, CACHE_DISABLE_ENV,
                                  ResultCache, code_fingerprint,
                                  default_cache_dir, resolve_cache)
-from repro.harness.spec import Trial
+from repro.harness.spec import Trial, canonical_json
 
 
 @pytest.fixture
@@ -42,8 +43,15 @@ class TestHitMiss:
         assert cache.get(TRIAL) is not None
 
     def test_keys_are_stable_across_instances(self, cache):
+        """A key is the spec plus the code fingerprint, nothing else:
+        a name that looks like a file path hashes no file."""
         twin = ResultCache(root=cache.root, code_version="code-v1")
         assert cache.key(TRIAL) == twin.key(TRIAL)
+        for trial in (TRIAL, Trial("ipc", {"workload": "trace:x.trace"})):
+            payload = canonical_json({"code": "code-v1",
+                                      "trial": json.loads(trial.canonical())})
+            assert cache.key(trial) == \
+                hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestResilience:

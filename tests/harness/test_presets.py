@@ -6,9 +6,10 @@ import pytest
 
 from repro.harness import presets
 from repro.harness.executor import SweepResult, make_record, run_sweep
+from repro.channel.noise import NoiseModel
+from repro.channel.receiver import receiver_class
 from repro.harness.registry import (CONTROLLERS, get_workload, make_config,
-                                    make_controller, make_noise,
-                                    resolve_receiver)
+                                    make_controller)
 from repro.multicore.scenario import Topology
 
 from tests.golden import recorder
@@ -74,8 +75,8 @@ def test_channel_presets_share_noise_seed():
     trials = [t.params["trials"] for t in sweep]
     assert trials == sorted(trials)
     for trial in sweep:
-        assert resolve_receiver(trial.params["receiver"]) is not None
-        assert make_noise(trial.params["noise"]).is_noisy
+        assert receiver_class(trial.params["receiver"]) is not None
+        assert NoiseModel.from_spec(trial.params["noise"]).is_noisy
 
 
 def test_preset_trials_resolve_through_registry():
@@ -99,8 +100,9 @@ def test_preset_trials_resolve_through_registry():
                                   for k in ("cores", "corunner", "smt",
                                             "corunner_runahead")
                                   if k in trial.params})
-            resolve_receiver(trial.params.get("receiver"))
-            make_noise(trial.params.get("noise"))
+            if trial.params.get("receiver") is not None:
+                receiver_class(trial.params["receiver"])
+            NoiseModel.from_spec(trial.params.get("noise"))
             make_config(trial.params.get("config_base", "paper"),
                         trial.params.get("config"))
 
@@ -126,8 +128,9 @@ class TestRegistry:
             make_controller("warp-drive")
 
     def test_unknown_workload(self):
-        with pytest.raises(KeyError, match="unknown workload"):
-            get_workload("spec2077")
+        for name in ("spec2077", "trace:x.trace"):
+            with pytest.raises(KeyError, match="unknown workload"):
+                get_workload(name)
 
     def test_controllers_are_fresh_instances(self):
         assert make_controller("original") is not \

@@ -67,13 +67,13 @@ class TestLabels:
             halt
         """)
         beq, jmp, halt = program.instructions
-        assert beq.target == program.address_of("done") == 8
-        assert jmp.target == program.address_of("top") == 0
+        assert beq.target == program.labels["done"] == 8
+        assert jmp.target == program.labels["top"] == 0
         assert halt.opcode is Opcode.HALT
 
     def test_label_on_same_line_as_instruction(self):
         program = assemble("start: nop")
-        assert program.address_of("start") == 0
+        assert program.labels["start"] == 0
         assert len(program) == 1
 
     def test_duplicate_label_rejected(self):
@@ -123,7 +123,7 @@ class TestDirectives:
         after:
             halt
         """)
-        assert program.address_of("after") == 12
+        assert program.labels["after"] == 12
 
     def test_bad_repeat_count(self):
         with pytest.raises(AssemblyError):
@@ -160,7 +160,7 @@ class TestRepeatParsesOnce:
         assert got.instructions == want.instructions
         assert got.labels == want.labels
         assert labels(repeated) == got.labels
-        assert got.address_of("mid") == (pad_before + count) * 4
+        assert got.labels["mid"] == (pad_before + count) * 4
 
     def test_repeat_slots_share_one_instruction(self):
         program = assemble(".repeat 4, addi r1, r1, 1\nhalt")
@@ -208,7 +208,7 @@ class TestScopeMetadata:
         end:
             halt
         """)
-        assert program.scope_end(0) == program.address_of("end")
+        assert program.scope_end(0) == program.labels["end"]
 
     def test_backward_branch_has_no_scope(self):
         program = assemble("""

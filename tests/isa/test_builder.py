@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.isa import MemoryImage, Opcode, ProgramBuilder, run_program
+from repro.isa import (MemoryImage, Opcode, ProgramBuilder, assemble,
+                       run_program)
 
 
 class TestEmission:
@@ -36,12 +37,11 @@ class TestEmission:
     def test_raw_and_comment_lines(self):
         b = ProgramBuilder()
         b.comment("a note")
-        b.raw("    nop")
+        b.nop()
         b.halt()
         assert len(b.build()) == 2
 
     def test_source_is_reassemblable(self):
-        from repro.isa import assemble
         b = ProgramBuilder()
         b.li("r1", 9)
         b.halt()
@@ -63,9 +63,10 @@ class TestLabels:
     def test_label_context_manager(self):
         b = ProgramBuilder()
         b.li("r1", 2)
-        with b.label("top"):
-            b.addi("r1", "r1", -1)
-            b.bne("r1", "r0", "top")
+        top = b.fresh_label("top")
+        b.mark(top)
+        b.addi("r1", "r1", -1)
+        b.bne("r1", "r0", top)
         b.halt()
         result = run_program(b.build())
         assert result.reg(1) == 0
@@ -78,17 +79,11 @@ class TestLabels:
 
 class TestHelpers:
     def test_nops_sled(self):
-        b = ProgramBuilder()
-        b.nops(25)
-        b.halt()
-        assert len(b.build()) == 26
+        assert len(assemble(".repeat 25, nop\nhalt")) == 26
 
     def test_repeat_arbitrary_instruction(self):
-        b = ProgramBuilder()
-        b.li("r1", 0)
-        b.repeat(5, "addi r1, r1, 2")
-        b.halt()
-        result = run_program(b.build())
+        result = run_program(assemble(
+            "li r1, 0\n.repeat 5, addi r1, r1, 2\nhalt"))
         assert result.reg(1) == 10
 
     def test_symbols_resolve_through_image(self):

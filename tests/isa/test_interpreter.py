@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import (MemoryImage, assemble, int_reg, fp_reg, vec_reg,
+from repro.isa import (MemoryImage, assemble, int_reg, parse_reg,
                        run_program, to_unsigned64)
 from repro.isa.interpreter import InterpreterError
 
@@ -96,9 +96,9 @@ class TestFloatingPoint:
             fdiv f5, f4, f2
             halt
         """)
-        assert result.reg(fp_reg(3)) == 6.0
-        assert result.reg(fp_reg(4)) == 18.0
-        assert result.reg(fp_reg(5)) == 6.0
+        assert result.reg(parse_reg("f3")) == 6.0
+        assert result.reg(parse_reg("f4")) == 18.0
+        assert result.reg(parse_reg("f5")) == 6.0
 
     def test_fp_memory(self):
         image = MemoryImage()
@@ -111,7 +111,7 @@ class TestFloatingPoint:
             fload f2, r2, 0
             halt
         """, image)
-        assert result.reg(fp_reg(2)) == 7.0
+        assert result.reg(parse_reg("f2")) == 7.0
 
 
 class TestVector:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import MemoryImage, WORD_BYTES
+from repro.isa import AssemblyError, MemoryImage, WORD_BYTES, assemble
 
 
 class TestAllocation:
@@ -39,8 +39,8 @@ class TestAllocation:
 
     def test_size_of(self):
         image = MemoryImage()
-        image.alloc("x", 24)
-        assert image.size_of("x") == 24
+        addr = image.alloc("x", 24, align=8)
+        assert image.alloc("y", 8, align=8) == addr + 24
 
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
@@ -59,7 +59,7 @@ class TestContents:
     def test_fill_and_element_access(self):
         image = MemoryImage()
         addr = image.alloc_array("arr", 4, fill=9)
-        image.set_element("arr", 2, 42)
+        image.write_word(addr + 2 * WORD_BYTES, 42)
         words = image.initial_words()
         assert words[addr] == 9
         assert words[addr + 16] == 42
@@ -93,13 +93,13 @@ class TestStackAndResolve:
     def test_resolve_expressions(self):
         image = MemoryImage()
         addr = image.alloc_array("buf", 4)
-        assert image.resolve("@buf") == addr
-        assert image.resolve("@buf+8") == addr + 8
-        assert image.resolve("@buf-8") == addr - 8
+        program = assemble("li r1, @buf\nli r2, @buf+8\nli r3, @buf-8",
+                           memory_image=image)
+        assert [i.imm for i in program] == [addr, addr + 8, addr - 8]
 
     def test_resolve_errors(self):
         image = MemoryImage()
-        with pytest.raises(ValueError):
-            image.resolve("buf")
-        with pytest.raises(KeyError):
-            image.resolve("@nope")
+        with pytest.raises(AssemblyError, match="unknown symbol"):
+            assemble("li r1, @nope", memory_image=image)
+        with pytest.raises(AssemblyError, match="bad symbol"):
+            assemble("li r1, @", memory_image=image)

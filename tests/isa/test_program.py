@@ -40,8 +40,8 @@ class TestFetch:
 
 class TestMetadata:
     def test_address_of(self, program):
-        assert program.address_of("start") == 0
-        assert program.address_of("end") == 12
+        assert program.labels["start"] == 0
+        assert program.labels["end"] == 12
 
     def test_scope_end_of_forward_branch(self, program):
         assert program.scope_end(4) == 12

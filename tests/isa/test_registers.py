@@ -21,19 +21,19 @@ class TestLayout:
             R.int_reg(-1)
 
     def test_fp_and_vec_offsets(self):
-        assert R.fp_reg(0) == R.FP_BASE
-        assert R.vec_reg(7) == R.NUM_ARCH_REGS - 1
+        assert R.parse_reg("f0") == R.FP_BASE
+        assert R.parse_reg("x7") == R.NUM_ARCH_REGS - 1
         with pytest.raises(ValueError):
-            R.fp_reg(16)
+            R.parse_reg("f16")
         with pytest.raises(ValueError):
-            R.vec_reg(8)
+            R.parse_reg("x8")
 
 
 class TestClassification:
     def test_reg_class_by_range(self):
         assert R.reg_class(R.int_reg(5)) == R.INT_CLASS
-        assert R.reg_class(R.fp_reg(5)) == R.FP_CLASS
-        assert R.reg_class(R.vec_reg(5)) == R.VEC_CLASS
+        assert R.reg_class(R.parse_reg("f5")) == R.FP_CLASS
+        assert R.reg_class(R.parse_reg("x5")) == R.VEC_CLASS
 
     def test_reg_class_out_of_range(self):
         with pytest.raises(ValueError):
@@ -41,8 +41,8 @@ class TestClassification:
 
     def test_zero_values_match_class(self):
         assert R.zero_value(R.int_reg(1)) == 0
-        assert R.zero_value(R.fp_reg(1)) == 0.0
-        assert R.zero_value(R.vec_reg(1)) == (0, 0)
+        assert R.zero_value(R.parse_reg("f1")) == 0.0
+        assert R.zero_value(R.parse_reg("x1")) == (0, 0)
 
 
 class TestNames:
@@ -56,7 +56,7 @@ class TestNames:
 
     def test_case_insensitive(self):
         assert R.parse_reg("R5") == R.int_reg(5)
-        assert R.parse_reg("F3") == R.fp_reg(3)
+        assert R.parse_reg("F3") == R.parse_reg("f3")
 
     @pytest.mark.parametrize("bad", ["", "q1", "r", "r99", "rx", "f16", "x8"])
     def test_rejects_bad_names(self, bad):
@@ -67,4 +67,4 @@ class TestNames:
         regs = R.make_register_file()
         assert len(regs) == R.NUM_ARCH_REGS
         assert regs[R.int_reg(3)] == 0
-        assert regs[R.vec_reg(0)] == (0, 0)
+        assert regs[R.parse_reg("x0")] == (0, 0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import CacheConfig, SetAssociativeCache
+from tests.sim import occupancy, resident_lines
 
 
 def make_cache(size=1024, assoc=2, line=64):
@@ -15,7 +16,7 @@ class TestGeometry:
     def test_set_count(self):
         cache = make_cache(size=1024, assoc=2, line=64)
         assert cache.config.n_sets == 8
-        assert cache.config.n_lines == 16
+        assert cache.config.size_bytes // cache.config.line_bytes == 16
 
     def test_rejects_non_multiple_size(self):
         with pytest.raises(ValueError):
@@ -27,7 +28,8 @@ class TestGeometry:
 
     def test_line_of_masks_offset(self):
         cache = make_cache()
-        assert cache.line_of(0x1234) == 0x1200
+        cache.fill(0x1234)
+        assert resident_lines(cache) == [0x1200]
 
 
 class TestHitMiss:
@@ -100,8 +102,8 @@ class TestLazySets:
     def test_fresh_cache_allocates_no_set(self):
         cache = make_cache(size=4 * 1024 * 1024, assoc=8)
         assert self.allocated(cache) == []
-        assert cache.occupancy() == 0
-        assert cache.resident_lines() == []
+        assert occupancy(cache) == 0
+        assert resident_lines(cache) == []
 
     def test_reads_of_untouched_sets_allocate_nothing(self):
         cache = make_cache()             # 8 sets
@@ -117,8 +119,8 @@ class TestLazySets:
         cache.fill(0x1040)               # line 0x41 -> set 1
         assert self.allocated(cache) == [1]
         assert cache.invalidate(0x1040)
-        assert cache.occupancy() == 0
-        assert cache.resident_lines() == []
+        assert occupancy(cache) == 0
+        assert resident_lines(cache) == []
 
 
 class TestOccupancyInvariants:
@@ -128,7 +130,8 @@ class TestOccupancyInvariants:
         cache = make_cache(size=512, assoc=2, line=64)
         for index in line_indices:
             cache.fill(index * 64)
-            assert cache.occupancy() <= cache.config.n_lines
+            assert occupancy(cache) <= \
+                cache.config.size_bytes // cache.config.line_bytes
             for ways in cache._sets:
                 assert ways is None or len(ways) <= cache.config.assoc
 
@@ -155,4 +158,4 @@ class TestOccupancyInvariants:
         cache = make_cache()
         for addr in (0x0, 0x40, 0x80):
             cache.fill(addr)
-        assert sorted(cache.resident_lines()) == [0x0, 0x40, 0x80]
+        assert sorted(resident_lines(cache)) == [0x0, 0x40, 0x80]

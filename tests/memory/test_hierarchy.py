@@ -6,7 +6,7 @@ from repro.memory import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
                           LEVEL_PENDING, CoreView, HierarchyConfig,
                           MainMemory, MemoryChannel, MemoryHierarchy,
                           SharedHierarchy)
-from tests.sim import warm
+from tests.sim import live_views, memory_words, present_in, resident_lines, warm
 
 
 @pytest.fixture
@@ -50,15 +50,15 @@ class TestLatencies:
 class TestLazyFills:
     def test_line_invisible_until_completion(self, hierarchy):
         first = hierarchy.access_data(0x1000, now=0)
-        assert not hierarchy.present_in(0x1000, LEVEL_L1)
+        assert not present_in(hierarchy, 0x1000, LEVEL_L1)
         mid = hierarchy.access_data(0x1000, now=first.completion - 10)
         assert mid.level == LEVEL_PENDING
         assert mid.merged
         assert mid.latency == 10
         hierarchy.apply_completed(first.completion)
-        assert hierarchy.present_in(0x1000, LEVEL_L1)
-        assert hierarchy.present_in(0x1000, LEVEL_L2)
-        assert hierarchy.present_in(0x1000, LEVEL_L3)
+        assert present_in(hierarchy, 0x1000, LEVEL_L1)
+        assert present_in(hierarchy, 0x1000, LEVEL_L2)
+        assert present_in(hierarchy, 0x1000, LEVEL_L3)
 
     def test_merged_request_issues_no_new_memory_request(self, hierarchy):
         hierarchy.access_data(0x1000, now=0)
@@ -70,14 +70,14 @@ class TestLazyFills:
     def test_no_fill_access_returns_data_without_install(self, hierarchy):
         result = hierarchy.access_data(0x1000, now=0, fill=False)
         hierarchy.apply_completed(result.completion + 1)
-        assert not hierarchy.present_in(0x1000, LEVEL_L1)
-        assert not hierarchy.present_in(0x1000, LEVEL_L3)
+        assert not present_in(hierarchy, 0x1000, LEVEL_L1)
+        assert not present_in(hierarchy, 0x1000, LEVEL_L3)
 
     def test_merge_upgrades_no_fill_to_fill(self, hierarchy):
         result = hierarchy.access_data(0x1000, now=0, fill=False)
         hierarchy.access_data(0x1000, now=1, fill=True)
         hierarchy.apply_completed(result.completion + 1)
-        assert hierarchy.present_in(0x1000, LEVEL_L1)
+        assert present_in(hierarchy, 0x1000, LEVEL_L1)
 
     def test_next_event_tracks_earliest_completion(self, hierarchy):
         assert hierarchy.next_event() is None
@@ -92,13 +92,13 @@ class TestClflush:
         warm(hierarchy, 0x1000)
         hierarchy.flush_line(0x1000)
         for level in (LEVEL_L1, LEVEL_L2, LEVEL_L3):
-            assert not hierarchy.present_in(0x1000, level)
+            assert not present_in(hierarchy, 0x1000, level)
 
     def test_flush_in_flight_drops_fill_but_waiter_completes(self, hierarchy):
         first = hierarchy.access_data(0x1000, now=0)
         hierarchy.flush_line(0x1000)   # Fig. 10 case ③
         hierarchy.apply_completed(first.completion + 1)
-        assert not hierarchy.present_in(0x1000, LEVEL_L1)
+        assert not present_in(hierarchy, 0x1000, LEVEL_L1)
         assert hierarchy.stats.dropped_fills == 1
         # A new access after the drop restarts a real memory request.
         again = hierarchy.access_data(0x1000, now=first.completion + 2)
@@ -155,10 +155,10 @@ class TestFacade:
         assert CoreView is MemoryHierarchy
 
     def test_standalone_builds_its_own_shared_level(self, hierarchy):
-        assert hierarchy.shared.views == [hierarchy]
+        assert live_views(hierarchy.shared) == [hierarchy]
         assert hierarchy.l3 is hierarchy.shared.l3
         assert hierarchy.channel is hierarchy.shared.channel
-        assert not hierarchy.shared.inclusive
+        assert not hierarchy.shared.l3.inclusive
 
     def test_explicit_single_view_behaves_identically(self):
         explicit = SharedHierarchy(HierarchyConfig.paper()).add_core()
@@ -198,7 +198,7 @@ class TestFacade:
         assert refill.completion > later.completion
         hierarchy.apply_completed(refill.completion)
         # One L1D set, eviction candidate first: first installed first.
-        assert l1d.resident_lines() == [first, second]
+        assert resident_lines(l1d) == [first, second]
 
 
 class TestMainMemory:
@@ -218,6 +218,6 @@ class TestMainMemory:
     def test_snapshot_is_a_copy(self):
         mem = MainMemory()
         mem.write_word(0x0, 1)
-        snap = mem.snapshot()
+        snap = memory_words(mem)
         mem.write_word(0x0, 2)
         assert snap[0x0] == 1

@@ -29,7 +29,7 @@ from repro.channel.noise import SplitMix64
 from repro.memory import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
                           PHYS_WINDOW_STRIDE, HierarchyConfig,
                           MemoryHierarchy, SharedHierarchy)
-from tests.sim import warm
+from tests.sim import live_views, present_in, resident_lines, warm
 
 
 def make_shared(cores=2, config=None):
@@ -43,13 +43,13 @@ def private_lines(view):
     """Every line resident in the view's private caches."""
     lines = set()
     for cache in (view.l1i, view.l1d, view.l2):
-        lines.update(cache.resident_lines())
+        lines.update(resident_lines(cache))
     return lines
 
 
 def assert_inclusive(shared):
-    l3_lines = set(shared.l3.resident_lines())
-    for view in shared.views:
+    l3_lines = set(resident_lines(shared.l3))
+    for view in live_views(shared):
         missing = private_lines(view) - l3_lines
         assert not missing, \
             f"core {view.view_id}: private lines not in L3: {sorted(missing)}"
@@ -58,8 +58,9 @@ def assert_inclusive(shared):
 def random_walk(shared, rng, steps, addr_space=1 << 15):
     """Drive a randomized multi-core access sequence; returns final time."""
     now = 0
+    views = live_views(shared)
     for _ in range(steps):
-        view = shared.views[rng.next_u64() % len(shared.views)]
+        view = views[rng.next_u64() % len(views)]
         addr = rng.next_u64() % addr_space
         op = rng.next_u64() % 8
         if op < 4:
@@ -107,8 +108,8 @@ class TestInclusion:
             shared.l3.fill(target + (way + 1) * set_span)
         assert not shared.l3.probe(target)
         for view in (a, b):
-            assert not view.present_in(target, LEVEL_L1)
-            assert not view.present_in(target, LEVEL_L2)
+            assert not present_in(view, target, LEVEL_L1)
+            assert not present_in(view, target, LEVEL_L2)
             assert not view.l1i.probe(target)
 
     def test_single_view_stays_non_inclusive(self):
@@ -122,27 +123,27 @@ class TestInclusion:
         for way in range(config.assoc):
             hierarchy.l3.fill(target + (way + 1) * set_span)
         assert not hierarchy.l3.probe(target)
-        assert hierarchy.present_in(target, LEVEL_L1)   # survives
+        assert present_in(hierarchy, target, LEVEL_L1)   # survives
 
     def test_inclusive_override_flag(self):
         shared = SharedHierarchy(HierarchyConfig.small(), inclusive=True)
-        assert shared.inclusive
+        assert shared.l3.inclusive
         shared.add_core()
-        assert shared.inclusive
+        assert shared.l3.inclusive
         shared = SharedHierarchy(HierarchyConfig.small(), inclusive=False)
         for _ in range(3):
             shared.add_core()
-        assert not shared.inclusive
+        assert not shared.l3.inclusive
 
     def test_inclusive_turns_on_at_the_second_attached_view(self):
         shared = SharedHierarchy(HierarchyConfig.small())
-        assert not shared.inclusive
+        assert not shared.l3.inclusive
         victim = shared.add_core()
-        assert not shared.inclusive
+        assert not shared.l3.inclusive
         smt = shared.add_smt_thread(victim)
-        assert shared.inclusive
+        assert shared.l3.inclusive
         corunner = shared.add_core(phys_base=PHYS_WINDOW_STRIDE)
-        assert shared.inclusive
+        assert shared.l3.inclusive
         assert [victim.view_id, smt.view_id, corunner.view_id] == [0, 1, 2]
 
     def test_dropping_a_view_keeps_inclusion_on(self):
@@ -150,8 +151,8 @@ class TestInclusion:
         mid-experiment never turns back-invalidation off."""
         shared, (victim, attacker) = make_shared(cores=2)
         del attacker
-        assert shared.views == [victim]
-        assert shared.inclusive
+        assert live_views(shared) == [victim]
+        assert shared.l3.inclusive
 
 
 
@@ -164,7 +165,7 @@ class TestCrossCoreFlush:
         assert not shared.l3.probe(0x2000)
         for view in (a, b, c):
             for level in (LEVEL_L1, LEVEL_L2):
-                assert not view.present_in(0x2000, level)
+                assert not present_in(view, 0x2000, level)
         assert c.stats.flushes == 1
         assert a.stats.flushes == 0      # charged to the flushing core
 
@@ -180,7 +181,7 @@ class TestCrossCoreFlush:
         assert b.stats.dropped_fills == 0
         shared.apply_completed(first.completion + 1)
         assert not shared.l3.probe(0x3000)
-        assert not a.present_in(0x3000, LEVEL_L1)
+        assert not present_in(a, 0x3000, LEVEL_L1)
         again = a.access_data(0x3000, now=first.completion + 2)
         assert again.level == LEVEL_MEM
         assert a.stats.mem_requests == 2
@@ -201,7 +202,7 @@ class TestCrossCoreFlush:
         second = a.access_data(0x4000, now=first.completion + 1)
         assert second.level == LEVEL_MEM
         shared.apply_completed(second.completion + 1)
-        assert a.present_in(0x4000, LEVEL_L1)
+        assert present_in(a, 0x4000, LEVEL_L1)
         assert shared.l3.probe(0x4000)
 
 
@@ -210,8 +211,8 @@ class TestCrossCoreVisibility:
         shared, (victim, attacker) = make_shared(cores=2)
         result = victim.access_data(0x5000, now=0)
         shared.apply_completed(result.completion + 1)
-        assert attacker.present_in(0x5000, LEVEL_L3)
-        assert not attacker.present_in(0x5000, LEVEL_L1)
+        assert present_in(attacker, 0x5000, LEVEL_L3)
+        assert not present_in(attacker, 0x5000, LEVEL_L1)
         latency, level = attacker.probe_latency(0x5000,
                                                 result.completion + 1)
         assert level == LEVEL_L3
@@ -235,7 +236,7 @@ class TestCrossCoreVisibility:
         assert result.line == PHYS_WINDOW_STRIDE + 0x7000
         shared.apply_completed(result.completion + 1)
         # The victim's view of virtual 0x7000 is a *different* line.
-        assert not victim.present_in(0x7000, LEVEL_L3)
+        assert not present_in(victim, 0x7000, LEVEL_L3)
         assert victim.probe_latency(0x7000, result.completion + 1)[1] \
             == LEVEL_MEM
 
@@ -270,7 +271,7 @@ class TestViewRegistry:
 
     def test_views_are_visited_in_attach_order(self):
         shared, views = make_shared(cores=3)
-        assert shared.views == views
+        assert live_views(shared) == views
         config = shared.l3.config
         set_span = config.n_sets * config.line_bytes
         # Three misses to one L3 set, issued in reverse attach order and
@@ -281,7 +282,7 @@ class TestViewRegistry:
                        for view, line in zip(reversed(views),
                                              reversed(lines))}
         shared.apply_completed(max(completions))
-        ordered = [line for line in shared.l3.resident_lines()
+        ordered = [line for line in resident_lines(shared.l3)
                    if line in lines]
         assert ordered == lines
 
@@ -290,7 +291,7 @@ class TestViewRegistry:
         dropped = weakref.ref(views[1])
         del views[1]
         assert dropped() is None       # freed by reference counting
-        assert shared.views == views
+        assert live_views(shared) == views
         views[0].access_data(0x2000, now=0)
         assert shared.next_event() == views[0].next_fill
         views[1].flush_line(0x2000)
@@ -308,13 +309,13 @@ class TestViewRegistry:
 def hierarchy_snapshot(shared):
     """Full observable state: residency *and* recency order and stats."""
     state = []
-    for view in shared.views:
+    for view in live_views(shared):
         for cache in (view.l1i, view.l1d, view.l2):
-            state.append(cache.resident_lines())
+            state.append(resident_lines(cache))
             state.append(dataclasses.asdict(cache.stats))
         state.append(dict(view._pending))
         state.append(dataclasses.asdict(view.stats))
-    state.append(shared.l3.resident_lines())
+    state.append(resident_lines(shared.l3))
     state.append(dataclasses.asdict(shared.l3.stats))
     return repr(state)
 
@@ -339,5 +340,5 @@ class TestProbeReadOnly:
         for view in views:
             for level in (LEVEL_L1, LEVEL_L2, LEVEL_L3):
                 for _ in range(50):
-                    view.present_in(rng.next_u64() % (1 << 15), level)
+                    present_in(view, rng.next_u64() % (1 << 15), level)
         assert hierarchy_snapshot(shared) == before

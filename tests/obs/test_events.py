@@ -6,8 +6,17 @@ import pytest
 
 from repro.obs.events import (EVENT_NAMES, EVENT_SCHEMA, LEVEL_IDS,
                               LEVEL_NAMES, MAGIC, decode_events,
-                              encode_events, event_name, load_events,
-                              save_events)
+                              encode_events, event_name, load_events)
+from repro.obs.sink import FileSink
+
+
+def save_events(path, events):
+    """Stream ``events`` into a ``.evt`` file the way ``obs record``
+    does; returns the event count."""
+    with FileSink(path) as sink:
+        for event in events:
+            sink.emit(*event)
+    return sink.count
 
 
 class TestSchema:

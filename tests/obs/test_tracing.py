@@ -13,10 +13,10 @@ import dataclasses
 import pytest
 
 from repro.harness.registry import get_workload, make_controller
-from repro.obs import (EV_COMMIT, EV_RA_ENTER, EV_RA_EXIT, FileSink,
-                       MemorySink, attach_sink, load_events)
+from repro.obs import (EV_COMMIT, EV_MEM_ACCESS, EV_RA_ENTER, EV_RA_EXIT,
+                       FileSink, load_events)
 from repro.obs.events import EVENT_SCHEMA
-from tests.sim import architectural_state
+from tests.sim import MemorySink, architectural_state
 
 MACHINES = ("none", "original", "secure")
 
@@ -75,15 +75,15 @@ class TestSinks:
         assert load_events(path) == memory.events
 
     def test_attach_sink_covers_core_and_hierarchy(self):
-        workload = get_workload("mcf")
-        core = workload.run(runahead=make_controller("original"))
+        """``Workload.run(trace=...)`` points the core and its memory
+        hierarchy at the sink, so both emit into it."""
         sink = MemorySink()
-        attach_sink(core, sink)
+        core = get_workload("mcf").run(runahead=make_controller("original"),
+                                       trace=sink)
         assert core.trace is sink
         assert core.hierarchy.trace is sink
-        attach_sink(core, None)
-        assert core.trace is None
-        assert core.hierarchy.trace is None
+        kinds = {event[1] for event in sink.events}
+        assert {EV_COMMIT, EV_MEM_ACCESS} <= kinds
 
 
 class TestEventContent:

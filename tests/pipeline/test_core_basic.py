@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Core, CoreConfig, MemoryImage, assemble
-from repro.isa import fp_reg, int_reg
+from repro.isa import int_reg, parse_reg
+from tests.sim import resident_lines
 
 
 def run_core(source, image=None, config=None, warm_icache=True, **kwargs):
@@ -54,8 +55,8 @@ class TestStraightLine:
             fadd f3, f2, f1
             halt
         """)
-        assert core.arch_regs[fp_reg(2)] == 4.0
-        assert core.arch_regs[fp_reg(3)] == 6.0
+        assert core.arch_regs[parse_reg("f2")] == 4.0
+        assert core.arch_regs[parse_reg("f3")] == 6.0
         # fcvt(5) + fmul(10) + fadd(5) plus pipeline overheads.
         assert core.stats.cycles >= 20
 
@@ -242,7 +243,7 @@ class TestSetupCost:
             sets = {(line >> 6) & (cache.config.n_sets - 1)
                     for line in lines}
             assert self.allocated(cache) == sets
-            assert sorted(cache.resident_lines()) == sorted(lines)
+            assert sorted(resident_lines(cache)) == sorted(lines)
 
     def test_cold_core_allocates_nothing(self):
         core = Core(assemble("halt"), config=CoreConfig.paper())

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Core, CoreConfig, MemoryImage, assemble, run_program
 from repro.isa.registers import NUM_ARCH_REGS, REG_SP
+from tests.sim import memory_words
 
 pytestmark = pytest.mark.slow
 
@@ -131,7 +132,7 @@ def assert_same_architecture(program, image_a, image_b, core):
                 f"register {reg}: {ref!r} != {got!r}"
         else:
             assert ref == got, f"register {reg}: {ref!r} != {got!r}"
-    core_memory = core.memory.snapshot()
+    core_memory = memory_words(core.memory)
     keys = set(reference.memory) | set(core_memory)
     for addr in keys:
         ref = reference.memory.get(addr, 0)

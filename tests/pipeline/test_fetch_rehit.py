@@ -7,7 +7,7 @@ pending fill for it, ``Core._fetch`` counts the hit inline instead of
 calling :meth:`MemoryHierarchy.access_inst`.  Each scenario below makes
 one of those conditions fail mid-loop and asserts the run"s
 ``CoreStats``, ``HierarchyStats``, L1I ``CacheStats`` and the order of
-``l1i.resident_lines()`` (which records every recency update) against
+``resident_lines(l1i)`` (which records every recency update) against
 values recorded from the simulator that always called ``access_inst``.
 
 The loops run on ``CoreConfig.small()``: a 1 KiB two-way L1I, so code
@@ -26,6 +26,7 @@ from repro.multicore.system import MultiCoreSystem
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.runahead.original import OriginalRunahead
+from tests.sim import resident_lines
 
 WAIT_LOOP = """
     li   r1, {iters}
@@ -90,7 +91,7 @@ def observed(core):
     return {"core": nonzero(core.stats),
             "hierarchy": nonzero(hierarchy.stats),
             "l1i": nonzero(hierarchy.l1i.stats),
-            "l1i_lines": hierarchy.l1i.resident_lines()}
+            "l1i_lines": resident_lines(hierarchy.l1i)}
 
 
 def small_core(source, **kwargs):

@@ -22,10 +22,10 @@ from repro.isa.assembler import assemble
 from repro.isa.memory_image import MemoryImage
 from repro.isa.registers import reg_name
 from repro.obs.events import EV_ISSUE
-from repro.obs.sink import MemorySink, attach_sink
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.runahead.original import OriginalRunahead
+from tests.sim import MemorySink, memory_words
 
 INF = float("inf")
 
@@ -40,7 +40,7 @@ def observed(core, sink, pcs):
         "regs": {reg_name(reg): value
                  for reg, value in enumerate(core.arch_regs)
                  if value not in (0, (0, 0))},
-        "memory": core.memory.snapshot(),
+        "memory": memory_words(core.memory),
     }
     if pcs:
         record["issued"] = sorted(
@@ -54,7 +54,7 @@ def run(source, image, runahead=None, pcs=()):
     core = Core(program, memory_image=image, config=CoreConfig.small(),
                 runahead=runahead, warm_icache=True)
     sink = MemorySink()
-    attach_sink(core, sink)
+    core.trace = core.hierarchy.trace = sink
     core.run(max_cycles=100_000)
     assert core.halted
     return observed(core, sink, pcs)

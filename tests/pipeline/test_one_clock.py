@@ -18,8 +18,7 @@ SRC = pathlib.Path(repro.__file__).parent
 CLOCK = "pipeline/clock.py"
 #: ``.step()`` call sites that step the ISA interpreter, not a core:
 #: (module, receiver).
-INTERPRETER_STEPS = {("isa/interpreter.py", "self"),
-                     ("trace/record.py", "interp")}
+INTERPRETER_STEPS = {("isa/interpreter.py", "self")}
 
 
 def call_sites(name):

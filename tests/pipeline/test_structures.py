@@ -96,12 +96,12 @@ class TestFunctionalUnits:
 
     def test_latencies_match_table1(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)
-        assert pool.latency(FuKind.INT_ALU) == 1
-        assert pool.latency(FuKind.INT_MUL) == 2
-        assert pool.latency(FuKind.INT_DIV) == 5
-        assert pool.latency(FuKind.FP_ADD) == 5
-        assert pool.latency(FuKind.FP_MUL) == 10
-        assert pool.latency(FuKind.FP_DIV) == 15
+        assert pool.latencies[FuKind.INT_ALU] == 1
+        assert pool.latencies[FuKind.INT_MUL] == 2
+        assert pool.latencies[FuKind.INT_DIV] == 5
+        assert pool.latencies[FuKind.FP_ADD] == 5
+        assert pool.latencies[FuKind.FP_MUL] == 10
+        assert pool.latencies[FuKind.FP_DIV] == 15
 
     def test_overissue_raises(self):
         pool = FunctionalUnitPool(PAPER_FUNCTIONAL_UNITS)

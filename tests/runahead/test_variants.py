@@ -166,7 +166,8 @@ class TestPreciseRunahead:
         controller = PreciseRunahead()
         Core(program, memory_image=image, config=CoreConfig.small(),
              runahead=controller)
-        assert controller.slice_size >= 2
+        # The load and the ``li`` that produces its address.
+        assert controller._slices == compute_stall_slices(program) == {0, 1}
 
 
 class TestStrideDetection:

@@ -42,7 +42,9 @@ def test_checker_covers_every_doc_file():
     ("pass `--executor fleet`", "unknown CLI flag"),
     ("run `python -m repro bench-perf`", "unknown command"),
     ("run `python -m repro campaign pause`", "unknown subcommand"),
-    ("run `python -m repro trace replay`", "unknown subcommand"),
+    ("run `python -m repro obs replay`", "unknown subcommand"),
+    ("run `python -m repro trace record mcf`", "unknown command"),
+    ("pass `corunner=trace:saved.trace`", "unknown workload"),
 ])
 def test_checker_flags_dangling_references(tmp_path, snippet, problem):
     bad = tmp_path / "BAD.md"
@@ -57,8 +59,8 @@ def test_checker_accepts_resolvable_references(tmp_path):
     good.write_text(
         "# Doc\n\nUse `repro.harness.run_sweep` via "
         "`python -m repro sweep fig9 --workers 2` or "
-        "`python -m repro run ipc workload=trace-mcf`, files via "
-        "`corunner=trace:saved.trace`, `from repro import Core`, then "
+        "`python -m repro run ipc workload=trace-mcf`, "
+        "`corunner=trace-stream`, `from repro import Core`, then "
         "`python -m repro campaign status campaigns/fig7`.\n",
         encoding="utf-8")
     assert check_docs.check_file(good) == []

@@ -62,6 +62,28 @@ def test_keep_line_without_a_reason_is_refused(reach, tmp_path):
         reach.load_keep(keep)
 
 
+#: The tag lines of a keep file's header (tools/reach_keep.txt's, cut down).
+HEADER = """\
+# Tags:
+#   [reference]  the functional reference
+#   [protocol]   a Python protocol method
+#   [full-tier]  entered only by a preset's full tier
+"""
+
+
+@pytest.mark.parametrize("tag", ["[no-root]", "[madeup]", "no-tag"])
+def test_reason_without_a_documented_tag_is_refused(reach, tmp_path, tag):
+    """Every kept function names why no root enters it, with one of the
+    header's tags; "only tests call it" is not among them."""
+    keep = tmp_path / "keep.txt"
+    keep.write_text(f"{HEADER}repro.isa.registers:int_reg  {tag} tests\n")
+    with pytest.raises(SystemExit, match="tag the header documents"):
+        reach.load_keep(keep)
+    keep.write_text(f"{HEADER}repro.isa.registers:int_reg  [full-tier] x\n")
+    assert reach.load_keep(keep) == {
+        "repro.isa.registers:int_reg": "[full-tier] x"}
+
+
 @pytest.mark.parametrize("reason, refused", [
     ("[no-root] read by tests", True),
     ("[full-tier] the full tier runs it", True),
@@ -73,7 +95,7 @@ def test_only_reference_and_protocol_entries_may_be_patterns(
     """A pattern also keeps any function added later that matches it,
     so an entry that is a candidate for deletion must name one function."""
     keep = tmp_path / "keep.txt"
-    keep.write_text(f"repro.isa.registers:*_reg  {reason}\n")
+    keep.write_text(f"{HEADER}repro.isa.registers:*_reg  {reason}\n")
     if refused:
         with pytest.raises(SystemExit, match="may be patterns"):
             reach.load_keep(keep)
@@ -86,15 +108,15 @@ def test_hook_counts_a_forked_worker_that_is_killed(reach, tmp_path):
     entered must be on record before it dies."""
     script = textwrap.dedent("""
         import multiprocessing, time
-        from repro.isa.registers import fp_reg, vec_reg
+        from repro.isa.registers import int_reg, reg_name
 
         def worker(conn):
-            vec_reg(1)
+            reg_name(1)
             conn.send("ready")
             time.sleep(60)
 
         if __name__ == "__main__":
-            fp_reg(1)
+            int_reg(1)
             ctx = multiprocessing.get_context("fork")
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=worker, args=(child,))
@@ -106,4 +128,4 @@ def test_hook_counts_a_forked_worker_that_is_killed(reach, tmp_path):
     reached = reach.record([[sys.executable, "-c", script]], tmp_path)
     names = {name for path, _, name in reached
              if path.endswith("registers.py")}
-    assert {"fp_reg", "vec_reg"} <= names
+    assert {"int_reg", "reg_name"} <= names

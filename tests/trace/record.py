@@ -1,4 +1,5 @@
-"""Capture a trace from any runnable program via the interpreter.
+"""The trace tests' oracle: capture a trace from a program via the
+interpreter, and the cache geometry of a trace.
 
 :func:`record_trace` steps the functional reference interpreter
 (:class:`repro.isa.interpreter.Interpreter`) one instruction at a time
@@ -28,19 +29,20 @@ core replays architecturally — the round-trip property
 ``tests/trace/test_roundtrip.py``.
 
 ``exclude_ranges`` drops memory events landing in given address
-windows; the replay engine uses it to hide its own bookkeeping (the
-branch-pattern array) from re-recordings.
+windows; :func:`internal_ranges` gives the replay engine's own
+bookkeeping (the branch-pattern array) to hide from re-recordings.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..isa.instructions import (INSTR_BYTES, WORD_BYTES, Opcode,
-                                to_unsigned64)
-from ..isa.interpreter import Interpreter, InterpreterError
-from ..isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
-from .format import BRANCH, LOAD, STORE, Trace, TraceEvent
+from repro.isa.instructions import (INSTR_BYTES, WORD_BYTES, Opcode,
+                                    to_unsigned64)
+from repro.isa.interpreter import Interpreter, InterpreterError
+from repro.isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
+from repro.trace.format import BRANCH, LOAD, STORE, Trace, TraceEvent
+from repro.trace.replay import pattern_region
 
 _OP_CALL = int(Opcode.CALL)
 _OP_RET = int(Opcode.RET)
@@ -60,7 +62,6 @@ def _in_ranges(address: int,
 
 def record_trace(source, name: Optional[str] = None,
                  max_steps: int = DEFAULT_MAX_STEPS,
-                 max_events: Optional[int] = None,
                  exclude_ranges: Iterable[Tuple[int, int]] = ()) -> Trace:
     """Interpret ``source`` and return its event trace.
 
@@ -72,10 +73,6 @@ def record_trace(source, name: Optional[str] = None,
         Interpreter step budget; exceeding it raises
         :class:`~repro.isa.interpreter.InterpreterError` (a trace of a
         program that never halted would be misleading).
-    max_events:
-        Optional cap on recorded events; recording stops early and the
-        trace's ``meta["truncated"]`` notes it.  The program's replayed
-        footprint is then a prefix of its real one.
     exclude_ranges:
         ``(start, end)`` byte windows whose memory events are dropped
         (half-open intervals).
@@ -91,7 +88,6 @@ def record_trace(source, name: Optional[str] = None,
 
     interp = Interpreter(program, memory_image=image, initial_sp=initial_sp)
     events = []
-    truncated = False
     #: Per-register "this value came from memory" bit, propagated
     #: through ALU dataflow to classify load addresses as dependent.
     tainted = [False] * NUM_ARCH_REGS
@@ -102,9 +98,6 @@ def record_trace(source, name: Optional[str] = None,
         events.append(event)
 
     while not interp.halted:
-        if max_events is not None and len(events) >= max_events:
-            truncated = True
-            break
         if interp.steps >= max_steps:
             raise InterpreterError(
                 f"program did not halt within {max_steps} steps "
@@ -150,7 +143,24 @@ def record_trace(source, name: Optional[str] = None,
             else:
                 tainted[dest] = any(tainted[src] for src in instr.srcs)
 
-    meta = {"source": name, "steps": interp.steps}
-    if truncated:
-        meta["truncated"] = True
-    return Trace(name=name, events=events, meta=meta)
+    return Trace(name=name, events=events,
+                 meta={"source": name, "steps": interp.steps})
+
+
+def internal_ranges(workload) -> Tuple[Tuple[int, int], ...]:
+    """Address windows of a replay workload's own bookkeeping (its
+    branch-pattern array), to pass as ``exclude_ranges``."""
+    region = pattern_region(workload.trace)
+    return (region,) if region else ()
+
+
+def footprint_lines(trace: Trace, line_bytes: int = 64) -> int:
+    """Number of distinct cache lines the memory events touch."""
+    return len({e.address // line_bytes for e in trace.events
+                if e.is_memory})
+
+
+def set_stream(trace: Trace, n_sets: int, line_bytes: int = 64) -> List[int]:
+    """Cache-set index per memory event for a given geometry."""
+    return [(e.address // line_bytes) & (n_sets - 1)
+            for e in trace.events if e.is_memory]

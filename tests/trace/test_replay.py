@@ -1,4 +1,4 @@
-"""Replay workload semantics: dependence, registry, presets, files."""
+"""Replay workload semantics: dependence, registry, presets."""
 
 from dataclasses import replace
 
@@ -55,59 +55,10 @@ class TestRegistry:
         assert first.cache_key == second.cache_key
         assert first.trace.digest() == second.trace.digest()
 
-    def test_trace_file_names_resolve(self, tmp_path):
-        path = tmp_path / "tiny.trace"
-        synthetic_trace("stream", events=60).save(path)
-        workload = get_workload(f"trace:{path}")
-        assert workload.run().halted
-
-    def test_missing_trace_file_is_a_registry_error(self):
-        with pytest.raises(KeyError, match="cannot read trace workload"):
-            get_workload("trace:/nonexistent/missing.trace")
-
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError, match="rounds"):
             TraceReplayWorkload(synthetic_trace("stream", events=40),
                                 rounds=0)
-
-    def test_result_cache_key_tracks_trace_file_content(self, tmp_path):
-        """Re-recording a trace file invalidates cached trials that
-        replay it — the one external input the spec hash can't see."""
-        from repro.harness.cache import ResultCache
-        from repro.harness.spec import Trial
-
-        path = tmp_path / "w.trace"
-        synthetic_trace("stream", events=60).save(path)
-        cache = ResultCache(root=tmp_path / "cache", code_version="x")
-        trial = Trial(kind="ipc", params={"workload": f"trace:{path}"})
-        first = cache.key(trial)
-        assert cache.key(trial) == first          # stable while unchanged
-        synthetic_trace("stream", events=80).save(path)
-        assert cache.key(trial) != first
-        plain = Trial(kind="ipc", params={"workload": "mcf"})
-        assert cache.key(plain) == cache.key(plain)
-
-    def test_cli_trace_argument_resolution(self, tmp_path, monkeypatch):
-        """One precedence for every CLI surface: trace:<path> file, then
-        family, then bare file path — including the record subcommand's
-        own default output names (trace-mcf.trace)."""
-        from repro.trace import resolve_trace_source, trace_workload_name
-
-        assert trace_workload_name("mcf") == "trace-mcf"
-        assert trace_workload_name("trace-mcf") == "trace-mcf"
-        saved = tmp_path / "trace-mcf.trace"
-        synthetic_trace("stream", events=60).save(saved)
-        assert trace_workload_name(str(saved)) == f"trace:{saved}"
-        assert resolve_trace_source(str(saved)).name == "stream"
-        # A file named like a family loses to the family; trace: forces it.
-        monkeypatch.chdir(tmp_path)
-        synthetic_trace("stream", events=60).save(tmp_path / "mcf")
-        assert trace_workload_name("mcf") == "trace-mcf"
-        assert resolve_trace_source("trace:mcf").name == "stream"
-        # Unresolvable names pass through to the registry's error.
-        assert trace_workload_name("nosuch") == "nosuch"
-        with pytest.raises(FileNotFoundError, match="families"):
-            resolve_trace_source("nosuch")
 
 
 class TestPresets:

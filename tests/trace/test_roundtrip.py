@@ -5,14 +5,15 @@ is that a replayed program reproduces the source trace's *address
 stream* (kind, address and address-dependence, in order) and *taken
 stream* exactly, as observed by the reference interpreter — with the
 replay's own bookkeeping (the branch-pattern array) excluded via
-``internal_ranges``.
+:func:`tests.trace.record.internal_ranges`.
 """
 
 import pytest
 
 from repro.harness.registry import get_workload
-from repro.trace import (TRACE_FAMILIES, TraceReplayWorkload, record_trace,
-                         synthetic_trace)
+from repro.trace import TRACE_FAMILIES, TraceReplayWorkload, synthetic_trace
+
+from .record import internal_ranges, record_trace
 
 #: Parameter points per family — small, but covering the stride mix,
 #: entropy and footprint axes (a poor man's property-based grid; every
@@ -34,7 +35,7 @@ FAMILY_POINTS = [
 def _round_trip(trace):
     workload = TraceReplayWorkload(trace)
     recorded = record_trace(workload,
-                            exclude_ranges=workload.internal_ranges)
+                            exclude_ranges=internal_ranges(workload))
     return workload, recorded
 
 
@@ -68,9 +69,9 @@ def test_every_family_is_covered():
 def test_recorder_detects_pointer_chase_dependence():
     """The mcf kernel's next-pointer walk records as dependent loads."""
     trace = record_trace(get_workload("mcf"))
-    assert trace.dependent_load_count() > 100
+    assert sum(e.depends for e in trace.events) > 100
     # The streaming kernel has no address dependence at all.
-    assert record_trace(get_workload("lbm")).dependent_load_count() == 0
+    assert not any(e.depends for e in record_trace(get_workload("lbm")).events)
 
 
 def test_replay_runs_on_the_cycle_core():

@@ -20,9 +20,16 @@ from __future__ import annotations
 import pytest
 
 from repro.verify import (DEFENSES, WINDOW_RUNAHEAD, WINDOW_SPECULATION,
-                          VerifyError, VerifyOptions, check_program,
-                          check_target)
+                          VerifyError, VerifyOptions, check_program)
 from repro.verify.targets import build_target
+
+
+def check_target(name, **kwargs):
+    """Build a registered target and run :func:`check_program` on it."""
+    case = build_target(name)
+    return case, check_program(case.program, case.image,
+                               secret_addrs=case.secret_addrs,
+                               initial_sp=case.initial_sp, **kwargs)
 
 
 def windows_of(result):

@@ -14,7 +14,7 @@ source tree:
   argument parser actually defines;
 * ``repro sweep <name>`` examples must name a real preset, and
   ``repro run <kind>`` a real trial kind;
-* ``repro campaign <sub>`` / ``repro trace <sub>`` examples must name
+* ``repro campaign <sub>`` / ``repro obs <sub>`` examples must name
   a subcommand the argument parser actually defines;
 * workload/receiver/controller names in ``key=value`` CLI examples
   (``workload=``, ``receiver=``, ``runahead=``, ``corunner=``) must
@@ -62,7 +62,7 @@ _RUN_KIND = re.compile(r"repro run ([a-z0-9_]+)")
 #: placeholders deliberately don't match.
 _VERIFY_TARGET = re.compile(r"repro verify ([a-z][a-z0-9:\-]*)")
 #: Command groups whose subcommand names docs may reference.
-_GROUPED = ("campaign", "trace", "obs")
+_GROUPED = ("campaign", "obs")
 _GROUP_SUB = re.compile(
     r"repro (" + "|".join(_GROUPED) + r") ([a-z][a-z0-9\-]*)")
 _KEYED_NAME = re.compile(
@@ -189,8 +189,8 @@ def check_file(path: pathlib.Path) -> List[str]:
             problems.append(f"{path.name}: unknown subcommand "
                             f"`repro {group} {sub}`")
     for key, value in sorted(set(_KEYED_NAME.findall(code))):
-        if value.startswith("trace:") or "<" in value or value == "...":
-            continue          # file-path replays / placeholders
+        if "<" in value or value == "...":
+            continue          # placeholders
         if "_" in value or value != value.lower():
             continue          # Python keyword argument, not a CLI name
                               # (registry names are lower-kebab-case)

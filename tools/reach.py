@@ -12,8 +12,8 @@ The roots:
   with ``--quick``), twice over one fresh result cache, so the second
   pass is served from it;
 * the other CLI commands CI runs: ``report`` (of a preset and of a
-  saved ``--out`` file), ``cache``, ``trace``, ``attack``, ``run
-  extract``, ``verify``, ``obs record/view`` and ``campaign
+  saved ``--out`` file), ``cache``, ``attack``, ``run extract``,
+  ``verify``, ``obs record/view`` and ``campaign
   run/status/resume/serve`` (every endpoint read once);
 * every ``examples/*.py --quick``;
 * the four perfbench workloads, untraced and traced (``--scale 0.3``,
@@ -48,6 +48,7 @@ import ast
 import fnmatch
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -158,17 +159,14 @@ def roots(quick: bool, scratch: pathlib.Path) -> List[List[str]]:
     for _ in range(2):          # cold, then served from the cache
         commands += [repro + ["sweep", p, *tier, "--workers", "2"]
                      for p in presets]
-    evt, trace, camp, saved = (
-        str(scratch / name)
-        for name in ("mcf.evt", "mcf.trace", "camp", "fig12.json"))
+    evt, camp, saved = (str(scratch / name)
+                        for name in ("mcf.evt", "camp", "fig12.json"))
     commands += [
         repro + ["sweep", "--list"],
         repro + ["report", "fig9"],
         repro + ["sweep", "fig12", "--quick", "--out", saved],
         repro + ["report", saved],
         repro + ["cache"],
-        repro + ["trace", "record", "mcf", "--out", trace],
-        repro + ["trace", "info", trace],
         repro + ["attack", "--secret", "SPECRUN", "--trials", "5",
                  "--min-success", "1"],
         repro + ["attack", "--secret", "OK", "--receiver", "prime-probe",
@@ -263,12 +261,19 @@ def record(commands, scratch: pathlib.Path) -> Set[Tuple[str, int, str]]:
 
 
 def load_keep(path: pathlib.Path) -> Dict[str, str]:
-    """Keep patterns -> reasons; a line without a reason is an error."""
-    keep = {}
+    """Keep patterns -> reasons.  A line without a reason, or whose
+    reason does not open with a tag the file's header documents (a
+    ``#   [tag]`` comment line), is an error."""
+    keep, tags = {}, set()
     for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
+            tag = re.match(r"#\s+(\[[\w-]+\])\s", line)
+            if tag and not keep:
+                tags.add(tag.group(1))
+            continue
+        if not line:
             continue
         pattern, _, reason = line.partition(" ")
         reason = reason.strip()
@@ -279,6 +284,10 @@ def load_keep(path: pathlib.Path) -> Dict[str, str]:
             raise SystemExit(f"{path}:{number}: {pattern}: only "
                              f"[reference] and [protocol] entries may be "
                              f"patterns")
+        if reason.split()[0] not in tags:
+            raise SystemExit(f"{path}:{number}: {pattern}: the reason "
+                             f"must open with a tag the header documents "
+                             f"({' '.join(sorted(tags))})")
         keep[pattern] = reason
     return keep
 
