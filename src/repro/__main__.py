@@ -390,10 +390,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from .harness.cache import ResultCache
+    from .harness.cache import CacheBackend
 
-    cache = ResultCache(root=args.cache_dir) if args.cache_dir \
-        else ResultCache()
+    cache = CacheBackend(root=args.cache_dir) if args.cache_dir \
+        else CacheBackend()
     if args.clear:
         removed = cache.clear()
         print(f"removed {removed} cached records from {cache.root}")

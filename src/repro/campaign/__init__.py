@@ -1,8 +1,8 @@
 """Resumable, fault-tolerant campaign engine over the harness.
 
 A campaign runs one or more sweeps as a journaled job in a
-self-contained directory: one lease state machine schedules trials
-(bounded retries, per-trial timeouts) onto local worker processes, a
+self-contained directory: one state machine pushes trials (bounded
+retries, per-trial timeouts) to local worker processes, a
 write-ahead journal plus the campaign's content-addressed cache make
 it resumable after any crash, and read-only ``status``/``serve``
 views report live progress without touching the simulator.

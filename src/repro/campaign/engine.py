@@ -3,16 +3,15 @@
 A *campaign* is one or more :class:`~repro.harness.spec.Sweep`\\ s run
 as a journaled job in a self-contained directory (see
 :mod:`repro.campaign.journal`).  :meth:`Campaign.run` schedules it
-with the lease state machine
+with one state machine
 (:class:`~repro.campaign.coordinator.CoordinatorState`), and computes
-it with the worker loop (:func:`repro.campaign.worker.work`):
+each trial with :func:`repro.campaign.worker.run_one`:
 
 * **Local workers** — with ``workers >= 2`` the engine forks that many
-  processes, each running the worker loop over a pipe to the parent.
-  The parent is the only caller of the state machine: it answers
-  claims, completions and failures, so workers pull the next
-  trial the moment they finish the last one.  Journaled ``lease``
-  events carry ``local-<n>`` host ids.
+  processes.  The parent is the only caller of the state machine: it
+  pushes the next ready trial to each idle worker over its pipe, and
+  the worker answers with that trial's one outcome.  Journaled
+  ``lease`` events carry ``local-<n>`` host ids.
 * **Fault tolerance** — a worker that dies (SIGKILL, OOM) or hangs
   past the per-trial timeout is killed and its trial failed as a
   transient ``worker-error``; the state re-queues it with bounded
@@ -20,16 +19,17 @@ it with the worker loop (:func:`repro.campaign.worker.work`):
   Deterministic :class:`~repro.harness.runner.TrialError`\\ s are
   *not* retried — rerunning a deterministic failure can only fail the
   same way — they abort the campaign (journaled, so ``status`` shows
-  what broke).
+  what broke).  Idle workers are stopped and joined; only a worker
+  that holds a trial when the run ends is killed.
 * **Resumability** — results live in the campaign's content-addressed
   :class:`~repro.harness.cache.CacheBackend` and completions are
   journaled write-ahead; a campaign killed at any instant resumes by
   skipping everything cached and finishes **byte-identical** to an
   uninterrupted run at any worker count.
 * **Graceful degradation** — one worker, a single pending trial, or a
-  failed process spawn run the loop in-process with direct calls into
-  the state: the same retry semantics, minus timeouts (a hung trial
-  cannot be killed without a separate process).
+  failed process spawn run the same loop in-process: the same retry
+  semantics, minus timeouts (a hung trial cannot be killed without a
+  separate process).
 
 :func:`repro.harness.run_sweep` with ``workers > 1`` runs its sweep
 as a throwaway campaign, so this is the only multi-process scheduler.
@@ -40,39 +40,27 @@ from __future__ import annotations
 import multiprocessing
 import time
 from multiprocessing.connection import wait
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..harness.cache import CacheBackend, resolve_cache
 from ..harness.executor import SweepResult, default_workers
 from ..harness.runner import TrialError
 from ..harness.spec import Sweep
-from .coordinator import DEFAULT_BACKOFF, DEFAULT_RETRIES, CoordinatorState
+from .coordinator import (DEFAULT_BACKOFF, DEFAULT_RETRIES,
+                          CoordinatorState, Held)
 from .journal import CampaignDir, CampaignError
-from .worker import TrialRunner, work
-
-
-def _pipe_worker(conn, host: str, runner: Optional[TrialRunner]) -> None:
-    """Body of a forked local worker: the worker loop over its end of
-    a pipe."""
-    def call(endpoint: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        conn.send((endpoint, payload))
-        return conn.recv()
-    try:
-        work(call, host, runner=runner)
-    except (EOFError, OSError):
-        pass                        # the campaign parent is gone
+from .worker import TrialRunner, run_one, worker_loop
 
 
 class _LocalWorkers:
     """Parent side of the forked local workers.
 
-    Blocks on the workers' pipes and process sentinels, forwards each
-    request to the state and sends the reply back.  A claim that finds
-    nothing ready is parked — answered as soon as a retry is released
-    — instead of sending the worker off to sleep.  Dead workers fail
-    their lease as ``worker died (exit code N)``; a worker whose lease
-    outlives the manifest timeout is killed and failed as ``timeout
-    after Ns``.
+    Hands each idle worker the next ready trial, then blocks on the
+    workers' pipes, their process sentinels and the next due retry or
+    timeout, and settles each outcome with the state.  Dead workers
+    fail their trial as ``worker died (exit code N)``; a worker whose
+    trial outlives the manifest timeout is killed and failed as
+    ``timeout after Ns``.
     """
 
     def __init__(self, state: CoordinatorState, workers: int,
@@ -82,8 +70,7 @@ class _LocalWorkers:
         self.runner = runner
         self.ctx = multiprocessing.get_context()
         self.procs: Dict[Any, Any] = {}        # conn -> Process
-        self.leases: Dict[Any, Tuple[str, float]] = {}  # conn -> held
-        self.parked: Dict[Any, str] = {}       # conn -> host
+        self.held: Dict[Any, Held] = {}        # conn -> its trial
         self.spawned = 0
 
     def run(self) -> Optional[str]:
@@ -92,33 +79,33 @@ class _LocalWorkers:
         state = self.state
         try:
             while not state.settled:
-                state.reconcile()
-                self._serve_parked()
                 failure = self._top_up()
                 if failure is not None:
                     return failure
+                self._hand_out()
                 ready = wait(list(self.procs) +
                              [proc.sentinel for proc in self.procs.values()],
                              self._wake_in())
                 for conn, proc in list(self.procs.items()):
-                    if conn in ready and self._handle(conn):
-                        continue
-                    if conn in ready or proc.sentinel in ready:
+                    if conn in ready:
+                        try:
+                            outcome = conn.recv()
+                        except (EOFError, OSError):
+                            self._drop(conn)
+                            continue
+                        state.settle(self.held.pop(conn), *outcome)
+                    elif proc.sentinel in ready:
                         self._drop(conn)
                 self._enforce_timeout()
             return None
         finally:
-            for conn, proc in self.procs.items():
-                proc.kill()          # idle, or abandoned by an abort
-                proc.join()
-                conn.close()
+            self._stop()
 
     def _spawn(self) -> None:
         conn, child = self.ctx.Pipe()
         proc = self.ctx.Process(
-            target=_pipe_worker,
-            args=(child, f"local-{self.spawned}", self.runner),
-            daemon=True)
+            target=worker_loop, args=(child, self.runner),
+            name=f"local-{self.spawned}", daemon=True)
         try:
             proc.start()
         except BaseException:
@@ -140,49 +127,27 @@ class _LocalWorkers:
                 break               # keep going with the workers we have
         return None
 
-    def _handle(self, conn) -> bool:
-        """Answer one request; False when the pipe is closed."""
-        try:
-            endpoint, payload = conn.recv()
-        except (EOFError, OSError):
-            return False
-        if endpoint == "claim":
-            self._claim(conn, payload["host"])
-            return True
-        self.leases.pop(conn, None)
-        self._send(conn, self.state.handle(endpoint, payload))
-        return True
-
-    def _claim(self, conn, host: str) -> bool:
-        """Answer a claim; park it (False) while nothing is ready."""
-        body = self.state.claim(host)
-        if "retry_after" in body:
-            self.parked[conn] = host
-            return False
-        self.parked.pop(conn, None)
-        if "lease" in body:
-            self.leases[conn] = (body["lease"], time.monotonic())
-        self._send(conn, body)
-        return True
-
-    def _serve_parked(self) -> None:
-        for conn, host in list(self.parked.items()):
-            if not self.state.queue or not self._claim(conn, host):
+    def _hand_out(self) -> None:
+        for conn, proc in self.procs.items():
+            if conn in self.held:
+                continue
+            held = self.state.next_trial(proc.name)
+            if held is None:
                 return
-
-    def _send(self, conn, reply) -> None:
-        try:
-            conn.send(reply)
-        except OSError:
-            pass                    # died meanwhile; reaped next round
+            self.held[conn] = held
+            try:
+                conn.send(self.state.trials[held[0]].to_dict())
+            except OSError:
+                pass                # died meanwhile; reaped next round
 
     def _wake_in(self) -> Optional[float]:
-        """Seconds until a delayed retry is due or a lease times out;
-        ``None`` blocks until a worker speaks or dies."""
-        due = [ready for ready, _ in self.state.delayed[:1]]
+        """Seconds until a delayed retry is due or a held trial times
+        out; ``None`` blocks until a worker speaks or dies."""
+        retry = self.state.next_due()
+        due = [] if retry is None else [retry]
         if self.state.timeout:
-            due += [claimed + self.state.timeout
-                    for _, claimed in self.leases.values()]
+            due += [issued + self.state.timeout
+                    for _, _, issued in self.held.values()]
         return max(0.0, min(due) - time.monotonic()) if due else None
 
     def _enforce_timeout(self) -> None:
@@ -190,23 +155,48 @@ class _LocalWorkers:
         if not timeout:
             return
         now = time.monotonic()
-        for conn, (_, claimed) in list(self.leases.items()):
-            if now - claimed >= timeout:
+        for conn, (_, _, issued) in list(self.held.items()):
+            if now - issued >= timeout:
                 self._drop(conn, f"timeout after {timeout:g}s")
 
     def _drop(self, conn, reason: Optional[str] = None) -> None:
-        """Kill and reap one worker; fail the lease it held."""
+        """Kill and reap one worker; fail the trial it held."""
         proc = self.procs.pop(conn)
         proc.kill()
         proc.join()
         conn.close()
-        self.parked.pop(conn, None)
-        held = self.leases.pop(conn, None)
+        held = self.held.pop(conn, None)
         if held is not None:
-            self.state.fail({
-                "lease": held[0], "kind": "worker-error",
-                "reason": reason or f"worker died (exit code "
-                                    f"{proc.exitcode})"})
+            self.state.settle(held, "worker-error",
+                              reason or f"worker died (exit code "
+                                        f"{proc.exitcode})")
+
+    def _stop(self) -> None:
+        """Stop idle workers and join them; kill the ones that still
+        hold a trial (an abort, or an exception out of the loop)."""
+        for conn, proc in self.procs.items():
+            if conn in self.held:
+                proc.kill()
+                continue
+            try:
+                conn.send(None)
+            except OSError:
+                proc.kill()
+        for conn, proc in self.procs.items():
+            proc.join()
+            conn.close()
+
+
+def _in_process(state: CoordinatorState,
+                runner: Optional[TrialRunner]) -> None:
+    """The scheduler loop without processes: run each handed-out trial
+    here, sleeping until a delayed retry is due when none is ready."""
+    while not state.settled:
+        held = state.next_trial("local-0")
+        if held is None:
+            time.sleep(max(0.0, state.next_due() - time.monotonic()))
+            continue
+        state.settle(held, *run_one(state.trials[held[0]], runner))
 
 
 def _resolve_campaign_cache(spec: Any, base: CampaignDir) -> CacheBackend:
@@ -366,8 +356,7 @@ class Campaign:
                     "event": "degraded", "run": state.run_id,
                     "reason": f"worker processes unavailable "
                               f"({failure}); running in-process"})
-        if not state.settled:        # in-process: direct calls
-            work(state.handle, "local-0", runner=runner)
+        _in_process(state, runner)
         if state.error is not None:
             raise (TrialError if state.error_kind == "trial-error"
                    else CampaignError)(state.error)

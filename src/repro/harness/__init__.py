@@ -21,7 +21,7 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "aggregate": ("attack_cell", "attack_matrix", "geomean",
                   "geometric_mean_speedup", "ipc_table", "speedup_bars"),
     "cache": ("CACHE_DIR_ENV", "CACHE_DISABLE_ENV", "CacheBackend",
-              "ResultCache", "code_fingerprint", "default_cache_dir",
+              "code_fingerprint", "default_cache_dir",
               "resolve_cache"),
     "executor": ("SerialExecutor", "SweepResult", "default_workers",
                  "make_record", "run_sweep"),

@@ -8,8 +8,7 @@ after a refactor.  Changing a trial's config changes its spec and
 therefore its key, giving per-trial invalidation for free.  A trial
 references nothing outside its spec.
 
-Storage is a :class:`CacheBackend` (also exported under its historical
-name ``ResultCache``): one JSON file per record under
+Storage is a :class:`CacheBackend`: one JSON file per record under
 ``<root>/<key[:2]>/<key>.json``, so a CI cache restore is a plain
 directory copy.  The default root is ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro-specrun``.  Each write goes to a temp file unique to
@@ -180,10 +179,6 @@ class CacheBackend:
             except OSError:
                 pass
         return removed
-
-
-#: Historical name of the result cache, kept for its existing callers.
-ResultCache = CacheBackend
 
 #: URI schemes of result stores that no longer exist.
 _REMOVED_STORES = ("sqlite:", "http:", "https:")

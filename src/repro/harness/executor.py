@@ -15,7 +15,7 @@ A sweep runs one of two ways; the second is the only multi-process path:
 * :class:`SerialExecutor` runs everything inline, no processes — the
   reference semantics;
 * :func:`run_sweep` with ``workers > 1`` runs the sweep as a throwaway
-  :class:`repro.campaign.Campaign`: the campaign's lease state machine
+  :class:`repro.campaign.Campaign`: the campaign's state machine
   (:mod:`repro.campaign.coordinator`) hands trials to local worker
   processes, retries a trial whose worker died, and seals the result
   exactly as a serial run would.  Journaled, resumable runs use the
@@ -235,8 +235,8 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None, cache="auto",
     """Execute every trial of ``sweep``; results come back in trial
     order.  Serial at one worker; above that the sweep runs as a
     throwaway campaign (:class:`repro.campaign.Campaign` in a temporary
-    directory), whose lease scheduler retries a trial lost to a dead
-    worker process.
+    directory), whose scheduler retries a trial lost to a dead worker
+    process.
 
     Parameters
     ----------

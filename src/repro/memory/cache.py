@@ -85,18 +85,12 @@ class SetAssociativeCache:
         ways = self._sets[tag & self._set_mask]
         return ways is not None and tag in ways
 
-    def lookup(self, addr, update=True):
-        """Return True on hit.  Updates recency and hit/miss statistics.
-
-        ``update=False`` suppresses the recency update (used to keep
-        runahead-mode hits from perturbing replacement state when modeling
-        stealth variants) but still counts statistics.
-        """
+    def lookup(self, addr):
+        """Return True on hit.  Updates recency and hit/miss statistics."""
         ways, tag = self._set_and_tag(addr)
         if ways is not None and tag in ways:
-            if update:
-                ways.move_to_end(tag)
-                self.mutations += 1
+            ways.move_to_end(tag)
+            self.mutations += 1
             self.stats.hits += 1
             return True
         self.stats.misses += 1

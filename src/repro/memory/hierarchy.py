@@ -4,7 +4,7 @@ The hierarchy is split along the boundary real multi-core parts share:
 
 * :class:`SharedHierarchy` owns the **L3 and the memory channel** — the
   resources every core (and SMT thread) on the socket contends for.
-* :class:`MemoryHierarchy` (alias :data:`CoreView`) is one core's
+* :class:`MemoryHierarchy` is one core's
   **private slice** — L1I/L1D/L2, its MSHRs (pending fills) and its
   statistics — plus references to the shared level.  The view owns the
   shared level, never the other way round: the shared level reaches its
@@ -193,11 +193,10 @@ class _SharedL3(SetAssociativeCache):
     owns a view.
     """
 
-    def __init__(self, config: CacheConfig, views: List[weakref.ref],
-                 inclusive: bool):
+    def __init__(self, config: CacheConfig, views: List[weakref.ref]):
         super().__init__(config)
         self._views = views
-        self.inclusive = inclusive
+        self.inclusive = False
 
     def fill(self, addr):
         evicted = super().fill(addr)
@@ -232,18 +231,16 @@ class SharedHierarchy:
         smt    = shared.add_smt_thread(victim,
                                        phys_base=2 * PHYS_WINDOW_STRIDE)
 
-    ``inclusive`` defaults to "two or more views attached" — a
+    The L3 is inclusive once two or more views are attached — a
     single-view hierarchy behaves exactly like the historical monolithic
     ``MemoryHierarchy`` (no back-invalidation), which the golden-stats
     fixtures pin down.
     """
 
-    def __init__(self, config: Optional[HierarchyConfig] = None, *,
-                 inclusive: Optional[bool] = None):
+    def __init__(self, config: Optional[HierarchyConfig] = None):
         self.config = config or HierarchyConfig.paper()
-        self._inclusive = inclusive
         self._views: List[weakref.ref] = []
-        self.l3 = _SharedL3(self.config.l3, self._views, bool(inclusive))
+        self.l3 = _SharedL3(self.config.l3, self._views)
         self.channel = MemoryChannel(self.config.mem_latency,
                                      self.config.mem_occupancy)
         #: Never above any view's ``next_fill`` (views lower it when
@@ -257,8 +254,7 @@ class SharedHierarchy:
         dropped later never turns back-invalidation off mid-run."""
         index = len(self._views)
         self._views.append(weakref.ref(view))
-        if self._inclusive is None:
-            self.l3.inclusive = index > 0
+        self.l3.inclusive = index > 0
         return index
 
     def add_core(self, phys_base: int = 0) -> "MemoryHierarchy":
@@ -460,8 +456,7 @@ class MemoryHierarchy:
 
     # -- data path ----------------------------------------------------------------
 
-    def access_data(self, addr, now, *, fill=True, lru_update=True,
-                    prefetch=False):
+    def access_data(self, addr, now, *, fill=True, prefetch=False):
         """Access the data side; returns an :class:`AccessResult`.
 
         ``fill=False`` lets the caller (the secure-runahead defense)
@@ -489,13 +484,13 @@ class MemoryHierarchy:
                                 merged=True)
 
         l1_latency = self.config.l1d.latency
-        if self.l1d.lookup(line, update=lru_update):
+        if self.l1d.lookup(line):
             if trace is not None:
                 trace.emit(now, _EV_ACCESS, line, _LID_L1)
             return AccessResult(l1_latency, LEVEL_L1, now + l1_latency, line)
 
         l2_latency = l1_latency + self.config.l2.latency
-        if self.l2.lookup(line, update=lru_update):
+        if self.l2.lookup(line):
             if fill:
                 self.l1d.fill(line)
                 if trace is not None:
@@ -505,7 +500,7 @@ class MemoryHierarchy:
             return AccessResult(l2_latency, LEVEL_L2, now + l2_latency, line)
 
         l3_latency = l2_latency + self.config.l3.latency
-        if self.l3.lookup(line, update=lru_update):
+        if self.l3.lookup(line):
             if fill:
                 self.l2.fill(line)
                 self.l1d.fill(line)
@@ -642,7 +637,3 @@ class MemoryHierarchy:
             trace.emit(now, _EV_PROBE, line, _LID_MEM)
         return latency + self.config.mem_latency, LEVEL_MEM
 
-
-#: The per-core facade name used by the multi-core subsystem; a
-#: standalone :class:`MemoryHierarchy` *is* a single-core view.
-CoreView = MemoryHierarchy

@@ -26,14 +26,10 @@ def _first_attempt(trial) -> bool:
 
 
 def kill_once(trial):
-    """SIGKILL this worker on the first attempt of a marked trial.
-
-    The pause lets the queue feeder thread flush the engine's "claim"
-    message first, so the test exercises the claimed-trial retry path
-    rather than the stall-reconciliation fallback.
-    """
+    """SIGKILL this worker on the first attempt of a marked trial,
+    while it holds the trial: the parent must settle the trial as a
+    ``worker died`` failure and retry it on a replacement worker."""
     if trial.params.get("fault") == "kill" and _first_attempt(trial):
-        time.sleep(0.2)
         os.kill(os.getpid(), signal.SIGKILL)
     return run_trial(trial)
 

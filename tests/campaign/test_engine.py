@@ -1,13 +1,15 @@
 """Campaign engine: byte-identity, retries, failure taxonomy, resume."""
 
 import time
+from collections import defaultdict
+from multiprocessing.connection import Connection
 
 import pytest
 
-from repro.campaign import Campaign, CampaignError, campaign_status
+from repro.campaign import Campaign, CampaignError, campaign_status, engine
 from repro.campaign.coordinator import (DEFAULT_MAX_DELAY,
                                         CoordinatorState, backoff_delay)
-from repro.harness.cache import ResultCache
+from repro.harness.cache import CacheBackend
 from repro.harness.executor import run_sweep
 from repro.harness.spec import Sweep
 
@@ -107,7 +109,7 @@ class TestResume:
 
     def test_runs_on_the_backend_object_it_was_given(self, tmp_path):
         sweep = window_sweep(n=3)
-        store = ResultCache(root=tmp_path / "store", code_version="v1")
+        store = CacheBackend(root=tmp_path / "store", code_version="v1")
         Campaign.create(tmp_path / "camp", sweep, cache=store).run(
             workers=1)
         assert all(store.get(trial) is not None for trial in sweep)
@@ -214,8 +216,6 @@ class TestFaultTolerance:
 
     def test_spawn_failure_degrades_to_in_process(self, tmp_path,
                                                   monkeypatch):
-        from repro.campaign import engine
-
         def no_fork(self):
             raise OSError("fork unavailable")
         monkeypatch.setattr(engine._LocalWorkers, "_spawn", no_fork)
@@ -271,9 +271,8 @@ class TestRetryBackoff:
 class TestBackoffDelay:
     def test_never_exceeds_cap(self):
         for attempt in range(1, 40):
-            delay = backoff_delay(0.25, attempt, cap=5.0,
-                                  key=("t", attempt))
-            assert 0.0 <= delay <= 5.0
+            delay = backoff_delay(0.25, attempt, key=("t", attempt))
+            assert 0.0 <= delay <= DEFAULT_MAX_DELAY
 
     def test_default_cap_bounds_huge_bases(self):
         # The uncapped formula would be 1000 * 2**19 seconds here.
@@ -302,9 +301,6 @@ class TestBackoffDelay:
     def test_zero_base_is_zero(self):
         assert backoff_delay(0.0, 5, key=("t", 1)) == 0.0
 
-    def test_unkeyed_draw_is_bounded(self):
-        assert 0.0 <= backoff_delay(0.25, 2) <= 0.5
-
 
 class TestLocalLeases:
     @pytest.mark.parametrize("workers", [1, 3])
@@ -324,19 +320,66 @@ class TestLocalLeases:
 
     def test_a_lease_is_never_expired_by_the_clock(self, tmp_path,
                                                    monkeypatch):
-        """A local lease ends only by completion or failure: the
+        """A handed-out trial ends only when it is settled: the
         engine watches its workers itself, so no amount of elapsed
-        time expires one."""
+        time takes one back."""
         campaign = Campaign.create(tmp_path / "camp", window_sweep(n=2))
         state = CoordinatorState(campaign, workers=1)
-        lease = state.claim("local-0")["lease"]
+        key, host, _ = state.next_trial("local-0")
         now = time.monotonic()
         monkeypatch.setattr(time, "monotonic", lambda: now + 1e6)
-        state.reconcile()
+        other, _, _ = state.next_trial("local-1")
+        assert state.next_trial("local-2") is None
+        assert other != key and host == "local-0"
         assert not journal_events(campaign, "lease-expired")
         assert not journal_events(campaign, "retry")
-        assert lease in state.leases
-        assert state.leases[lease].key in state.unfinished
+        assert key in state.unfinished
+
+    def test_workers_exit_cleanly(self, tmp_path, monkeypatch):
+        """A fault-free run stops its idle workers with a message and
+        joins them: every worker runs its own exit path (exit code 0),
+        none is killed."""
+        procs = []
+        spawn = engine._LocalWorkers._spawn
+
+        def recording_spawn(self):
+            spawn(self)
+            procs.extend(p for p in self.procs.values()
+                         if p not in procs)
+        monkeypatch.setattr(engine._LocalWorkers, "_spawn",
+                            recording_spawn)
+        Campaign.create(tmp_path / "camp", window_sweep()).run(workers=2)
+        assert len(procs) == 2
+        assert [p.exitcode for p in procs] == [0, 0]
+
+    def test_one_message_each_way_per_trial(self, tmp_path, monkeypatch):
+        """Each forked worker receives exactly one message per trial
+        (the trial) and sends exactly one back (its outcome); the only
+        other message is the final stop."""
+        sent, received = defaultdict(list), defaultdict(list)
+        send, recv = Connection.send, Connection.recv
+
+        def counting_send(conn, obj):
+            sent[id(conn)].append(obj)
+            send(conn, obj)
+
+        def counting_recv(conn):
+            obj = recv(conn)
+            received[id(conn)].append(obj)
+            return obj
+        monkeypatch.setattr(Connection, "send", counting_send)
+        monkeypatch.setattr(Connection, "recv", counting_recv)
+        sweep = window_sweep()
+        campaign = Campaign.create(tmp_path / "camp", sweep)
+        campaign.run(workers=2)
+        assert len(sent) == 2 and sent.keys() == received.keys()
+        for conn, messages in sent.items():
+            trials, stop = messages[:-1], messages[-1]
+            assert stop is None and trials
+            assert [kind for kind, _ in received[conn]] \
+                == ["done"] * len(trials)
+        assert sum(len(m) - 1 for m in sent.values()) == len(sweep)
+        assert len(journal_events(campaign, "lease")) == len(sweep)
 
 
 class TestCacheHits:

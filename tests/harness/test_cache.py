@@ -6,14 +6,14 @@ import json
 import pytest
 
 from repro.harness.cache import (CACHE_DIR_ENV, CACHE_DISABLE_ENV,
-                                 ResultCache, code_fingerprint,
+                                 CacheBackend, code_fingerprint,
                                  default_cache_dir, resolve_cache)
 from repro.harness.spec import Trial, canonical_json
 
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(root=tmp_path / "cache", code_version="code-v1")
+    return CacheBackend(root=tmp_path / "cache", code_version="code-v1")
 
 
 TRIAL = Trial("attack", {"variant": "pht", "runahead": "original"})
@@ -37,7 +37,7 @@ class TestHitMiss:
 
     def test_code_version_change_is_a_miss(self, cache, tmp_path):
         cache.put(TRIAL, {"leaked": True})
-        newer = ResultCache(root=cache.root, code_version="code-v2")
+        newer = CacheBackend(root=cache.root, code_version="code-v2")
         assert newer.get(TRIAL) is None
         # ... and the old version still hits: keys are content-addressed.
         assert cache.get(TRIAL) is not None
@@ -45,7 +45,7 @@ class TestHitMiss:
     def test_keys_are_stable_across_instances(self, cache):
         """A key is the spec plus the code fingerprint, nothing else:
         a name that looks like a file path hashes no file."""
-        twin = ResultCache(root=cache.root, code_version="code-v1")
+        twin = CacheBackend(root=cache.root, code_version="code-v1")
         assert cache.key(TRIAL) == twin.key(TRIAL)
         for trial in (TRIAL, Trial("ipc", {"workload": "trace:x.trace"})):
             payload = canonical_json({"code": "code-v1",

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.harness.cache import CacheBackend, ResultCache, resolve_cache
+from repro.harness.cache import CacheBackend, resolve_cache
 from repro.harness.spec import Trial
 
 
@@ -215,9 +215,6 @@ class TestResolveCache:
     def test_auto_honours_disable_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert resolve_cache("auto") is None
-
-    def test_result_cache_alias_is_the_directory_backend(self):
-        assert ResultCache is CacheBackend
 
 
 class TestDirectoryLayout:

@@ -12,7 +12,7 @@ import pytest
 
 import repro.campaign.engine as engine_mod
 import repro.campaign.worker as worker_mod
-from repro.harness.cache import ResultCache
+from repro.harness.cache import CacheBackend
 from repro.harness.executor import (SerialExecutor, SweepResult,
                                     default_workers, run_sweep)
 from repro.harness.runner import TrialError, run_trial
@@ -54,7 +54,7 @@ class TestDeterministicSharding:
 
 class TestCacheWiring:
     def test_second_run_hits_cache(self, tmp_path):
-        store = ResultCache(root=tmp_path, code_version="v1")
+        store = CacheBackend(root=tmp_path, code_version="v1")
         cold = run_sweep(cheap_sweep(), workers=1, cache=store)
         assert cold.cache_hits == 0
         assert cold.cache_misses == len(cold)
@@ -65,14 +65,14 @@ class TestCacheWiring:
         assert cold.to_json() == warm.to_json()
 
     def test_force_recomputes_despite_cache(self, tmp_path):
-        store = ResultCache(root=tmp_path, code_version="v1")
+        store = CacheBackend(root=tmp_path, code_version="v1")
         run_sweep(cheap_sweep(), workers=1, cache=store)
         forced = run_sweep(cheap_sweep(), workers=1, cache=store,
                            force=True)
         assert forced.cache_misses == len(forced)
 
     def test_trial_shared_between_sweeps(self, tmp_path):
-        store = ResultCache(root=tmp_path, code_version="v1")
+        store = CacheBackend(root=tmp_path, code_version="v1")
         run_sweep(cheap_sweep("first"), workers=1, cache=store)
         other = Sweep("second")
         other.add("taint")
@@ -80,7 +80,7 @@ class TestCacheWiring:
         assert warm.cache_hits == 1
 
     def test_cache_hits_are_per_sweep_on_a_shared_store(self, tmp_path):
-        store = ResultCache(root=tmp_path, code_version="v1")
+        store = CacheBackend(root=tmp_path, code_version="v1")
         run_sweep(cheap_sweep(), workers=1, cache=store)
         run_sweep(cheap_sweep(), workers=1, cache=store)   # 4 store hits
         other = Sweep("other")
@@ -167,7 +167,7 @@ class TestExecutorProtocol:
 
     def test_pool_runs_inline_for_single_pending_trial(self, tmp_path,
                                                        monkeypatch):
-        store = ResultCache(root=tmp_path, code_version="v1")
+        store = CacheBackend(root=tmp_path, code_version="v1")
         sweep = cheap_sweep()
         run_sweep(Sweep("seed", sweep.trials[:-1]), workers=1,
                   cache=store)
@@ -199,7 +199,7 @@ class TestExecutorProtocol:
         assert sorted(pooled) == sorted(serial)
 
     def test_pool_writes_the_given_backend(self, tmp_path):
-        store = ResultCache(root=tmp_path, code_version="v1")
+        store = CacheBackend(root=tmp_path, code_version="v1")
         cold = run_sweep(cheap_sweep(), workers=2, cache=store)
         assert cold.cache_misses == len(cold)
         assert all(store.get(trial) is not None

@@ -75,14 +75,14 @@ class TestEviction:
         assert not cache.probe(0x100)
 
     def test_refill_and_stealth_lookup_recency(self):
-        """A refill of a resident line refreshes it; a lookup with
-        ``update=False`` does not."""
+        """A refill of a resident line refreshes it; a probe (the
+        side-effect-free lookup) does not."""
         cache = make_cache(size=256, assoc=2, line=64)  # 2 sets
         cache.fill(0x000)
         cache.fill(0x100)
         cache.fill(0x000)                   # refresh line 0
         assert cache.fill(0x200) == 0x100
-        assert cache.lookup(0x000, update=False)
+        assert cache.probe(0x000)
         assert cache.fill(0x300) == 0x000
 
     def test_refill_of_resident_line_evicts_nothing(self):
@@ -109,7 +109,7 @@ class TestLazySets:
         cache = make_cache()             # 8 sets
         assert not cache.probe(0x1000)
         assert not cache.lookup(0x1040)
-        assert not cache.lookup(0x1080, update=False)
+        assert not cache.lookup(0x1080)
         assert not cache.invalidate(0x10c0)
         assert self.allocated(cache) == []
         assert cache.stats.misses == 2

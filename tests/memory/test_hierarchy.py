@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_MEM,
-                          LEVEL_PENDING, CoreView, HierarchyConfig,
+                          LEVEL_PENDING, HierarchyConfig,
                           MainMemory, MemoryChannel, MemoryHierarchy,
                           SharedHierarchy)
 from tests.sim import live_views, memory_words, present_in, resident_lines, warm
@@ -150,9 +150,6 @@ class TestInstructionPath:
 class TestFacade:
     """A standalone MemoryHierarchy IS a single view of its own shared
     level — the facade the multi-core subsystem generalizes."""
-
-    def test_memory_hierarchy_is_the_core_view(self):
-        assert CoreView is MemoryHierarchy
 
     def test_standalone_builds_its_own_shared_level(self, hierarchy):
         assert live_views(hierarchy.shared) == [hierarchy]

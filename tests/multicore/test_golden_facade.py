@@ -1,7 +1,8 @@
 """Golden-stats differential coverage for the hierarchy refactor.
 
 PR 2's fixture (``tests/golden/golden_stats.json``) was recorded before
-the hierarchy split into ``SharedHierarchy`` + per-core ``CoreView``s.
+the hierarchy split into ``SharedHierarchy`` + per-core
+``MemoryHierarchy`` views.
 Two layers of coverage prove the refactor is byte-identical for
 single-core runs:
 
@@ -31,7 +32,7 @@ CORE_KEYS = sorted(GOLDEN["cores"])
 
 
 def facade_core_record(workload_name, controller_name):
-    """The recorder's core_record, but through an explicit CoreView."""
+    """The recorder's core_record, but through an explicit core view."""
     workload = get_workload(workload_name)
     config = CoreConfig.paper()
     view = SharedHierarchy(config.hierarchy).add_core()
@@ -61,4 +62,4 @@ def test_explicit_facade_matches_golden(key):
     for field in want:
         assert fresh[field] == want[field], \
             f"{key}: {field} diverged through the explicit " \
-            f"SharedHierarchy/CoreView facade"
+            f"SharedHierarchy/MemoryHierarchy facade"

@@ -125,16 +125,6 @@ class TestInclusion:
         assert not hierarchy.l3.probe(target)
         assert present_in(hierarchy, target, LEVEL_L1)   # survives
 
-    def test_inclusive_override_flag(self):
-        shared = SharedHierarchy(HierarchyConfig.small(), inclusive=True)
-        assert shared.l3.inclusive
-        shared.add_core()
-        assert shared.l3.inclusive
-        shared = SharedHierarchy(HierarchyConfig.small(), inclusive=False)
-        for _ in range(3):
-            shared.add_core()
-        assert not shared.l3.inclusive
-
     def test_inclusive_turns_on_at_the_second_attached_view(self):
         shared = SharedHierarchy(HierarchyConfig.small())
         assert not shared.l3.inclusive

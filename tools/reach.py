@@ -26,7 +26,7 @@ file at its first call.  The hook is a ``sitecustomize`` module put
 first on ``PYTHONPATH``, so every ``python`` a root starts loads it.  A
 process ``multiprocessing`` forks inherits the hook, its open file and
 its set of functions already written, so a campaign worker counts
-even though the campaign ends it with ``SIGKILL``.
+even when the campaign kills it (at a timeout or an abort).
 
 ``tools/reach_keep.txt`` names the unreached functions that stay on
 purpose, one ``module:qualname`` and a one-line reason per line; only
