@@ -10,9 +10,11 @@ bounds check passes.
 
 from __future__ import annotations
 
+from itertools import groupby, repeat
+from operator import attrgetter
 from typing import Dict, List, Optional
 
-from .instructions import INSTR_BYTES, PC_SHIFT, Instruction
+from .instructions import INSTR_BYTES, PC_SHIFT, Instruction, Opcode
 
 
 class Program:
@@ -38,6 +40,7 @@ class Program:
         # bounds once instead of recomputing len() per call.  (The core
         # indexes ``instructions`` itself.)
         self._count = len(self.instructions)
+        self._nop_runs = None
 
     def __len__(self):
         return len(self.instructions)
@@ -60,6 +63,28 @@ class Program:
         if 0 <= index < self._count:
             return self.instructions[index]
         return None
+
+    def nop_runs(self):
+        """How many consecutive nops start at each instruction index
+        (0 at a non-nop), one byte each, so capped at 255: the core's
+        fetch cuts a run far shorter, at fetch room and at each L1I
+        line.  Computed once per program."""
+        runs = self._nop_runs
+        if runs is None:
+            runs = bytearray()
+            # One step per run of equal opcodes, not per instruction.
+            for opcode, group in groupby(map(attrgetter("opcode"),
+                                             self.instructions)):
+                length = len(list(group))
+                if opcode is Opcode.NOP:
+                    if length > 255:
+                        runs += b"\xff" * (length - 255)
+                        length = 255
+                    runs.extend(range(length, 0, -1))
+                else:
+                    runs += bytes(length)
+            self._nop_runs = runs = bytes(runs)
+        return runs
 
     def scope_end(self, pc):
         """Return the branch-scope end address for the branch at ``pc``.

@@ -30,9 +30,19 @@ bit-identical to the scan it replaced, which the golden-stats tests
 (``tests/pipeline/test_golden_stats.py``) pin down.
 
 One :class:`~repro.pipeline.rob.RobEntry` carries an instruction from
-fetch to retire: fetch builds it, dispatch stamps its ``seq``.  The
-issue queue is an occupancy count (the ROB entries still
-``DISPATCHED``), and loads and stores leave the LQ/SQ from the head.
+fetch to retire: fetch builds it, dispatch stamps its ``seq``.  A run
+of consecutive nops is one :class:`~repro.pipeline.rob.NopRun` record
+with a count instead: fetch builds one per run, cut at fetch room, at
+the next non-nop and at each L1I line (every line is still accessed);
+dispatch moves as many nops as width and free ROB slots allow,
+extending a run at the ROB tail; commit takes as many from the head
+run as width allows.  The ROB and front-end bounds count slots, not
+records (``_rob_bound``, ``_fetch_bound``), squashes count every nop
+of a run, and a sink still sees one event per nop with its own seq
+and pc.  Runs form only while the controller keeps the default
+``on_pseudo_retire`` (``secure`` sees every nop).  The issue queue is
+an occupancy count (the ROB entries still ``DISPATCHED``), and loads
+and stores leave the LQ/SQ from the head.
 The common case of every stage runs inline — fetch indexes the
 instruction list, re-hits its last L1I line and predicts conditional
 branches; issue tests INV sources and the unit, executes integer ALU
@@ -47,8 +57,10 @@ a simulated cycle is Python calls, so
 
 The issue stage's general path — stores, ``clflush``, vector loads,
 other control flow, ``fcvt``/vector ops and loads under overridden
-hooks — is :class:`~repro.pipeline.issue.IssuePaths`, a base class of
-:class:`Core` in its own module.  Without a bytecode cache every
+hooks — is :class:`~repro.pipeline.issue.IssuePaths`, and runahead
+entry/exit and misprediction recovery are
+:class:`~repro.pipeline.recovery.RecoveryPaths`: base classes of
+:class:`Core`, each in its own module.  Without a bytecode cache every
 process compiles this module from source, and the compiler's peak
 stays in its RSS, so this module keeps only the per-cycle stages
 (``tests/test_parse_peak.py`` bounds that peak).
@@ -80,13 +92,8 @@ from ..memory.hierarchy import (LEVEL_L1, LEVEL_MEM, LEVEL_PENDING,
 from ..memory.main_memory import MainMemory
 from ..obs.events import (EV_COMMIT as _EV_COMMIT,
                           EV_DISPATCH as _EV_DISPATCH,
-                          EV_FETCH as _EV_FETCH, EV_INV as _EV_INV,
-                          EV_ISSUE as _EV_ISSUE,
-                          EV_MISPREDICT as _EV_MISPREDICT,
-                          EV_PSEUDO_RETIRE as _EV_PSEUDO_RETIRE,
-                          EV_RA_ENTER as _EV_RA_ENTER,
-                          EV_RA_EXIT as _EV_RA_EXIT,
-                          EV_SQUASH as _EV_SQUASH)
+                          EV_FETCH as _EV_FETCH, EV_ISSUE as _EV_ISSUE,
+                          EV_PSEUDO_RETIRE as _EV_PSEUDO_RETIRE)
 from ..runahead.base import NoRunahead, RunaheadController
 from ..runahead.checkpoint import Checkpoint
 from ..runahead.runahead_cache import RunaheadCache
@@ -96,7 +103,9 @@ from .functional_units import FunctionalUnitPool
 from .issue import (LEVEL_FORWARD, LEVEL_RUNAHEAD, MODE_NORMAL,
                     MODE_RUNAHEAD, _WAIT, IssuePaths, SimulationError,
                     _as_int, _typed_load_value)
-from .rob import DISPATCHED, DONE, ISSUED, ReorderBuffer, RobEntry
+from .recovery import RecoveryPaths
+from .rob import (DISPATCHED, DONE, ISSUED, NOP_RUN, NopRun, ReorderBuffer,
+                  RobEntry)
 from .stats import CoreStats, DispatchStalls
 
 _MASK64 = (1 << 64) - 1
@@ -104,9 +113,8 @@ _MASK64 = (1 << 64) - 1
 # Hot-path opcode/FU constants (module-level binding beats repeated
 # enum-class attribute lookups inside the per-cycle loops).
 _HALT = Opcode.HALT
-_RET = Opcode.RET
-_JR = Opcode.JR
 _FENCE = Opcode.FENCE
+_NOP = Opcode.NOP
 _LOAD = Opcode.LOAD
 _FLOAD = Opcode.FLOAD
 _VSTORE = Opcode.VSTORE
@@ -148,7 +156,7 @@ HOOK_FLAGS = {
 }
 
 
-class Core(IssuePaths):
+class Core(IssuePaths, RecoveryPaths):
     """The simulated processor."""
 
     def __init__(self, program: Program, memory_image=None,
@@ -181,7 +189,12 @@ class Core(IssuePaths):
         # The hot paths read the ROB's deque directly (it is never
         # replaced: clear and squash mutate it in place).
         self._rob = self.rob._entries
-        self._fetch_queue = self.config.fetch_queue
+        # The ROB and the front-end queue hold records, and a nop run
+        # is one record for ``count`` slots: each is full when it holds
+        # this many records, its slot capacity less the slots beyond
+        # the first of every run it holds.
+        self._rob_bound = self.config.rob_size
+        self._fetch_bound = self.config.fetch_queue
         self.fus = FunctionalUnitPool(self.config.functional_units)
 
         self.arch_regs = make_register_file()
@@ -226,6 +239,10 @@ class Core(IssuePaths):
             setattr(self, flag, all(getattr(kind, hook) is
                                     getattr(interface, hook)
                                     for hook in hooks))
+        # Nops travel as runs (NopRun) only while pseudo-retirement
+        # runs inline: an overridden ``on_pseudo_retire`` sees each nop.
+        self._nop_runs = program.nop_runs() \
+            if self._pseudo_retire_is_default else None
         self.runahead_cache = RunaheadCache(self.config.runahead.cache_entries)
 
         self.stats = CoreStats()
@@ -329,7 +346,7 @@ class Core(IssuePaths):
         if frontend and frontend[0].ready_cycle <= now:
             self._dispatch(now)
         if not self.fetch_halted and now >= self.fetch_stall_until and \
-                len(frontend) < self._fetch_queue:
+                len(frontend) < self._fetch_bound:
             self._fetch(now)
         self.cycle = now + 1
 
@@ -388,7 +405,7 @@ class Core(IssuePaths):
         if instr.opcode is _FENCE and (self._rob or
                                        self.mode == MODE_RUNAHEAD):
             return "fence"
-        if len(self._rob) >= self.rob.capacity:
+        if len(self._rob) >= self._rob_bound:
             return "rob"
         rename = instr.rename_class
         if rename is not None and self._rename_free[rename] <= 0:
@@ -432,6 +449,35 @@ class Core(IssuePaths):
         while committed < width and rob:
             head = rob[0]
             if head.state != DONE:
+                if head.state == NOP_RUN:
+                    # As many of the head run's nops as width allows.
+                    count = head.count
+                    take = width - committed
+                    if take > count:
+                        take = count
+                    committed += take
+                    if inline:
+                        stats.committed += take
+                        event = _EV_COMMIT
+                    else:
+                        # Runs form only under the default
+                        # ``on_pseudo_retire`` (``pseudo`` holds).
+                        stats.pseudo_retired += take
+                        stats.transient_executed += take
+                        event = _EV_PSEUDO_RETIRE
+                    if trace is not None:
+                        for index in range(take):
+                            trace.emit(now, event, head.seq + index,
+                                       head.pc + index * INSTR_BYTES)
+                    if take == count:
+                        rob.popleft()
+                        self._rob_bound += count - 1
+                    else:
+                        head.seq += take
+                        head.pc += take * INSTR_BYTES
+                        head.count = count - take
+                        self._rob_bound += take
+                    continue
                 if self.mode == MODE_NORMAL:
                     # Inline precondition of _maybe_enter_runahead: most
                     # not-done heads are not memory-stalled loads.
@@ -549,111 +595,6 @@ class Core(IssuePaths):
         if self.trace is not None:
             self.trace.emit(now, event, head.seq, head.pc)
 
-    def _poison_stalled_head(self, head):
-        """Runahead mode: a memory-level load at the head is INV'd and
-        pseudo-retired instead of blocking — its miss continues as a
-        prefetch (Mutlu'03)."""
-        if not (head.is_load and head.state == ISSUED and
-                head.mem_level in (LEVEL_MEM, LEVEL_PENDING)):
-            return False
-        self._mark_done(head)
-        head.inv = True
-        if self.trace is not None:
-            self.trace.emit(self.cycle, _EV_INV, head.seq, head.pc)
-        if head.instr.opcode is _RET:
-            head.inv = False
-            head.actual_target = None
-            self.stats.inv_branches += 1
-            self.runahead.on_inv_branch(self, head)
-        self.stats.runahead_prefetches += 1
-        return True
-
-    # -------------------------------------------------------- runahead entry/exit --
-
-    def _maybe_enter_runahead(self, head, now):
-        """Check the Fig. 6 trigger: memory-level load stalled at ROB head."""
-        if not (head.is_load and head.state == ISSUED and
-                head.mem_level in (LEVEL_MEM, LEVEL_PENDING)):
-            return
-        # Track the transient window for Fig. 10 even without runahead.
-        if self._stall_base_seq is None:
-            self._stall_base_seq = head.seq
-            self._stall_open_seq = self.seq
-        if not self.runahead.should_enter(self, head):
-            return
-        self.checkpoint = Checkpoint(
-            arch_regs=list(self.arch_regs),
-            branch_snapshot=self.branch_unit.snapshot(),
-            stalling_pc=head.pc,
-            stalling_line=self.hierarchy.line_of(head.mem_addr or 0),
-            stalling_completion=head.completion,
-            entry_cycle=now,
-        )
-        self.mode = MODE_RUNAHEAD
-        self.stats.runahead_episodes += 1
-        if self.trace is not None:
-            self.trace.emit(now, _EV_RA_ENTER, head.seq, head.pc)
-        # Poison the stalling load: its result is INV, and it pseudo-retires
-        # immediately, converting the blocked window into a running one.
-        head.inv = True
-        self._mark_done(head)
-        self.runahead.on_enter(self)
-        if head.instr.opcode is _RET:
-            # The stack-pointer update is valid; only the return target is
-            # unknown, leaving the RSB prediction unresolvable (Fig. 4c).
-            head.inv = False
-            head.actual_target = None
-            self.stats.inv_branches += 1
-            self.runahead.on_inv_branch(self, head)
-
-    def _exit_runahead(self, now):
-        checkpoint = self.checkpoint
-        self.runahead.on_exit(self)
-        victims = self.rob.clear()
-        for victim in victims:
-            if victim.state != DISPATCHED:
-                self.stats.transient_executed += 1
-        self.stats.squashed += len(victims)
-        if self.trace is not None:
-            if victims:
-                self.trace.emit(now, _EV_SQUASH, len(victims),
-                                checkpoint.stalling_pc)
-            self.trace.emit(now, _EV_RA_EXIT,
-                            now - checkpoint.entry_cycle,
-                            checkpoint.stalling_pc)
-        self.iq_count = 0
-        self.lq.clear()
-        self.sq.clear()
-        self.frontend.clear()
-        self._completions = []
-        self._squashed_completions = 0
-        self._ready = []
-        self.arch_regs = list(checkpoint.arch_regs)
-        self.arch_inv = [False] * NUM_ARCH_REGS
-        self.rat = [None] * NUM_ARCH_REGS
-        self._rename_free = {"int": self.config.rename_int,
-                             "fp": self.config.rename_fp,
-                             "vec": self.config.rename_vec}
-        self.branch_unit.restore(checkpoint.branch_snapshot)
-        self.runahead_cache.clear()
-        self.fetch_pc = checkpoint.stalling_pc
-        self.fetch_halted = False
-        self.fetch_stall_until = now + self.config.runahead.exit_overhead
-        self._last_inst_line = None
-        self.mode = MODE_NORMAL
-        self.checkpoint = None
-        self.stats.runahead_cycles += now - checkpoint.entry_cycle
-        if self._stall_base_seq is not None:
-            self._close_stall_episode()
-        self._activity = True
-
-    def extend_stall(self, completion):
-        """Push the runahead exit later (stalling line was flushed in
-        flight and must be re-fetched from memory — Fig. 10 case ③)."""
-        if self.checkpoint is not None and \
-                completion > self.checkpoint.stalling_completion:
-            self.checkpoint.stalling_completion = completion
-
     # ---------------------------------------------------------------- complete --
 
     def _complete(self, now):
@@ -705,121 +646,6 @@ class Core(IssuePaths):
             # A misprediction's squash may have compacted the heap into
             # a new list.
             completions = self._completions
-
-    def _resolve_branch(self, entry, now):
-        instr = entry.instr
-        unresolvable = entry.inv or entry.actual_target is None and \
-            (instr.opcode is _RET or instr.opcode is _JR)
-        if self.mode == MODE_RUNAHEAD and unresolvable:
-            # The SPECRUN vulnerability: an INV-source branch is predicted
-            # but never resolved — the prediction stands for the whole
-            # runahead interval (paper §2.1, §4.2 step 3).  Mitigations
-            # may override on_inv_branch to skip the branch instead.
-            self.stats.inv_branches += 1
-            entry.resolved = False
-            self.runahead.on_inv_branch(self, entry)
-            return
-        if entry.inv:
-            # INV branch outside runahead mode cannot happen (INV bits only
-            # exist in runahead mode).
-            raise SimulationError("INV branch in normal mode")
-        entry.resolved = True
-        train = self.mode == MODE_NORMAL or \
-            self.config.runahead.train_in_runahead
-        mispredicted = self.branch_unit.resolve(
-            entry.pc, instr, entry.actual_taken, entry.actual_target,
-            entry.prediction, train=train)
-        if not self._resolve_hook_is_default:
-            self.runahead.on_branch_resolved(self, entry, mispredicted)
-        if not mispredicted:
-            return
-        self.stats.branch_mispredicts += 1
-        if self.trace is not None:
-            self.trace.emit(now, _EV_MISPREDICT, entry.seq, entry.pc)
-        self._recover_from_branch(entry, now)
-
-    def _squash_younger(self, entry):
-        """Remove everything younger than ``entry`` and clean bookkeeping."""
-        victims = self.rob.squash_younger(entry.seq)
-        squashed_in_heap = 0
-        for victim in victims:
-            state = victim.state
-            if state == DISPATCHED:
-                self.iq_count -= 1
-            else:
-                self.stats.transient_executed += 1
-                if state == ISSUED:
-                    # Its completion record is still in the heap; it will
-                    # be skipped lazily or compacted away below.
-                    squashed_in_heap += 1
-            rename = victim.instr.rename_class
-            if rename is not None:
-                self._rename_free[rename] += 1
-        self.stats.squashed += len(victims)
-        if victims and self.trace is not None:
-            self.trace.emit(self.cycle, _EV_SQUASH, len(victims),
-                            entry.pc)
-        if victims:
-            # The victims are the youngest entries: a tail of each queue.
-            lq, sq = self.lq, self.sq
-            while lq and lq[-1].squashed:
-                lq.pop()
-            while sq and sq[-1].squashed:
-                sq.pop()
-            self._squashed_completions += squashed_in_heap
-            self._compact_completions()
-        # Rebuild the alias table from the surviving entries.
-        self.rat = [None] * NUM_ARCH_REGS
-        rat = self.rat
-        for survivor in self.rob:
-            dest = survivor.instr.dest
-            if dest is not None and dest != REG_ZERO:
-                rat[dest] = survivor
-        self.frontend.clear()
-
-    def _compact_completions(self):
-        """Drop squashed records once they dominate the completion heap.
-
-        Long misprediction storms can fill ``_completions`` with dead
-        entries faster than ``_complete`` pops them; compacting at the
-        half-full threshold keeps every heap operation O(log live)
-        amortized instead of O(log total-ever-squashed).
-        """
-        if self._squashed_completions * 2 > len(self._completions):
-            self._completions = [record for record in self._completions
-                                 if not record[2].squashed]
-            heapq.heapify(self._completions)
-            self._squashed_completions = 0
-
-    def _recover_from_branch(self, entry, now):
-        """Squash the wrong path and redirect fetch."""
-        self.branch_unit.restore(entry.prediction.snapshot)
-        self.branch_unit.reapply(entry.pc, entry.instr, entry.actual_taken)
-        self._squash_younger(entry)
-        target = entry.actual_target if entry.actual_taken \
-            else entry.pc + INSTR_BYTES
-        self.fetch_pc = target
-        self.fetch_halted = False
-        self.fetch_stall_until = now + 1
-        self._last_inst_line = None
-        self._activity = True
-
-    def force_branch_outcome(self, entry, taken, target):
-        """Mitigation hook: steer an unresolvable branch to a fixed
-        outcome (squash its speculative path and redirect fetch)."""
-        entry.actual_taken = taken
-        entry.actual_target = target
-        entry.resolved = True
-        self._recover_from_branch(entry, self.cycle)
-
-    def stop_runahead_fetch(self, entry=None):
-        """Mitigation hook: kill the speculative path of an unresolvable
-        branch and stop fetching for the rest of the runahead interval
-        (exit resets fetch state)."""
-        if entry is not None:
-            self.branch_unit.restore(entry.prediction.snapshot)
-            self._squash_younger(entry)
-        self.fetch_halted = True
 
     # ------------------------------------------------------------------- issue --
 
@@ -1060,7 +886,7 @@ class Core(IssuePaths):
         sq_size = config.sq_size
         iq_size = config.iq_size
         rob = self._rob
-        rob_capacity = self.rob.capacity
+        rob_bound = self._rob_bound
         lq = self.lq
         sq = self.sq
         rat = self.rat
@@ -1083,7 +909,7 @@ class Core(IssuePaths):
                 # pseudo-retire past a serialization point.
                 stats.fence_stalls += 1
                 break
-            if len(rob) >= rob_capacity:
+            if len(rob) >= rob_bound:
                 break
             rename = instr.rename_class
             if rename is not None and rename_free[rename] <= 0:
@@ -1095,8 +921,48 @@ class Core(IssuePaths):
             if is_store and len(sq) >= sq_size:
                 break
             immediate = instr.immediate
-            if not immediate and self.iq_count >= iq_size:
-                break
+            if not immediate:
+                if self.iq_count >= iq_size:
+                    break
+            elif entry.state == NOP_RUN:
+                # As many of the run's nops as width and free ROB slots
+                # allow; they extend a run at the ROB tail.
+                count = entry.count
+                take = width - dispatched
+                if take > rob_bound - len(rob):
+                    take = rob_bound - len(rob)
+                if take > count:
+                    take = count
+                seq = self.seq + 1
+                pc = entry.pc
+                self.seq += take
+                tail = rob[-1] if rob else None
+                if tail is not None and tail.state == NOP_RUN and \
+                        tail.seq + tail.count == seq:
+                    tail.count += take
+                    rob_bound -= take
+                else:
+                    if take == count:
+                        run = entry
+                    else:
+                        run = NopRun(pc, instr, take, entry.ready_cycle)
+                    run.seq = seq
+                    rob.append(run)
+                    rob_bound -= take - 1
+                self._rob_bound = rob_bound
+                if take == count:
+                    frontend.popleft()
+                    self._fetch_bound += count - 1
+                else:
+                    entry.pc = pc + take * INSTR_BYTES
+                    entry.count = count - take
+                    self._fetch_bound += take
+                dispatched += take
+                if trace is not None:
+                    for index in range(take):
+                        trace.emit(now, _EV_DISPATCH, seq + index,
+                                   pc + index * INSTR_BYTES)
+                continue
 
             frontend.popleft()
             self.seq = entry.seq = self.seq + 1
@@ -1175,7 +1041,7 @@ class Core(IssuePaths):
         do nothing either.
         """
         config = self.config
-        room = config.fetch_queue - len(self.frontend)
+        room = self._fetch_bound - len(self.frontend)
         if room > config.width:
             room = config.width
         ready_cycle = now + config.frontend_depth
@@ -1190,6 +1056,7 @@ class Core(IssuePaths):
         rehit_line = self._rehit_line
         branch_unit = self.branch_unit
         trace = self.trace
+        nop_runs = self._nop_runs
         pc = self.fetch_pc
         fetched = 0
         while fetched < room:
@@ -1217,6 +1084,25 @@ class Core(IssuePaths):
                     rehit_line = line
                     self._rehit_mutations = l1i.mutations
                 last_line = line
+            if instr.opcode is _NOP and nop_runs is not None:
+                # One record for the nops from here, cut at fetch room,
+                # at the next non-nop and at the end of this L1I line
+                # (``-line_mask`` is the line size).
+                count = nop_runs[index]
+                if count > room - fetched:
+                    count = room - fetched
+                in_line = (line - line_mask - phys_base - pc) >> PC_SHIFT
+                if count > in_line:
+                    count = in_line
+                frontend.append(NopRun(pc, instr, count, ready_cycle))
+                self._fetch_bound -= count - 1
+                fetched += count
+                if trace is not None:
+                    for nop_pc in range(pc, pc + count * INSTR_BYTES,
+                                        INSTR_BYTES):
+                        trace.emit(now, _EV_FETCH, nop_pc)
+                pc += count * INSTR_BYTES
+                continue
             prediction = None
             if instr.branch:
                 if instr.cond_branch and self._history_free:

@@ -16,6 +16,12 @@ wakeup list — when a producer's result arrives, the core decrements each
 consumer's counter and queues the ones that reached zero for issue.  The
 issue stage therefore never scans the issue queue asking "are your
 operands ready yet?".
+
+A run of consecutive nops travels as one :class:`NopRun` record that
+carries its count: nops complete at dispatch, read no register and wake
+nobody, so one record stands for all of them.  The ROB and the
+front-end queue hold records; their bounds count slots (the core keeps
+each bound as a record count less the extra slots its runs hold).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ DISPATCHED = 0   # in the ROB + issue queue, waiting for operands/FU
                  # (before dispatch it sits in the front-end queue)
 ISSUED = 1       # executing; result arrives at `completion`
 DONE = 2         # result available (or pseudo-value for stores)
+NOP_RUN = 3      # a NopRun: done from dispatch, never issued
 
 
 class RobEntry:
@@ -77,8 +84,35 @@ class RobEntry:
                 f"{self.instr.opcode.mnemonic}, state={self.state})")
 
 
+class NopRun:
+    """``count`` consecutive nops as one record.
+
+    ``seq`` and ``pc`` are the first nop's; nop ``i`` of the run has
+    ``seq + i`` and ``pc + i * INSTR_BYTES``.  Fetch builds a run,
+    dispatch moves some or all of its nops into the ROB (extending a
+    run at the ROB tail) and commit takes nops from the head run, each
+    advancing ``seq``/``pc`` and lowering ``count`` as nops leave.
+    """
+
+    __slots__ = ("seq", "pc", "instr", "count", "ready_cycle", "squashed",
+                 "consumers")
+
+    state = NOP_RUN
+    is_branch = is_load = is_store = False
+
+    def __init__(self, pc, instr, count, ready_cycle):
+        self.seq = 0                 # first nop's seq, set at dispatch
+        self.pc = pc
+        self.instr = instr
+        self.count = count
+        self.ready_cycle = ready_cycle
+        self.squashed = False
+        self.consumers = None        # never set: a nop wakes nobody
+
+
 class ReorderBuffer:
-    """Bounded FIFO of :class:`RobEntry` (in program order).
+    """Bounded FIFO of :class:`RobEntry` and :class:`NopRun` records (in
+    program order); ``capacity`` counts slots, one per instruction.
 
     The core appends, pops the head and checks the bound on ``_entries``
     directly (its dispatch and commit loops); the methods here are the
@@ -94,6 +128,7 @@ class ReorderBuffer:
         self._entries = deque()
 
     def __len__(self):
+        """Records held, not slots: a nop run is one record."""
         return len(self._entries)
 
     def __iter__(self):
@@ -103,6 +138,8 @@ class ReorderBuffer:
         """Remove every entry younger than ``seq``; returns the victims."""
         victims = []
         entries = self._entries
+        # A run is never split by a squash: the squashing entry is not
+        # a nop, so each run is wholly older or wholly younger.
         while entries and entries[-1].seq > seq:
             victim = entries.pop()
             victim.squashed = True

@@ -2,8 +2,7 @@
 
 A trace is an ordered stream of :class:`TraceEvent` records — the
 dynamic loads, stores and conditional-branch outcomes of one execution —
-plus a name and a free-form ``meta`` dict recording how it was obtained
-(generator parameters).  The synthetic generators
+plus a name.  The synthetic generators
 (:mod:`repro.trace.synthetic`) fabricate SPEC-like ones, and
 :class:`repro.trace.replay.TraceReplayWorkload` lowers one into a
 runnable program.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 LOAD = "load"
 STORE = "store"
@@ -64,11 +63,10 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """An ordered event stream with a name and provenance metadata."""
+    """An ordered event stream with a name."""
 
     name: str
     events: List[TraceEvent] = field(default_factory=list)
-    meta: Dict[str, object] = field(default_factory=dict)
 
     def taken_stream(self) -> List[bool]:
         """The taken/not-taken outcome sequence of all branch events."""
@@ -80,7 +78,7 @@ class Trace:
                    default=0)
 
     def digest(self) -> str:
-        """Content hash of the event stream (name/meta excluded).
+        """Content hash of the event stream (name excluded).
 
         Used as the replay build-cache key: two traces with identical
         events lower to identical programs regardless of provenance.

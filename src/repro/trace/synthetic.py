@@ -49,12 +49,6 @@ from .format import BRANCH, LOAD, STORE, Trace, TraceEvent
 _LINE = 64
 
 
-def _meta(family: str, **params) -> Dict[str, object]:
-    meta = {"family": family}
-    meta.update(params)
-    return meta
-
-
 def pointer_chase_trace(events: int = 1600,
                         footprint_bytes: int = 30 * 1024,
                         arcs: int = 4,
@@ -107,12 +101,7 @@ def pointer_chase_trace(events: int = 1600,
             taken = rng.random() >= branch_entropy
             out.append(TraceEvent(pc=0, kind=BRANCH, taken=taken))
         visit += 1
-    return Trace(name=name, events=out,
-                 meta=_meta("mcf", events=events,
-                            footprint_bytes=footprint_bytes, arcs=arcs,
-                            arc_stride_lines=arc_stride_lines,
-                            arc_span_lines=arc_span_lines,
-                            branch_entropy=branch_entropy, seed=seed))
+    return Trace(name=name, events=out)
 
 
 def streaming_trace(events: int = 1600,
@@ -147,11 +136,7 @@ def streaming_trace(events: int = 1600,
                 else True
             out.append(TraceEvent(pc=0, kind=BRANCH, taken=taken))
         element += 1
-    return Trace(name=name, events=out,
-                 meta=_meta("stream", events=events,
-                            footprint_bytes=footprint_bytes,
-                            streams=streams, stride_bytes=stride_bytes,
-                            branch_entropy=branch_entropy, seed=seed))
+    return Trace(name=name, events=out)
 
 
 def mixed_trace(events: int = 1600,
@@ -184,12 +169,7 @@ def mixed_trace(events: int = 1600,
         if len(out) < events:
             taken = rng.random() >= branch_entropy
             out.append(TraceEvent(pc=0, kind=BRANCH, taken=taken))
-    return Trace(name=name, events=out,
-                 meta=_meta("gcc", events=events,
-                            footprint_bytes=footprint_bytes,
-                            min_run=min_run, max_run=max_run,
-                            store_fraction=store_fraction,
-                            branch_entropy=branch_entropy, seed=seed))
+    return Trace(name=name, events=out)
 
 
 def zipfian_trace(events: int = 1600,
@@ -228,14 +208,7 @@ def zipfian_trace(events: int = 1600,
         if len(out) < events and access % branch_every == 0:
             taken = rng.random() >= branch_entropy
             out.append(TraceEvent(pc=0, kind=BRANCH, taken=taken))
-    return Trace(name=name, events=out,
-                 meta=_meta("zipf", events=events,
-                            footprint_bytes=footprint_bytes,
-                            hot_fraction=hot_fraction,
-                            hot_weight=hot_weight,
-                            store_fraction=store_fraction,
-                            branch_every=branch_every,
-                            branch_entropy=branch_entropy, seed=seed))
+    return Trace(name=name, events=out)
 
 
 #: Generator per family name (the ``repro trace`` CLI and the workload

@@ -15,7 +15,10 @@ payloads as the pre-refactor implementation.  This module defines what
   trial's spec hash;
 * :func:`extract_records` — a small group of one-byte ``extract``
   trials (``secret=[86]``) that decode through every receiver, one
-  core and cross-core, with and without calibration and co-runners.
+  core and cross-core, with and without calibration and co-runners;
+* :func:`nop_record` — one nop-sled run (Fig. 10's window program or
+  the ``pht`` gadget padded with nops) under one controller, distilled
+  like :func:`core_record` plus the core's dispatch stalls.
 
 ``python -m tests.golden.recorder`` regenerates
 ``tests/golden/golden_stats.json``.  The fixture committed in this repo
@@ -30,10 +33,15 @@ import hashlib
 import json
 import pathlib
 
+from repro.attack.gadgets import build_attack
+from repro.attack.window import window_program
+from repro.channel.session import run_victim
 from repro.harness import presets
 from repro.harness.registry import get_workload, make_controller
 from repro.harness.runner import run_trial
 from repro.harness.spec import Trial, canonical_json
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import Core
 from tests.sim import architectural_state
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_stats.json")
@@ -46,6 +54,15 @@ CORE_WORKLOADS = ("zeusmp", "mcf", "gems", "lbm", "wrf", "bwaves")
 #: controllers too): the refactor must preserve all of them.
 CORE_CONTROLLERS = ("none", "original", "precise", "vector", "secure",
                     "branch-skip")
+
+#: Nop-sled runs: Fig. 10's window program at each sled length (the
+#: 16 KB L1I holds 4096 nops, so 4096 sits on its edge and 4200 and
+#: 8192 past it) and the ``pht`` gadget at each nop padding (inside and
+#: beyond the ROB), keyed ``window-<sled>`` and ``pht-<padding>``.
+NOP_SLEDS = (1024, 2048, 4096, 4200, 8192)
+NOP_PADDINGS = (300, 600, 900)
+NOP_PROGRAMS = tuple(f"window-{sled}" for sled in NOP_SLEDS) + \
+    tuple(f"pht-{padding}" for padding in NOP_PADDINGS)
 
 #: Quick-tier presets to snapshot end to end (trial payload equality).
 PRESET_NAMES = ("table1", "fig4", "fig7", "fig9", "fig10", "fig11",
@@ -114,6 +131,35 @@ def all_core_records() -> dict:
             for controller in CORE_CONTROLLERS}
 
 
+def nop_record(program_name: str, controller_name: str) -> dict:
+    """Run one nop-sled program on one controller the way its trial
+    does (``measure_window`` or ``run_victim``); distill the core and
+    its dispatch stalls."""
+    kind, _, size = program_name.partition("-")
+    controller = make_controller(controller_name)
+    config = CoreConfig.paper()
+    if kind == "window":
+        program, image = window_program(sled=int(size))
+        core = Core(program, memory_image=image, config=config,
+                    runahead=controller, warm_icache=True)
+        core.run(max_cycles=2_000_000)
+    else:
+        attack = build_attack(kind, nop_padding=int(size))
+        core, _ = run_victim(attack, controller, config, 3_000_000, None,
+                             None)
+    record = distill_core(core)
+    stalls = core.dispatch_stalls
+    record["dispatch_stalls"] = {"steps": dict(stalls.steps),
+                                 "skipped": dict(stalls.skipped)}
+    return record
+
+
+def all_nop_records() -> dict:
+    return {f"{program}/{controller}": nop_record(program, controller)
+            for program in NOP_PROGRAMS
+            for controller in CORE_CONTROLLERS}
+
+
 def trial_key(trial: Trial) -> str:
     return f"{trial.label}#{trial.spec_hash()[:12]}"
 
@@ -139,7 +185,7 @@ def all_preset_records() -> dict:
 
 def build_golden() -> dict:
     return {"cores": all_core_records(), "presets": all_preset_records(),
-            "extracts": extract_records()}
+            "extracts": extract_records(), "nops": all_nop_records()}
 
 
 def load_golden() -> dict:
@@ -160,7 +206,7 @@ def main() -> int:
     n_presets = sum(len(v) for v in golden["presets"].values())
     print(f"wrote {GOLDEN_PATH}: {len(golden['cores'])} core records, "
           f"{n_presets} preset trials, {len(golden['extracts'])} extract "
-          f"trials")
+          f"trials, {len(golden['nops'])} nop-sled records")
     return 0
 
 

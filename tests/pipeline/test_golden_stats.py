@@ -13,7 +13,11 @@ overhaul, PR 2).  These tests assert the optimized core reproduces it
   6 covert-channel presets) must yield an identical result payload
   through ``run_trial``;
 * every one-byte ``extract`` trial in the fixture (each receiver, with
-  and without calibration, one core and cross-core) must too.
+  and without calibration, one core and cross-core) must too;
+* every nop-sled run (Fig. 10's window program at five sled lengths,
+  the ``pht`` gadget at three nop paddings) × every controller must
+  yield the same record as a Fig. 7 kernel, plus identical dispatch
+  stalls.
 
 If a future change *intends* to alter behaviour, regenerate the fixture
 with ``python -m tests.golden.recorder`` and say so in the commit; a
@@ -31,6 +35,7 @@ from tests.golden import recorder
 GOLDEN = recorder.load_golden()
 
 CORE_KEYS = sorted(GOLDEN["cores"])
+NOP_KEYS = sorted(GOLDEN["nops"])
 PRESET_NAMES = sorted(GOLDEN["presets"])
 EXTRACT_TRIALS = {recorder.trial_key(trial): trial
                   for trial in recorder.extract_trials()}
@@ -45,6 +50,10 @@ def test_fixture_covers_expected_grid():
     assert set(GOLDEN["cores"]) == expected_cores
     assert set(GOLDEN["presets"]) == set(recorder.PRESET_NAMES)
     assert set(GOLDEN["extracts"]) == set(EXTRACT_TRIALS)
+    assert set(GOLDEN["nops"]) == {f"{program}/{controller}"
+                                   for program in recorder.NOP_PROGRAMS
+                                   for controller in
+                                   recorder.CORE_CONTROLLERS}
 
 
 @pytest.mark.slow
@@ -57,6 +66,18 @@ def test_core_stats_match_golden(key):
     for field in want:
         assert fresh[field] == want[field], \
             f"{key}: {field} diverged from the pre-refactor recording"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("key", NOP_KEYS)
+def test_nop_sled_stats_match_golden(key):
+    program, controller = key.split("/")
+    fresh = recorder.normalize(recorder.nop_record(program, controller))
+    want = GOLDEN["nops"][key]
+    assert fresh.keys() == want.keys()
+    for field in want:
+        assert fresh[field] == want[field], \
+            f"{key}: {field} diverged from the recording"
 
 
 def _assert_preset_matches(name):

@@ -143,8 +143,7 @@ def record_trace(source, name: Optional[str] = None,
             else:
                 tainted[dest] = any(tainted[src] for src in instr.srcs)
 
-    return Trace(name=name, events=events,
-                 meta={"source": name, "steps": interp.steps})
+    return Trace(name=name, events=events)
 
 
 def internal_ranges(workload) -> Tuple[Tuple[int, int], ...]:

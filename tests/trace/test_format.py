@@ -14,7 +14,7 @@ def _sample():
         TraceEvent(pc=0x108, kind=BRANCH, taken=True),
         TraceEvent(pc=0x10c, kind=LOAD, address=0x10_0040, depends=True),
         TraceEvent(pc=0x110, kind=BRANCH, taken=False),
-    ], meta={"family": "unit"})
+    ])
 
 
 class TestEvents:
@@ -54,6 +54,6 @@ class TestDerivedViews:
         trace = _sample()
         flat = Trace("sample", [
             TraceEvent(e.pc, e.kind, e.address, e.taken, False)
-            for e in trace.events], meta=trace.meta)
+            for e in trace.events])
         assert trace.digest() != flat.digest()
 

@@ -22,8 +22,7 @@ class TestDependenceLowering:
         trace = pointer_chase_trace(events=800)
         stripped = Trace(name="flat",
                          events=[replace(e, depends=False)
-                                 for e in trace.events],
-                         meta=trace.meta)
+                                 for e in trace.events])
         faithful = TraceReplayWorkload(trace, name="faithful")
         parallel = TraceReplayWorkload(stripped, name="parallel")
         base_faithful = faithful.run(runahead=NoRunahead()).stats
